@@ -43,11 +43,13 @@ from .metrics import (
 )
 from .policies import (
     FollowTheLeader,
+    LeaderRuns,
     LeastRecentlyUsed,
     PerturbedLeader,
     compute_eta,
     replay_static,
     static_opt_decision,
+    step_perturbed_leaders,
 )
 from .traces import (
     RoundRobinConfig,
@@ -94,6 +96,8 @@ __all__ = [
     "compute_eta",
     "static_opt_decision",
     "replay_static",
+    "step_perturbed_leaders",
+    "LeaderRuns",
     "RunSeries",
     "RegretReport",
     "average_miss_ratio",

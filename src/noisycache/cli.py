@@ -161,7 +161,10 @@ def load_config(path: str):
 
     exp = parser["experiment"]
     _reject_unknown(exp, "experiment", _EXPERIMENT_KEYS)
-    trace = _parse_trace_section(parser["trace"])
+    try:
+        trace = _parse_trace_section(parser["trace"])
+    except InvalidInputError as exc:
+        raise ConfigError(f"[trace] {exc}") from None
 
     policies = []
     for name in parser.sections():

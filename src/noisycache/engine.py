@@ -4,15 +4,16 @@ One experiment = one trace, a set of policies, and M runs per stochastic
 policy. Seeding follows a fixed derivation so that every run is
 reproducible and, crucially, so that run r of ANY perturbed-leader
 policy draws the same noise sequence: policies under the same run index
-are compared with common random numbers.
+are compared with common random numbers. The perturbed-leader rows of an
+experiment (and the cells of a sweep at one cache size) are therefore
+stepped together, every run at once, by policies.step_perturbed_leaders.
 
 Deterministic policies (lru, ftl, opt) run once; their single series
 stands in for all runs, so their decile bands have zero width.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-import os
+import math
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .core import (
     oracle_minimize,
     total_counts,
 )
-from .estimators import EstimatorSpec, bound_params
+from .estimators import EstimatorKind, EstimatorSpec, bound_params
 from .metrics import (
     RegretReport,
     RunSeries,
@@ -36,10 +37,10 @@ from .metrics import (
 from .policies import (
     FollowTheLeader,
     LeastRecentlyUsed,
-    PerturbedLeader,
     compute_eta,
     replay_static,
     static_opt_decision,
+    step_perturbed_leaders,
 )
 from .traces import (
     RoundRobinConfig,
@@ -54,7 +55,6 @@ from .traces import (
 
 POLICY_KINDS = ("lru", "ftl", "fpl", "nfpl-fix", "nfpl-var", "opt")
 _SAMPLED_KINDS = ("fpl", "nfpl-fix", "nfpl-var")
-WORKERS_ENV = "NOISYCACHE_WORKERS"
 
 
 @dataclass(frozen=True)
@@ -99,8 +99,10 @@ class PolicySpec:
         if self.eta_override is not None:
             if self.kind not in _SAMPLED_KINDS:
                 raise InvalidInputError(f"eta does not apply to {self.kind}")
-            if self.eta_override < 0:
-                raise InvalidInputError("eta must be >= 0")
+            if not math.isfinite(self.eta_override) or self.eta_override < 0:
+                raise InvalidInputError(
+                    f"eta must be finite and >= 0, got {self.eta_override}"
+                )
         if self.tiebreak is not None and self.kind == "lru":
             raise InvalidInputError("lru has no tie-break rule")
 
@@ -112,6 +114,13 @@ class PolicySpec:
         if self.tiebreak is not None:
             return self.tiebreak
         return TieBreak.MOST_RECENT if self.kind == "ftl" else TieBreak.LOWEST_INDEX
+
+    def resolved_eta(self, catalog: CatalogConfig) -> float:
+        """Perturbation scale: the override, else compute_eta's value."""
+        if self.eta_override is not None:
+            return self.eta_override
+        estimator = self.estimator_spec(catalog.batch_size)
+        return compute_eta(bound_params(estimator, catalog), catalog.horizon)
 
     def estimator_spec(self, batch_size: int) -> EstimatorSpec | None:
         if self.kind == "fpl":
@@ -172,6 +181,8 @@ class ExperimentConfig:
             raise InvalidInputError("batch_size must be >= 1")
         if self.runs < 1:
             raise InvalidInputError("runs must be >= 1")
+        if self.base_seed < 0:
+            raise InvalidInputError(f"base_seed must be >= 0, got {self.base_seed}")
         names = [p.name for p in self.policies]
         if len(set(names)) != len(names):
             raise InvalidInputError("policy names must be unique")
@@ -236,21 +247,6 @@ def _resolve_trace(source, plan: SeedPlan):
     raise InvalidInputError(f"unknown trace source type {type(source).__name__}")
 
 
-def _worker_count() -> int:
-    raw = os.environ.get(WORKERS_ENV)
-    if raw is None:
-        return 1
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise InvalidInputError(
-            f"{WORKERS_ENV} must be a positive integer, got {raw!r}"
-        ) from None
-    if workers < 1:
-        raise InvalidInputError(f"{WORKERS_ENV} must be >= 1, got {workers}")
-    return workers
-
-
 def run_policy(
     spec: PolicySpec,
     catalog: CatalogConfig,
@@ -266,12 +262,22 @@ def run_policy(
 
     events is the 0-based event sequence truncated to the batched
     horizon; only lru and ftl consult it. eta and estimator, when None,
-    are derived from the policy spec (they are parameters so run_experiment can
-    compute them once per policy rather than once per run).
+    are derived from the policy spec. A perturbed-leader run is the
+    one-row case of the stepper run_experiment and run_sweep use.
     """
     horizon = len(batches)
     if horizon != catalog.horizon:
         raise InvalidInputError("batch count does not match catalog horizon")
+    if spec.stochastic:
+        if estimator is None:
+            estimator = spec.estimator_spec(catalog.batch_size)
+        if eta is None:
+            eta = spec.resolved_eta(catalog)
+        [[series]] = _run_leaders(
+            [(spec, eta, estimator)], catalog, batches, plan, [run], record_decisions
+        )
+        return series
+
     batch_size = catalog.batch_size
     costs = np.zeros(horizon, dtype=np.int64)
     decisions = (
@@ -279,8 +285,6 @@ def run_policy(
         if record_decisions
         else None
     )
-    estimate_totals = None
-
     if spec.kind == "lru":
         if events is None:
             raise InvalidInputError("lru needs the event sequence")
@@ -292,7 +296,7 @@ def run_policy(
         costs = replay_static(batches, best)
         if record_decisions:
             decisions[:] = best
-    elif spec.kind == "ftl":
+    else:
         if events is None:
             raise InvalidInputError("ftl needs the event sequence")
         policy = FollowTheLeader(catalog, spec.resolved_tiebreak())
@@ -302,59 +306,46 @@ def run_policy(
             policy.observe(batch, events[t * batch_size : (t + 1) * batch_size])
             if record_decisions:
                 decisions[t] = x
-    else:
-        if estimator is None:
-            estimator = spec.estimator_spec(batch_size)
-        if eta is None:
-            eta = (
-                spec.eta_override
-                if spec.eta_override is not None
-                else compute_eta(bound_params(estimator, catalog), horizon)
-            )
-        policy = PerturbedLeader(
-            catalog,
-            eta,
-            estimator,
-            noise_rng=plan.stream(run, SeedPlan.NOISE),
-            sample_rng=plan.stream(run, SeedPlan.SAMPLING),
-            tiebreak=spec.resolved_tiebreak(),
-        )
-        for t, batch in enumerate(batches):
-            x = policy.decide()
-            costs[t] = cost(batch, x)
-            policy.observe(batch)
-            if record_decisions:
-                decisions[t] = x
-        estimate_totals = policy.totals.copy()
+    return RunSeries(policy=spec.name, run=run, costs=costs, decisions=decisions)
 
-    return RunSeries(
-        policy=spec.name,
-        run=run,
-        costs=costs,
-        estimate_totals=estimate_totals,
-        decisions=decisions,
+
+def _run_leaders(leaders, catalog, batches, plan, runs, record_decisions=False):
+    """Step (spec, eta, estimator) perturbed leaders over `runs` together.
+
+    Run r of every leader reads the run-r noise stream, and each leader
+    gets its own run-r sampling stream. Returns one list of RunSeries
+    per leader, in run order.
+    """
+    specs, etas, estimators = zip(*leaders)
+    stepped = step_perturbed_leaders(
+        catalog,
+        batches,
+        etas,
+        estimators,
+        noise_rngs=[plan.stream(run, SeedPlan.NOISE) for run in runs],
+        sample_rngs=[
+            [
+                None if est.kind is EstimatorKind.EXACT
+                else plan.stream(run, SeedPlan.SAMPLING)
+                for run in runs
+            ]
+            for est in estimators
+        ],
+        record_decisions=record_decisions,
     )
-
-
-def _run_many(spec, catalog, batches, events, plan, n_runs, eta, estimator, record):
-    def one(run):
-        return run_policy(
-            spec,
-            catalog,
-            batches,
-            events,
-            plan,
-            run=run,
-            eta=eta,
-            estimator=estimator,
-            record_decisions=record,
-        )
-
-    workers = _worker_count()
-    if workers > 1 and n_runs > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, range(n_runs)))
-    return [one(run) for run in range(n_runs)]
+    return [
+        [
+            RunSeries(
+                policy=spec.name,
+                run=run,
+                costs=stepped.costs[g, i],
+                estimate_totals=stepped.totals[g, i],
+                decisions=None if stepped.decisions is None else stepped.decisions[g, i],
+            )
+            for i, run in enumerate(runs)
+        ]
+        for g, spec in enumerate(specs)
+    ]
 
 
 def _aggregate(spec, eta, series, batch_size, optimum, bound):
@@ -376,7 +367,10 @@ def _aggregate(spec, eta, series, batch_size, optimum, bound):
 def run_experiment(
     config: ExperimentConfig, record_decisions: bool = False
 ) -> ExperimentReport:
-    """Run every configured policy on one shared trace and aggregate."""
+    """Run every configured policy on one shared trace and aggregate.
+
+    The perturbed-leader policies are stepped together, all runs at once.
+    """
     if not config.policies:
         raise InvalidInputError("at least one policy is required")
     plan = SeedPlan(config.base_seed)
@@ -389,26 +383,28 @@ def run_experiment(
     opt_decision = oracle_minimize(totals.astype(np.float64), config.cache_size)
     optimum = int(totals @ opt_decision)
 
-    reports = []
+    reports = {}
+    leaders = []
     for spec in config.policies:
-        est = spec.estimator_spec(config.batch_size)
-        if est is not None:
-            eta = (
-                spec.eta_override
-                if spec.eta_override is not None
-                else compute_eta(bound_params(est, catalog), horizon)
-            )
+        if spec.stochastic:
+            est = spec.estimator_spec(config.batch_size)
+            leaders.append((spec, spec.resolved_eta(catalog), est))
+            continue
+        series = run_policy(
+            spec, catalog, batches, events, plan, record_decisions=record_decisions
+        )
+        reports[spec.name] = _aggregate(
+            spec, None, [series], config.batch_size, optimum, None
+        )
+    if leaders:
+        stepped = _run_leaders(
+            leaders, catalog, batches, plan, range(config.runs), record_decisions
+        )
+        for (spec, eta, est), series in zip(leaders, stepped):
             bound = regret_bound(bound_params(est, catalog), horizon)
-        else:
-            eta = None
-            bound = None
-        n_runs = config.runs if spec.stochastic else 1
-        series = _run_many(
-            spec, catalog, batches, events, plan, n_runs, eta, est, record_decisions
-        )
-        reports.append(
-            _aggregate(spec, eta, series, config.batch_size, optimum, bound)
-        )
+            reports[spec.name] = _aggregate(
+                spec, eta, series, config.batch_size, optimum, bound
+            )
 
     return ExperimentReport(
         catalog=catalog,
@@ -416,7 +412,7 @@ def run_experiment(
         request_totals=totals,
         opt_decision=opt_decision,
         opt_cost=optimum,
-        policies=reports,
+        policies=[reports[spec.name] for spec in config.policies],
     )
 
 
@@ -453,9 +449,9 @@ def run_sweep(
     The perturbation scale is pinned per cache size to the exact-estimate
     value (the rate-independent choice), so cells differ only in what the
     estimator samples; this is the scale the fixed subsampler would pick
-    for itself at any rate. Cells are emitted cache size by cache size,
-    variants in the order given, rates in the order given, with
-    config.runs runs each.
+    for itself at any rate. All cells of one cache size are stepped
+    together. Cells are emitted cache size by cache size, variants in the
+    order given, rates in the order given, with config.runs runs each.
     """
     rates = tuple(float(r) for r in rates)
     if not rates:
@@ -463,6 +459,8 @@ def run_sweep(
     for r in rates:
         if not 0.0 < r <= 1.0:
             raise InvalidInputError(f"sampling rates must be in (0, 1], got {r}")
+    if len(set(rates)) != len(rates):
+        raise InvalidInputError("duplicate rates in sweep")
     variants = tuple(variants)
     if not variants:
         raise InvalidInputError("at least one variant is required")
@@ -471,49 +469,53 @@ def run_sweep(
             raise InvalidInputError(f"unknown variant {v!r}, expected 'fix' or 'var'")
     if len(set(variants)) != len(variants):
         raise InvalidInputError("duplicate variants in sweep")
+    sizes = tuple(cache_sizes) if cache_sizes else (config.cache_size,)
+    if len(set(sizes)) != len(sizes):
+        raise InvalidInputError("duplicate cache sizes in sweep")
 
     plan = SeedPlan(config.base_seed)
     source, trace = _resolve_trace(config.trace, plan)
     batches = batch_trace(trace, config.batch_size)
     horizon = len(batches)
-    sizes = tuple(cache_sizes) if cache_sizes else (config.cache_size,)
+    catalogs = [
+        CatalogConfig(trace.n_files, size, config.batch_size, horizon) for size in sizes
+    ]
 
     cells = []
-    for size in sizes:
-        catalog = CatalogConfig(trace.n_files, size, config.batch_size, horizon)
-        pinned_eta = compute_eta(
-            bound_params(EstimatorSpec.exact(config.batch_size), catalog), horizon
-        )
-        for variant in variants:
-            kind = "nfpl-fix" if variant == "fix" else "nfpl-var"
-            for rate in rates:
-                spec = PolicySpec(
-                    name=f"nfpl-{variant}-r{rate:g}-c{size}",
-                    kind=kind,
-                    rate=rate,
-                    eta_override=pinned_eta,
+    for catalog in catalogs:
+        size = catalog.cache_size
+        pinned_eta = PolicySpec("fpl", "fpl").resolved_eta(catalog)
+        specs = [
+            PolicySpec(
+                name=f"nfpl-{variant}-r{rate:g}-c{size}",
+                kind=f"nfpl-{variant}",
+                rate=rate,
+                eta_override=pinned_eta,
+            )
+            for variant in variants
+            for rate in rates
+        ]
+        leaders = [
+            (spec, pinned_eta, spec.estimator_spec(config.batch_size)) for spec in specs
+        ]
+        stepped = _run_leaders(leaders, catalog, batches, plan, range(config.runs))
+        for spec, series in zip(specs, stepped):
+            ratios = np.stack(
+                [average_miss_ratio(s.costs, config.batch_size) for s in series]
+            )
+            mean, d1, d9 = decile_band(ratios)
+            cells.append(
+                SweepCell(
+                    variant=spec.kind.removeprefix("nfpl-"),
+                    rate=spec.rate,
+                    cache_size=size,
+                    eta=pinned_eta,
+                    final_mean=float(mean[-1]),
+                    final_d1=float(d1[-1]),
+                    final_d9=float(d9[-1]),
+                    runs=list(series),
                 )
-                est = spec.estimator_spec(config.batch_size)
-                series = _run_many(
-                    spec, catalog, batches, None, plan, config.runs,
-                    pinned_eta, est, False,
-                )
-                ratios = np.stack(
-                    [average_miss_ratio(s.costs, config.batch_size) for s in series]
-                )
-                mean, d1, d9 = decile_band(ratios)
-                cells.append(
-                    SweepCell(
-                        variant=variant,
-                        rate=rate,
-                        cache_size=size,
-                        eta=pinned_eta,
-                        final_mean=float(mean[-1]),
-                        final_d1=float(d1[-1]),
-                        final_d9=float(d9[-1]),
-                        runs=list(series),
-                    )
-                )
+            )
     return SweepReport(
         trace_source=source, n_files=trace.n_files, horizon=horizon, cells=cells
     )

@@ -94,6 +94,23 @@ class BoundParams:
     diameter: int
 
 
+def estimate_on_ids(
+    spec: EstimatorSpec, counts: np.ndarray, rng: np.random.Generator | None = None
+) -> np.ndarray:
+    """Draw one estimate restricted to a batch's requested files.
+
+    counts is the batch's sparse count vector (RequestBatch.counts); the
+    result is float64 and aligned with it, so entry i estimates counts[i].
+    No input checks: callers validate the batch and rng once, up front.
+    """
+    if spec.kind is EstimatorKind.EXACT:
+        return counts.astype(np.float64)
+    if spec.kind is EstimatorKind.FIXED_SUBSAMPLE:
+        kept = rng.multivariate_hypergeometric(counts, spec.subsample)
+        return kept * (spec.batch_size / spec.subsample)
+    return rng.binomial(counts, spec.rate) / spec.rate
+
+
 def estimate(
     spec: EstimatorSpec, batch: RequestBatch, rng: np.random.Generator | None = None
 ) -> np.ndarray:
@@ -107,18 +124,10 @@ def estimate(
         raise InvalidInputError(
             f"batch holds {batch.total} events, estimator expects {spec.batch_size}"
         )
-    out = np.zeros(batch.n_files, dtype=np.float64)
-    if spec.kind is EstimatorKind.EXACT:
-        out[batch.ids] = batch.counts
-        return out
-    if rng is None:
+    if rng is None and spec.kind is not EstimatorKind.EXACT:
         raise InvalidInputError(f"{spec.kind.value} estimation requires an rng")
-    if spec.kind is EstimatorKind.FIXED_SUBSAMPLE:
-        kept = rng.multivariate_hypergeometric(batch.counts, spec.subsample)
-        out[batch.ids] = kept * (spec.batch_size / spec.subsample)
-    else:
-        kept = rng.binomial(batch.counts, spec.rate)
-        out[batch.ids] = kept / spec.rate
+    out = np.zeros(batch.n_files, dtype=np.float64)
+    out[batch.ids] = estimate_on_ids(spec, batch.counts, rng)
     return out
 
 

@@ -11,6 +11,7 @@ All policies work on 0-based file indices.
 """
 
 from collections import OrderedDict
+from dataclasses import dataclass
 import math
 
 import numpy as np
@@ -25,7 +26,13 @@ from .core import (
     oracle_minimize,
     total_counts,
 )
-from .estimators import BoundParams, EstimatorSpec, estimate
+from .estimators import (
+    BoundParams,
+    EstimatorKind,
+    EstimatorSpec,
+    estimate,
+    estimate_on_ids,
+)
 
 
 def compute_eta(bounds: BoundParams, horizon: int) -> float:
@@ -123,6 +130,124 @@ class PerturbedLeader:
     def observe(self, batch: RequestBatch, events=None) -> None:
         est = estimate(self._estimator, batch, self._sample_rng)
         self._totals = accumulate(self._totals, est)
+
+
+@dataclass
+class LeaderRuns:
+    """What step_perturbed_leaders returns for G leaders over R runs.
+
+    costs is G x R x T (misses per slot), totals G x R x N (the final
+    accumulated estimates), and decisions, when recorded, G x R x T x N
+    int8 with 1 marking a file left out of the cache.
+    """
+
+    costs: np.ndarray
+    totals: np.ndarray
+    decisions: np.ndarray | None = None
+
+
+def step_perturbed_leaders(
+    catalog: CatalogConfig,
+    batches,
+    etas,
+    estimators,
+    noise_rngs,
+    sample_rngs,
+    record_decisions: bool = False,
+) -> LeaderRuns:
+    """Step G perturbed leaders over R runs each, all rows slot by slot.
+
+    Leader g at run r makes the same decisions, pays the same costs and
+    accumulates the same estimates as PerturbedLeader(catalog, etas[g],
+    estimators[g], noise_rngs[r], sample_rngs[g][r]) driven through the
+    batches. Each slot draws one standard-uniform vector per run, shared
+    by every leader at that run (common random numbers) and scaled by
+    each leader's own eta; the top C of all G * R score rows are then
+    taken at once, with ties at the boundary going to the lowest index.
+    sample_rngs[g][r] is ignored for the exact estimator.
+    """
+    etas = np.asarray(etas, dtype=np.float64)
+    groups, runs, horizon = etas.size, len(noise_rngs), catalog.horizon
+    if groups < 1 or runs < 1:
+        raise InvalidInputError("need at least one leader and one run")
+    if len(estimators) != groups or len(sample_rngs) != groups:
+        raise InvalidInputError("etas, estimators and sample_rngs must have equal length")
+    if not np.all(np.isfinite(etas)) or np.any(etas < 0):
+        raise InvalidInputError(f"etas must be finite and >= 0, got {etas.tolist()}")
+    for spec, rngs in zip(estimators, sample_rngs):
+        if len(rngs) != runs:
+            raise InvalidInputError("sample_rngs needs one generator per run")
+        if spec.batch_size != catalog.batch_size:
+            raise InvalidInputError(
+                f"estimator batch size {spec.batch_size} does not match "
+                f"catalog batch size {catalog.batch_size}"
+            )
+        if spec.kind is not EstimatorKind.EXACT and any(rng is None for rng in rngs):
+            raise InvalidInputError(f"{spec.kind.value} estimation requires an rng")
+    if len(batches) != horizon:
+        raise InvalidInputError("batch count does not match catalog horizon")
+    n, c, b = catalog.n_files, catalog.cache_size, catalog.batch_size
+    for batch in batches:
+        if batch.n_files != n or batch.total != b:
+            raise InvalidInputError(f"every batch must hold {b} requests over {n} files")
+
+    rows = groups * runs
+    totals = np.zeros((groups, runs, n))
+    score = np.empty_like(totals)
+    noise = np.empty((runs, n))
+    scale = etas[:, None, None]
+    row_totals = totals.reshape(rows, n)
+    row_score = score.reshape(rows, n)
+    parted = np.empty((rows, n))
+    cached = np.empty((rows, n), dtype=bool)
+    costs = np.empty((groups, runs, horizon), dtype=np.int64)
+    row_costs = costs.reshape(rows, horizon)
+    decisions = row_decisions = None
+    if record_decisions:
+        decisions = np.empty((groups, runs, horizon, n), dtype=np.int8)
+        row_decisions = decisions.reshape(rows, horizon, n)
+    exact_rows = np.array(
+        [
+            g * runs + r
+            for g, spec in enumerate(estimators)
+            if spec.kind is EstimatorKind.EXACT
+            for r in range(runs)
+        ],
+        dtype=np.intp,
+    )
+    sampled_rows = [
+        (totals[g, r], spec, sample_rngs[g][r])
+        for g, spec in enumerate(estimators)
+        if spec.kind is not EstimatorKind.EXACT
+        for r in range(runs)
+    ]
+    kth = n - c
+
+    for t, batch in enumerate(batches):
+        ids, counts = batch.ids, batch.counts
+        for r, rng in enumerate(noise_rngs):
+            rng.random(out=noise[r])
+        # eta * u is bit for bit the rng.uniform(0, eta) draw PerturbedLeader makes
+        np.multiply(noise, scale, out=score)
+        score += totals
+        np.copyto(parted, row_score)
+        parted.partition(kth, axis=1)
+        threshold = parted[:, kth : kth + 1]
+        # everything at or above each row's C-th largest score; rows with
+        # boundary ties hold too many and drop their highest tied indices
+        np.greater_equal(row_score, threshold, out=cached)
+        excess = np.count_nonzero(cached, axis=1) - c
+        for k in np.flatnonzero(excess):
+            tied = np.flatnonzero(row_score[k] == threshold[k])
+            cached[k, tied[tied.size - excess[k] :]] = False
+        row_costs[:, t] = b - cached[:, ids] @ counts
+        if row_decisions is not None:
+            row_decisions[:, t] = ~cached
+        if exact_rows.size:
+            row_totals[np.ix_(exact_rows, ids)] += counts
+        for row, spec, rng in sampled_rows:
+            row[ids] += estimate_on_ids(spec, counts, rng)
+    return LeaderRuns(costs=costs, totals=totals, decisions=decisions)
 
 
 class LeastRecentlyUsed:

@@ -8,6 +8,7 @@ the rest of the package works in.
 """
 
 from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -52,10 +53,12 @@ class ZipfConfig:
     def __post_init__(self):
         if self.n_files < 1:
             raise InvalidInputError("n_files must be >= 1")
-        if self.alpha < 0:
-            raise InvalidInputError("alpha must be >= 0")
+        if not math.isfinite(self.alpha) or self.alpha < 0:
+            raise InvalidInputError(f"alpha must be finite and >= 0, got {self.alpha}")
         if self.total_requests < 1:
             raise InvalidInputError("total_requests must be >= 1")
+        if self.seed is not None and self.seed < 0:
+            raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -42,3 +42,20 @@ def feasible(decision, n_files: int, cache_size: int) -> bool:
         and bool(np.all((x == 0) | (x == 1)))
         and int(x.sum()) == n_files - cache_size
     )
+
+
+def reference_leader_run(catalog, batches, eta, estimator, noise_rng, sample_rng):
+    """One perturbed-leader run stepped the slow way, through PerturbedLeader.
+
+    Returns (per-slot costs, final accumulated estimates, T x N decisions).
+    """
+    from noisycache import PerturbedLeader, cost
+
+    policy = PerturbedLeader(catalog, eta, estimator, noise_rng, sample_rng)
+    costs, decisions = [], []
+    for batch in batches:
+        x = policy.decide()
+        costs.append(cost(batch, x))
+        decisions.append(x)
+        policy.observe(batch)
+    return np.array(costs, dtype=np.int64), policy.totals, np.array(decisions)

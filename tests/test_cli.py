@@ -192,6 +192,23 @@ class TestRun:
         assert cli.main(["run", "-c", str(config), "-o", str(tmp_path / "o")]) == 2
         assert "warp" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("old,new,where", [
+        ("[policy:var]", "[policy:wild]\nkind = fpl\neta = nan\n[policy:var]",
+         "[policy:wild]"),
+        ("[policy:var]", "[policy:wild]\nkind = fpl\neta = inf\n[policy:var]",
+         "[policy:wild]"),
+        ("alpha = 1.0", "alpha = nan", "[trace]"),
+        ("alpha = 1.0", "alpha = inf", "[trace]"),
+        ("seed = 21", "seed = -1", "[trace]"),
+        ("base_seed = 99", "base_seed = -1", "[experiment]"),
+    ], ids=["eta-nan", "eta-inf", "alpha-nan", "alpha-inf", "seed", "base-seed"])
+    def test_rejects_bad_values(self, tmp_path, capsys, old, new, where):
+        config = write_config(tmp_path, RUN_CONFIG.replace(old, new))
+        out = tmp_path / "o"
+        assert cli.main(["run", "-c", str(config), "-o", str(out)]) == 2
+        assert where in capsys.readouterr().err
+        assert not out.exists()
+
     def test_run_without_policies(self, tmp_path, capsys):
         config = write_config(tmp_path, SWEEP_CONFIG)
         assert cli.main(["run", "-c", str(config), "-o", str(tmp_path / "o")]) == 2
@@ -240,6 +257,8 @@ class TestSweep:
         ("--rates", ",,"),
         ("--variants", "fix,magic"),
         ("--cache-sizes", "0"),
+        ("--rates", "0.5,0.5"),
+        ("--cache-sizes", "5,5"),
     ])
     def test_rejects_bad_sweep_arguments(self, tmp_path, capsys, flag, value):
         config = write_config(tmp_path, SWEEP_CONFIG)

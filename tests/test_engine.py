@@ -20,7 +20,6 @@ from noisycache import (
     run_policy,
     run_sweep,
 )
-from noisycache.engine import _worker_count
 
 
 def small_trace(seed=21):
@@ -70,6 +69,9 @@ class TestPolicySpec:
             PolicySpec("x", "fpl", eta_override=-1.0)
         with pytest.raises(InvalidInputError):
             PolicySpec("x", "lru", tiebreak=TieBreak.LOWEST_INDEX)
+        for eta in (float("nan"), float("inf")):
+            with pytest.raises(InvalidInputError):
+                PolicySpec("x", "fpl", eta_override=eta)
         assert PolicySpec("x", "fpl", eta_override=0.0).eta_override == 0.0
 
     def test_estimator_mapping(self):
@@ -215,6 +217,10 @@ class TestRunExperiment:
             small_config([PolicySpec("a", "fpl"), PolicySpec("a", "lru")])
         with pytest.raises(InvalidInputError):
             ExperimentConfig(trace=small_trace(), cache_size=0, batch_size=5)
+        with pytest.raises(InvalidInputError):
+            ExperimentConfig(
+                trace=small_trace(), cache_size=2, batch_size=5, base_seed=-1
+            )
 
     def test_zipf_seed_resolution_is_deterministic(self):
         cfg = ExperimentConfig(
@@ -251,24 +257,6 @@ class TestRunPolicy:
         for kind in ("lru", "ftl"):
             with pytest.raises(InvalidInputError):
                 run_policy(PolicySpec(kind, kind), catalog, batches, None, SeedPlan(0))
-
-
-class TestWorkers:
-    def test_parallel_runs_match_serial(self, monkeypatch):
-        cfg = small_config([PolicySpec("var", "nfpl-var", rate=0.5)], runs=4)
-        serial = run_experiment(cfg)
-        monkeypatch.setenv("NOISYCACHE_WORKERS", "3")
-        parallel = run_experiment(cfg)
-        for ra, rb in zip(serial.policy("var").runs, parallel.policy("var").runs):
-            assert np.array_equal(ra.costs, rb.costs)
-
-    def test_invalid_worker_env(self, monkeypatch):
-        monkeypatch.setenv("NOISYCACHE_WORKERS", "zero")
-        with pytest.raises(InvalidInputError):
-            _worker_count()
-        monkeypatch.setenv("NOISYCACHE_WORKERS", "0")
-        with pytest.raises(InvalidInputError):
-            _worker_count()
 
 
 class TestRunSweep:
@@ -326,3 +314,22 @@ class TestRunSweep:
             run_sweep(self.base_config(), rates=(0.5,), variants=("fix", "fix"))
         with pytest.raises(InvalidInputError):
             run_sweep(self.base_config(), rates=(0.5,), variants=("nope",))
+        with pytest.raises(InvalidInputError, match="duplicate rates"):
+            run_sweep(self.base_config(), rates=(0.5, 0.5))
+        with pytest.raises(InvalidInputError, match="duplicate cache sizes"):
+            run_sweep(self.base_config(), rates=(0.5,), cache_sizes=(5, 5))
+
+    def test_every_cell_equals_its_solo_run_policy(self):
+        # cells stepped together must match each cell run on its own
+        cfg = self.base_config()
+        report = run_sweep(cfg, rates=(0.1, 1.0), cache_sizes=(4, 8))
+        batches = batch_trace(small_trace(), 20)
+        for cell in report.cells:
+            catalog = CatalogConfig(40, cell.cache_size, 20, len(batches))
+            spec = PolicySpec(
+                "solo", f"nfpl-{cell.variant}", rate=cell.rate, eta_override=cell.eta
+            )
+            for run, series in enumerate(cell.runs):
+                solo = run_policy(spec, catalog, batches, None, SeedPlan(99), run=run)
+                assert np.array_equal(solo.costs, series.costs)
+                assert np.array_equal(solo.estimate_totals, series.estimate_totals)

@@ -2,9 +2,11 @@
 
 import math
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
+from helpers import reference_leader_run
 from noisycache import (
     BoundParams,
     CatalogConfig,
@@ -14,6 +16,7 @@ from noisycache import (
     LeastRecentlyUsed,
     PerturbedLeader,
     RequestBatch,
+    SeedPlan,
     TieBreak,
     ZipfConfig,
     batch_trace,
@@ -22,6 +25,7 @@ from noisycache import (
     generate_zipf,
     replay_static,
     static_opt_decision,
+    step_perturbed_leaders,
 )
 
 
@@ -164,6 +168,91 @@ class TestPerturbedLeader:
         )
         with pytest.raises(InvalidInputError):
             policy.observe(RequestBatch.from_counts([2, 1, 1]))
+
+
+@st.composite
+def leader_problems(draw):
+    """A small batched trace plus a mix of perturbed leaders over 1-4 runs."""
+    n = draw(st.integers(2, 9))
+    c = draw(st.integers(1, n - 1))
+    b = draw(st.integers(1, 12))
+    horizon = draw(st.integers(1, 8))
+    events = np.array(
+        draw(st.lists(st.integers(0, n - 1), min_size=horizon * b, max_size=horizon * b))
+    )
+    batches = [
+        RequestBatch.from_counts(np.bincount(events[t * b : (t + 1) * b], minlength=n))
+        for t in range(horizon)
+    ]
+    leaders = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["fpl", "fix", "var"]),
+                st.floats(0.05, 1.0),
+                st.one_of(st.just(0.0), st.floats(0.0, 40.0)),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    estimators = []
+    for kind, rate, _ in leaders:
+        if kind == "fpl":
+            estimators.append(EstimatorSpec.exact(b))
+        elif kind == "fix":
+            estimators.append(EstimatorSpec.fixed_subsample(max(1, round(rate * b)), b))
+        else:
+            estimators.append(EstimatorSpec.bernoulli(rate, b))
+    etas = [eta for _, _, eta in leaders]
+    runs = draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return _catalog(n, c, b, horizon), batches, etas, estimators, runs, SeedPlan(seed)
+
+
+class TestStepPerturbedLeaders:
+    @settings(max_examples=150, deadline=None)
+    @given(leader_problems())
+    def test_matches_per_run_perturbed_leader(self, problem):
+        catalog, batches, etas, estimators, runs, plan = problem
+        stepped = step_perturbed_leaders(
+            catalog,
+            batches,
+            etas,
+            estimators,
+            [plan.stream(r, SeedPlan.NOISE) for r in range(runs)],
+            [[plan.stream(r, SeedPlan.SAMPLING) for r in range(runs)] for _ in etas],
+            record_decisions=True,
+        )
+        for g, (eta, est) in enumerate(zip(etas, estimators)):
+            for r in range(runs):
+                costs, totals, decisions = reference_leader_run(
+                    catalog, batches, eta, est,
+                    plan.stream(r, SeedPlan.NOISE), plan.stream(r, SeedPlan.SAMPLING),
+                )
+                assert np.array_equal(stepped.costs[g, r], costs)
+                assert np.array_equal(stepped.totals[g, r], totals)
+                assert np.array_equal(stepped.decisions[g, r], decisions)
+
+    def test_rejects_bad_inputs(self):
+        catalog = _catalog(4, 2, 2, 1)
+        batches = [RequestBatch.from_counts([1, 1, 0, 0])]
+        rng = np.random.default_rng(0)
+        exact = EstimatorSpec.exact(2)
+        with pytest.raises(InvalidInputError):
+            step_perturbed_leaders(catalog, batches, [float("nan")], [exact], [rng], [[None]])
+        with pytest.raises(InvalidInputError):
+            step_perturbed_leaders(catalog, batches, [-1.0], [exact], [rng], [[None]])
+        with pytest.raises(InvalidInputError):
+            step_perturbed_leaders(
+                catalog, batches, [1.0], [EstimatorSpec.bernoulli(0.5, 2)], [rng], [[None]]
+            )
+        with pytest.raises(InvalidInputError):
+            step_perturbed_leaders(catalog, batches * 2, [1.0], [exact], [rng], [[None]])
+        with pytest.raises(InvalidInputError):
+            step_perturbed_leaders(
+                catalog, [RequestBatch.from_counts([3, 0, 0, 0])], [1.0], [exact],
+                [rng], [[None]],
+            )
 
 
 class TestLeastRecentlyUsed:
