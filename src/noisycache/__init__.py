@@ -14,10 +14,8 @@ from .core import (
     InvalidInputError,
     RequestBatch,
     TieBreak,
-    accumulate,
     cost,
     oracle_minimize,
-    total_counts,
 )
 from .engine import (
     ExperimentConfig,
@@ -38,7 +36,6 @@ from .metrics import (
     average_miss_ratio,
     decile_band,
     empirical_regret,
-    opt_cost,
     regret_bound,
 )
 from .policies import (
@@ -47,12 +44,12 @@ from .policies import (
     LeastRecentlyUsed,
     PerturbedLeader,
     compute_eta,
-    replay_static,
-    static_opt_decision,
+    static_optimum,
     step_perturbed_leaders,
 )
 from .traces import (
     RoundRobinConfig,
+    SlottedTrace,
     Trace,
     TraceFileConfig,
     TraceParseError,
@@ -71,11 +68,10 @@ __all__ = [
     "InvalidInputError",
     "RequestBatch",
     "TieBreak",
-    "accumulate",
     "cost",
     "oracle_minimize",
-    "total_counts",
     "Trace",
+    "SlottedTrace",
     "ZipfConfig",
     "RoundRobinConfig",
     "TraceFileConfig",
@@ -94,14 +90,12 @@ __all__ = [
     "PerturbedLeader",
     "LeastRecentlyUsed",
     "compute_eta",
-    "static_opt_decision",
-    "replay_static",
+    "static_optimum",
     "step_perturbed_leaders",
     "LeaderRuns",
     "RunSeries",
     "RegretReport",
     "average_miss_ratio",
-    "opt_cost",
     "empirical_regret",
     "regret_bound",
     "decile_band",

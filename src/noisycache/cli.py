@@ -28,6 +28,7 @@ from .traces import (
     ZipfConfig,
     generate_round_robin,
     generate_zipf,
+    write_trace_file,
 )
 
 EXIT_OK = 0
@@ -45,7 +46,11 @@ class ConfigError(Exception):
 # ---------------------------------------------------------------- config
 
 _EXPERIMENT_KEYS = {"cache_size", "batch_size", "runs", "base_seed"}
-_TRACE_KEYS = {"kind", "files", "alpha", "requests", "seed", "path", "remap"}
+_TRACE_KEYS = {
+    "zipf": {"kind", "files", "alpha", "requests", "seed"},
+    "round-robin": {"kind", "files", "requests"},
+    "file": {"kind", "path", "remap", "files"},
+}
 _POLICY_KEYS = {"kind", "rate", "subsample", "tiebreak", "eta"}
 _SWEEP_KEYS = {"rates", "variants", "cache_sizes"}
 
@@ -88,13 +93,17 @@ def _reject_unknown(section, section_name, allowed):
     unknown = set(section.keys()) - allowed
     if unknown:
         raise ConfigError(
-            f"[{section_name}] unknown key(s): {', '.join(sorted(unknown))}"
+            f"[{section_name}] unsupported key(s): {', '.join(sorted(unknown))}"
         )
 
 
 def _parse_trace_section(section):
-    _reject_unknown(section, "trace", _TRACE_KEYS)
     kind = _typed(section, "trace", "kind", str, required=True).strip().lower()
+    if kind not in _TRACE_KEYS:
+        raise ConfigError(
+            f"[trace] unknown kind {kind!r}, expected zipf, round-robin, or file"
+        )
+    _reject_unknown(section, "trace", _TRACE_KEYS[kind])
     if kind == "zipf":
         return ZipfConfig(
             n_files=_typed(section, "trace", "files", int, required=True),
@@ -103,25 +112,14 @@ def _parse_trace_section(section):
             seed=_typed(section, "trace", "seed", int),
         )
     if kind == "round-robin":
-        for key in ("alpha", "seed", "path"):
-            if key in section:
-                raise ConfigError(f"[trace] {key} does not apply to round-robin")
         return RoundRobinConfig(
             n_files=_typed(section, "trace", "files", int, required=True),
             total_requests=_typed(section, "trace", "requests", int, required=True),
         )
-    if kind == "file":
-        remap = _typed(section, "trace", "remap", _to_bool, default=True)
-        n_files = _typed(section, "trace", "files", int)
-        if not remap and n_files is None:
-            raise ConfigError("[trace] files is required when remap = false")
-        return TraceFileConfig(
-            path=_typed(section, "trace", "path", str, required=True),
-            remap=remap,
-            n_files=n_files,
-        )
-    raise ConfigError(
-        f"[trace] unknown kind {kind!r}, expected zipf, round-robin, or file"
+    return TraceFileConfig(
+        path=_typed(section, "trace", "path", str, required=True),
+        remap=_typed(section, "trace", "remap", _to_bool, default=True),
+        n_files=_typed(section, "trace", "files", int),
     )
 
 
@@ -317,7 +315,7 @@ def _render_echo(config, trace_source, policy_etas=None, sweep=None) -> str:
             section["rate"] = _fmt(float(spec.rate))
         if spec.subsample is not None:
             section["subsample"] = str(spec.subsample)
-        if spec.kind != "lru":
+        if spec.kind == "ftl":
             section["tiebreak"] = spec.resolved_tiebreak().value
         if policy_etas and spec.name in policy_etas:
             section["eta"] = _fmt(policy_etas[spec.name])
@@ -369,18 +367,8 @@ def cmd_generate(args) -> int:
         trace = generate_round_robin(
             RoundRobinConfig(n_files=args.files, total_requests=args.requests)
         )
-    out_dir = os.path.dirname(os.path.abspath(args.output))
-    os.makedirs(out_dir, exist_ok=True)
-    tmp = os.path.abspath(args.output) + ".tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(map(str, trace.events.tolist())))
-            fh.write("\n")
-        os.replace(tmp, args.output)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    os.makedirs(os.path.dirname(os.path.abspath(args.output)), exist_ok=True)
+    write_trace_file(args.output, trace)
     print(f"wrote {args.output}: {trace.events.size} events over {trace.n_files} files")
     return EXIT_OK
 

@@ -163,31 +163,6 @@ def oracle_minimize(
     return missing
 
 
-def accumulate(totals, delta) -> np.ndarray:
-    """Element-wise sum of two equal-length real vectors (new array)."""
-    totals = _check_vector(totals, "totals")
-    delta = _check_vector(delta, "delta")
-    if totals.shape != delta.shape:
-        raise InvalidInputError(
-            f"length mismatch: {totals.size} vs {delta.size}"
-        )
-    return totals + delta
-
-
-def total_counts(batches) -> np.ndarray:
-    """Dense int64 sum of request counts across an iterable of batches."""
-    batches = list(batches)
-    if not batches:
-        raise InvalidInputError("at least one batch is required")
-    n = batches[0].n_files
-    out = np.zeros(n, dtype=np.int64)
-    for b in batches:
-        if b.n_files != n:
-            raise InvalidInputError("batches disagree on catalog size")
-        out[b.ids] += b.counts
-    return out
-
-
 def cost(batch: RequestBatch, missing) -> int:
     """Cache misses <r, x> paid by decision `missing` on `batch`."""
     x = np.asarray(missing)

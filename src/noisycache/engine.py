@@ -17,14 +17,7 @@ import math
 
 import numpy as np
 
-from .core import (
-    CatalogConfig,
-    InvalidInputError,
-    TieBreak,
-    cost,
-    oracle_minimize,
-    total_counts,
-)
+from .core import CatalogConfig, InvalidInputError, TieBreak, cost
 from .estimators import EstimatorKind, EstimatorSpec, bound_params
 from .metrics import (
     RegretReport,
@@ -38,12 +31,12 @@ from .policies import (
     FollowTheLeader,
     LeastRecentlyUsed,
     compute_eta,
-    replay_static,
-    static_opt_decision,
+    static_optimum,
     step_perturbed_leaders,
 )
 from .traces import (
     RoundRobinConfig,
+    SlottedTrace,
     Trace,
     TraceFileConfig,
     ZipfConfig,
@@ -103,8 +96,8 @@ class PolicySpec:
                 raise InvalidInputError(
                     f"eta must be finite and >= 0, got {self.eta_override}"
                 )
-        if self.tiebreak is not None and self.kind == "lru":
-            raise InvalidInputError("lru has no tie-break rule")
+        if self.tiebreak is not None and self.kind != "ftl":
+            raise InvalidInputError(f"tiebreak applies only to ftl, not {self.kind}")
 
     @property
     def stochastic(self) -> bool:
@@ -250,66 +243,60 @@ def _resolve_trace(source, plan: SeedPlan):
 def run_policy(
     spec: PolicySpec,
     catalog: CatalogConfig,
-    batches,
-    events,
+    slotted: SlottedTrace,
     plan: SeedPlan,
     run: int = 0,
     eta: float | None = None,
     estimator: EstimatorSpec | None = None,
     record_decisions: bool = False,
 ) -> RunSeries:
-    """Execute one run of one policy over a batched trace.
+    """Execute one run of one policy over a slotted trace.
 
-    events is the 0-based event sequence truncated to the batched
-    horizon; only lru and ftl consult it. eta and estimator, when None,
-    are derived from the policy spec. A perturbed-leader run is the
-    one-row case of the stepper run_experiment and run_sweep use.
+    eta and estimator, when None, are derived from the policy spec. A
+    perturbed-leader run is the one-row case of the stepper
+    run_experiment and run_sweep use.
     """
-    horizon = len(batches)
-    if horizon != catalog.horizon:
-        raise InvalidInputError("batch count does not match catalog horizon")
+    horizon = catalog.horizon
+    shape = (catalog.n_files, catalog.batch_size, horizon)
+    if (slotted.n_files, slotted.batch_size, slotted.horizon) != shape:
+        raise InvalidInputError("slotted trace does not match the catalog")
     if spec.stochastic:
         if estimator is None:
             estimator = spec.estimator_spec(catalog.batch_size)
         if eta is None:
             eta = spec.resolved_eta(catalog)
         [[series]] = _run_leaders(
-            [(spec, eta, estimator)], catalog, batches, plan, [run], record_decisions
+            [(spec, eta, estimator)], catalog, slotted, plan, [run], record_decisions
         )
         return series
 
-    batch_size = catalog.batch_size
     costs = np.zeros(horizon, dtype=np.int64)
     decisions = (
         np.zeros((horizon, catalog.n_files), dtype=np.int8)
         if record_decisions
         else None
     )
+    slot_events = slotted.events.reshape(horizon, catalog.batch_size)
     if spec.kind == "lru":
-        if events is None:
-            raise InvalidInputError("lru needs the event sequence")
         policy = LeastRecentlyUsed(catalog)
-        for t in range(horizon):
-            costs[t] = policy.process_slot(events[t * batch_size : (t + 1) * batch_size])
+        for t, window in enumerate(slot_events):
+            costs[t] = policy.process_slot(window)
     elif spec.kind == "opt":
-        best = static_opt_decision(batches, catalog.cache_size, spec.resolved_tiebreak())
-        costs = replay_static(batches, best)
+        best, costs = static_optimum(slotted, catalog.cache_size)
         if record_decisions:
             decisions[:] = best
     else:
-        if events is None:
-            raise InvalidInputError("ftl needs the event sequence")
         policy = FollowTheLeader(catalog, spec.resolved_tiebreak())
-        for t, batch in enumerate(batches):
+        for t, (batch, window) in enumerate(zip(slotted, slot_events)):
             x = policy.decide()
             costs[t] = cost(batch, x)
-            policy.observe(batch, events[t * batch_size : (t + 1) * batch_size])
+            policy.observe(batch, window)
             if record_decisions:
                 decisions[t] = x
     return RunSeries(policy=spec.name, run=run, costs=costs, decisions=decisions)
 
 
-def _run_leaders(leaders, catalog, batches, plan, runs, record_decisions=False):
+def _run_leaders(leaders, catalog, slotted, plan, runs, record_decisions=False):
     """Step (spec, eta, estimator) perturbed leaders over `runs` together.
 
     Run r of every leader reads the run-r noise stream, and each leader
@@ -319,7 +306,7 @@ def _run_leaders(leaders, catalog, batches, plan, runs, record_decisions=False):
     specs, etas, estimators = zip(*leaders)
     stepped = step_perturbed_leaders(
         catalog,
-        batches,
+        slotted,
         etas,
         estimators,
         noise_rngs=[plan.stream(run, SeedPlan.NOISE) for run in runs],
@@ -348,9 +335,15 @@ def _run_leaders(leaders, catalog, batches, plan, runs, record_decisions=False):
     ]
 
 
+def _band(series, batch_size):
+    """Mean, d1 and d9 of the running miss ratio across the runs in series."""
+    return decile_band(
+        np.stack([average_miss_ratio(s.costs, batch_size) for s in series])
+    )
+
+
 def _aggregate(spec, eta, series, batch_size, optimum, bound):
-    ratios = np.stack([average_miss_ratio(s.costs, batch_size) for s in series])
-    mean, d1, d9 = decile_band(ratios)
+    mean, d1, d9 = _band(series, batch_size)
     cum = float(np.mean([float(s.costs.sum()) for s in series]))
     return PolicyReport(
         spec=spec,
@@ -375,13 +368,14 @@ def run_experiment(
         raise InvalidInputError("at least one policy is required")
     plan = SeedPlan(config.base_seed)
     source, trace = _resolve_trace(config.trace, plan)
-    batches = batch_trace(trace, config.batch_size)
-    horizon = len(batches)
-    catalog = CatalogConfig(trace.n_files, config.cache_size, config.batch_size, horizon)
-    events = trace.events[: horizon * config.batch_size] - 1
-    totals = total_counts(batches)
-    opt_decision = oracle_minimize(totals.astype(np.float64), config.cache_size)
-    optimum = int(totals @ opt_decision)
+    slotted = batch_trace(trace, config.batch_size)
+    del trace  # free the raw events: the engine reads only the slotted trace
+    horizon = slotted.horizon
+    catalog = CatalogConfig(
+        slotted.n_files, config.cache_size, config.batch_size, horizon
+    )
+    opt_decision, opt_costs = static_optimum(slotted, config.cache_size)
+    optimum = int(opt_costs.sum())
 
     reports = {}
     leaders = []
@@ -390,15 +384,20 @@ def run_experiment(
             est = spec.estimator_spec(config.batch_size)
             leaders.append((spec, spec.resolved_eta(catalog), est))
             continue
-        series = run_policy(
-            spec, catalog, batches, events, plan, record_decisions=record_decisions
-        )
+        if spec.kind == "opt":
+            series = RunSeries(spec.name, 0, opt_costs)
+            if record_decisions:
+                series.decisions = np.tile(opt_decision, (horizon, 1))
+        else:
+            series = run_policy(
+                spec, catalog, slotted, plan, record_decisions=record_decisions
+            )
         reports[spec.name] = _aggregate(
             spec, None, [series], config.batch_size, optimum, None
         )
     if leaders:
         stepped = _run_leaders(
-            leaders, catalog, batches, plan, range(config.runs), record_decisions
+            leaders, catalog, slotted, plan, range(config.runs), record_decisions
         )
         for (spec, eta, est), series in zip(leaders, stepped):
             bound = regret_bound(bound_params(est, catalog), horizon)
@@ -409,7 +408,7 @@ def run_experiment(
     return ExperimentReport(
         catalog=catalog,
         trace_source=source,
-        request_totals=totals,
+        request_totals=slotted.totals(),
         opt_decision=opt_decision,
         opt_cost=optimum,
         policies=[reports[spec.name] for spec in config.policies],
@@ -475,10 +474,12 @@ def run_sweep(
 
     plan = SeedPlan(config.base_seed)
     source, trace = _resolve_trace(config.trace, plan)
-    batches = batch_trace(trace, config.batch_size)
-    horizon = len(batches)
+    slotted = batch_trace(trace, config.batch_size)
+    del trace  # free the raw events: the engine reads only the slotted trace
+    horizon = slotted.horizon
     catalogs = [
-        CatalogConfig(trace.n_files, size, config.batch_size, horizon) for size in sizes
+        CatalogConfig(slotted.n_files, size, config.batch_size, horizon)
+        for size in sizes
     ]
 
     cells = []
@@ -498,12 +499,9 @@ def run_sweep(
         leaders = [
             (spec, pinned_eta, spec.estimator_spec(config.batch_size)) for spec in specs
         ]
-        stepped = _run_leaders(leaders, catalog, batches, plan, range(config.runs))
+        stepped = _run_leaders(leaders, catalog, slotted, plan, range(config.runs))
         for spec, series in zip(specs, stepped):
-            ratios = np.stack(
-                [average_miss_ratio(s.costs, config.batch_size) for s in series]
-            )
-            mean, d1, d9 = decile_band(ratios)
+            mean, d1, d9 = _band(series, config.batch_size)
             cells.append(
                 SweepCell(
                     variant=spec.kind.removeprefix("nfpl-"),
@@ -517,5 +515,5 @@ def run_sweep(
                 )
             )
     return SweepReport(
-        trace_source=source, n_files=trace.n_files, horizon=horizon, cells=cells
+        trace_source=source, n_files=slotted.n_files, horizon=horizon, cells=cells
     )

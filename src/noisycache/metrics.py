@@ -1,4 +1,4 @@
-"""Run-level metrics: miss ratios, hindsight optimum, regret, deciles.
+"""Run-level metrics: miss ratios, regret, deciles.
 
 A run produces a length-T per-slot cost series; everything here is a
 pure function of such series (plus the problem geometry), so the same
@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .core import InvalidInputError, oracle_minimize, total_counts
+from .core import InvalidInputError
 from .estimators import BoundParams
 
 
@@ -52,13 +52,6 @@ def average_miss_ratio(costs, batch_size: int) -> np.ndarray:
         raise InvalidInputError("per-slot costs must lie in [0, batch_size]")
     slots = np.arange(1, arr.size + 1, dtype=np.float64)
     return np.cumsum(arr) / (batch_size * slots)
-
-
-def opt_cost(batches, cache_size: int) -> int:
-    """Cost of the best fixed decision in hindsight over the whole trace."""
-    totals = total_counts(batches)
-    best = oracle_minimize(totals.astype(np.float64), cache_size)
-    return int(totals @ best)
 
 
 def empirical_regret(

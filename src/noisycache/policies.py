@@ -17,14 +17,7 @@ import math
 import numpy as np
 
 from .core import (
-    CatalogConfig,
-    InvalidInputError,
-    RequestBatch,
-    TieBreak,
-    accumulate,
-    cost,
-    oracle_minimize,
-    total_counts,
+    CatalogConfig, InvalidInputError, RequestBatch, TieBreak, oracle_minimize
 )
 from .estimators import (
     BoundParams,
@@ -33,6 +26,7 @@ from .estimators import (
     estimate,
     estimate_on_ids,
 )
+from .traces import SlottedTrace
 
 
 def compute_eta(bounds: BoundParams, horizon: int) -> float:
@@ -77,7 +71,7 @@ class FollowTheLeader:
         )
 
     def observe(self, batch: RequestBatch, events=None) -> None:
-        self._totals = accumulate(self._totals, batch.dense())
+        self._totals[batch.ids] += batch.counts
         if events is not None:
             ev = np.asarray(events, dtype=np.int64)
             # duplicate indices: numpy keeps the last write, i.e. the
@@ -105,7 +99,6 @@ class PerturbedLeader:
         estimator: EstimatorSpec,
         noise_rng: np.random.Generator,
         sample_rng: np.random.Generator | None = None,
-        tiebreak: TieBreak = TieBreak.LOWEST_INDEX,
     ):
         if eta < 0 or not math.isfinite(eta):
             raise InvalidInputError(f"eta must be finite and >= 0, got {eta}")
@@ -115,7 +108,6 @@ class PerturbedLeader:
         self._estimator = estimator
         self._noise_rng = noise_rng
         self._sample_rng = sample_rng
-        self._tiebreak = tiebreak
         self._totals = np.zeros(catalog.n_files, dtype=np.float64)
 
     @property
@@ -125,11 +117,10 @@ class PerturbedLeader:
 
     def decide(self) -> np.ndarray:
         noise = self._noise_rng.uniform(0.0, self._eta, self._n)
-        return oracle_minimize(self._totals + noise, self._cache_size, self._tiebreak)
+        return oracle_minimize(self._totals + noise, self._cache_size)
 
     def observe(self, batch: RequestBatch, events=None) -> None:
-        est = estimate(self._estimator, batch, self._sample_rng)
-        self._totals = accumulate(self._totals, est)
+        self._totals += estimate(self._estimator, batch, self._sample_rng)
 
 
 @dataclass
@@ -148,7 +139,7 @@ class LeaderRuns:
 
 def step_perturbed_leaders(
     catalog: CatalogConfig,
-    batches,
+    slotted: SlottedTrace,
     etas,
     estimators,
     noise_rngs,
@@ -160,9 +151,9 @@ def step_perturbed_leaders(
     Leader g at run r makes the same decisions, pays the same costs and
     accumulates the same estimates as PerturbedLeader(catalog, etas[g],
     estimators[g], noise_rngs[r], sample_rngs[g][r]) driven through the
-    batches. Each slot draws one standard-uniform vector per run, shared
-    by every leader at that run (common random numbers) and scaled by
-    each leader's own eta; the top C of all G * R score rows are then
+    slots. Each slot draws one standard-uniform vector per run, shared by
+    every leader at that run (common random numbers) and scaled by each
+    leader's own eta; the top C of all G * R score rows are then
     taken at once, with ties at the boundary going to the lowest index.
     sample_rngs[g][r] is ignored for the exact estimator.
     """
@@ -184,12 +175,9 @@ def step_perturbed_leaders(
             )
         if spec.kind is not EstimatorKind.EXACT and any(rng is None for rng in rngs):
             raise InvalidInputError(f"{spec.kind.value} estimation requires an rng")
-    if len(batches) != horizon:
-        raise InvalidInputError("batch count does not match catalog horizon")
     n, c, b = catalog.n_files, catalog.cache_size, catalog.batch_size
-    for batch in batches:
-        if batch.n_files != n or batch.total != b:
-            raise InvalidInputError(f"every batch must hold {b} requests over {n} files")
+    if (slotted.n_files, slotted.batch_size, slotted.horizon) != (n, b, horizon):
+        raise InvalidInputError("slotted trace does not match the catalog")
 
     rows = groups * runs
     totals = np.zeros((groups, runs, n))
@@ -222,9 +210,11 @@ def step_perturbed_leaders(
         for r in range(runs)
     ]
     kth = n - c
+    offsets = slotted.offsets
 
-    for t, batch in enumerate(batches):
-        ids, counts = batch.ids, batch.counts
+    for t in range(horizon):
+        ids = slotted.ids[offsets[t] : offsets[t + 1]]
+        counts = slotted.counts[offsets[t] : offsets[t + 1]]
         for r, rng in enumerate(noise_rngs):
             rng.random(out=noise[r])
         # eta * u is bit for bit the rng.uniform(0, eta) draw PerturbedLeader makes
@@ -281,14 +271,14 @@ class LeastRecentlyUsed:
         return misses
 
 
-def static_opt_decision(
-    batches, cache_size: int, tiebreak: TieBreak = TieBreak.LOWEST_INDEX
-) -> np.ndarray:
-    """Best fixed decision in hindsight: cache the top files by total count."""
-    totals = total_counts(batches)
-    return oracle_minimize(totals.astype(np.float64), cache_size, tiebreak)
+def static_optimum(slotted: SlottedTrace, cache_size: int):
+    """Best fixed decision in hindsight and its length-T per-slot misses.
 
-
-def replay_static(batches, missing) -> np.ndarray:
-    """Per-slot costs of holding one fixed decision across all batches."""
-    return np.array([cost(b, missing) for b in batches], dtype=np.int64)
+    The int8 decision caches the cache_size files with the most requests
+    overall, ties to the lowest index; the costs sum to the optimum.
+    """
+    missing = oracle_minimize(slotted.totals().astype(np.float64), cache_size)
+    costs = np.add.reduceat(
+        slotted.counts * missing[slotted.ids], slotted.offsets[:-1]
+    )
+    return missing, costs

@@ -2,13 +2,14 @@
 
 A trace is an ordered sequence of 1-based file ids over a catalog of
 n_files. Traces come from three sources: a Zipf sampler, a round-robin
-generator, or a text file (one id per line). batch_trace slices a trace
-into fixed-size request batches, converting to the 0-based index space
-the rest of the package works in.
+generator, or a text file (one id per line). batch_trace cuts a trace
+into slots of fixed-size request batches, a SlottedTrace in the 0-based
+index space the rest of the package works in.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 import math
+import os
 
 import numpy as np
 
@@ -82,6 +83,10 @@ class TraceFileConfig:
     path: str
     remap: bool = True
     n_files: int | None = None
+
+    def __post_init__(self):
+        if self.remap == (self.n_files is not None):
+            raise InvalidInputError("give n_files if and only if remap is false")
 
 
 def generate_zipf(config: ZipfConfig) -> Trace:
@@ -158,31 +163,85 @@ def read_trace_file(path: str, remap: bool = True, n_files: int | None = None) -
 
 
 def write_trace_file(path: str, trace: Trace) -> None:
-    """Write a trace in the format read_trace_file accepts."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(map(str, trace.events.tolist())))
-        fh.write("\n")
+    """Write a trace in the format read_trace_file accepts, via temp file + rename."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(map(str, trace.events.tolist())))
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
-def batch_trace(trace: Trace, batch_size: int) -> list[RequestBatch]:
-    """Slice a trace into consecutive batches of exactly batch_size requests.
+@dataclass(frozen=True)
+class SlottedTrace:
+    """A request sequence cut into slots of batch_size requests, in CSR form.
+
+    events holds the 0-based file index of every request. Slot t requests
+    the strictly increasing files ids[offsets[t]:offsets[t + 1]], each as
+    often as counts at the same position says. slotted[t] is a RequestBatch.
+    """
+
+    events: np.ndarray
+    n_files: int
+    batch_size: int
+    horizon: int = field(init=False)
+    ids: np.ndarray = field(init=False, repr=False)
+    counts: np.ndarray = field(init=False, repr=False)
+    offsets: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        events = np.asarray(self.events, dtype=np.int64)
+        b = self.batch_size
+        if b < 1 or events.ndim != 1 or events.size == 0 or events.size % b:
+            raise InvalidInputError("events must fill whole slots of batch_size >= 1")
+        if events.min() < 0 or events.max() >= self.n_files:
+            raise InvalidInputError("event indices must lie in [0, n_files)")
+        # sort each slot's requests, then run-length encode the rows: a run
+        # starts at every row's first entry and wherever the index changes
+        rows = np.sort(events.reshape(-1, b), axis=1)
+        starts = np.ones(rows.shape, dtype=bool)
+        np.not_equal(rows[:, 1:], rows[:, :-1], out=starts[:, 1:])
+        ids = rows[starts]
+        del rows  # free the sorted copy before the run lengths are built
+        bounds = np.flatnonzero(np.append(starts, True))
+        offsets = np.zeros(starts.shape[0] + 1, dtype=np.int64)
+        np.cumsum(np.count_nonzero(starts, axis=1), out=offsets[1:])
+        object.__setattr__(self, "events", events)
+        object.__setattr__(self, "horizon", starts.shape[0])
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "counts", np.diff(bounds))
+        object.__setattr__(self, "offsets", offsets)
+
+    def totals(self) -> np.ndarray:
+        """Dense int64 request count of every file over all slots."""
+        return np.bincount(self.events, minlength=self.n_files)
+
+    def __len__(self) -> int:
+        return self.horizon
+
+    def __getitem__(self, t: int) -> RequestBatch:
+        t = range(self.horizon)[t]
+        lo, hi = self.offsets[t], self.offsets[t + 1]
+        return RequestBatch(self.ids[lo:hi], self.counts[lo:hi], self.n_files)
+
+
+def batch_trace(trace: Trace, batch_size: int) -> SlottedTrace:
+    """Cut a trace into consecutive slots of exactly batch_size requests.
 
     A trailing partial batch is discarded, so the horizon is
     len(events) // batch_size. Raises if the trace is shorter than one
     batch.
     """
-    if batch_size < 1:
-        raise InvalidInputError("batch_size must be >= 1")
-    horizon = trace.events.size // batch_size
-    if horizon == 0:
+    if not 1 <= batch_size <= trace.events.size:
         raise InvalidInputError(
-            f"trace has {trace.events.size} events, shorter than one "
-            f"batch of {batch_size}"
+            f"batch_size must be in [1, {trace.events.size}], the trace's "
+            f"length, got {batch_size}"
         )
-    indexed = trace.events - 1
-    batches = []
-    for t in range(horizon):
-        window = indexed[t * batch_size : (t + 1) * batch_size]
-        ids, counts = np.unique(window, return_counts=True)
-        batches.append(RequestBatch(ids=ids, counts=counts, n_files=trace.n_files))
-    return batches
+    horizon = trace.events.size // batch_size
+    return SlottedTrace(
+        trace.events[: horizon * batch_size] - 1, trace.n_files, batch_size
+    )

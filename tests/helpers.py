@@ -35,6 +35,28 @@ def brute_force_static_minimum(events_1based, n_files: int, cache_size: int) -> 
     return best
 
 
+def reference_slots(events_1based, n_files: int, batch_size: int):
+    """Slot a trace the slow way: one np.unique per batch-size window.
+
+    A trailing partial window is dropped. Returns the CSR arrays (ids,
+    counts, offsets) that the slots concatenate to, plus the dense
+    request totals, counted event by event.
+    """
+    events = np.asarray(events_1based) - 1
+    horizon = events.size // batch_size
+    ids, counts, offsets = [], [], [0]
+    totals = np.zeros(n_files, dtype=np.int64)
+    for t in range(horizon):
+        window = events[t * batch_size : (t + 1) * batch_size]
+        slot_ids, slot_counts = np.unique(window, return_counts=True)
+        ids.extend(slot_ids.tolist())
+        counts.extend(slot_counts.tolist())
+        offsets.append(len(ids))
+        for f in window.tolist():
+            totals[f] += 1
+    return np.array(ids), np.array(counts), np.array(offsets), totals
+
+
 def feasible(decision, n_files: int, cache_size: int) -> bool:
     x = np.asarray(decision)
     return (
@@ -44,7 +66,7 @@ def feasible(decision, n_files: int, cache_size: int) -> bool:
     )
 
 
-def reference_leader_run(catalog, batches, eta, estimator, noise_rng, sample_rng):
+def reference_leader_run(catalog, slotted, eta, estimator, noise_rng, sample_rng):
     """One perturbed-leader run stepped the slow way, through PerturbedLeader.
 
     Returns (per-slot costs, final accumulated estimates, T x N decisions).
@@ -53,7 +75,7 @@ def reference_leader_run(catalog, batches, eta, estimator, noise_rng, sample_rng
 
     policy = PerturbedLeader(catalog, eta, estimator, noise_rng, sample_rng)
     costs, decisions = [], []
-    for batch in batches:
+    for batch in slotted:
         x = policy.decide()
         costs.append(cost(batch, x))
         decisions.append(x)

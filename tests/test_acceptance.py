@@ -28,11 +28,10 @@ from noisycache import (
     estimate,
     generate_round_robin,
     generate_zipf,
-    opt_cost,
     oracle_minimize,
     run_experiment,
     run_sweep,
-    total_counts,
+    static_optimum,
 )
 from helpers import brute_force_best_cost, brute_force_static_minimum
 
@@ -91,7 +90,7 @@ def _harvest_experiment(tag, report):
 
 
 def _harvest_sweep(tag, sweep_report, trace, batch_size):
-    totals = total_counts(batch_trace(trace, batch_size))
+    totals = batch_trace(trace, batch_size).totals()
     for cell in sweep_report.cells:
         _harvest_proof_steps(tag, cell.runs, totals, cell.cache_size)
 
@@ -325,8 +324,8 @@ def test_criterion_2_static_optimum_matches_brute_force():
     for _ in range(100):
         slots = int(rng.integers(4, 11))
         events = rng.integers(1, n + 1, size=slots * batch)
-        batches = batch_trace(Trace(events=events, n_files=n), batch)
-        fast = opt_cost(batches, capacity)
+        slotted = batch_trace(Trace(events=events, n_files=n), batch)
+        fast = int(static_optimum(slotted, capacity)[1].sum())
         slow = brute_force_static_minimum(events, n, capacity)
         assert fast == slow
     elapsed = time.perf_counter() - start

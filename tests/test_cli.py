@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import configparser
 import csv
 import textwrap
 
@@ -154,6 +155,13 @@ class TestRun:
         for name in ("series.csv", "summary.csv", "config_echo.ini"):
             assert (out / name).read_bytes() == (run_dir / name).read_bytes()
 
+    def test_echo_names_the_tiebreak_of_ftl_only(self, run_dir):
+        echo = configparser.ConfigParser()
+        echo.read(run_dir / "config_echo.ini")
+        assert echo["policy:ftl"]["tiebreak"] == "most-recent"
+        assert "tiebreak" not in echo["policy:opt"]
+        assert "tiebreak" not in echo["policy:var"]
+
     def test_file_trace_config(self, tmp_path):
         trace_path = tmp_path / "rr.txt"
         assert invoke(["generate", "round-robin", "--files", 30,
@@ -178,6 +186,27 @@ class TestRun:
         rows = read_rows(out / "summary.csv")
         assert rows[0]["policy"] == "ftl"
 
+    @pytest.mark.parametrize("extra,key", [
+        ("remap = true\nfiles = 3", "n_files"),
+        ("alpha = 1.0", "alpha"),
+        ("seed = 4", "seed"),
+        ("requests = 10", "requests"),
+    ])
+    def test_file_trace_rejects_keys_of_other_kinds(self, tmp_path, capsys, extra, key):
+        trace_path = tmp_path / "t.txt"
+        trace_path.write_text("1\n2\n3\n4\n5\n")
+        config = write_config(
+            tmp_path,
+            "[experiment]\ncache_size = 2\nbatch_size = 1\n"
+            f"[trace]\nkind = file\npath = {trace_path}\n{extra}\n"
+            "[policy:ftl]\nkind = ftl\n",
+        )
+        out = tmp_path / "o"
+        assert cli.main(["run", "-c", str(config), "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "[trace]" in err and key in err
+        assert not out.exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = cli.main(
             ["run", "-c", str(tmp_path / "ghost.ini"), "-o", str(tmp_path / "o")]
@@ -201,7 +230,12 @@ class TestRun:
         ("alpha = 1.0", "alpha = inf", "[trace]"),
         ("seed = 21", "seed = -1", "[trace]"),
         ("base_seed = 99", "base_seed = -1", "[experiment]"),
-    ], ids=["eta-nan", "eta-inf", "alpha-nan", "alpha-inf", "seed", "base-seed"])
+        ("kind = opt", "kind = opt\n    tiebreak = most-recent", "[policy:opt]"),
+        ("rate = 0.5", "rate = 0.5\n    tiebreak = lowest-index", "[policy:var]"),
+        ("seed = 21", "seed = 21\n    path = t.txt", "[trace] unsupported key(s): path"),
+        ("seed = 21", "seed = 21\n    remap = false", "[trace] unsupported key(s): remap"),
+    ], ids=["eta-nan", "eta-inf", "alpha-nan", "alpha-inf", "seed", "base-seed",
+            "tiebreak-opt", "tiebreak-var", "zipf-path", "zipf-remap"])
     def test_rejects_bad_values(self, tmp_path, capsys, old, new, where):
         config = write_config(tmp_path, RUN_CONFIG.replace(old, new))
         out = tmp_path / "o"

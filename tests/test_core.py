@@ -8,11 +8,10 @@ from noisycache import (
     CatalogConfig,
     InvalidInputError,
     RequestBatch,
+    SlottedTrace,
     TieBreak,
-    accumulate,
     cost,
     oracle_minimize,
-    total_counts,
 )
 
 from helpers import brute_force_best_cost, feasible
@@ -126,32 +125,6 @@ class TestOracleMinimize:
             )
 
 
-class TestAccumulate:
-    def test_examples(self):
-        assert accumulate([0.0, 0.0], [1.0, 2.0]).tolist() == [1.0, 2.0]
-        assert accumulate([1.5, 0.0], [0.5, 1.0]).tolist() == [2.0, 1.0]
-
-    def test_fold_matches_column_sum(self):
-        rng = np.random.default_rng(5)
-        deltas = rng.uniform(0.0, 9.0, (10, 6))
-        totals = np.zeros(6)
-        for row in deltas:
-            totals = accumulate(totals, row)
-        np.testing.assert_allclose(totals, deltas.sum(axis=0), rtol=1e-12)
-
-    def test_returns_new_array(self):
-        totals = np.zeros(3)
-        out = accumulate(totals, [1.0, 1.0, 1.0])
-        assert out is not totals
-        assert totals.tolist() == [0.0, 0.0, 0.0]
-
-    def test_rejects_mismatch_and_non_finite(self):
-        with pytest.raises(InvalidInputError):
-            accumulate([1.0], [1.0, 2.0])
-        with pytest.raises(InvalidInputError):
-            accumulate([1.0, np.nan], [0.0, 0.0])
-
-
 class TestCost:
     def test_counts_misses(self):
         batch = RequestBatch.from_counts([3, 1])
@@ -199,19 +172,20 @@ class TestRequestBatch:
 
 class TestTotalCounts:
     def test_sums_batches(self):
-        batches = [
-            RequestBatch.from_counts([1, 0, 2]),
-            RequestBatch.from_counts([0, 4, 1]),
-        ]
-        assert total_counts(batches).tolist() == [1, 4, 3]
+        # slots [0, 2, 2] and [1, 1, 1] over three files
+        slotted = SlottedTrace(np.array([0, 2, 2, 1, 1, 1]), n_files=3, batch_size=3)
+        assert slotted.totals().tolist() == [1, 3, 2]
 
     def test_rejects_empty_and_mismatched(self):
         with pytest.raises(InvalidInputError):
-            total_counts([])
+            SlottedTrace(np.array([], dtype=np.int64), n_files=2, batch_size=1)
+        # a partial slot, and indices outside the catalog
         with pytest.raises(InvalidInputError):
-            total_counts(
-                [RequestBatch.from_counts([1, 1]), RequestBatch.from_counts([1, 1, 1])]
-            )
+            SlottedTrace(np.array([0, 1, 1]), n_files=2, batch_size=2)
+        with pytest.raises(InvalidInputError):
+            SlottedTrace(np.array([0, 2]), n_files=2, batch_size=1)
+        with pytest.raises(InvalidInputError):
+            SlottedTrace(np.array([-1, 0]), n_files=2, batch_size=1)
 
 
 class TestCatalogConfig:

@@ -67,8 +67,12 @@ class TestPolicySpec:
             PolicySpec("x", "ftl", eta_override=1.0)
         with pytest.raises(InvalidInputError):
             PolicySpec("x", "fpl", eta_override=-1.0)
+        for kind in ("lru", "opt", "fpl"):
+            with pytest.raises(InvalidInputError):
+                PolicySpec("x", kind, tiebreak=TieBreak.LOWEST_INDEX)
         with pytest.raises(InvalidInputError):
-            PolicySpec("x", "lru", tiebreak=TieBreak.LOWEST_INDEX)
+            PolicySpec("x", "nfpl-var", rate=0.5, tiebreak=TieBreak.MOST_RECENT)
+        assert PolicySpec("x", "ftl", tiebreak=TieBreak.LOWEST_INDEX).tiebreak
         for eta in (float("nan"), float("inf")):
             with pytest.raises(InvalidInputError):
                 PolicySpec("x", "fpl", eta_override=eta)
@@ -128,6 +132,11 @@ class TestRunExperiment:
     def test_opt_policy_reproduces_opt_cost_with_zero_regret(self):
         rep = run_experiment(small_config([PolicySpec("opt", "opt")]))
         assert int(rep.policy("opt").runs[0].costs.sum()) == rep.opt_cost
+        solo = run_policy(
+            PolicySpec("opt", "opt"), rep.catalog, batch_trace(small_trace(), 20),
+            SeedPlan(99),
+        )
+        assert np.array_equal(solo.costs, rep.policy("opt").runs[0].costs)
         assert rep.policy("opt").regret.regret == 0.0
 
     def test_deterministic_policies_have_flat_bands(self):
@@ -202,10 +211,10 @@ class TestRunExperiment:
             [PolicySpec("fpl", "fpl"), PolicySpec("ftl", "ftl")], runs=2
         )
         rep = run_experiment(cfg, record_decisions=True)
-        batches = batch_trace(small_trace(), 20)
+        slotted = batch_trace(small_trace(), 20)
         for pol in rep.policies:
             for series in pol.runs:
-                for t, batch in enumerate(batches):
+                for t, batch in enumerate(slotted):
                     x = series.decisions[t]
                     assert x.sum() == 40 - 8
                     assert series.costs[t] == cost(batch, x)
@@ -240,23 +249,27 @@ class TestRunPolicy:
         # a run recomputed in isolation matches the engine's copy
         cfg = small_config([PolicySpec("var", "nfpl-var", rate=0.5)], runs=3)
         rep = run_experiment(cfg)
-        trace = small_trace()
-        batches = batch_trace(trace, 20)
-        catalog = CatalogConfig(40, 8, 20, len(batches))
+        slotted = batch_trace(small_trace(), 20)
+        catalog = CatalogConfig(40, 8, 20, slotted.horizon)
         spec = cfg.policies[0]
         solo = run_policy(
-            spec, catalog, batches, None, SeedPlan(99), run=1,
+            spec, catalog, slotted, SeedPlan(99), run=1,
             eta=rep.policy("var").eta, estimator=spec.estimator_spec(20),
         )
         assert np.array_equal(solo.costs, rep.policy("var").runs[1].costs)
 
-    def test_event_sequence_required_for_per_event_policies(self):
-        trace = small_trace()
-        batches = batch_trace(trace, 20)
-        catalog = CatalogConfig(40, 8, 20, len(batches))
-        for kind in ("lru", "ftl"):
-            with pytest.raises(InvalidInputError):
-                run_policy(PolicySpec(kind, kind), catalog, batches, None, SeedPlan(0))
+    def test_rejects_a_trace_that_does_not_match_the_catalog(self):
+        slotted = batch_trace(small_trace(), 20)
+        horizon = slotted.horizon
+        catalogs = (
+            CatalogConfig(41, 8, 20, horizon),
+            CatalogConfig(40, 8, 10, 2 * horizon),
+            CatalogConfig(40, 8, 20, horizon - 1),
+        )
+        for catalog in catalogs:
+            for kind in ("lru", "ftl", "opt", "fpl"):
+                with pytest.raises(InvalidInputError):
+                    run_policy(PolicySpec(kind, kind), catalog, slotted, SeedPlan(0))
 
 
 class TestRunSweep:
@@ -323,13 +336,13 @@ class TestRunSweep:
         # cells stepped together must match each cell run on its own
         cfg = self.base_config()
         report = run_sweep(cfg, rates=(0.1, 1.0), cache_sizes=(4, 8))
-        batches = batch_trace(small_trace(), 20)
+        slotted = batch_trace(small_trace(), 20)
         for cell in report.cells:
-            catalog = CatalogConfig(40, cell.cache_size, 20, len(batches))
+            catalog = CatalogConfig(40, cell.cache_size, 20, slotted.horizon)
             spec = PolicySpec(
                 "solo", f"nfpl-{cell.variant}", rate=cell.rate, eta_override=cell.eta
             )
             for run, series in enumerate(cell.runs):
-                solo = run_policy(spec, catalog, batches, None, SeedPlan(99), run=run)
+                solo = run_policy(spec, catalog, slotted, SeedPlan(99), run=run)
                 assert np.array_equal(solo.costs, series.costs)
                 assert np.array_equal(solo.estimate_totals, series.estimate_totals)

@@ -9,17 +9,17 @@ from hypothesis import given, strategies as st
 from noisycache import (
     BoundParams,
     InvalidInputError,
-    RequestBatch,
     RoundRobinConfig,
+    SlottedTrace,
     Trace,
     average_miss_ratio,
     batch_trace,
+    cost,
     decile_band,
     empirical_regret,
     generate_round_robin,
-    opt_cost,
     regret_bound,
-    replay_static,
+    static_optimum,
 )
 
 from helpers import brute_force_static_minimum
@@ -43,35 +43,39 @@ class TestAverageMissRatio:
             average_miss_ratio([], 5)
 
 
+def best_static_cost(slotted, cache_size):
+    return int(static_optimum(slotted, cache_size)[1].sum())
+
+
 class TestOptCost:
     def test_single_batch(self):
-        assert opt_cost([RequestBatch.from_counts([5, 3, 2])], 2) == 2
+        # one slot requesting file 0 five times, file 1 three, file 2 twice
+        slotted = SlottedTrace(np.repeat([0, 1, 2], [5, 3, 2]), 3, batch_size=10)
+        assert best_static_cost(slotted, 2) == 2
 
     def test_round_robin_closed_form(self):
         # every file is requested equally often, so any C files miss
         # (N - C)/N of the requests
         trace = generate_round_robin(RoundRobinConfig(1000, 100_000))
-        batches = batch_trace(trace, 200)
-        assert opt_cost(batches, 100) == 90_000
+        slotted = batch_trace(trace, 200)
+        assert best_static_cost(slotted, 100) == 90_000
 
     def test_matches_brute_force_on_small_catalog(self):
         rng = np.random.default_rng(13)
         for _ in range(20):
             events = rng.integers(1, 7, size=60)
-            batches = batch_trace(Trace(events=events, n_files=6), 5)
-            assert opt_cost(batches, 2) == brute_force_static_minimum(events, 6, 2)
+            slotted = batch_trace(Trace(events=events, n_files=6), 5)
+            slow = brute_force_static_minimum(events, 6, 2)
+            assert best_static_cost(slotted, 2) == slow
 
     def test_never_beaten_by_any_static_decision(self):
         rng = np.random.default_rng(14)
-        batches = [
-            RequestBatch.from_counts(rng.multinomial(20, np.full(8, 1 / 8)))
-            for _ in range(12)
-        ]
-        best = opt_cost(batches, 3)
+        slotted = SlottedTrace(rng.integers(0, 8, size=12 * 20), 8, batch_size=20)
+        best = best_static_cost(slotted, 3)
         for _ in range(25):
             missing = np.ones(8, dtype=np.int8)
             missing[rng.choice(8, size=3, replace=False)] = 0
-            assert best <= int(replay_static(batches, missing).sum())
+            assert best <= sum(cost(b, missing) for b in slotted)
 
 
 class TestEmpiricalRegret:

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
-from helpers import reference_leader_run
+from helpers import brute_force_static_minimum, reference_leader_run
 from noisycache import (
     BoundParams,
     CatalogConfig,
@@ -17,14 +17,15 @@ from noisycache import (
     PerturbedLeader,
     RequestBatch,
     SeedPlan,
+    SlottedTrace,
     TieBreak,
+    Trace,
     ZipfConfig,
     batch_trace,
     compute_eta,
     cost,
     generate_zipf,
-    replay_static,
-    static_opt_decision,
+    static_optimum,
     step_perturbed_leaders,
 )
 
@@ -180,10 +181,7 @@ def leader_problems(draw):
     events = np.array(
         draw(st.lists(st.integers(0, n - 1), min_size=horizon * b, max_size=horizon * b))
     )
-    batches = [
-        RequestBatch.from_counts(np.bincount(events[t * b : (t + 1) * b], minlength=n))
-        for t in range(horizon)
-    ]
+    slotted = SlottedTrace(events, n_files=n, batch_size=b)
     leaders = draw(
         st.lists(
             st.tuples(
@@ -206,17 +204,17 @@ def leader_problems(draw):
     etas = [eta for _, _, eta in leaders]
     runs = draw(st.integers(1, 4))
     seed = draw(st.integers(0, 2**32 - 1))
-    return _catalog(n, c, b, horizon), batches, etas, estimators, runs, SeedPlan(seed)
+    return _catalog(n, c, b, horizon), slotted, etas, estimators, runs, SeedPlan(seed)
 
 
 class TestStepPerturbedLeaders:
     @settings(max_examples=150, deadline=None)
     @given(leader_problems())
     def test_matches_per_run_perturbed_leader(self, problem):
-        catalog, batches, etas, estimators, runs, plan = problem
+        catalog, slotted, etas, estimators, runs, plan = problem
         stepped = step_perturbed_leaders(
             catalog,
-            batches,
+            slotted,
             etas,
             estimators,
             [plan.stream(r, SeedPlan.NOISE) for r in range(runs)],
@@ -226,7 +224,7 @@ class TestStepPerturbedLeaders:
         for g, (eta, est) in enumerate(zip(etas, estimators)):
             for r in range(runs):
                 costs, totals, decisions = reference_leader_run(
-                    catalog, batches, eta, est,
+                    catalog, slotted, eta, est,
                     plan.stream(r, SeedPlan.NOISE), plan.stream(r, SeedPlan.SAMPLING),
                 )
                 assert np.array_equal(stepped.costs[g, r], costs)
@@ -235,24 +233,27 @@ class TestStepPerturbedLeaders:
 
     def test_rejects_bad_inputs(self):
         catalog = _catalog(4, 2, 2, 1)
-        batches = [RequestBatch.from_counts([1, 1, 0, 0])]
+        slotted = SlottedTrace(np.array([0, 1]), n_files=4, batch_size=2)
         rng = np.random.default_rng(0)
         exact = EstimatorSpec.exact(2)
         with pytest.raises(InvalidInputError):
-            step_perturbed_leaders(catalog, batches, [float("nan")], [exact], [rng], [[None]])
-        with pytest.raises(InvalidInputError):
-            step_perturbed_leaders(catalog, batches, [-1.0], [exact], [rng], [[None]])
-        with pytest.raises(InvalidInputError):
             step_perturbed_leaders(
-                catalog, batches, [1.0], [EstimatorSpec.bernoulli(0.5, 2)], [rng], [[None]]
+                catalog, slotted, [float("nan")], [exact], [rng], [[None]]
             )
         with pytest.raises(InvalidInputError):
-            step_perturbed_leaders(catalog, batches * 2, [1.0], [exact], [rng], [[None]])
+            step_perturbed_leaders(catalog, slotted, [-1.0], [exact], [rng], [[None]])
         with pytest.raises(InvalidInputError):
             step_perturbed_leaders(
-                catalog, [RequestBatch.from_counts([3, 0, 0, 0])], [1.0], [exact],
-                [rng], [[None]],
+                catalog, slotted, [1.0], [EstimatorSpec.bernoulli(0.5, 2)], [rng],
+                [[None]],
             )
+        # the slotted trace must match the catalog's horizon, batch size and files
+        for events, n, b in (([0, 1, 2, 3], 4, 2), ([0, 0, 0], 4, 3), ([0, 1], 5, 2)):
+            with pytest.raises(InvalidInputError):
+                step_perturbed_leaders(
+                    catalog, SlottedTrace(np.array(events), n, b), [1.0], [exact],
+                    [rng], [[None]],
+                )
 
 
 class TestLeastRecentlyUsed:
@@ -280,28 +281,52 @@ class TestLeastRecentlyUsed:
         assert misses == t - c
 
 
+def _slotted(counts_per_slot):
+    """A SlottedTrace whose slot t requests file i counts_per_slot[t][i] times."""
+    events = np.concatenate(
+        [np.repeat(np.arange(len(c)), c) for c in counts_per_slot]
+    )
+    return SlottedTrace(events, len(counts_per_slot[0]), sum(counts_per_slot[0]))
+
+
 class TestStaticOpt:
     def test_caches_top_total_counts(self):
-        batches = [
-            RequestBatch.from_counts([5, 3, 9]),
-            RequestBatch.from_counts([0, 1, 2]),
-        ]
-        assert static_opt_decision(batches, 2).tolist() == [0, 1, 0]
+        slotted = _slotted([[5, 3, 9], [6, 4, 7]])
+        decision, costs = static_optimum(slotted, 2)
+        assert decision.tolist() == [0, 1, 0]
+        assert costs.tolist() == [3, 4]
 
     def test_round_robin_whole_cycles_tie_to_lowest(self):
-        events = np.arange(30) % 6
-        batches = [
-            RequestBatch.from_counts(np.bincount(events[k : k + 6], minlength=6))
-            for k in range(0, 30, 6)
-        ]
-        assert static_opt_decision(batches, 2).tolist() == [0, 0, 1, 1, 1, 1]
+        trace = Trace(events=np.arange(30) % 6 + 1, n_files=6)
+        decision, _ = static_optimum(batch_trace(trace, 6), 2)
+        assert decision.tolist() == [0, 0, 1, 1, 1, 1]
 
     def test_replay_matches_per_batch_cost(self):
         rng = np.random.default_rng(9)
-        batches = [
-            RequestBatch.from_counts(rng.multinomial(12, [0.4, 0.3, 0.2, 0.1]))
-            for _ in range(8)
-        ]
-        x = static_opt_decision(batches, 2)
-        replayed = replay_static(batches, x)
-        assert replayed.tolist() == [cost(b, x) for b in batches]
+        slotted = _slotted(
+            [rng.multinomial(12, [0.4, 0.3, 0.2, 0.1]) for _ in range(8)]
+        )
+        x, replayed = static_optimum(slotted, 2)
+        assert replayed.tolist() == [cost(b, x) for b in slotted]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(2, 7).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.integers(1, n - 1),
+                st.integers(1, 6),
+                st.lists(st.integers(1, n), min_size=1, max_size=48),
+            )
+        )
+    )
+    def test_matches_slot_by_slot_cost_and_brute_force(self, problem):
+        n, c, b, events = problem
+        if len(events) < b:
+            return
+        slotted = batch_trace(Trace(events=np.array(events), n_files=n), b)
+        x, costs = static_optimum(slotted, c)
+        assert costs.dtype == np.int64
+        assert costs.tolist() == [cost(batch, x) for batch in slotted]
+        used = events[: slotted.horizon * b]
+        assert int(costs.sum()) == brute_force_static_minimum(used, n, c)

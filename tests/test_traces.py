@@ -1,22 +1,26 @@
 """Unit tests for trace generation, file I/O, and batching."""
 
+import os
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from noisycache import (
     InvalidInputError,
     RoundRobinConfig,
     Trace,
+    TraceFileConfig,
     TraceParseError,
     ZipfConfig,
     batch_trace,
     generate_round_robin,
     generate_zipf,
     read_trace_file,
-    total_counts,
     write_trace_file,
 )
+
+from helpers import reference_slots
 
 
 class TestZipf:
@@ -139,6 +143,30 @@ class TestTraceFiles:
         with pytest.raises(TraceParseError):
             read_trace_file(str(path), remap=False, n_files=5)
 
+    def test_remap_and_declared_catalog_size_exclude_each_other(self, tmp_path):
+        with pytest.raises(InvalidInputError, match="n_files"):
+            TraceFileConfig(str(tmp_path / "t.txt"), remap=True, n_files=5)
+        with pytest.raises(InvalidInputError, match="n_files"):
+            TraceFileConfig(str(tmp_path / "t.txt"), remap=False)
+
+    def test_failed_write_leaves_nothing_behind(self, tmp_path, monkeypatch):
+        path = tmp_path / "t.txt"
+        path.write_text("7\n")
+        trace = Trace(events=np.array([1, 2]), n_files=2)
+
+        def fail(src, dst):
+            raise OSError("simulated rename failure")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="simulated"):
+            write_trace_file(str(path), trace)
+        monkeypatch.undo()
+        assert path.read_text() == "7\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.txt"]
+        write_trace_file(str(path), trace)
+        assert path.read_text() == "1\n2\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.txt"]
+
     def test_write_read_roundtrip(self, tmp_path):
         path = tmp_path / "t.txt"
         trace = generate_zipf(ZipfConfig(9, 1.0, 200, seed=2))
@@ -172,7 +200,7 @@ class TestBatchTrace:
         assert len(batches) == 43
         used = trace.events[: 43 * 100]
         expected = np.bincount(used - 1, minlength=30)
-        assert np.array_equal(total_counts(batches), expected)
+        assert np.array_equal(batches.totals(), expected)
 
     @settings(deadline=None, max_examples=40)
     @given(
@@ -188,3 +216,30 @@ class TestBatchTrace:
         batches = batch_trace(trace, batch_size)
         assert len(batches) == len(events) // batch_size
         assert all(b.total == batch_size for b in batches)
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        st.integers(1, 12).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(st.integers(1, n), min_size=1, max_size=80),
+                st.integers(1, 9),
+            )
+        )
+    )
+    @example((3, [3, 1, 3, 2], 1))  # one request per slot
+    @example((4, [4, 2, 2, 4, 1], 2))  # a partial final batch
+    def test_matches_per_window_unique(self, problem):
+        n, events, batch_size = problem
+        if len(events) < batch_size:
+            return
+        slotted = batch_trace(Trace(events=np.asarray(events), n_files=n), batch_size)
+        ids, counts, offsets, totals = reference_slots(events, n, batch_size)
+        assert np.array_equal(slotted.ids, ids)
+        assert np.array_equal(slotted.counts, counts)
+        assert np.array_equal(slotted.offsets, offsets)
+        assert np.array_equal(slotted.totals(), totals)
+        for t, batch in enumerate(slotted):
+            lo, hi = offsets[t], offsets[t + 1]
+            assert np.array_equal(batch.ids, ids[lo:hi])
+            assert np.array_equal(batch.counts, counts[lo:hi])
