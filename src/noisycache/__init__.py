@@ -13,7 +13,6 @@ from .core import (
     CatalogConfig,
     InvalidInputError,
     RequestBatch,
-    TieBreak,
     cost,
     oracle_minimize,
 )
@@ -39,11 +38,11 @@ from .metrics import (
     regret_bound,
 )
 from .policies import (
-    FollowTheLeader,
     LeaderRuns,
-    LeastRecentlyUsed,
     PerturbedLeader,
     compute_eta,
+    follow_the_leader,
+    least_recently_used,
     static_optimum,
     step_perturbed_leaders,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "CatalogConfig",
     "InvalidInputError",
     "RequestBatch",
-    "TieBreak",
     "cost",
     "oracle_minimize",
     "Trace",
@@ -86,10 +84,10 @@ __all__ = [
     "BoundParams",
     "estimate",
     "bound_params",
-    "FollowTheLeader",
     "PerturbedLeader",
-    "LeastRecentlyUsed",
     "compute_eta",
+    "follow_the_leader",
+    "least_recently_used",
     "static_optimum",
     "step_perturbed_leaders",
     "LeaderRuns",

@@ -13,7 +13,7 @@ import io
 import os
 import sys
 
-from .core import InvalidInputError, TieBreak
+from .core import InvalidInputError
 from .engine import (
     POLICY_KINDS,
     ExperimentConfig,
@@ -51,7 +51,7 @@ _TRACE_KEYS = {
     "round-robin": {"kind", "files", "requests"},
     "file": {"kind", "path", "remap", "files"},
 }
-_POLICY_KEYS = {"kind", "rate", "subsample", "tiebreak", "eta"}
+_POLICY_KEYS = {"kind", "rate", "subsample", "eta"}
 _SWEEP_KEYS = {"rates", "variants", "cache_sizes"}
 
 _BOOLEANS = {
@@ -76,10 +76,6 @@ def _typed(section, section_name, key, conv, default=None, required=False):
 
 def _to_bool(raw: str) -> bool:
     return _BOOLEANS[raw.strip().lower()]
-
-
-def _to_tiebreak(raw: str) -> TieBreak:
-    return TieBreak(raw.strip().lower())
 
 
 def _split_list(raw: str, conv):
@@ -132,7 +128,6 @@ def _parse_policy_section(section, section_name, policy_name):
             kind=kind,
             rate=_typed(section, section_name, "rate", float),
             subsample=_typed(section, section_name, "subsample", int),
-            tiebreak=_typed(section, section_name, "tiebreak", _to_tiebreak),
             eta_override=_typed(section, section_name, "eta", float),
         )
     except InvalidInputError as exc:
@@ -315,8 +310,6 @@ def _render_echo(config, trace_source, policy_etas=None, sweep=None) -> str:
             section["rate"] = _fmt(float(spec.rate))
         if spec.subsample is not None:
             section["subsample"] = str(spec.subsample)
-        if spec.kind == "ftl":
-            section["tiebreak"] = spec.resolved_tiebreak().value
         if policy_etas and spec.name in policy_etas:
             section["eta"] = _fmt(policy_etas[spec.name])
         out[f"policy:{spec.name}"] = section

@@ -12,25 +12,12 @@ owns the 1-based external id convention and converts at the boundary.
 """
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 
 class InvalidInputError(ValueError):
     """Raised when an argument violates a documented precondition."""
-
-
-class TieBreak(Enum):
-    """How the oracle resolves score ties at the cache boundary.
-
-    LOWEST_INDEX keeps the tied files with the smallest indices.
-    MOST_RECENT keeps the tied files with the largest recency stamps
-    (falling back to lowest index among equal stamps).
-    """
-
-    LOWEST_INDEX = "lowest-index"
-    MOST_RECENT = "most-recent"
 
 
 @dataclass(frozen=True)
@@ -116,18 +103,13 @@ def _check_vector(v, name: str) -> np.ndarray:
     return arr
 
 
-def oracle_minimize(
-    score,
-    cache_size: int,
-    tiebreak: TieBreak = TieBreak.LOWEST_INDEX,
-    recency=None,
-) -> np.ndarray:
+def oracle_minimize(score, cache_size: int, recency=None) -> np.ndarray:
     """Return the feasible decision minimizing <score, x>.
 
     Equivalently: cache the cache_size files with the largest scores,
-    leave the rest missing (x[i] = 1). Boundary ties are settled by the
-    tie-break rule; MOST_RECENT consults the optional recency vector
-    (larger stamp = more recently requested, absent stamps count as -1).
+    leave the rest missing (x[i] = 1). Boundary ties go to the lowest
+    index, or, given a recency vector (larger stamp = more recently
+    requested), to the largest stamps first and then the lowest index.
 
     Returns a length-N int8 vector with exactly N - cache_size ones.
     """
@@ -151,7 +133,7 @@ def oracle_minimize(
     need = cache_size - int(above.sum())
     if need > 0:
         tied = np.flatnonzero(score == kth)
-        if tiebreak is TieBreak.LOWEST_INDEX or recency is None:
+        if recency is None:
             pick = tied[:need]
         else:
             stamps = np.asarray(recency)

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .core import CatalogConfig, InvalidInputError, TieBreak, cost
+from .core import CatalogConfig, InvalidInputError
 from .estimators import EstimatorKind, EstimatorSpec, bound_params
 from .metrics import (
     RegretReport,
@@ -28,9 +28,9 @@ from .metrics import (
     regret_bound,
 )
 from .policies import (
-    FollowTheLeader,
-    LeastRecentlyUsed,
     compute_eta,
+    follow_the_leader,
+    least_recently_used,
     static_optimum,
     step_perturbed_leaders,
 )
@@ -55,16 +55,16 @@ class PolicySpec:
     """Declarative description of one policy row in an experiment.
 
     kind is one of POLICY_KINDS. rate is the sampling rate for the
-    nfpl variants (for nfpl-fix it means subsample = rate * batch_size
-    unless subsample is given explicitly). eta_override replaces the
-    computed perturbation scale for the perturbed-leader kinds.
+    nfpl variants; nfpl-fix takes either rate, meaning subsample =
+    round(rate * batch_size), or an explicit subsample, never both.
+    eta_override replaces the computed perturbation scale for the
+    perturbed-leader kinds.
     """
 
     name: str
     kind: str
     rate: float | None = None
     subsample: int | None = None
-    tiebreak: TieBreak | None = None
     eta_override: float | None = None
 
     def __post_init__(self):
@@ -80,8 +80,10 @@ class PolicySpec:
             if self.subsample is not None:
                 raise InvalidInputError("subsample does not apply to nfpl-var")
         elif self.kind == "nfpl-fix":
-            if self.rate is None and self.subsample is None:
-                raise InvalidInputError("nfpl-fix requires rate or subsample")
+            if (self.rate is None) == (self.subsample is None):
+                raise InvalidInputError(
+                    "nfpl-fix requires exactly one of rate and subsample"
+                )
         else:
             if self.rate is not None or self.subsample is not None:
                 raise InvalidInputError(f"{self.kind} takes no sampling parameters")
@@ -96,17 +98,10 @@ class PolicySpec:
                 raise InvalidInputError(
                     f"eta must be finite and >= 0, got {self.eta_override}"
                 )
-        if self.tiebreak is not None and self.kind != "ftl":
-            raise InvalidInputError(f"tiebreak applies only to ftl, not {self.kind}")
 
     @property
     def stochastic(self) -> bool:
         return self.kind in _SAMPLED_KINDS
-
-    def resolved_tiebreak(self) -> TieBreak:
-        if self.tiebreak is not None:
-            return self.tiebreak
-        return TieBreak.MOST_RECENT if self.kind == "ftl" else TieBreak.LOWEST_INDEX
 
     def resolved_eta(self, catalog: CatalogConfig) -> float:
         """Perturbation scale: the override, else compute_eta's value."""
@@ -119,10 +114,7 @@ class PolicySpec:
         if self.kind == "fpl":
             return EstimatorSpec.exact(batch_size)
         if self.kind == "nfpl-fix":
-            if self.subsample is not None:
-                b = self.subsample
-            else:
-                b = max(1, min(batch_size, round(self.rate * batch_size)))
+            b = self.subsample or max(1, min(batch_size, round(self.rate * batch_size)))
             return EstimatorSpec.fixed_subsample(b, batch_size)
         if self.kind == "nfpl-var":
             return EstimatorSpec.bernoulli(self.rate, batch_size)
@@ -240,74 +232,61 @@ def _resolve_trace(source, plan: SeedPlan):
     raise InvalidInputError(f"unknown trace source type {type(source).__name__}")
 
 
+def _prepare(config: ExperimentConfig):
+    """Seed plan, resolved trace source and slotted trace of one experiment."""
+    plan = SeedPlan(config.base_seed)
+    source, trace = _resolve_trace(config.trace, plan)
+    slotted = batch_trace(trace, config.batch_size)
+    del trace  # free the raw events: the engine reads only the slotted trace
+    return plan, source, slotted
+
+
 def run_policy(
     spec: PolicySpec,
-    catalog: CatalogConfig,
     slotted: SlottedTrace,
+    cache_size: int,
     plan: SeedPlan,
     run: int = 0,
-    eta: float | None = None,
-    estimator: EstimatorSpec | None = None,
     record_decisions: bool = False,
 ) -> RunSeries:
     """Execute one run of one policy over a slotted trace.
 
-    eta and estimator, when None, are derived from the policy spec. A
-    perturbed-leader run is the one-row case of the stepper
-    run_experiment and run_sweep use.
+    A perturbed-leader run is the one-row case of the stepper
+    run_experiment and run_sweep use. lru records no decisions: its
+    cache changes within a slot.
     """
-    horizon = catalog.horizon
-    shape = (catalog.n_files, catalog.batch_size, horizon)
-    if (slotted.n_files, slotted.batch_size, slotted.horizon) != shape:
-        raise InvalidInputError("slotted trace does not match the catalog")
+    catalog = CatalogConfig(
+        slotted.n_files, cache_size, slotted.batch_size, slotted.horizon
+    )
+    decisions = None
     if spec.stochastic:
-        if estimator is None:
-            estimator = spec.estimator_spec(catalog.batch_size)
-        if eta is None:
-            eta = spec.resolved_eta(catalog)
         [[series]] = _run_leaders(
-            [(spec, eta, estimator)], catalog, slotted, plan, [run], record_decisions
+            [spec], catalog, slotted, plan, [run], record_decisions
         )
         return series
-
-    costs = np.zeros(horizon, dtype=np.int64)
-    decisions = (
-        np.zeros((horizon, catalog.n_files), dtype=np.int8)
-        if record_decisions
-        else None
-    )
-    slot_events = slotted.events.reshape(horizon, catalog.batch_size)
     if spec.kind == "lru":
-        policy = LeastRecentlyUsed(catalog)
-        for t, window in enumerate(slot_events):
-            costs[t] = policy.process_slot(window)
-    elif spec.kind == "opt":
-        best, costs = static_optimum(slotted, catalog.cache_size)
-        if record_decisions:
-            decisions[:] = best
+        costs = least_recently_used(slotted, cache_size)
+    elif spec.kind == "ftl":
+        costs, decisions = follow_the_leader(slotted, cache_size, record_decisions)
     else:
-        policy = FollowTheLeader(catalog, spec.resolved_tiebreak())
-        for t, (batch, window) in enumerate(zip(slotted, slot_events)):
-            x = policy.decide()
-            costs[t] = cost(batch, x)
-            policy.observe(batch, window)
-            if record_decisions:
-                decisions[t] = x
+        best, costs = static_optimum(slotted, cache_size)
+        if record_decisions:
+            decisions = np.tile(best, (slotted.horizon, 1))
     return RunSeries(policy=spec.name, run=run, costs=costs, decisions=decisions)
 
 
-def _run_leaders(leaders, catalog, slotted, plan, runs, record_decisions=False):
-    """Step (spec, eta, estimator) perturbed leaders over `runs` together.
+def _run_leaders(specs, catalog, slotted, plan, runs, record_decisions=False):
+    """Step perturbed-leader specs over `runs` together.
 
     Run r of every leader reads the run-r noise stream, and each leader
     gets its own run-r sampling stream. Returns one list of RunSeries
-    per leader, in run order.
+    per spec, in run order.
     """
-    specs, etas, estimators = zip(*leaders)
+    estimators = [spec.estimator_spec(catalog.batch_size) for spec in specs]
     stepped = step_perturbed_leaders(
-        catalog,
         slotted,
-        etas,
+        catalog.cache_size,
+        [spec.resolved_eta(catalog) for spec in specs],
         estimators,
         noise_rngs=[plan.stream(run, SeedPlan.NOISE) for run in runs],
         sample_rngs=[
@@ -366,10 +345,7 @@ def run_experiment(
     """
     if not config.policies:
         raise InvalidInputError("at least one policy is required")
-    plan = SeedPlan(config.base_seed)
-    source, trace = _resolve_trace(config.trace, plan)
-    slotted = batch_trace(trace, config.batch_size)
-    del trace  # free the raw events: the engine reads only the slotted trace
+    plan, source, slotted = _prepare(config)
     horizon = slotted.horizon
     catalog = CatalogConfig(
         slotted.n_files, config.cache_size, config.batch_size, horizon
@@ -378,11 +354,9 @@ def run_experiment(
     optimum = int(opt_costs.sum())
 
     reports = {}
-    leaders = []
+    leaders = [spec for spec in config.policies if spec.stochastic]
     for spec in config.policies:
         if spec.stochastic:
-            est = spec.estimator_spec(config.batch_size)
-            leaders.append((spec, spec.resolved_eta(catalog), est))
             continue
         if spec.kind == "opt":
             series = RunSeries(spec.name, 0, opt_costs)
@@ -390,7 +364,8 @@ def run_experiment(
                 series.decisions = np.tile(opt_decision, (horizon, 1))
         else:
             series = run_policy(
-                spec, catalog, slotted, plan, record_decisions=record_decisions
+                spec, slotted, config.cache_size, plan,
+                record_decisions=record_decisions,
             )
         reports[spec.name] = _aggregate(
             spec, None, [series], config.batch_size, optimum, None
@@ -399,10 +374,12 @@ def run_experiment(
         stepped = _run_leaders(
             leaders, catalog, slotted, plan, range(config.runs), record_decisions
         )
-        for (spec, eta, est), series in zip(leaders, stepped):
+        for spec, series in zip(leaders, stepped):
+            est = spec.estimator_spec(config.batch_size)
             bound = regret_bound(bound_params(est, catalog), horizon)
             reports[spec.name] = _aggregate(
-                spec, eta, series, config.batch_size, optimum, bound
+                spec, spec.resolved_eta(catalog), series, config.batch_size,
+                optimum, bound,
             )
 
     return ExperimentReport(
@@ -472,10 +449,7 @@ def run_sweep(
     if len(set(sizes)) != len(sizes):
         raise InvalidInputError("duplicate cache sizes in sweep")
 
-    plan = SeedPlan(config.base_seed)
-    source, trace = _resolve_trace(config.trace, plan)
-    slotted = batch_trace(trace, config.batch_size)
-    del trace  # free the raw events: the engine reads only the slotted trace
+    plan, source, slotted = _prepare(config)
     horizon = slotted.horizon
     catalogs = [
         CatalogConfig(slotted.n_files, size, config.batch_size, horizon)
@@ -496,10 +470,7 @@ def run_sweep(
             for variant in variants
             for rate in rates
         ]
-        leaders = [
-            (spec, pinned_eta, spec.estimator_spec(config.batch_size)) for spec in specs
-        ]
-        stepped = _run_leaders(leaders, catalog, slotted, plan, range(config.runs))
+        stepped = _run_leaders(specs, catalog, slotted, plan, range(config.runs))
         for spec, series in zip(specs, stepped):
             mean, d1, d9 = _band(series, config.batch_size)
             cells.append(

@@ -21,7 +21,9 @@ class RunSeries:
 
     estimate_totals holds the policy's final accumulated estimate vector
     (None for policies that never estimate); decisions optionally holds
-    the T x N decision matrix when the engine was asked to record it.
+    the T x N decision matrix when the engine was asked to record it. It
+    stays None for lru, whose cache changes within a slot, so that no one
+    decision per slot describes it.
     """
 
     policy: str

@@ -1,11 +1,16 @@
 """Online caching policies.
 
-Batch policies follow a strict decide -> pay -> observe protocol per
-slot: decide() commits a cache decision before the slot's requests are
-seen, the caller charges the true cost against that decision, and only
-then does observe() reveal the batch (possibly through a sampling
-estimator). LRU is the odd one out: it updates per event and its misses
-are counted inside process_slot.
+Every policy kind is a whole-trace function of a SlottedTrace and a
+cache size that returns the per-slot misses: static_optimum,
+follow_the_leader, least_recently_used and step_perturbed_leaders. Each
+slot a policy commits its cache before the slot's requests are counted
+and learns them only afterwards; LRU instead updates per event.
+
+PerturbedLeader keeps the decide -> pay -> observe protocol as an
+object: decide() commits a cache decision before the slot's requests are
+seen, the caller charges the true cost against it, and only then does
+observe() reveal the batch through a sampling estimator. It is the slow
+reference step_perturbed_leaders is checked against.
 
 All policies work on 0-based file indices.
 """
@@ -16,9 +21,7 @@ import math
 
 import numpy as np
 
-from .core import (
-    CatalogConfig, InvalidInputError, RequestBatch, TieBreak, oracle_minimize
-)
+from .core import CatalogConfig, InvalidInputError, RequestBatch, oracle_minimize
 from .estimators import (
     BoundParams,
     EstimatorKind,
@@ -42,43 +45,6 @@ def compute_eta(bounds: BoundParams, horizon: int) -> float:
     if bounds.diameter <= 0:
         raise InvalidInputError("diameter must be positive to set a perturbation scale")
     return math.sqrt(bounds.cost_bound * bounds.l1_bound * horizon / bounds.diameter)
-
-
-class FollowTheLeader:
-    """Cache the top-capacity files by accumulated true counts.
-
-    Equivalent to LFU over the whole history. With the default
-    most-recent tie-break, files tied on counts are ranked by how
-    recently they were requested, which requires the caller to pass the
-    slot's event sequence to observe(); without events the tie-break
-    degrades to lowest-index.
-    """
-
-    def __init__(self, catalog: CatalogConfig, tiebreak: TieBreak = TieBreak.MOST_RECENT):
-        self._cache_size = catalog.cache_size
-        self._tiebreak = tiebreak
-        self._totals = np.zeros(catalog.n_files, dtype=np.float64)
-        self._stamps = np.full(catalog.n_files, -1, dtype=np.int64)
-        self._clock = 0
-
-    @property
-    def totals(self) -> np.ndarray:
-        return self._totals
-
-    def decide(self) -> np.ndarray:
-        return oracle_minimize(
-            self._totals, self._cache_size, self._tiebreak, recency=self._stamps
-        )
-
-    def observe(self, batch: RequestBatch, events=None) -> None:
-        self._totals[batch.ids] += batch.counts
-        if events is not None:
-            ev = np.asarray(events, dtype=np.int64)
-            # duplicate indices: numpy keeps the last write, i.e. the
-            # latest occurrence in the slot, which is exactly the stamp
-            # we want
-            self._stamps[ev] = np.arange(self._clock, self._clock + ev.size)
-            self._clock += ev.size
 
 
 class PerturbedLeader:
@@ -119,7 +85,7 @@ class PerturbedLeader:
         noise = self._noise_rng.uniform(0.0, self._eta, self._n)
         return oracle_minimize(self._totals + noise, self._cache_size)
 
-    def observe(self, batch: RequestBatch, events=None) -> None:
+    def observe(self, batch: RequestBatch) -> None:
         self._totals += estimate(self._estimator, batch, self._sample_rng)
 
 
@@ -138,8 +104,8 @@ class LeaderRuns:
 
 
 def step_perturbed_leaders(
-    catalog: CatalogConfig,
     slotted: SlottedTrace,
+    cache_size: int,
     etas,
     estimators,
     noise_rngs,
@@ -151,14 +117,18 @@ def step_perturbed_leaders(
     Leader g at run r makes the same decisions, pays the same costs and
     accumulates the same estimates as PerturbedLeader(catalog, etas[g],
     estimators[g], noise_rngs[r], sample_rngs[g][r]) driven through the
-    slots. Each slot draws one standard-uniform vector per run, shared by
-    every leader at that run (common random numbers) and scaled by each
-    leader's own eta; the top C of all G * R score rows are then
-    taken at once, with ties at the boundary going to the lowest index.
+    slots, where catalog has the trace's shape and cache_size. Each slot
+    draws one standard-uniform vector per run, shared by every leader at
+    that run (common random numbers) and scaled by each leader's own eta;
+    the top C of all G * R score rows are then taken at once, with ties
+    at the boundary going to the lowest index.
     sample_rngs[g][r] is ignored for the exact estimator.
     """
     etas = np.asarray(etas, dtype=np.float64)
-    groups, runs, horizon = etas.size, len(noise_rngs), catalog.horizon
+    n, c, b, horizon = slotted.n_files, cache_size, slotted.batch_size, slotted.horizon
+    groups, runs = etas.size, len(noise_rngs)
+    if not 1 <= c <= n:
+        raise InvalidInputError(f"cache_size must be in [1, {n}], got {c}")
     if groups < 1 or runs < 1:
         raise InvalidInputError("need at least one leader and one run")
     if len(estimators) != groups or len(sample_rngs) != groups:
@@ -168,16 +138,13 @@ def step_perturbed_leaders(
     for spec, rngs in zip(estimators, sample_rngs):
         if len(rngs) != runs:
             raise InvalidInputError("sample_rngs needs one generator per run")
-        if spec.batch_size != catalog.batch_size:
+        if spec.batch_size != b:
             raise InvalidInputError(
                 f"estimator batch size {spec.batch_size} does not match "
-                f"catalog batch size {catalog.batch_size}"
+                f"the trace's batch size {b}"
             )
         if spec.kind is not EstimatorKind.EXACT and any(rng is None for rng in rngs):
             raise InvalidInputError(f"{spec.kind.value} estimation requires an rng")
-    n, c, b = catalog.n_files, catalog.cache_size, catalog.batch_size
-    if (slotted.n_files, slotted.batch_size, slotted.horizon) != (n, b, horizon):
-        raise InvalidInputError("slotted trace does not match the catalog")
 
     rows = groups * runs
     totals = np.zeros((groups, runs, n))
@@ -240,35 +207,57 @@ def step_perturbed_leaders(
     return LeaderRuns(costs=costs, totals=totals, decisions=decisions)
 
 
-class LeastRecentlyUsed:
-    """Classical per-event LRU.
+def follow_the_leader(
+    slotted: SlottedTrace, cache_size: int, record_decisions: bool = False
+):
+    """Cache the top cache_size files by accumulated true counts, per slot.
 
-    Starts warm with files 0..cache_size-1 resident (pass
-    warm_start=False for a cold cache). process_slot replays one slot's
-    events in order and returns the misses incurred; every miss admits
-    the file and evicts the least recently used one.
+    Equivalent to LFU over the whole history. Files tied on counts are
+    ranked by how recently they were requested, then by lowest index.
+    Returns the length-T per-slot misses and, when record_decisions is
+    set, the T x N int8 decisions (else None).
     """
+    n, b, horizon = slotted.n_files, slotted.batch_size, slotted.horizon
+    totals = np.zeros(n, dtype=np.float64)
+    stamps = np.full(n, -1, dtype=np.int64)
+    costs = np.empty(horizon, dtype=np.int64)
+    decisions = np.empty((horizon, n), dtype=np.int8) if record_decisions else None
+    offsets = slotted.offsets
+    for t in range(horizon):
+        ids = slotted.ids[offsets[t] : offsets[t + 1]]
+        counts = slotted.counts[offsets[t] : offsets[t + 1]]
+        missing = oracle_minimize(totals, cache_size, recency=stamps)
+        costs[t] = counts @ missing[ids]
+        if decisions is not None:
+            decisions[t] = missing
+        totals[ids] += counts
+        # duplicate indices keep the last write: the latest request in the slot
+        stamps[slotted.events[t * b : (t + 1) * b]] = np.arange(t * b, (t + 1) * b)
+    return costs, decisions
 
-    def __init__(self, catalog: CatalogConfig, warm_start: bool = True):
-        self._capacity = catalog.cache_size
-        self._cache: OrderedDict[int, None] = OrderedDict()
-        if warm_start:
-            for f in range(catalog.cache_size):
-                self._cache[f] = None
 
-    def process_slot(self, events) -> int:
-        cache = self._cache
-        capacity = self._capacity
+def least_recently_used(slotted: SlottedTrace, cache_size: int) -> np.ndarray:
+    """Per-event LRU, warm-started with files 0..cache_size-1 resident.
+
+    Replays every request in order; each miss admits the file and evicts
+    the least recently used one. Returns the length-T per-slot misses.
+    """
+    b = slotted.batch_size
+    cache = OrderedDict.fromkeys(range(cache_size))
+    costs = np.empty(slotted.horizon, dtype=np.int64)
+    for t in range(slotted.horizon):
         misses = 0
-        for f in np.asarray(events).tolist():
+        # one slot at a time: a list of the whole trace would raise peak memory
+        for f in slotted.events[t * b : (t + 1) * b].tolist():
             if f in cache:
                 cache.move_to_end(f)
             else:
                 misses += 1
                 cache[f] = None
-                if len(cache) > capacity:
+                if len(cache) > cache_size:
                     cache.popitem(last=False)
-        return misses
+        costs[t] = misses
+    return costs
 
 
 def static_optimum(slotted: SlottedTrace, cache_size: int):

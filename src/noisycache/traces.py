@@ -127,8 +127,10 @@ def read_trace_file(path: str, remap: bool = True, n_files: int | None = None) -
 
     With remap=True (default) ids are relabeled densely 1..K in order of
     first appearance and the catalog size is K. With remap=False the ids
-    are kept as-is and n_files must be supplied.
+    are kept as-is and n_files must be supplied; with remap=True it must not.
     """
+    if remap == (n_files is not None):
+        raise InvalidInputError("give n_files if and only if remap is false")
     raw = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -153,8 +155,6 @@ def read_trace_file(path: str, remap: bool = True, n_files: int | None = None) -
     if remap:
         events, catalog = _dense_remap(events)
         return Trace(events=events, n_files=catalog)
-    if n_files is None:
-        raise InvalidInputError("n_files is required when remap=False")
     if events.max() > n_files:
         raise TraceParseError(
             f"{path}: id {int(events.max())} exceeds declared catalog size {n_files}"

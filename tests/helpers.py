@@ -81,3 +81,49 @@ def reference_leader_run(catalog, slotted, eta, estimator, noise_rng, sample_rng
         decisions.append(x)
         policy.observe(batch)
     return np.array(costs, dtype=np.int64), policy.totals, np.array(decisions)
+
+
+def reference_ftl_costs(events, n_files: int, batch_size: int, cache_size: int):
+    """Follow-the-leader stepped the slow way, over 0-based events.
+
+    Each slot ranks the files with sorted() by (most requests, latest
+    request, lowest index), caches the top cache_size and counts the
+    slot's misses, then updates counts and last-seen event by event.
+    Returns (per-slot costs, T x N decisions with 1 = not cached).
+    """
+    events = [int(f) for f in events]
+    counts = [0] * n_files
+    last_seen = [-1] * n_files
+    costs, decisions = [], []
+    for t in range(len(events) // batch_size):
+        ranked = sorted(range(n_files), key=lambda f: (-counts[f], -last_seen[f], f))
+        cached = set(ranked[:cache_size])
+        window = events[t * batch_size : (t + 1) * batch_size]
+        costs.append(sum(1 for f in window if f not in cached))
+        decisions.append([0 if f in cached else 1 for f in range(n_files)])
+        for k, f in enumerate(window):
+            counts[f] += 1
+            last_seen[f] = t * batch_size + k
+    return costs, decisions
+
+
+def reference_lru_costs(events, batch_size: int, cache_size: int):
+    """Per-slot misses of LRU warm-started with files 0..cache_size-1.
+
+    The cache is a plain list ordered from least to most recently used.
+    """
+    events = [int(f) for f in events]
+    cache = list(range(cache_size))
+    costs = []
+    for t in range(len(events) // batch_size):
+        misses = 0
+        for f in events[t * batch_size : (t + 1) * batch_size]:
+            if f in cache:
+                cache.remove(f)
+            else:
+                misses += 1
+                if len(cache) == cache_size:
+                    cache.pop(0)
+            cache.append(f)
+        costs.append(misses)
+    return costs

@@ -155,12 +155,11 @@ class TestRun:
         for name in ("series.csv", "summary.csv", "config_echo.ini"):
             assert (out / name).read_bytes() == (run_dir / name).read_bytes()
 
-    def test_echo_names_the_tiebreak_of_ftl_only(self, run_dir):
+    def test_echo_names_no_tiebreak(self, run_dir):
         echo = configparser.ConfigParser()
         echo.read(run_dir / "config_echo.ini")
-        assert echo["policy:ftl"]["tiebreak"] == "most-recent"
-        assert "tiebreak" not in echo["policy:opt"]
-        assert "tiebreak" not in echo["policy:var"]
+        for name in ("policy:opt", "policy:ftl", "policy:var"):
+            assert "tiebreak" not in echo[name]
 
     def test_file_trace_config(self, tmp_path):
         trace_path = tmp_path / "rr.txt"
@@ -232,10 +231,15 @@ class TestRun:
         ("base_seed = 99", "base_seed = -1", "[experiment]"),
         ("kind = opt", "kind = opt\n    tiebreak = most-recent", "[policy:opt]"),
         ("rate = 0.5", "rate = 0.5\n    tiebreak = lowest-index", "[policy:var]"),
+        ("kind = ftl", "kind = ftl\n    tiebreak = most-recent",
+         "[policy:ftl] unsupported key(s): tiebreak"),
+        ("[policy:var]", "[policy:fix]\nkind = nfpl-fix\nrate = 0.5\nsubsample = 5\n"
+         "[policy:var]", "[policy:fix]"),
         ("seed = 21", "seed = 21\n    path = t.txt", "[trace] unsupported key(s): path"),
         ("seed = 21", "seed = 21\n    remap = false", "[trace] unsupported key(s): remap"),
     ], ids=["eta-nan", "eta-inf", "alpha-nan", "alpha-inf", "seed", "base-seed",
-            "tiebreak-opt", "tiebreak-var", "zipf-path", "zipf-remap"])
+            "tiebreak-opt", "tiebreak-var", "tiebreak-ftl", "fix-rate-and-subsample",
+            "zipf-path", "zipf-remap"])
     def test_rejects_bad_values(self, tmp_path, capsys, old, new, where):
         config = write_config(tmp_path, RUN_CONFIG.replace(old, new))
         out = tmp_path / "o"

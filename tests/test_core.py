@@ -9,7 +9,6 @@ from noisycache import (
     InvalidInputError,
     RequestBatch,
     SlottedTrace,
-    TieBreak,
     cost,
     oracle_minimize,
 )
@@ -32,34 +31,19 @@ class TestOracleMinimize:
         assert x.tolist() == [0, 0, 0, 1]
 
     def test_most_recent_tiebreak_uses_stamps(self):
-        x = oracle_minimize(
-            [2.0, 2.0, 2.0],
-            2,
-            tiebreak=TieBreak.MOST_RECENT,
-            recency=[0, 5, 3],
-        )
+        x = oracle_minimize([2.0, 2.0, 2.0], 2, recency=[0, 5, 3])
         assert x.tolist() == [1, 0, 0]
 
     def test_most_recent_equal_stamps_falls_back_to_index(self):
-        x = oracle_minimize(
-            [1.0, 1.0, 1.0],
-            2,
-            tiebreak=TieBreak.MOST_RECENT,
-            recency=[-1, -1, -1],
-        )
+        x = oracle_minimize([1.0, 1.0, 1.0], 2, recency=[-1, -1, -1])
         assert x.tolist() == [0, 0, 1]
 
     def test_most_recent_without_recency_behaves_like_lowest_index(self):
-        x = oracle_minimize([3.0, 3.0], 1, tiebreak=TieBreak.MOST_RECENT)
+        x = oracle_minimize([3.0, 3.0], 1, recency=None)
         assert x.tolist() == [0, 1]
 
     def test_strictly_better_files_win_regardless_of_recency(self):
-        x = oracle_minimize(
-            [10.0, 1.0, 2.0],
-            1,
-            tiebreak=TieBreak.MOST_RECENT,
-            recency=[0, 99, 98],
-        )
+        x = oracle_minimize([10.0, 1.0, 2.0], 1, recency=[0, 99, 98])
         assert x.tolist() == [0, 1, 1]
 
     def test_cache_everything_and_nothing(self):
@@ -120,9 +104,7 @@ class TestOracleMinimize:
         with pytest.raises(InvalidInputError):
             oracle_minimize([[1.0, 2.0]], 1)
         with pytest.raises(InvalidInputError):
-            oracle_minimize(
-                [1.0, 1.0], 1, tiebreak=TieBreak.MOST_RECENT, recency=[1, 2, 3]
-            )
+            oracle_minimize([1.0, 1.0], 1, recency=[1, 2, 3])
 
 
 class TestCost:

@@ -4,18 +4,18 @@ import numpy as np
 import pytest
 
 from noisycache import (
-    CatalogConfig,
     EstimatorKind,
     ExperimentConfig,
     InvalidInputError,
     PolicySpec,
+    RoundRobinConfig,
     SeedPlan,
-    TieBreak,
     Trace,
     ZipfConfig,
     batch_trace,
     cost,
     generate_zipf,
+    oracle_minimize,
     run_experiment,
     run_policy,
     run_sweep,
@@ -59,6 +59,8 @@ class TestPolicySpec:
             PolicySpec("x", "fpl", rate=0.5)
         with pytest.raises(InvalidInputError):
             PolicySpec("x", "lru", subsample=3)
+        with pytest.raises(InvalidInputError, match="exactly one of rate"):
+            PolicySpec("x", "nfpl-fix", rate=0.01, subsample=5)
 
     def test_eta_and_tiebreak_rules(self):
         with pytest.raises(InvalidInputError):
@@ -67,12 +69,10 @@ class TestPolicySpec:
             PolicySpec("x", "ftl", eta_override=1.0)
         with pytest.raises(InvalidInputError):
             PolicySpec("x", "fpl", eta_override=-1.0)
-        for kind in ("lru", "opt", "fpl"):
-            with pytest.raises(InvalidInputError):
-                PolicySpec("x", kind, tiebreak=TieBreak.LOWEST_INDEX)
-        with pytest.raises(InvalidInputError):
-            PolicySpec("x", "nfpl-var", rate=0.5, tiebreak=TieBreak.MOST_RECENT)
-        assert PolicySpec("x", "ftl", tiebreak=TieBreak.LOWEST_INDEX).tiebreak
+        # ftl's most-recent tie rule is fixed: no kind takes a tiebreak
+        for kind in ("lru", "ftl", "opt", "fpl"):
+            with pytest.raises(TypeError):
+                PolicySpec("x", kind, tiebreak="lowest-index")
         for eta in (float("nan"), float("inf")):
             with pytest.raises(InvalidInputError):
                 PolicySpec("x", "fpl", eta_override=eta)
@@ -94,8 +94,6 @@ class TestPolicySpec:
         assert PolicySpec("x", "nfpl-fix", rate=0.001).estimator_spec(10).subsample == 1
 
     def test_defaults(self):
-        assert PolicySpec("x", "ftl").resolved_tiebreak() is TieBreak.MOST_RECENT
-        assert PolicySpec("x", "fpl").resolved_tiebreak() is TieBreak.LOWEST_INDEX
         assert PolicySpec("x", "fpl").stochastic
         assert not PolicySpec("x", "opt").stochastic
 
@@ -133,8 +131,7 @@ class TestRunExperiment:
         rep = run_experiment(small_config([PolicySpec("opt", "opt")]))
         assert int(rep.policy("opt").runs[0].costs.sum()) == rep.opt_cost
         solo = run_policy(
-            PolicySpec("opt", "opt"), rep.catalog, batch_trace(small_trace(), 20),
-            SeedPlan(99),
+            PolicySpec("opt", "opt"), batch_trace(small_trace(), 20), 8, SeedPlan(99)
         )
         assert np.array_equal(solo.costs, rep.policy("opt").runs[0].costs)
         assert rep.policy("opt").regret.regret == 0.0
@@ -171,16 +168,17 @@ class TestRunExperiment:
             assert np.array_equal(rep.policy("var").runs[run].costs, base)
 
     def test_zero_eta_fpl_equals_lowest_index_ftl(self):
-        cfg = small_config(
-            [
-                PolicySpec("fpl0", "fpl", eta_override=0.0),
-                PolicySpec("ftl", "ftl", tiebreak=TieBreak.LOWEST_INDEX),
-            ]
+        rep = run_experiment(
+            small_config([PolicySpec("fpl0", "fpl", eta_override=0.0)])
         )
-        rep = run_experiment(cfg)
-        assert np.array_equal(
-            rep.policy("fpl0").runs[0].costs, rep.policy("ftl").runs[0].costs
-        )
+        # the leader over exact running totals, ties to the lowest index
+        totals = np.zeros(40)
+        leader = []
+        for batch in batch_trace(small_trace(), 20):
+            leader.append(cost(batch, oracle_minimize(totals, 8)))
+            totals += batch.dense()
+        for series in rep.policy("fpl0").runs:
+            assert series.costs.tolist() == leader
 
     def test_estimate_totals_only_for_estimating_policies(self):
         cfg = small_config(
@@ -219,6 +217,17 @@ class TestRunExperiment:
                     assert x.sum() == 40 - 8
                     assert series.costs[t] == cost(batch, x)
 
+    def test_lru_records_no_decisions(self):
+        # lru's cache changes within a slot, so no one decision describes it
+        cfg = ExperimentConfig(
+            trace=RoundRobinConfig(n_files=10, total_requests=50),
+            cache_size=3, batch_size=5,
+            policies=(PolicySpec("lru", "lru"), PolicySpec("ftl", "ftl")),
+        )
+        rep = run_experiment(cfg, record_decisions=True)
+        assert rep.policy("lru").runs[0].decisions is None
+        assert rep.policy("ftl").runs[0].decisions.sum(axis=1).tolist() == [7] * 10
+
     def test_rejects_bad_configs(self):
         with pytest.raises(InvalidInputError):
             run_experiment(small_config([]))
@@ -250,26 +259,21 @@ class TestRunPolicy:
         cfg = small_config([PolicySpec("var", "nfpl-var", rate=0.5)], runs=3)
         rep = run_experiment(cfg)
         slotted = batch_trace(small_trace(), 20)
-        catalog = CatalogConfig(40, 8, 20, slotted.horizon)
-        spec = cfg.policies[0]
-        solo = run_policy(
-            spec, catalog, slotted, SeedPlan(99), run=1,
-            eta=rep.policy("var").eta, estimator=spec.estimator_spec(20),
-        )
+        solo = run_policy(cfg.policies[0], slotted, 8, SeedPlan(99), run=1)
         assert np.array_equal(solo.costs, rep.policy("var").runs[1].costs)
 
-    def test_rejects_a_trace_that_does_not_match_the_catalog(self):
+    def test_rejects_a_cache_size_outside_the_catalog(self):
         slotted = batch_trace(small_trace(), 20)
-        horizon = slotted.horizon
-        catalogs = (
-            CatalogConfig(41, 8, 20, horizon),
-            CatalogConfig(40, 8, 10, 2 * horizon),
-            CatalogConfig(40, 8, 20, horizon - 1),
+        specs = (
+            PolicySpec("lru", "lru"), PolicySpec("ftl", "ftl"),
+            PolicySpec("opt", "opt"), PolicySpec("fpl", "fpl"),
+            PolicySpec("fix", "nfpl-fix", rate=0.5),
+            PolicySpec("var", "nfpl-var", rate=0.5),
         )
-        for catalog in catalogs:
-            for kind in ("lru", "ftl", "opt", "fpl"):
-                with pytest.raises(InvalidInputError):
-                    run_policy(PolicySpec(kind, kind), catalog, slotted, SeedPlan(0))
+        for spec in specs:
+            for size in (0, 41):
+                with pytest.raises(InvalidInputError, match="cache_size"):
+                    run_policy(spec, slotted, size, SeedPlan(0))
 
 
 class TestRunSweep:
@@ -338,11 +342,10 @@ class TestRunSweep:
         report = run_sweep(cfg, rates=(0.1, 1.0), cache_sizes=(4, 8))
         slotted = batch_trace(small_trace(), 20)
         for cell in report.cells:
-            catalog = CatalogConfig(40, cell.cache_size, 20, slotted.horizon)
             spec = PolicySpec(
                 "solo", f"nfpl-{cell.variant}", rate=cell.rate, eta_override=cell.eta
             )
             for run, series in enumerate(cell.runs):
-                solo = run_policy(spec, catalog, slotted, SeedPlan(99), run=run)
+                solo = run_policy(spec, slotted, cell.cache_size, SeedPlan(99), run=run)
                 assert np.array_equal(solo.costs, series.costs)
                 assert np.array_equal(solo.estimate_totals, series.estimate_totals)

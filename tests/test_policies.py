@@ -6,25 +6,30 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
-from helpers import brute_force_static_minimum, reference_leader_run
+from helpers import (
+    brute_force_static_minimum,
+    reference_ftl_costs,
+    reference_leader_run,
+    reference_lru_costs,
+)
 from noisycache import (
     BoundParams,
     CatalogConfig,
     EstimatorSpec,
-    FollowTheLeader,
     InvalidInputError,
-    LeastRecentlyUsed,
     PerturbedLeader,
     RequestBatch,
     SeedPlan,
     SlottedTrace,
-    TieBreak,
     Trace,
     ZipfConfig,
     batch_trace,
     compute_eta,
     cost,
+    follow_the_leader,
     generate_zipf,
+    least_recently_used,
+    oracle_minimize,
     static_optimum,
     step_perturbed_leaders,
 )
@@ -58,44 +63,77 @@ class TestComputeEta:
 
 class TestFollowTheLeader:
     def test_empty_history_caches_lowest_indices(self):
-        policy = FollowTheLeader(_catalog(5, 2))
-        assert policy.decide().tolist() == [0, 0, 1, 1, 1]
+        slotted = SlottedTrace(np.array([4, 3]), n_files=5, batch_size=2)
+        costs, decisions = follow_the_leader(slotted, 2, record_decisions=True)
+        assert decisions[0].tolist() == [0, 0, 1, 1, 1]
+        assert costs.tolist() == [2]
 
     def test_tracks_exact_counts(self):
-        policy = FollowTheLeader(_catalog(3, 2))
-        policy.observe(RequestBatch.from_counts([5, 3, 9]))
-        assert policy.totals.tolist() == [5.0, 3.0, 9.0]
-        assert policy.decide().tolist() == [0, 1, 0]
+        slot = np.repeat([0, 1, 2], [5, 3, 9])
+        slotted = SlottedTrace(np.concatenate([slot, slot]), n_files=3, batch_size=17)
+        costs, decisions = follow_the_leader(slotted, 2, record_decisions=True)
+        assert decisions[1].tolist() == [0, 1, 0]
+        assert costs[1] == 3
 
     def test_recency_breaks_count_ties(self):
-        policy = FollowTheLeader(_catalog(3, 1))
         # files 0 and 2 end up tied at one request; 2 was seen later
-        policy.observe(RequestBatch.from_counts([1, 0, 1]), events=[0, 2])
-        assert policy.decide().tolist() == [1, 1, 0]
+        slotted = SlottedTrace(np.array([0, 2, 1, 1]), n_files=3, batch_size=2)
+        _, decisions = follow_the_leader(slotted, 1, record_decisions=True)
+        assert decisions[1].tolist() == [1, 1, 0]
 
     def test_round_robin_whole_cycle_caches_most_recent(self):
         # after each full cycle every count ties, so the cached set is
         # the C most recently requested files, disjoint from the next
         # batch whenever N >= C + B
         n, c, b = 9, 3, 3
-        policy = FollowTheLeader(_catalog(n, c, b))
-        events = np.arange(12 * b) % n
-        costs = []
-        for t in range(12):
-            batch_events = events[t * b : (t + 1) * b]
-            batch = RequestBatch.from_counts(np.bincount(batch_events, minlength=n))
-            x = policy.decide()
-            costs.append(cost(batch, x))
-            policy.observe(batch, batch_events)
+        slotted = SlottedTrace(np.arange(13 * b) % n, n_files=n, batch_size=b)
+        costs, decisions = follow_the_leader(slotted, c, record_decisions=True)
         assert costs[0] == 0  # warmup slot requests exactly the default cache
-        assert costs[1:] == [b] * 11
+        assert costs[1:12].tolist() == [b] * 11
         # after slot 12 (a whole number of cycles) files 6, 7, 8 are freshest
-        assert policy.decide().tolist() == [1, 1, 1, 1, 1, 1, 0, 0, 0]
+        assert decisions[12].tolist() == [1, 1, 1, 1, 1, 1, 0, 0, 0]
 
-    def test_lowest_index_tiebreak_ignores_recency(self):
-        policy = FollowTheLeader(_catalog(3, 1), tiebreak=TieBreak.LOWEST_INDEX)
-        policy.observe(RequestBatch.from_counts([1, 0, 1]), events=[0, 2])
-        assert policy.decide().tolist() == [0, 1, 1]
+
+@st.composite
+def baseline_problems(draw):
+    """A small zipf-like or round-robin slotted trace and a cache size."""
+    n = draw(st.integers(1, 9))
+    c = draw(st.integers(1, n))
+    b = draw(st.integers(1, 8))
+    horizon = draw(st.integers(1, 12))
+    size = horizon * b
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        alpha = draw(st.floats(1.1, 3.0))
+        events = np.minimum(rng.zipf(alpha, size), n) - 1
+    else:
+        events = (np.arange(size) + draw(st.integers(0, n - 1))) % n
+    return SlottedTrace(events, n_files=n, batch_size=b), c
+
+
+class TestBaselinesAgainstReferences:
+    @settings(max_examples=150, deadline=None)
+    @given(baseline_problems())
+    def test_follow_the_leader_matches_reference(self, problem):
+        slotted, c = problem
+        costs, decisions = follow_the_leader(slotted, c, record_decisions=True)
+        ref_costs, ref_decisions = reference_ftl_costs(
+            slotted.events, slotted.n_files, slotted.batch_size, c
+        )
+        assert costs.tolist() == ref_costs
+        assert decisions.tolist() == ref_decisions
+        unrecorded, none = follow_the_leader(slotted, c)
+        assert none is None and np.array_equal(unrecorded, costs)
+
+    @settings(max_examples=150, deadline=None)
+    @given(baseline_problems())
+    def test_least_recently_used_matches_reference(self, problem):
+        slotted, c = problem
+        costs = least_recently_used(slotted, c)
+        assert costs.dtype == np.int64
+        assert costs.tolist() == reference_lru_costs(
+            slotted.events, slotted.batch_size, c
+        )
 
 
 class TestPerturbedLeader:
@@ -130,17 +168,18 @@ class TestPerturbedLeader:
         assert policy.totals.tolist() == [1.0, 3.0, 1.0, 1.0]
 
     def test_zero_eta_matches_follow_the_leader(self):
+        # with no noise fpl is the leader over exact totals, ties to the lowest index
         trace = generate_zipf(ZipfConfig(40, 1.0, 600, seed=11))
         batches = batch_trace(trace, 20)
         catalog = _catalog(40, 8, 20, len(batches))
         fpl = PerturbedLeader(
             catalog, 0.0, EstimatorSpec.exact(20), np.random.default_rng(4)
         )
-        ftl = FollowTheLeader(catalog, tiebreak=TieBreak.LOWEST_INDEX)
+        totals = np.zeros(40)
         for batch in batches:
-            assert np.array_equal(fpl.decide(), ftl.decide())
+            assert np.array_equal(fpl.decide(), oracle_minimize(totals, 8))
             fpl.observe(batch)
-            ftl.observe(batch)
+            totals += batch.dense()
 
     def test_degenerate_samplers_match_exact_decisions(self):
         trace = generate_zipf(ZipfConfig(30, 1.0, 500, seed=12))
@@ -213,8 +252,8 @@ class TestStepPerturbedLeaders:
     def test_matches_per_run_perturbed_leader(self, problem):
         catalog, slotted, etas, estimators, runs, plan = problem
         stepped = step_perturbed_leaders(
-            catalog,
             slotted,
+            catalog.cache_size,
             etas,
             estimators,
             [plan.stream(r, SeedPlan.NOISE) for r in range(runs)],
@@ -232,53 +271,42 @@ class TestStepPerturbedLeaders:
                 assert np.array_equal(stepped.decisions[g, r], decisions)
 
     def test_rejects_bad_inputs(self):
-        catalog = _catalog(4, 2, 2, 1)
         slotted = SlottedTrace(np.array([0, 1]), n_files=4, batch_size=2)
         rng = np.random.default_rng(0)
         exact = EstimatorSpec.exact(2)
         with pytest.raises(InvalidInputError):
-            step_perturbed_leaders(
-                catalog, slotted, [float("nan")], [exact], [rng], [[None]]
-            )
+            step_perturbed_leaders(slotted, 2, [float("nan")], [exact], [rng], [[None]])
         with pytest.raises(InvalidInputError):
-            step_perturbed_leaders(catalog, slotted, [-1.0], [exact], [rng], [[None]])
+            step_perturbed_leaders(slotted, 2, [-1.0], [exact], [rng], [[None]])
         with pytest.raises(InvalidInputError):
             step_perturbed_leaders(
-                catalog, slotted, [1.0], [EstimatorSpec.bernoulli(0.5, 2)], [rng],
-                [[None]],
+                slotted, 2, [1.0], [EstimatorSpec.bernoulli(0.5, 2)], [rng], [[None]]
             )
-        # the slotted trace must match the catalog's horizon, batch size and files
-        for events, n, b in (([0, 1, 2, 3], 4, 2), ([0, 0, 0], 4, 3), ([0, 1], 5, 2)):
-            with pytest.raises(InvalidInputError):
-                step_perturbed_leaders(
-                    catalog, SlottedTrace(np.array(events), n, b), [1.0], [exact],
-                    [rng], [[None]],
-                )
+        with pytest.raises(InvalidInputError):
+            step_perturbed_leaders(
+                slotted, 2, [1.0], [EstimatorSpec.exact(3)], [rng], [[None]]
+            )
+        for size in (0, 5):
+            with pytest.raises(InvalidInputError, match="cache_size"):
+                step_perturbed_leaders(slotted, size, [1.0], [exact], [rng], [[None]])
 
 
 class TestLeastRecentlyUsed:
     def test_warm_start_hits_initial_files(self):
-        policy = LeastRecentlyUsed(_catalog(10, 3))
-        assert policy.process_slot([0, 1, 2, 1, 0]) == 0
-
-    def test_cold_start_counts_all_first_touches(self):
-        policy = LeastRecentlyUsed(_catalog(3, 1), warm_start=False)
-        assert policy.process_slot([0, 1, 0]) == 3
+        slotted = SlottedTrace(np.array([0, 1, 2, 1, 0]), n_files=10, batch_size=5)
+        assert least_recently_used(slotted, 3).tolist() == [0]
 
     def test_eviction_order(self):
-        policy = LeastRecentlyUsed(_catalog(5, 2))  # warm cache {0, 1}
-        assert policy.process_slot([2]) == 1  # evicts 0
-        assert policy.process_slot([0]) == 1  # 0 was gone, evicts 1
-        assert policy.process_slot([2, 0]) == 0
+        # warm cache {0, 1}: 2 evicts 0, then 0 evicts 1, then both hit
+        slotted = SlottedTrace(np.array([2, 0, 2, 0]), n_files=5, batch_size=1)
+        assert least_recently_used(slotted, 2).tolist() == [1, 1, 0, 0]
 
     def test_round_robin_closed_form(self):
         # warm start, cyclic requests, N > C: every event after the
         # first C misses, so misses = t - C
         n, c, t = 10, 3, 100
-        policy = LeastRecentlyUsed(_catalog(n, c))
-        events = np.arange(t) % n
-        misses = sum(policy.process_slot(events[k : k + 10]) for k in range(0, t, 10))
-        assert misses == t - c
+        slotted = SlottedTrace(np.arange(t) % n, n_files=n, batch_size=10)
+        assert int(least_recently_used(slotted, c).sum()) == t - c
 
 
 def _slotted(counts_per_slot):

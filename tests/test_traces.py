@@ -137,6 +137,12 @@ class TestTraceFiles:
         with pytest.raises(InvalidInputError):
             read_trace_file(str(path), remap=False)
 
+    def test_remap_rejects_a_declared_catalog_size(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_text("1\n2\n3\n4\n5\n")
+        with pytest.raises(InvalidInputError, match="n_files"):
+            read_trace_file(str(path), remap=True, n_files=3)
+
     def test_no_remap_rejects_oversized_ids(self, tmp_path):
         path = tmp_path / "t.txt"
         path.write_text("1\n9\n")
