@@ -10,6 +10,7 @@ index space the rest of the package works in.
 from dataclasses import dataclass, field
 import math
 import os
+import warnings
 
 import numpy as np
 
@@ -18,6 +19,9 @@ from .core import InvalidInputError, RequestBatch
 
 class TraceParseError(ValueError):
     """Raised when a trace file cannot be parsed; message carries line numbers."""
+
+
+_MAX_ID = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -109,31 +113,47 @@ def generate_round_robin(config: RoundRobinConfig) -> Trace:
 
 
 def _dense_remap(events: np.ndarray) -> tuple[np.ndarray, int]:
-    # relabel ids 1..K in order of first appearance
-    uniq, first_pos, inverse = np.unique(
-        events, return_index=True, return_inverse=True
-    )
+    # relabel ids 1..K in order of first appearance; scattering positions
+    # in reverse leaves each id's earliest one, with no stable sort
+    uniq, inverse = np.unique(events, return_inverse=True)
+    first = np.empty(uniq.size, dtype=np.int64)
+    first[inverse[::-1]] = np.arange(events.size - 1, -1, -1)
     rank = np.empty(uniq.size, dtype=np.int64)
-    rank[np.argsort(first_pos)] = np.arange(1, uniq.size + 1)
+    rank[np.argsort(first)] = np.arange(1, uniq.size + 1)
     return rank[inverse], int(uniq.size)
 
 
-def read_trace_file(path: str, remap: bool = True, n_files: int | None = None) -> Trace:
-    """Parse a trace file into a Trace.
+def _parse_fast(path: str) -> np.ndarray | None:
+    # NumPy's C parser accepts a subset of the line grammar with equal
+    # values: no '#' or whitespace-only lines (comments=None keeps "5 # c"
+    # an error), no '1_000', no id beyond int64. None means it refused.
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return np.loadtxt(
+                path, dtype=np.int64, delimiter=",", usecols=0,
+                comments=None, ndmin=1, encoding="utf-8",
+            )
+    except (OSError, ValueError, Warning):
+        return None
 
-    Format: one request per line, the file id as a positive integer.
-    Blank lines and lines starting with '#' are skipped. A second
-    comma-separated field (e.g. a timestamp) is tolerated and ignored.
 
-    With remap=True (default) ids are relabeled densely 1..K in order of
-    first appearance and the catalog size is K. With remap=False the ids
-    are kept as-is and n_files must be supplied; with remap=True it must not.
-    """
-    if remap == (n_files is not None):
-        raise InvalidInputError("give n_files if and only if remap is false")
+def _parse_lines(path: str, n_files: int | None) -> np.ndarray:
+    # The trace file grammar, one line at a time, and the source of every
+    # parse error. Undecodable bytes are escaped on read so that the line
+    # holding them can be named.
     raw = []
-    with open(path, "r", encoding="utf-8") as fh:
+    try:
+        fh = open(path, "r", encoding="utf-8", errors="surrogateescape")
+    except OSError as exc:
+        raise TraceParseError(f"{path}: cannot read trace file: {exc.strerror}") from None
+    with fh:
         for lineno, line in enumerate(fh, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise TraceParseError(f"{path}:{lineno}: not valid UTF-8") from None
             text = line.strip()
             if not text or text.startswith("#"):
                 continue
@@ -148,17 +168,48 @@ def read_trace_file(path: str, remap: bool = True, n_files: int | None = None) -
                 raise TraceParseError(
                     f"{path}:{lineno}: file ids must be positive, got {value}"
                 )
+            if value > _MAX_ID:
+                raise TraceParseError(
+                    f"{path}:{lineno}: file id {value} does not fit in 64 bits"
+                )
+            if n_files is not None and value > n_files:
+                raise TraceParseError(
+                    f"{path}:{lineno}: id {value} exceeds declared catalog size {n_files}"
+                )
             raw.append(value)
     if not raw:
         raise TraceParseError(f"{path}: no request events found")
-    events = np.asarray(raw, dtype=np.int64)
+    return np.asarray(raw, dtype=np.int64)
+
+
+def read_trace_file(path: str, remap: bool = True, n_files: int | None = None) -> Trace:
+    """Parse a trace file into a Trace.
+
+    Format: one request per line, the file id as a positive integer.
+    Blank lines and lines starting with '#' are skipped. A second
+    comma-separated field (e.g. a timestamp) is tolerated and ignored.
+
+    With remap=True (default) ids are relabeled densely 1..K in order of
+    first appearance and the catalog size is K. With remap=False the ids
+    are kept as-is and n_files must be supplied; with remap=True it must not.
+
+    Every bad file raises TraceParseError naming the path, and the line
+    where there is one.
+    """
+    if remap == (n_files is not None):
+        raise InvalidInputError("give n_files if and only if remap is false")
+    events = _parse_fast(path)
+    if (
+        events is None
+        or events.size == 0
+        or events.min() < 1
+        or (n_files is not None and events.max() > n_files)
+    ):
+        # the line loop raises the error, or reads what NumPy refused
+        events = _parse_lines(path, n_files)
     if remap:
         events, catalog = _dense_remap(events)
         return Trace(events=events, n_files=catalog)
-    if events.max() > n_files:
-        raise TraceParseError(
-            f"{path}: id {int(events.max())} exceeds declared catalog size {n_files}"
-        )
     return Trace(events=events, n_files=n_files)
 
 
@@ -167,8 +218,7 @@ def write_trace_file(path: str, trace: Trace) -> None:
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(map(str, trace.events.tolist())))
-            fh.write("\n")
+            fh.write(("%d\n" * trace.events.size) % tuple(trace.events.tolist()))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -127,3 +127,55 @@ def reference_lru_costs(events, batch_size: int, cache_size: int):
             cache.append(f)
         costs.append(misses)
     return costs
+
+
+def reference_dense_remap(events):
+    """Relabel ids 1..K by first appearance, ordering np.unique's first indices."""
+    uniq, first_pos, inverse = np.unique(
+        np.asarray(events), return_index=True, return_inverse=True
+    )
+    rank = np.empty(uniq.size, dtype=np.int64)
+    rank[np.argsort(first_pos)] = np.arange(1, uniq.size + 1)
+    return rank[inverse], int(uniq.size)
+
+
+def reference_read_trace(path, remap=True, n_files=None):
+    """Read a trace file the slow way: one int() per line in plain Python.
+
+    Returns (1-based events, catalog size) or raises TraceParseError with
+    the message read_trace_file must give for the same file.
+    """
+    from noisycache import TraceParseError
+
+    raw = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            text = line.strip()
+            if not text or text.startswith("#"):
+                continue
+            field = text.split(",", 1)[0].strip()
+            try:
+                value = int(field)
+            except ValueError:
+                raise TraceParseError(
+                    f"{path}:{lineno}: expected an integer file id, got {field!r}"
+                ) from None
+            if value < 1:
+                raise TraceParseError(
+                    f"{path}:{lineno}: file ids must be positive, got {value}"
+                )
+            if value > np.iinfo(np.int64).max:
+                raise TraceParseError(
+                    f"{path}:{lineno}: file id {value} does not fit in 64 bits"
+                )
+            if not remap and value > n_files:
+                raise TraceParseError(
+                    f"{path}:{lineno}: id {value} exceeds declared catalog size {n_files}"
+                )
+            raw.append(value)
+    if not raw:
+        raise TraceParseError(f"{path}: no request events found")
+    events = np.asarray(raw, dtype=np.int64)
+    if remap:
+        return reference_dense_remap(events)
+    return events, n_files

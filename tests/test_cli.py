@@ -206,6 +206,28 @@ class TestRun:
         assert "[trace]" in err and key in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("content,where", [
+        (b"1\n2\n\xff\n", "t.txt:3: not valid UTF-8"),
+        (b"1\n99999999999999999999\n", "t.txt:2: file id 99999999999999999999"),
+        (None, "t.txt: cannot read trace file"),
+    ], ids=["non-utf8", "int64-overflow", "directory"])
+    def test_bad_trace_file_is_usage_error(self, tmp_path, capsys, content, where):
+        trace_path = tmp_path / "t.txt"
+        if content is None:
+            trace_path.mkdir()
+        else:
+            trace_path.write_bytes(content)
+        config = write_config(
+            tmp_path,
+            "[experiment]\ncache_size = 1\nbatch_size = 1\n"
+            f"[trace]\nkind = file\npath = {trace_path}\n"
+            "[policy:ftl]\nkind = ftl\n",
+        )
+        out = tmp_path / "o"
+        assert cli.main(["run", "-c", str(config), "-o", str(out)]) == 2
+        assert where in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = cli.main(
             ["run", "-c", str(tmp_path / "ghost.ini"), "-o", str(tmp_path / "o")]

@@ -4,7 +4,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from noisycache import (
     InvalidInputError,
@@ -20,7 +20,7 @@ from noisycache import (
     write_trace_file,
 )
 
-from helpers import reference_slots
+from helpers import reference_dense_remap, reference_read_trace, reference_slots
 
 
 class TestZipf:
@@ -145,8 +145,8 @@ class TestTraceFiles:
 
     def test_no_remap_rejects_oversized_ids(self, tmp_path):
         path = tmp_path / "t.txt"
-        path.write_text("1\n9\n")
-        with pytest.raises(TraceParseError):
+        path.write_text("1\n# note\n9\n")
+        with pytest.raises(TraceParseError, match=r"t\.txt:3: id 9 exceeds"):
             read_trace_file(str(path), remap=False, n_files=5)
 
     def test_remap_and_declared_catalog_size_exclude_each_other(self, tmp_path):
@@ -179,6 +179,86 @@ class TestTraceFiles:
         write_trace_file(str(path), trace)
         back = read_trace_file(str(path), remap=False, n_files=9)
         assert np.array_equal(back.events, trace.events)
+
+
+# Lines the grammar accepts, skips or rejects, including the ones NumPy's
+# C parser refuses and the line loop must then read.
+TRACE_TOKENS = [
+    "", "   ", "\t", "  # note", "# header", "5 # c", "1,ts", "5,", ",5",
+    " 7 ", "+7", "1_000", "7.0", "0", "-3", "99999999999999999999",
+    "1", "3", "12", "007", "9,1000",
+]
+TRACE_LINES = st.one_of(
+    st.sampled_from(TRACE_TOKENS),
+    st.text(alphabet="0123456789 ,#+-_.\t\xa0\u0663x", max_size=5),
+)
+
+
+def _outcome(read, *args):
+    try:
+        events, catalog = read(*args)
+    except TraceParseError as exc:
+        return "error", str(exc)
+    return events.tolist(), catalog
+
+
+def _read_package(path, remap, n_files):
+    trace = read_trace_file(path, remap=remap, n_files=n_files)
+    return trace.events, trace.n_files
+
+
+class TestTraceFileDifferential:
+    @settings(
+        deadline=None, max_examples=300,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        st.lists(
+            st.tuples(TRACE_LINES, st.sampled_from(["\n", "\r\n"])), max_size=10
+        ),
+        st.booleans(),
+        st.one_of(st.none(), st.integers(1, 15)),
+    )
+    @example([("5 # c", "\n")], True, None)  # the C parser's comments= must stay off
+    @example([("1", "\n"), ("9", "\n")], True, 5)  # an oversized id names its line
+    @example([("1", "\r\n"), ("99999999999999999999", "\r\n")], True, None)
+    def test_reader_matches_line_by_line_reference(self, tmp_path, lines, last_eol, n_files):
+        path = str(tmp_path / "t.txt")
+        body = "".join(text + eol for text, eol in lines)
+        if lines and not last_eol:
+            body = body[: -len(lines[-1][1])]
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(body)
+        remap = n_files is None
+        expected = _outcome(reference_read_trace, path, remap, n_files)
+        assert _outcome(_read_package, path, remap, n_files) == expected
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        st.lists(
+            st.one_of(st.integers(1, 6), st.integers(1, 2**63 - 1)),
+            min_size=1, max_size=40,
+        )
+    )
+    def test_dense_remap_matches_first_index_ranking(self, ids):
+        from noisycache.traces import _dense_remap
+
+        events, catalog = _dense_remap(np.asarray(ids, dtype=np.int64))
+        expected, expected_catalog = reference_dense_remap(ids)
+        assert events.tolist() == expected.tolist()
+        assert catalog == expected_catalog
+
+    @settings(
+        deadline=None, max_examples=100,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        st.lists(st.integers(1, 2**63 - 1), min_size=1, max_size=40),
+    )
+    def test_writer_bytes_match_joined_lines(self, tmp_path, ids):
+        path = tmp_path / "t.txt"
+        write_trace_file(str(path), Trace(events=np.asarray(ids), n_files=max(ids)))
+        assert path.read_bytes() == ("\n".join(map(str, ids)) + "\n").encode()
 
 
 class TestBatchTrace:
