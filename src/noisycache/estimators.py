@@ -12,6 +12,9 @@ r_hat produced by one of three estimators, each unbiased (E[r_hat] = r):
 - bernoulli: keep each event independently with probability `rate` and
   rescale by 1 / rate, i.e. a binomial thinning of each file's count.
 
+policies.step_perturbed_leaders draws a block of slots at a time
+(estimate_block); its docstring says when that equals per-slot draws.
+
 The bound parameters below feed the perturbation-scale and regret-bound
 formulas: the fixed subsample keeps estimate l1 mass at exactly
 batch_size, while bernoulli thinning can concentrate up to
@@ -67,6 +70,12 @@ class EstimatorSpec:
             if self.subsample is not None or self.rate is not None:
                 raise InvalidInputError("exact estimation takes no parameters")
 
+    @property
+    def full_rate(self) -> bool:
+        """Whether every event is observed, so the estimate is the counts."""
+        exact = self.kind is EstimatorKind.EXACT
+        return exact or self.rate == 1.0 or self.subsample == self.batch_size
+
     @classmethod
     def exact(cls, batch_size: int) -> "EstimatorSpec":
         return cls(EstimatorKind.EXACT, batch_size)
@@ -109,6 +118,23 @@ def estimate_on_ids(
         kept = rng.multivariate_hypergeometric(counts, spec.subsample)
         return kept * (spec.batch_size / spec.subsample)
     return rng.binomial(counts, spec.rate) / spec.rate
+
+
+def estimate_block(
+    spec: EstimatorSpec, counts: np.ndarray, offsets: np.ndarray, rng, out: np.ndarray
+) -> None:
+    """Fill out[:counts.size] with estimate_on_ids of each slot of a block.
+
+    Slot s owns counts[offsets[s]:offsets[s + 1]], with offsets[0] == 0.
+    Binomial draws go element by element, so one call covers the block.
+    """
+    if spec.full_rate:
+        out[: counts.size] = counts
+    elif spec.kind is EstimatorKind.BERNOULLI:
+        np.divide(rng.binomial(counts, spec.rate), spec.rate, out=out[: counts.size])
+    else:
+        for lo, hi in zip(offsets[:-1], offsets[1:]):
+            out[lo:hi] = estimate_on_ids(spec, counts[lo:hi], rng)
 
 
 def estimate(

@@ -27,7 +27,7 @@ from .estimators import (
     EstimatorKind,
     EstimatorSpec,
     estimate,
-    estimate_on_ids,
+    estimate_block,
 )
 from .traces import SlottedTrace
 
@@ -121,8 +121,11 @@ def step_perturbed_leaders(
     draws one standard-uniform vector per run, shared by every leader at
     that run (common random numbers) and scaled by each leader's own eta;
     the top C of all G * R score rows are then taken at once, with ties
-    at the boundary going to the lowest index.
-    sample_rngs[g][r] is ignored for the exact estimator.
+    at the boundary going to the lowest index. Each row draws its
+    estimates a block of slots at a time (estimators.estimate_block), and
+    full-rate rows draw none, so the sampling generators must be distinct
+    objects, none of them a noise generator. sample_rngs[g][r] is ignored
+    for the exact estimator.
     """
     etas = np.asarray(etas, dtype=np.float64)
     n, c, b, horizon = slotted.n_files, cache_size, slotted.batch_size, slotted.horizon
@@ -145,6 +148,11 @@ def step_perturbed_leaders(
             )
         if spec.kind is not EstimatorKind.EXACT and any(rng is None for rng in rngs):
             raise InvalidInputError(f"{spec.kind.value} estimation requires an rng")
+    samplers = [(s, rng) for s, rngs in zip(estimators, sample_rngs) for rng in rngs]
+    # a generator that two rows draw from would see its draws reordered
+    drawn = [id(rng) for spec, rng in samplers if spec.kind is not EstimatorKind.EXACT]
+    if len(set(drawn)) < len(drawn) or not set(drawn).isdisjoint(map(id, noise_rngs)):
+        raise InvalidInputError("each sampling row needs its own generator")
 
     rows = groups * runs
     totals = np.zeros((groups, runs, n))
@@ -161,25 +169,20 @@ def step_perturbed_leaders(
     if record_decisions:
         decisions = np.empty((groups, runs, horizon, n), dtype=np.int8)
         row_decisions = decisions.reshape(rows, horizon, n)
-    exact_rows = np.array(
-        [
-            g * runs + r
-            for g, spec in enumerate(estimators)
-            if spec.kind is EstimatorKind.EXACT
-            for r in range(runs)
-        ],
-        dtype=np.intp,
-    )
-    sampled_rows = [
-        (totals[g, r], spec, sample_rngs[g][r])
-        for g, spec in enumerate(estimators)
-        if spec.kind is not EstimatorKind.EXACT
-        for r in range(runs)
-    ]
+    # one buffer of at most n estimates per row: a slot holds at most n ids
+    block = np.empty((rows, n))
     kth = n - c
     offsets = slotted.offsets
+    stop = 0
 
     for t in range(horizon):
+        if t == stop:
+            # draw the slots from t on whose CSR entries fit in n
+            base = offsets[t]
+            stop = np.searchsorted(offsets, base + n, "right") - 1
+            part = slotted.counts[base : offsets[stop]]
+            for k, (spec, rng) in enumerate(samplers):
+                estimate_block(spec, part, offsets[t : stop + 1] - base, rng, block[k])
         ids = slotted.ids[offsets[t] : offsets[t + 1]]
         counts = slotted.counts[offsets[t] : offsets[t + 1]]
         for r, rng in enumerate(noise_rngs):
@@ -200,10 +203,7 @@ def step_perturbed_leaders(
         row_costs[:, t] = b - cached[:, ids] @ counts
         if row_decisions is not None:
             row_decisions[:, t] = ~cached
-        if exact_rows.size:
-            row_totals[np.ix_(exact_rows, ids)] += counts
-        for row, spec, rng in sampled_rows:
-            row[ids] += estimate_on_ids(spec, counts, rng)
+        row_totals[:, ids] += block[:, offsets[t] - base : offsets[t + 1] - base]
     return LeaderRuns(costs=costs, totals=totals, decisions=decisions)
 
 

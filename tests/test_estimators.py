@@ -10,9 +10,11 @@ from noisycache import (
     EstimatorSpec,
     InvalidInputError,
     RequestBatch,
+    SlottedTrace,
     bound_params,
     estimate,
 )
+from noisycache.estimators import estimate_block, estimate_on_ids
 
 
 BATCH = RequestBatch.from_counts([3, 2, 1, 0])  # six events over four files
@@ -137,6 +139,45 @@ class TestBernoulli:
         r = np.array([3.0, 2.0, 1.0, 0.0])
         se = np.sqrt(r * (1 - 0.5) / 0.5 / draws)  # Var[r_hat_i] = r_i(1-f)/f
         assert np.all(np.abs(mean - r) <= 4 * se + 1e-12)
+
+
+class TestEstimateBlock:
+    # 17 slots of 12 requests over 9 files, in CSR form
+    SLOTS = SlottedTrace(np.random.default_rng(8).integers(0, 9, 17 * 12), 9, 12)
+
+    def _block(self, spec, rng):
+        counts = self.SLOTS.counts
+        out = np.full(counts.size + 3, np.nan)
+        estimate_block(spec, counts, self.SLOTS.offsets, rng, out)
+        assert np.isnan(out[counts.size :]).all()
+        return out[: counts.size]
+
+    @pytest.mark.parametrize(
+        "spec",
+        [EstimatorSpec.bernoulli(rate, 12) for rate in (0.01, 0.37, 0.5, 0.93)]
+        + [EstimatorSpec.fixed_subsample(b, 12) for b in (1, 5, 11)],
+    )
+    def test_matches_one_draw_per_slot(self, spec):
+        rng, twin = np.random.default_rng(21), np.random.default_rng(21)
+        out = self._block(spec, rng)
+        offsets = self.SLOTS.offsets
+        expected = np.concatenate([
+            estimate_on_ids(spec, self.SLOTS.counts[lo:hi], twin)
+            for lo, hi in zip(offsets[:-1], offsets[1:])
+        ])
+        assert out.tobytes() == expected.tobytes()
+        assert rng.random() == twin.random()
+
+    @pytest.mark.parametrize(
+        "spec",
+        [EstimatorSpec.exact(12), EstimatorSpec.bernoulli(1.0, 12),
+         EstimatorSpec.fixed_subsample(12, 12)],
+    )
+    def test_full_rate_copies_the_counts_and_draws_nothing(self, spec):
+        assert spec.full_rate
+        rng = np.random.default_rng(22)
+        assert np.array_equal(self._block(spec, rng), self.SLOTS.counts)
+        assert rng.random() == np.random.default_rng(22).random()
 
 
 class TestBoundParams:

@@ -212,11 +212,15 @@ class TestPerturbedLeader:
 
 @st.composite
 def leader_problems(draw):
-    """A small batched trace plus a mix of perturbed leaders over 1-4 runs."""
+    """A small batched trace plus a mix of perturbed leaders over 1-4 runs.
+
+    Horizons reach past the stepper's sampling blocks (at most n_files
+    CSR entries each), and rate 1.0 gives the full-rate samplers.
+    """
     n = draw(st.integers(2, 9))
     c = draw(st.integers(1, n - 1))
     b = draw(st.integers(1, 12))
-    horizon = draw(st.integers(1, 8))
+    horizon = draw(st.integers(1, 30))
     events = np.array(
         draw(st.lists(st.integers(0, n - 1), min_size=horizon * b, max_size=horizon * b))
     )
@@ -225,7 +229,7 @@ def leader_problems(draw):
         st.lists(
             st.tuples(
                 st.sampled_from(["fpl", "fix", "var"]),
-                st.floats(0.05, 1.0),
+                st.one_of(st.just(1.0), st.floats(0.05, 1.0)),
                 st.one_of(st.just(0.0), st.floats(0.0, 40.0)),
             ),
             min_size=1,
@@ -289,6 +293,27 @@ class TestStepPerturbedLeaders:
         for size in (0, 5):
             with pytest.raises(InvalidInputError, match="cache_size"):
                 step_perturbed_leaders(slotted, size, [1.0], [exact], [rng], [[None]])
+
+    def test_rejects_shared_sampling_generators(self):
+        # block draws would reorder the draws of a generator two rows share
+        slotted = SlottedTrace(np.array([0, 1, 1, 2]), n_files=4, batch_size=2)
+        var = EstimatorSpec.bernoulli(0.5, 2)
+        full = EstimatorSpec.fixed_subsample(2, 2)
+        noise, other, shared = (np.random.default_rng(s) for s in range(3))
+        for noise_rngs, specs, sample_rngs in [
+            ([noise], [var, full], [[shared], [shared]]),
+            ([noise, other], [var], [[shared, shared]]),
+            ([noise], [var], [[noise]]),
+            ([noise, other], [full], [[shared, other]]),
+        ]:
+            with pytest.raises(InvalidInputError, match="own generator"):
+                step_perturbed_leaders(
+                    slotted, 2, [1.0] * len(specs), specs, noise_rngs, sample_rngs
+                )
+        exact = EstimatorSpec.exact(2)  # its generator is never drawn from
+        step_perturbed_leaders(
+            slotted, 2, [1.0, 1.0], [exact, var], [noise], [[noise], [shared]]
+        )
 
 
 class TestLeastRecentlyUsed:

@@ -192,6 +192,8 @@ TRACE_LINES = st.one_of(
     st.sampled_from(TRACE_TOKENS),
     st.text(alphabet="0123456789 ,#+-_.\t\xa0\u0663x", max_size=5),
 )
+# Lines a header may open a file with, each with its line ending.
+HEADER_LINES = ["# header\n", "\n", "  \t\r\n", "  # note\r", "#\n"]
 
 
 def _outcome(read, *args):
@@ -218,13 +220,21 @@ class TestTraceFileDifferential:
         ),
         st.booleans(),
         st.one_of(st.none(), st.integers(1, 15)),
+        st.lists(st.sampled_from(HEADER_LINES), max_size=3),
     )
-    @example([("5 # c", "\n")], True, None)  # the C parser's comments= must stay off
-    @example([("1", "\n"), ("9", "\n")], True, 5)  # an oversized id names its line
-    @example([("1", "\r\n"), ("99999999999999999999", "\r\n")], True, None)
-    def test_reader_matches_line_by_line_reference(self, tmp_path, lines, last_eol, n_files):
+    # the C parser's comments= must stay off
+    @example([("5 # c", "\n")], True, None, [])
+    @example([("1", "\n"), ("9", "\n")], True, 5, [])  # an oversized id names its line
+    @example([("1", "\r\n"), ("99999999999999999999", "\r\n")], True, None, [])
+    # a header is read past, and a bad line after it is still named
+    @example([("4", "\n"), ("x", "\n")], True, None, ["# id\n", "\n"])
+    @example([("4", "\n"), ("# c", "\n"), ("2", "\n")], True, None, ["#\r"])
+    @example([("", "\n")], True, None, ["# only a header\n"])
+    def test_reader_matches_line_by_line_reference(
+        self, tmp_path, lines, last_eol, n_files, header
+    ):
         path = str(tmp_path / "t.txt")
-        body = "".join(text + eol for text, eol in lines)
+        body = "".join(header) + "".join(text + eol for text, eol in lines)
         if lines and not last_eol:
             body = body[: -len(lines[-1][1])]
         with open(path, "w", encoding="utf-8", newline="") as fh:
