@@ -9,13 +9,7 @@ hindsight optimum), the metrics to compare them, and an experiment
 engine plus CLI wrapping the whole protocol.
 """
 
-from .core import (
-    CatalogConfig,
-    InvalidInputError,
-    RequestBatch,
-    cost,
-    oracle_minimize,
-)
+from .core import CatalogConfig, InvalidInputError, oracle_minimize
 from .engine import (
     ExperimentConfig,
     ExperimentReport,
@@ -28,7 +22,7 @@ from .engine import (
     run_policy,
     run_sweep,
 )
-from .estimators import BoundParams, EstimatorKind, EstimatorSpec, bound_params, estimate
+from .estimators import BoundParams, EstimatorKind, EstimatorSpec, bound_params
 from .metrics import (
     RegretReport,
     RunSeries,
@@ -39,7 +33,6 @@ from .metrics import (
 )
 from .policies import (
     LeaderRuns,
-    PerturbedLeader,
     compute_eta,
     follow_the_leader,
     least_recently_used,
@@ -65,8 +58,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CatalogConfig",
     "InvalidInputError",
-    "RequestBatch",
-    "cost",
     "oracle_minimize",
     "Trace",
     "SlottedTrace",
@@ -82,9 +73,7 @@ __all__ = [
     "EstimatorKind",
     "EstimatorSpec",
     "BoundParams",
-    "estimate",
     "bound_params",
-    "PerturbedLeader",
     "compute_eta",
     "follow_the_leader",
     "least_recently_used",

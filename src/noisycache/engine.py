@@ -171,6 +171,11 @@ class ExperimentConfig:
         names = [p.name for p in self.policies]
         if len(set(names)) != len(names):
             raise InvalidInputError("policy names must be unique")
+        for p in self.policies:
+            try:
+                p.estimator_spec(self.batch_size)
+            except InvalidInputError as exc:
+                raise InvalidInputError(f"policy {p.name!r}: {exc}") from None
 
 
 @dataclass

@@ -12,8 +12,8 @@ r_hat produced by one of three estimators, each unbiased (E[r_hat] = r):
 - bernoulli: keep each event independently with probability `rate` and
   rescale by 1 / rate, i.e. a binomial thinning of each file's count.
 
-policies.step_perturbed_leaders draws a block of slots at a time
-(estimate_block); its docstring says when that equals per-slot draws.
+estimate_block draws the estimates of a block of consecutive slots of a
+slotted trace; policies.step_perturbed_leaders is its one caller.
 
 The bound parameters below feed the perturbation-scale and regret-bound
 formulas: the fixed subsample keeps estimate l1 mass at exactly
@@ -26,7 +26,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import CatalogConfig, InvalidInputError, RequestBatch
+from .core import CatalogConfig, InvalidInputError
 
 
 class EstimatorKind(Enum):
@@ -103,30 +103,16 @@ class BoundParams:
     diameter: int
 
 
-def estimate_on_ids(
-    spec: EstimatorSpec, counts: np.ndarray, rng: np.random.Generator | None = None
-) -> np.ndarray:
-    """Draw one estimate restricted to a batch's requested files.
-
-    counts is the batch's sparse count vector (RequestBatch.counts); the
-    result is float64 and aligned with it, so entry i estimates counts[i].
-    No input checks: callers validate the batch and rng once, up front.
-    """
-    if spec.kind is EstimatorKind.EXACT:
-        return counts.astype(np.float64)
-    if spec.kind is EstimatorKind.FIXED_SUBSAMPLE:
-        kept = rng.multivariate_hypergeometric(counts, spec.subsample)
-        return kept * (spec.batch_size / spec.subsample)
-    return rng.binomial(counts, spec.rate) / spec.rate
-
-
 def estimate_block(
     spec: EstimatorSpec, counts: np.ndarray, offsets: np.ndarray, rng, out: np.ndarray
 ) -> None:
-    """Fill out[:counts.size] with estimate_on_ids of each slot of a block.
+    """Fill out[:counts.size] with one estimate of each slot of a block.
 
-    Slot s owns counts[offsets[s]:offsets[s + 1]], with offsets[0] == 0.
-    Binomial draws go element by element, so one call covers the block.
+    Slot s owns counts[offsets[s]:offsets[s + 1]], with offsets[0] == 0,
+    and its float64 estimate lands at the same positions. Binomial draws
+    go element by element, so one call covers the block; the fixed
+    subsample draws once per slot. No input checks: the caller validates
+    the spec and rng once, up front.
     """
     if spec.full_rate:
         out[: counts.size] = counts
@@ -134,27 +120,8 @@ def estimate_block(
         np.divide(rng.binomial(counts, spec.rate), spec.rate, out=out[: counts.size])
     else:
         for lo, hi in zip(offsets[:-1], offsets[1:]):
-            out[lo:hi] = estimate_on_ids(spec, counts[lo:hi], rng)
-
-
-def estimate(
-    spec: EstimatorSpec, batch: RequestBatch, rng: np.random.Generator | None = None
-) -> np.ndarray:
-    """Draw one estimate of the batch's count vector (dense float64).
-
-    The sampling estimators consume `rng`; the exact estimator ignores
-    it. Estimates are nonnegative, supported on the batch's files, and
-    unbiased.
-    """
-    if batch.total != spec.batch_size:
-        raise InvalidInputError(
-            f"batch holds {batch.total} events, estimator expects {spec.batch_size}"
-        )
-    if rng is None and spec.kind is not EstimatorKind.EXACT:
-        raise InvalidInputError(f"{spec.kind.value} estimation requires an rng")
-    out = np.zeros(batch.n_files, dtype=np.float64)
-    out[batch.ids] = estimate_on_ids(spec, batch.counts, rng)
-    return out
+            kept = rng.multivariate_hypergeometric(counts[lo:hi], spec.subsample)
+            out[lo:hi] = kept * (spec.batch_size / spec.subsample)
 
 
 def bound_params(spec: EstimatorSpec, catalog: CatalogConfig) -> BoundParams:

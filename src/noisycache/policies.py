@@ -6,12 +6,6 @@ follow_the_leader, least_recently_used and step_perturbed_leaders. Each
 slot a policy commits its cache before the slot's requests are counted
 and learns them only afterwards; LRU instead updates per event.
 
-PerturbedLeader keeps the decide -> pay -> observe protocol as an
-object: decide() commits a cache decision before the slot's requests are
-seen, the caller charges the true cost against it, and only then does
-observe() reveal the batch through a sampling estimator. It is the slow
-reference step_perturbed_leaders is checked against.
-
 All policies work on 0-based file indices.
 """
 
@@ -21,14 +15,8 @@ import math
 
 import numpy as np
 
-from .core import CatalogConfig, InvalidInputError, RequestBatch, oracle_minimize
-from .estimators import (
-    BoundParams,
-    EstimatorKind,
-    EstimatorSpec,
-    estimate,
-    estimate_block,
-)
+from .core import InvalidInputError, oracle_minimize
+from .estimators import BoundParams, EstimatorKind, estimate_block
 from .traces import SlottedTrace
 
 
@@ -47,46 +35,11 @@ def compute_eta(bounds: BoundParams, horizon: int) -> float:
     return math.sqrt(bounds.cost_bound * bounds.l1_bound * horizon / bounds.diameter)
 
 
-class PerturbedLeader:
-    """Follow-the-perturbed-leader over (possibly estimated) counts.
-
-    Each decide() draws a fresh uniform [0, eta] perturbation per file,
-    adds it to the accumulated estimates, and takes the oracle decision.
-    observe() feeds the batch through the configured estimator and
-    accumulates the estimate. With the exact estimator this is classical
-    FPL; with eta = 0 it degenerates to follow-the-leader with
-    lowest-index ties.
-    """
-
-    def __init__(
-        self,
-        catalog: CatalogConfig,
-        eta: float,
-        estimator: EstimatorSpec,
-        noise_rng: np.random.Generator,
-        sample_rng: np.random.Generator | None = None,
-    ):
-        if eta < 0 or not math.isfinite(eta):
-            raise InvalidInputError(f"eta must be finite and >= 0, got {eta}")
-        self._n = catalog.n_files
-        self._cache_size = catalog.cache_size
-        self._eta = eta
-        self._estimator = estimator
-        self._noise_rng = noise_rng
-        self._sample_rng = sample_rng
-        self._totals = np.zeros(catalog.n_files, dtype=np.float64)
-
-    @property
-    def totals(self) -> np.ndarray:
-        """Accumulated estimates seen so far (read-only by convention)."""
-        return self._totals
-
-    def decide(self) -> np.ndarray:
-        noise = self._noise_rng.uniform(0.0, self._eta, self._n)
-        return oracle_minimize(self._totals + noise, self._cache_size)
-
-    def observe(self, batch: RequestBatch) -> None:
-        self._totals += estimate(self._estimator, batch, self._sample_rng)
+def _check_cache_size(slotted: SlottedTrace, cache_size: int) -> None:
+    if not 1 <= cache_size <= slotted.n_files:
+        raise InvalidInputError(
+            f"cache_size must be in [1, {slotted.n_files}], got {cache_size}"
+        )
 
 
 @dataclass
@@ -114,24 +67,22 @@ def step_perturbed_leaders(
 ) -> LeaderRuns:
     """Step G perturbed leaders over R runs each, all rows slot by slot.
 
-    Leader g at run r makes the same decisions, pays the same costs and
-    accumulates the same estimates as PerturbedLeader(catalog, etas[g],
-    estimators[g], noise_rngs[r], sample_rngs[g][r]) driven through the
-    slots, where catalog has the trace's shape and cache_size. Each slot
-    draws one standard-uniform vector per run, shared by every leader at
-    that run (common random numbers) and scaled by each leader's own eta;
-    the top C of all G * R score rows are then taken at once, with ties
-    at the boundary going to the lowest index. Each row draws its
-    estimates a block of slots at a time (estimators.estimate_block), and
-    full-rate rows draw none, so the sampling generators must be distinct
-    objects, none of them a noise generator. sample_rngs[g][r] is ignored
-    for the exact estimator.
+    Leader g at run r is follow-the-perturbed-leader: each slot it caches
+    the cache_size files with the largest totals + etas[g] * u, ties at
+    the boundary going to the lowest index, and pays the slot's misses;
+    only then does it add estimators[g]'s estimate of the slot's counts,
+    drawn from sample_rngs[g][r], to its totals. u is a fresh
+    standard-uniform vector from noise_rngs[r], shared by every leader at
+    run r (common random numbers). The top C of all G * R score rows are
+    taken at once. Each row draws its estimates a block of slots at a
+    time (estimators.estimate_block), and full-rate rows draw none, so
+    the sampling generators must be distinct objects, none of them a
+    noise generator. sample_rngs[g][r] is ignored for the exact estimator.
     """
+    _check_cache_size(slotted, cache_size)
     etas = np.asarray(etas, dtype=np.float64)
     n, c, b, horizon = slotted.n_files, cache_size, slotted.batch_size, slotted.horizon
     groups, runs = etas.size, len(noise_rngs)
-    if not 1 <= c <= n:
-        raise InvalidInputError(f"cache_size must be in [1, {n}], got {c}")
     if groups < 1 or runs < 1:
         raise InvalidInputError("need at least one leader and one run")
     if len(estimators) != groups or len(sample_rngs) != groups:
@@ -187,7 +138,7 @@ def step_perturbed_leaders(
         counts = slotted.counts[offsets[t] : offsets[t + 1]]
         for r, rng in enumerate(noise_rngs):
             rng.random(out=noise[r])
-        # eta * u is bit for bit the rng.uniform(0, eta) draw PerturbedLeader makes
+        # eta * random() is bit for bit uniform(0, eta)
         np.multiply(noise, scale, out=score)
         score += totals
         np.copyto(parted, row_score)
@@ -217,6 +168,7 @@ def follow_the_leader(
     Returns the length-T per-slot misses and, when record_decisions is
     set, the T x N int8 decisions (else None).
     """
+    _check_cache_size(slotted, cache_size)
     n, b, horizon = slotted.n_files, slotted.batch_size, slotted.horizon
     totals = np.zeros(n, dtype=np.float64)
     stamps = np.full(n, -1, dtype=np.int64)
@@ -242,6 +194,7 @@ def least_recently_used(slotted: SlottedTrace, cache_size: int) -> np.ndarray:
     Replays every request in order; each miss admits the file and evicts
     the least recently used one. Returns the length-T per-slot misses.
     """
+    _check_cache_size(slotted, cache_size)
     b = slotted.batch_size
     cache = OrderedDict.fromkeys(range(cache_size))
     costs = np.empty(slotted.horizon, dtype=np.int64)
@@ -266,6 +219,7 @@ def static_optimum(slotted: SlottedTrace, cache_size: int):
     The int8 decision caches the cache_size files with the most requests
     overall, ties to the lowest index; the costs sum to the optimum.
     """
+    _check_cache_size(slotted, cache_size)
     missing = oracle_minimize(slotted.totals().astype(np.float64), cache_size)
     costs = np.add.reduceat(
         slotted.counts * missing[slotted.ids], slotted.offsets[:-1]

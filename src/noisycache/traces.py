@@ -14,7 +14,7 @@ import warnings
 
 import numpy as np
 
-from .core import InvalidInputError, RequestBatch
+from .core import InvalidInputError
 
 
 class TraceParseError(ValueError):
@@ -232,7 +232,7 @@ class SlottedTrace:
 
     events holds the 0-based file index of every request. Slot t requests
     the strictly increasing files ids[offsets[t]:offsets[t + 1]], each as
-    often as counts at the same position says. slotted[t] is a RequestBatch.
+    often as counts at the same position says.
     """
 
     events: np.ndarray
@@ -269,14 +269,6 @@ class SlottedTrace:
     def totals(self) -> np.ndarray:
         """Dense int64 request count of every file over all slots."""
         return np.bincount(self.events, minlength=self.n_files)
-
-    def __len__(self) -> int:
-        return self.horizon
-
-    def __getitem__(self, t: int) -> RequestBatch:
-        t = range(self.horizon)[t]
-        lo, hi = self.offsets[t], self.offsets[t + 1]
-        return RequestBatch(self.ids[lo:hi], self.counts[lo:hi], self.n_files)
 
 
 def batch_trace(trace: Trace, batch_size: int) -> SlottedTrace:

@@ -3,6 +3,8 @@
 Everything here is deliberately written the slow, obvious way
 (exhaustive enumeration, event-level counting) so the package's fast
 paths are checked against code that shares none of their logic.
+estimate_copies is the exception: it drives the package's own sampler
+over many identical slots, for the estimator property tests.
 """
 
 import itertools
@@ -66,21 +68,59 @@ def feasible(decision, n_files: int, cache_size: int) -> bool:
     )
 
 
-def reference_leader_run(catalog, slotted, eta, estimator, noise_rng, sample_rng):
-    """One perturbed-leader run stepped the slow way, through PerturbedLeader.
+def reference_estimate(spec, counts, rng):
+    """One slot's estimate of its sparse counts, drawn straight from the law.
 
-    Returns (per-slot costs, final accumulated estimates, T x N decisions).
+    Draws even at full rate, where the law gives back the counts.
     """
-    from noisycache import PerturbedLeader, cost
+    from noisycache import EstimatorKind
 
-    policy = PerturbedLeader(catalog, eta, estimator, noise_rng, sample_rng)
+    if spec.kind is EstimatorKind.EXACT:
+        return counts.astype(np.float64)
+    if spec.kind is EstimatorKind.BERNOULLI:
+        return rng.binomial(counts, spec.rate) / spec.rate
+    kept = rng.multivariate_hypergeometric(counts, spec.subsample)
+    return kept * (spec.batch_size / spec.subsample)
+
+
+def reference_leader_run(slotted, cache_size, eta, estimator, noise_rng, sample_rng):
+    """One perturbed-leader run stepped the slow way, one slot at a time.
+
+    Each slot recounts its raw events, caches the top cache_size files of
+    totals + uniform(0, eta) noise, pays the misses, and only then adds
+    the slot's reference_estimate to the totals. Returns (per-slot
+    costs, final totals, T x N decisions).
+    """
+    from noisycache import oracle_minimize
+
+    n, b = slotted.n_files, slotted.batch_size
+    totals = np.zeros(n)
     costs, decisions = [], []
-    for batch in slotted:
-        x = policy.decide()
-        costs.append(cost(batch, x))
+    for t in range(slotted.horizon):
+        ids, counts = np.unique(slotted.events[t * b : (t + 1) * b], return_counts=True)
+        x = oracle_minimize(totals + noise_rng.uniform(0, eta, n), cache_size)
+        costs.append(counts @ x[ids])
         decisions.append(x)
-        policy.observe(batch)
-    return np.array(costs, dtype=np.int64), policy.totals, np.array(decisions)
+        totals[ids] += reference_estimate(estimator, counts, sample_rng)
+    return np.array(costs, dtype=np.int64), totals, np.array(decisions)
+
+
+def estimate_copies(spec, counts, copies, rng):
+    """copies estimates of one slot's dense counts, by one estimate_block call.
+
+    The block is the CSR form of a trace whose every slot requests
+    counts; returns a copies x N float64 array.
+    """
+    from noisycache import SlottedTrace
+    from noisycache.estimators import estimate_block
+
+    slot = np.repeat(np.arange(len(counts)), counts)
+    slotted = SlottedTrace(np.tile(slot, copies), len(counts), slot.size)
+    out = np.empty(slotted.counts.size)
+    estimate_block(spec, slotted.counts, slotted.offsets, rng, out)
+    dense = np.zeros((copies, len(counts)))
+    dense[np.repeat(np.arange(copies), np.diff(slotted.offsets)), slotted.ids] = out
+    return dense
 
 
 def reference_ftl_costs(events, n_files: int, batch_size: int, cache_size: int):

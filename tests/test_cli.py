@@ -259,9 +259,11 @@ class TestRun:
          "[policy:var]", "[policy:fix]"),
         ("seed = 21", "seed = 21\n    path = t.txt", "[trace] unsupported key(s): path"),
         ("seed = 21", "seed = 21\n    remap = false", "[trace] unsupported key(s): remap"),
+        ("[policy:var]", "[policy:fix]\nkind = nfpl-fix\nsubsample = 50\n[policy:var]",
+         "policy 'fix': subsample must be in [1, 20], got 50"),
     ], ids=["eta-nan", "eta-inf", "alpha-nan", "alpha-inf", "seed", "base-seed",
             "tiebreak-opt", "tiebreak-var", "tiebreak-ftl", "fix-rate-and-subsample",
-            "zipf-path", "zipf-remap"])
+            "zipf-path", "zipf-remap", "fix-subsample-above-batch"])
     def test_rejects_bad_values(self, tmp_path, capsys, old, new, where):
         config = write_config(tmp_path, RUN_CONFIG.replace(old, new))
         out = tmp_path / "o"

@@ -4,14 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from noisycache import (
-    CatalogConfig,
-    InvalidInputError,
-    RequestBatch,
-    SlottedTrace,
-    cost,
-    oracle_minimize,
-)
+from noisycache import CatalogConfig, InvalidInputError, SlottedTrace, oracle_minimize
 
 from helpers import brute_force_best_cost, feasible
 
@@ -105,51 +98,6 @@ class TestOracleMinimize:
             oracle_minimize([[1.0, 2.0]], 1)
         with pytest.raises(InvalidInputError):
             oracle_minimize([1.0, 1.0], 1, recency=[1, 2, 3])
-
-
-class TestCost:
-    def test_counts_misses(self):
-        batch = RequestBatch.from_counts([3, 1])
-        assert cost(batch, [0, 1]) == 1
-        assert cost(batch, [1, 0]) == 3
-        assert cost(batch, [0, 0]) == 0
-        assert cost(batch, [1, 1]) == 4
-
-    def test_tie_example(self):
-        batch = RequestBatch.from_counts([2, 2, 2])
-        assert cost(batch, [0, 0, 1]) == 2
-
-    def test_rejects_bad_decisions(self):
-        batch = RequestBatch.from_counts([1, 2])
-        with pytest.raises(InvalidInputError):
-            cost(batch, [0, 1, 0])
-        with pytest.raises(InvalidInputError):
-            cost(batch, [0, 2])
-        with pytest.raises(InvalidInputError):
-            cost(batch, [0.5, 0.5])
-
-
-class TestRequestBatch:
-    def test_from_counts_roundtrip(self):
-        batch = RequestBatch.from_counts([0, 3, 0, 1])
-        assert batch.ids.tolist() == [1, 3]
-        assert batch.counts.tolist() == [3, 1]
-        assert batch.n_files == 4
-        assert batch.total == 4
-        assert batch.dense().tolist() == [0, 3, 0, 1]
-
-    def test_validation(self):
-        with pytest.raises(InvalidInputError):
-            RequestBatch(ids=np.array([], dtype=np.int64),
-                         counts=np.array([], dtype=np.int64), n_files=3)
-        with pytest.raises(InvalidInputError):
-            RequestBatch(ids=np.array([2, 1]), counts=np.array([1, 1]), n_files=3)
-        with pytest.raises(InvalidInputError):
-            RequestBatch(ids=np.array([0, 3]), counts=np.array([1, 1]), n_files=3)
-        with pytest.raises(InvalidInputError):
-            RequestBatch(ids=np.array([0]), counts=np.array([0]), n_files=3)
-        with pytest.raises(InvalidInputError):
-            RequestBatch(ids=np.array([-1]), counts=np.array([1]), n_files=3)
 
 
 class TestTotalCounts:

@@ -13,7 +13,6 @@ from noisycache import (
     Trace,
     ZipfConfig,
     batch_trace,
-    cost,
     generate_zipf,
     oracle_minimize,
     run_experiment,
@@ -174,9 +173,9 @@ class TestRunExperiment:
         # the leader over exact running totals, ties to the lowest index
         totals = np.zeros(40)
         leader = []
-        for batch in batch_trace(small_trace(), 20):
-            leader.append(cost(batch, oracle_minimize(totals, 8)))
-            totals += batch.dense()
+        for window in batch_trace(small_trace(), 20).events.reshape(-1, 20):
+            leader.append(int(oracle_minimize(totals, 8)[window].sum()))
+            totals += np.bincount(window, minlength=40)
         for series in rep.policy("fpl0").runs:
             assert series.costs.tolist() == leader
 
@@ -212,10 +211,10 @@ class TestRunExperiment:
         slotted = batch_trace(small_trace(), 20)
         for pol in rep.policies:
             for series in pol.runs:
-                for t, batch in enumerate(slotted):
+                for t, window in enumerate(slotted.events.reshape(-1, 20)):
                     x = series.decisions[t]
                     assert x.sum() == 40 - 8
-                    assert series.costs[t] == cost(batch, x)
+                    assert series.costs[t] == x[window].sum()
 
     def test_lru_records_no_decisions(self):
         # lru's cache changes within a slot, so no one decision describes it

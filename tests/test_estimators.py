@@ -3,21 +3,28 @@
 import numpy as np
 import pytest
 
+from helpers import estimate_copies, reference_estimate
 from noisycache import (
     BoundParams,
     CatalogConfig,
     EstimatorKind,
     EstimatorSpec,
     InvalidInputError,
-    RequestBatch,
     SlottedTrace,
     bound_params,
-    estimate,
+    step_perturbed_leaders,
 )
-from noisycache.estimators import estimate_block, estimate_on_ids
+from noisycache.estimators import estimate_block
 
 
-BATCH = RequestBatch.from_counts([3, 2, 1, 0])  # six events over four files
+COUNTS = [3, 2, 1, 0]  # six events over four files
+
+
+def _step_one_slot(spec, sample_rng):
+    """Run spec through the stepper, the sampler's one caller, on one slot."""
+    slotted = SlottedTrace(np.repeat([0, 1, 2], [3, 2, 1]), n_files=4, batch_size=6)
+    noise_rng = np.random.default_rng(0)
+    step_perturbed_leaders(slotted, 2, [1.0], [spec], [noise_rng], [[sample_rng]])
 
 
 class TestSpecValidation:
@@ -46,59 +53,51 @@ class TestSpecValidation:
 
 class TestExact:
     def test_passthrough(self):
-        out = estimate(EstimatorSpec.exact(6), BATCH)
-        assert out.dtype == np.float64
-        assert out.tolist() == [3.0, 2.0, 1.0, 0.0]
+        out = estimate_copies(EstimatorSpec.exact(6), COUNTS, 1, None)
+        assert out.tolist() == [[3.0, 2.0, 1.0, 0.0]]
 
     def test_batch_size_mismatch(self):
-        with pytest.raises(InvalidInputError):
-            estimate(EstimatorSpec.exact(5), BATCH)
+        with pytest.raises(InvalidInputError, match="batch size"):
+            _step_one_slot(EstimatorSpec.exact(5), None)
 
 
 class TestFixedSubsample:
     def test_requires_rng(self):
-        with pytest.raises(InvalidInputError):
-            estimate(EstimatorSpec.fixed_subsample(2, 6), BATCH)
+        with pytest.raises(InvalidInputError, match="requires an rng"):
+            _step_one_slot(EstimatorSpec.fixed_subsample(2, 6), None)
 
     def test_l1_mass_is_conserved(self):
         # (B/b) * b kept events = B exactly, every single draw
         rng = np.random.default_rng(0)
         for b in (1, 2, 3, 5, 6):
             spec = EstimatorSpec.fixed_subsample(b, 6)
-            for _ in range(200):
-                out = estimate(spec, BATCH, rng)
-                assert out.sum() == pytest.approx(6.0, abs=1e-12)
+            out = estimate_copies(spec, COUNTS, 200, rng)
+            assert out.sum(axis=1) == pytest.approx(np.full(200, 6.0), abs=1e-12)
 
     def test_values_are_multiples_of_the_scale(self):
         rng = np.random.default_rng(1)
         spec = EstimatorSpec.fixed_subsample(2, 6)
-        for _ in range(100):
-            out = estimate(spec, BATCH, rng)
-            kept = out / 3.0  # scale B/b = 3
-            assert np.allclose(kept, np.round(kept))
+        kept = estimate_copies(spec, COUNTS, 100, rng) / 3.0  # scale B/b = 3
+        assert np.allclose(kept, np.round(kept))
 
     def test_support_subset_of_batch(self):
         rng = np.random.default_rng(2)
         spec = EstimatorSpec.fixed_subsample(2, 6)
-        for _ in range(100):
-            out = estimate(spec, BATCH, rng)
-            assert out[3] == 0.0
-            assert np.all(out >= 0.0)
+        out = estimate_copies(spec, COUNTS, 100, rng)
+        assert np.all(out[:, 3] == 0.0)
+        assert np.all(out >= 0.0)
 
     def test_full_subsample_degenerates_to_exact(self):
         rng = np.random.default_rng(3)
         spec = EstimatorSpec.fixed_subsample(6, 6)
-        for _ in range(50):
-            assert estimate(spec, BATCH, rng).tolist() == [3.0, 2.0, 1.0, 0.0]
+        out = estimate_copies(spec, COUNTS, 50, rng)
+        assert out.tolist() == [[3.0, 2.0, 1.0, 0.0]] * 50
 
     def test_unbiased(self):
         rng = np.random.default_rng(4)
         spec = EstimatorSpec.fixed_subsample(2, 6)
         draws = 20_000
-        acc = np.zeros(4)
-        for _ in range(draws):
-            acc += estimate(spec, BATCH, rng)
-        mean = acc / draws
+        mean = estimate_copies(spec, COUNTS, draws, rng).mean(axis=0)
         r = np.array([3.0, 2.0, 1.0, 0.0])
         # Var[r_hat_i] = (B/b)^2 * b * p(1-p) * (B-b)/(B-1), p = r_i/B
         p = r / 6.0
@@ -108,34 +107,30 @@ class TestFixedSubsample:
 
 class TestBernoulli:
     def test_requires_rng(self):
-        with pytest.raises(InvalidInputError):
-            estimate(EstimatorSpec.bernoulli(0.5, 6), BATCH)
+        with pytest.raises(InvalidInputError, match="requires an rng"):
+            _step_one_slot(EstimatorSpec.bernoulli(0.5, 6), None)
 
     def test_full_rate_degenerates_to_exact(self):
         rng = np.random.default_rng(5)
         spec = EstimatorSpec.bernoulli(1.0, 6)
-        for _ in range(50):
-            assert estimate(spec, BATCH, rng).tolist() == [3.0, 2.0, 1.0, 0.0]
+        out = estimate_copies(spec, COUNTS, 50, rng)
+        assert out.tolist() == [[3.0, 2.0, 1.0, 0.0]] * 50
 
     def test_support_and_scale_lattice(self):
         rng = np.random.default_rng(6)
         spec = EstimatorSpec.bernoulli(0.5, 6)
-        for _ in range(200):
-            out = estimate(spec, BATCH, rng)
-            assert out[3] == 0.0
-            assert np.all(out >= 0.0)
-            assert out.sum() <= 6.0 / 0.5 + 1e-12
-            kept = out * 0.5  # back to integer kept counts
-            assert np.allclose(kept, np.round(kept))
+        out = estimate_copies(spec, COUNTS, 200, rng)
+        assert np.all(out[:, 3] == 0.0)
+        assert np.all(out >= 0.0)
+        assert np.all(out.sum(axis=1) <= 6.0 / 0.5 + 1e-12)
+        kept = out * 0.5  # back to integer kept counts
+        assert np.allclose(kept, np.round(kept))
 
     def test_unbiased(self):
         rng = np.random.default_rng(7)
         spec = EstimatorSpec.bernoulli(0.5, 6)
         draws = 20_000
-        acc = np.zeros(4)
-        for _ in range(draws):
-            acc += estimate(spec, BATCH, rng)
-        mean = acc / draws
+        mean = estimate_copies(spec, COUNTS, draws, rng).mean(axis=0)
         r = np.array([3.0, 2.0, 1.0, 0.0])
         se = np.sqrt(r * (1 - 0.5) / 0.5 / draws)  # Var[r_hat_i] = r_i(1-f)/f
         assert np.all(np.abs(mean - r) <= 4 * se + 1e-12)
@@ -162,7 +157,7 @@ class TestEstimateBlock:
         out = self._block(spec, rng)
         offsets = self.SLOTS.offsets
         expected = np.concatenate([
-            estimate_on_ids(spec, self.SLOTS.counts[lo:hi], twin)
+            reference_estimate(spec, self.SLOTS.counts[lo:hi], twin)
             for lo, hi in zip(offsets[:-1], offsets[1:])
         ])
         assert out.tobytes() == expected.tobytes()

@@ -14,18 +14,14 @@ from helpers import (
 )
 from noisycache import (
     BoundParams,
-    CatalogConfig,
     EstimatorSpec,
     InvalidInputError,
-    PerturbedLeader,
-    RequestBatch,
     SeedPlan,
     SlottedTrace,
     Trace,
     ZipfConfig,
     batch_trace,
     compute_eta,
-    cost,
     follow_the_leader,
     generate_zipf,
     least_recently_used,
@@ -33,10 +29,6 @@ from noisycache import (
     static_optimum,
     step_perturbed_leaders,
 )
-
-
-def _catalog(n, c, b=1, t=1):
-    return CatalogConfig(n_files=n, cache_size=c, batch_size=b, horizon=t)
 
 
 class TestComputeEta:
@@ -136,80 +128,6 @@ class TestBaselinesAgainstReferences:
         )
 
 
-class TestPerturbedLeader:
-    def test_rejects_negative_or_non_finite_eta(self):
-        catalog = _catalog(4, 2, 2)
-        rng = np.random.default_rng(0)
-        with pytest.raises(InvalidInputError):
-            PerturbedLeader(catalog, -1.0, EstimatorSpec.exact(2), rng)
-        with pytest.raises(InvalidInputError):
-            PerturbedLeader(catalog, float("inf"), EstimatorSpec.exact(2), rng)
-
-    def test_zero_eta_first_decision_caches_lowest_indices(self):
-        policy = PerturbedLeader(
-            _catalog(5, 3, 2), 0.0, EstimatorSpec.exact(2), np.random.default_rng(1)
-        )
-        assert policy.decide().tolist() == [0, 0, 0, 1, 1]
-
-    def test_tiny_noise_cannot_overturn_a_large_lead(self):
-        policy = PerturbedLeader(
-            _catalog(3, 1, 10), 1e-6, EstimatorSpec.exact(10), np.random.default_rng(2)
-        )
-        policy.observe(RequestBatch.from_counts([10, 0, 0]))
-        for _ in range(50):
-            assert policy.decide().tolist() == [0, 1, 1]
-
-    def test_exact_observation_accumulates_true_counts(self):
-        policy = PerturbedLeader(
-            _catalog(4, 2, 3), 1.0, EstimatorSpec.exact(3), np.random.default_rng(3)
-        )
-        policy.observe(RequestBatch.from_counts([1, 2, 0, 0]))
-        policy.observe(RequestBatch.from_counts([0, 1, 1, 1]))
-        assert policy.totals.tolist() == [1.0, 3.0, 1.0, 1.0]
-
-    def test_zero_eta_matches_follow_the_leader(self):
-        # with no noise fpl is the leader over exact totals, ties to the lowest index
-        trace = generate_zipf(ZipfConfig(40, 1.0, 600, seed=11))
-        batches = batch_trace(trace, 20)
-        catalog = _catalog(40, 8, 20, len(batches))
-        fpl = PerturbedLeader(
-            catalog, 0.0, EstimatorSpec.exact(20), np.random.default_rng(4)
-        )
-        totals = np.zeros(40)
-        for batch in batches:
-            assert np.array_equal(fpl.decide(), oracle_minimize(totals, 8))
-            fpl.observe(batch)
-            totals += batch.dense()
-
-    def test_degenerate_samplers_match_exact_decisions(self):
-        trace = generate_zipf(ZipfConfig(30, 1.0, 500, seed=12))
-        batches = batch_trace(trace, 10)
-        catalog = _catalog(30, 5, 10, len(batches))
-        eta = 25.0
-        policies = [
-            PerturbedLeader(catalog, eta, EstimatorSpec.exact(10),
-                            np.random.default_rng(77)),
-            PerturbedLeader(catalog, eta, EstimatorSpec.fixed_subsample(10, 10),
-                            np.random.default_rng(77), np.random.default_rng(5)),
-            PerturbedLeader(catalog, eta, EstimatorSpec.bernoulli(1.0, 10),
-                            np.random.default_rng(77), np.random.default_rng(6)),
-        ]
-        for batch in batches:
-            decisions = [p.decide() for p in policies]
-            assert np.array_equal(decisions[0], decisions[1])
-            assert np.array_equal(decisions[0], decisions[2])
-            for p in policies:
-                p.observe(batch)
-
-    def test_sampling_requires_rng(self):
-        policy = PerturbedLeader(
-            _catalog(3, 1, 4), 1.0, EstimatorSpec.bernoulli(0.5, 4),
-            np.random.default_rng(8),
-        )
-        with pytest.raises(InvalidInputError):
-            policy.observe(RequestBatch.from_counts([2, 1, 1]))
-
-
 @st.composite
 def leader_problems(draw):
     """A small batched trace plus a mix of perturbed leaders over 1-4 runs.
@@ -247,17 +165,25 @@ def leader_problems(draw):
     etas = [eta for _, _, eta in leaders]
     runs = draw(st.integers(1, 4))
     seed = draw(st.integers(0, 2**32 - 1))
-    return _catalog(n, c, b, horizon), slotted, etas, estimators, runs, SeedPlan(seed)
+    return slotted, c, etas, estimators, runs, SeedPlan(seed)
+
+
+def _step_exact(slotted, cache_size, eta, noise_rngs):
+    """One exact leader at eta over one run per noise generator, decisions kept."""
+    return step_perturbed_leaders(
+        slotted, cache_size, [eta], [EstimatorSpec.exact(slotted.batch_size)],
+        noise_rngs, [[None] * len(noise_rngs)], record_decisions=True,
+    )
 
 
 class TestStepPerturbedLeaders:
     @settings(max_examples=150, deadline=None)
     @given(leader_problems())
     def test_matches_per_run_perturbed_leader(self, problem):
-        catalog, slotted, etas, estimators, runs, plan = problem
+        slotted, c, etas, estimators, runs, plan = problem
         stepped = step_perturbed_leaders(
             slotted,
-            catalog.cache_size,
+            c,
             etas,
             estimators,
             [plan.stream(r, SeedPlan.NOISE) for r in range(runs)],
@@ -267,12 +193,53 @@ class TestStepPerturbedLeaders:
         for g, (eta, est) in enumerate(zip(etas, estimators)):
             for r in range(runs):
                 costs, totals, decisions = reference_leader_run(
-                    catalog, slotted, eta, est,
+                    slotted, c, eta, est,
                     plan.stream(r, SeedPlan.NOISE), plan.stream(r, SeedPlan.SAMPLING),
                 )
                 assert np.array_equal(stepped.costs[g, r], costs)
                 assert np.array_equal(stepped.totals[g, r], totals)
                 assert np.array_equal(stepped.decisions[g, r], decisions)
+
+    def test_zero_eta_first_decision_caches_lowest_indices(self):
+        slotted = SlottedTrace(np.array([4, 3]), n_files=5, batch_size=2)
+        stepped = _step_exact(slotted, 3, 0.0, [np.random.default_rng(1)])
+        assert stepped.decisions[0, 0, 0].tolist() == [0, 0, 0, 1, 1]
+
+    def test_tiny_noise_cannot_overturn_a_large_lead(self):
+        # slot 0 gives file 0 a lead of 10; 50 runs each draw fresh noise
+        slotted = SlottedTrace(np.repeat([0, 1], 10), n_files=3, batch_size=10)
+        rngs = [np.random.default_rng(2 + r) for r in range(50)]
+        stepped = _step_exact(slotted, 1, 1e-6, rngs)
+        for r in range(50):
+            assert stepped.decisions[0, r, 1].tolist() == [0, 1, 1]
+
+    def test_exact_observation_accumulates_true_counts(self):
+        slotted = SlottedTrace(np.array([0, 1, 1, 1, 2, 3]), n_files=4, batch_size=3)
+        stepped = _step_exact(slotted, 2, 1.0, [np.random.default_rng(3)])
+        assert stepped.totals[0, 0].tolist() == [1.0, 3.0, 1.0, 1.0]
+
+    def test_zero_eta_matches_follow_the_leader(self):
+        # with no noise fpl is the leader over exact totals, ties to the lowest index
+        slotted = batch_trace(generate_zipf(ZipfConfig(40, 1.0, 600, seed=11)), 20)
+        stepped = _step_exact(slotted, 8, 0.0, [np.random.default_rng(4)])
+        totals = np.zeros(40)
+        for t, window in enumerate(slotted.events.reshape(-1, 20)):
+            assert np.array_equal(stepped.decisions[0, 0, t], oracle_minimize(totals, 8))
+            totals += np.bincount(window, minlength=40)
+
+    def test_degenerate_samplers_match_exact_decisions(self):
+        slotted = batch_trace(generate_zipf(ZipfConfig(30, 1.0, 500, seed=12)), 10)
+        specs = [EstimatorSpec.exact(10), EstimatorSpec.fixed_subsample(10, 10),
+                 EstimatorSpec.bernoulli(1.0, 10)]
+        stepped = step_perturbed_leaders(
+            slotted, 5, [25.0] * 3, specs, [np.random.default_rng(77)],
+            [[None], [np.random.default_rng(5)], [np.random.default_rng(6)]],
+            record_decisions=True,
+        )
+        for g in (1, 2):
+            assert np.array_equal(stepped.decisions[g], stepped.decisions[0])
+            assert np.array_equal(stepped.costs[g], stepped.costs[0])
+            assert np.array_equal(stepped.totals[g], stepped.totals[0])
 
     def test_rejects_bad_inputs(self):
         slotted = SlottedTrace(np.array([0, 1]), n_files=4, batch_size=2)
@@ -360,7 +327,7 @@ class TestStaticOpt:
             [rng.multinomial(12, [0.4, 0.3, 0.2, 0.1]) for _ in range(8)]
         )
         x, replayed = static_optimum(slotted, 2)
-        assert replayed.tolist() == [cost(b, x) for b in slotted]
+        assert replayed.tolist() == x[slotted.events].reshape(-1, 12).sum(axis=1).tolist()
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -380,6 +347,21 @@ class TestStaticOpt:
         slotted = batch_trace(Trace(events=np.array(events), n_files=n), b)
         x, costs = static_optimum(slotted, c)
         assert costs.dtype == np.int64
-        assert costs.tolist() == [cost(batch, x) for batch in slotted]
+        assert costs.tolist() == x[slotted.events].reshape(-1, b).sum(axis=1).tolist()
         used = events[: slotted.horizon * b]
         assert int(costs.sum()) == brute_force_static_minimum(used, n, c)
+
+
+@pytest.mark.parametrize("cache_size", [-1, 0, 5])
+@pytest.mark.parametrize("policy", [
+    static_optimum,
+    follow_the_leader,
+    least_recently_used,
+    lambda slotted, c: step_perturbed_leaders(
+        slotted, c, [1.0], [EstimatorSpec.exact(2)], [np.random.default_rng(0)], [[None]]
+    ),
+], ids=["opt", "ftl", "lru", "stepper"])
+def test_every_policy_checks_the_cache_size(policy, cache_size):
+    slotted = SlottedTrace(np.array([0, 1, 2, 3]), n_files=4, batch_size=2)
+    with pytest.raises(InvalidInputError, match=r"cache_size must be in \[1, 4\], got"):
+        policy(slotted, cache_size)

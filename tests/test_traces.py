@@ -274,16 +274,18 @@ class TestTraceFileDifferential:
 class TestBatchTrace:
     def test_example(self):
         trace = Trace(events=np.array([1, 2, 1, 3]), n_files=3)
-        batches = batch_trace(trace, 2)
-        assert len(batches) == 2
-        assert batches[0].dense().tolist() == [1, 1, 0]
-        assert batches[1].dense().tolist() == [1, 0, 1]
+        slotted = batch_trace(trace, 2)
+        assert slotted.horizon == 2
+        # slot 0 requests files 0 and 1 once each, slot 1 files 0 and 2
+        assert slotted.ids.tolist() == [0, 1, 0, 2]
+        assert slotted.counts.tolist() == [1, 1, 1, 1]
+        assert slotted.offsets.tolist() == [0, 2, 4]
 
     def test_partial_final_batch_discarded(self):
         trace = Trace(events=np.array([1, 1, 2, 2, 1, 2, 1]), n_files=2)
-        batches = batch_trace(trace, 2)
-        assert len(batches) == 3
-        assert sum(b.total for b in batches) == 6
+        slotted = batch_trace(trace, 2)
+        assert slotted.horizon == 3
+        assert slotted.counts.sum() == 6
 
     def test_too_short_trace(self):
         trace = Trace(events=np.array([1, 2]), n_files=2)
@@ -292,11 +294,11 @@ class TestBatchTrace:
 
     def test_conservation_against_event_counts(self):
         trace = generate_zipf(ZipfConfig(30, 1.0, 4321, seed=6))
-        batches = batch_trace(trace, 100)
-        assert len(batches) == 43
+        slotted = batch_trace(trace, 100)
+        assert slotted.horizon == 43
         used = trace.events[: 43 * 100]
         expected = np.bincount(used - 1, minlength=30)
-        assert np.array_equal(batches.totals(), expected)
+        assert np.array_equal(slotted.totals(), expected)
 
     @settings(deadline=None, max_examples=40)
     @given(
@@ -309,9 +311,10 @@ class TestBatchTrace:
             with pytest.raises(InvalidInputError):
                 batch_trace(trace, batch_size)
             return
-        batches = batch_trace(trace, batch_size)
-        assert len(batches) == len(events) // batch_size
-        assert all(b.total == batch_size for b in batches)
+        slotted = batch_trace(trace, batch_size)
+        assert slotted.horizon == len(events) // batch_size
+        per_slot = np.add.reduceat(slotted.counts, slotted.offsets[:-1])
+        assert per_slot.tolist() == [batch_size] * slotted.horizon
 
     @settings(deadline=None, max_examples=150)
     @given(
@@ -335,7 +338,3 @@ class TestBatchTrace:
         assert np.array_equal(slotted.counts, counts)
         assert np.array_equal(slotted.offsets, offsets)
         assert np.array_equal(slotted.totals(), totals)
-        for t, batch in enumerate(slotted):
-            lo, hi = offsets[t], offsets[t + 1]
-            assert np.array_equal(batch.ids, ids[lo:hi])
-            assert np.array_equal(batch.counts, counts[lo:hi])
