@@ -13,7 +13,7 @@ import io
 import os
 import sys
 
-from .core import InvalidInputError
+from .core import CacheSizeError, InvalidInputError
 from .engine import (
     POLICY_KINDS,
     ExperimentConfig,
@@ -370,7 +370,10 @@ def cmd_run(args) -> int:
     config, _ = load_config(args.config)
     if not config.policies:
         raise ConfigError("run requires at least one [policy:NAME] section")
-    report = run_experiment(config)
+    try:
+        report = run_experiment(config)
+    except CacheSizeError as exc:  # a remapped file's catalog is known once read
+        raise ConfigError(f"[experiment] {exc}") from None
     etas = {
         pol.spec.name: pol.eta for pol in report.policies if pol.eta is not None
     }
@@ -389,14 +392,19 @@ def cmd_sweep(args) -> int:
     rates = sweep["rates"] or DEFAULT_RATES
     variants = sweep["variants"] or DEFAULT_VARIANTS
     cache_sizes = sweep["cache_sizes"]
+    sizes_from = "[sweep] cache_sizes: " if cache_sizes else "[experiment] "
     if args.rates is not None:
         rates = _cli_list(args.rates, float, "--rates")
     if args.variants is not None:
         variants = _cli_list(args.variants, str, "--variants")
     if args.cache_sizes is not None:
         cache_sizes = _cli_list(args.cache_sizes, int, "--cache-sizes")
-    sweep_report = run_sweep(config, rates=rates, variants=variants,
-                             cache_sizes=cache_sizes)
+        sizes_from = "--cache-sizes: "
+    try:
+        sweep_report = run_sweep(config, rates=rates, variants=variants,
+                                 cache_sizes=cache_sizes)
+    except CacheSizeError as exc:
+        raise ConfigError(f"{sizes_from}{exc}") from None
     resolved = {
         "rates": rates,
         "variants": variants,

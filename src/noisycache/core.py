@@ -19,6 +19,15 @@ class InvalidInputError(ValueError):
     """Raised when an argument violates a documented precondition."""
 
 
+class CacheSizeError(InvalidInputError):
+    """Raised for a cache size outside [1, N] on a catalog of N files."""
+
+
+def check_cache_size(cache_size: int, n_files) -> None:
+    if not 1 <= cache_size <= n_files:
+        raise CacheSizeError(f"cache_size must be in [1, {n_files}], got {cache_size}")
+
+
 @dataclass(frozen=True)
 class CatalogConfig:
     """Problem dimensions: catalog size, cache capacity, batch size, horizon."""
@@ -31,10 +40,7 @@ class CatalogConfig:
     def __post_init__(self):
         if self.n_files < 1:
             raise InvalidInputError(f"n_files must be >= 1, got {self.n_files}")
-        if not 1 <= self.cache_size <= self.n_files:
-            raise InvalidInputError(
-                f"cache_size must be in [1, {self.n_files}], got {self.cache_size}"
-            )
+        check_cache_size(self.cache_size, self.n_files)
         if self.batch_size < 1:
             raise InvalidInputError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.horizon < 1:
@@ -64,7 +70,16 @@ def oracle_minimize(score, cache_size: int, recency=None) -> np.ndarray:
     n = score.size
     if not 0 <= cache_size <= n:
         raise InvalidInputError(f"cache_size must be in [0, {n}], got {cache_size}")
+    if recency is not None:
+        recency = np.asarray(recency)
+        if recency.shape != score.shape:
+            raise InvalidInputError("recency must match score's length")
+    return _top_c(score, cache_size, recency)
 
+
+def _top_c(score: np.ndarray, cache_size: int, recency=None) -> np.ndarray:
+    """oracle_minimize without its checks, for callers that made them once."""
+    n = score.size
     missing = np.ones(n, dtype=np.int8)
     if cache_size == 0:
         return missing
@@ -83,10 +98,7 @@ def oracle_minimize(score, cache_size: int, recency=None) -> np.ndarray:
         if recency is None:
             pick = tied[:need]
         else:
-            stamps = np.asarray(recency)
-            if stamps.shape != score.shape:
-                raise InvalidInputError("recency must match score's length")
-            order = np.lexsort((tied, -stamps[tied]))
+            order = np.lexsort((tied, -recency[tied]))
             pick = tied[order[:need]]
         missing[pick] = 0
     return missing

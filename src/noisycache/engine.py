@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .core import CatalogConfig, InvalidInputError
+from .core import CatalogConfig, InvalidInputError, check_cache_size
 from .estimators import EstimatorKind, EstimatorSpec, bound_params
 from .metrics import (
     RegretReport,
@@ -160,8 +160,8 @@ class ExperimentConfig:
     base_seed: int = 0
 
     def __post_init__(self):
-        if self.cache_size < 1:
-            raise InvalidInputError("cache_size must be >= 1")
+        n_files = getattr(self.trace, "n_files", None)  # None: a file yet to be read
+        check_cache_size(self.cache_size, n_files or math.inf)
         if self.batch_size < 1:
             raise InvalidInputError("batch_size must be >= 1")
         if self.runs < 1:
@@ -453,6 +453,8 @@ def run_sweep(
     sizes = tuple(cache_sizes) if cache_sizes else (config.cache_size,)
     if len(set(sizes)) != len(sizes):
         raise InvalidInputError("duplicate cache sizes in sweep")
+    for size in sizes:  # each size, checked as its own experiment before any trace
+        replace(config, cache_size=size)
 
     plan, source, slotted = _prepare(config)
     horizon = slotted.horizon

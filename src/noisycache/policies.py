@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .core import InvalidInputError, oracle_minimize
+from .core import InvalidInputError, _top_c, check_cache_size
 from .estimators import BoundParams, EstimatorKind, estimate_block
 from .traces import SlottedTrace
 
@@ -33,13 +33,6 @@ def compute_eta(bounds: BoundParams, horizon: int) -> float:
     if bounds.diameter <= 0:
         raise InvalidInputError("diameter must be positive to set a perturbation scale")
     return math.sqrt(bounds.cost_bound * bounds.l1_bound * horizon / bounds.diameter)
-
-
-def _check_cache_size(slotted: SlottedTrace, cache_size: int) -> None:
-    if not 1 <= cache_size <= slotted.n_files:
-        raise InvalidInputError(
-            f"cache_size must be in [1, {slotted.n_files}], got {cache_size}"
-        )
 
 
 @dataclass
@@ -79,7 +72,7 @@ def step_perturbed_leaders(
     the sampling generators must be distinct objects, none of them a
     noise generator. sample_rngs[g][r] is ignored for the exact estimator.
     """
-    _check_cache_size(slotted, cache_size)
+    check_cache_size(cache_size, slotted.n_files)
     etas = np.asarray(etas, dtype=np.float64)
     n, c, b, horizon = slotted.n_files, cache_size, slotted.batch_size, slotted.horizon
     groups, runs = etas.size, len(noise_rngs)
@@ -168,7 +161,7 @@ def follow_the_leader(
     Returns the length-T per-slot misses and, when record_decisions is
     set, the T x N int8 decisions (else None).
     """
-    _check_cache_size(slotted, cache_size)
+    check_cache_size(cache_size, slotted.n_files)
     n, b, horizon = slotted.n_files, slotted.batch_size, slotted.horizon
     totals = np.zeros(n, dtype=np.float64)
     stamps = np.full(n, -1, dtype=np.int64)
@@ -178,7 +171,7 @@ def follow_the_leader(
     for t in range(horizon):
         ids = slotted.ids[offsets[t] : offsets[t + 1]]
         counts = slotted.counts[offsets[t] : offsets[t + 1]]
-        missing = oracle_minimize(totals, cache_size, recency=stamps)
+        missing = _top_c(totals, cache_size, stamps)
         costs[t] = counts @ missing[ids]
         if decisions is not None:
             decisions[t] = missing
@@ -194,7 +187,7 @@ def least_recently_used(slotted: SlottedTrace, cache_size: int) -> np.ndarray:
     Replays every request in order; each miss admits the file and evicts
     the least recently used one. Returns the length-T per-slot misses.
     """
-    _check_cache_size(slotted, cache_size)
+    check_cache_size(cache_size, slotted.n_files)
     b = slotted.batch_size
     cache = OrderedDict.fromkeys(range(cache_size))
     costs = np.empty(slotted.horizon, dtype=np.int64)
@@ -219,8 +212,8 @@ def static_optimum(slotted: SlottedTrace, cache_size: int):
     The int8 decision caches the cache_size files with the most requests
     overall, ties to the lowest index; the costs sum to the optimum.
     """
-    _check_cache_size(slotted, cache_size)
-    missing = oracle_minimize(slotted.totals().astype(np.float64), cache_size)
+    check_cache_size(cache_size, slotted.n_files)
+    missing = _top_c(slotted.totals().astype(np.float64), cache_size)
     costs = np.add.reduceat(
         slotted.counts * missing[slotted.ids], slotted.offsets[:-1]
     )

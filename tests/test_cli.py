@@ -242,32 +242,76 @@ class TestRun:
         assert cli.main(["run", "-c", str(config), "-o", str(tmp_path / "o")]) == 2
         assert "warp" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("old,new,where", [
-        ("[policy:var]", "[policy:wild]\nkind = fpl\neta = nan\n[policy:var]",
-         "[policy:wild]"),
-        ("[policy:var]", "[policy:wild]\nkind = fpl\neta = inf\n[policy:var]",
-         "[policy:wild]"),
-        ("alpha = 1.0", "alpha = nan", "[trace]"),
-        ("alpha = 1.0", "alpha = inf", "[trace]"),
-        ("seed = 21", "seed = -1", "[trace]"),
-        ("base_seed = 99", "base_seed = -1", "[experiment]"),
-        ("kind = opt", "kind = opt\n    tiebreak = most-recent", "[policy:opt]"),
-        ("rate = 0.5", "rate = 0.5\n    tiebreak = lowest-index", "[policy:var]"),
-        ("kind = ftl", "kind = ftl\n    tiebreak = most-recent",
+    SWEEP_SIZES = "[sweep]\n    cache_sizes = 10, 50\n    [policy:opt]"
+
+    @pytest.mark.parametrize("argv,old,new,where", [
+        (["run"], "[policy:var]",
+         "[policy:wild]\nkind = fpl\neta = nan\n[policy:var]", "[policy:wild]"),
+        (["run"], "[policy:var]",
+         "[policy:wild]\nkind = fpl\neta = inf\n[policy:var]", "[policy:wild]"),
+        (["run"], "alpha = 1.0", "alpha = nan", "[trace]"),
+        (["run"], "alpha = 1.0", "alpha = inf", "[trace]"),
+        (["run"], "seed = 21", "seed = -1", "[trace]"),
+        (["run"], "base_seed = 99", "base_seed = -1", "[experiment]"),
+        (["run"], "kind = opt", "kind = opt\n    tiebreak = most-recent",
+         "[policy:opt]"),
+        (["run"], "rate = 0.5", "rate = 0.5\n    tiebreak = lowest-index",
+         "[policy:var]"),
+        (["run"], "kind = ftl", "kind = ftl\n    tiebreak = most-recent",
          "[policy:ftl] unsupported key(s): tiebreak"),
-        ("[policy:var]", "[policy:fix]\nkind = nfpl-fix\nrate = 0.5\nsubsample = 5\n"
-         "[policy:var]", "[policy:fix]"),
-        ("seed = 21", "seed = 21\n    path = t.txt", "[trace] unsupported key(s): path"),
-        ("seed = 21", "seed = 21\n    remap = false", "[trace] unsupported key(s): remap"),
-        ("[policy:var]", "[policy:fix]\nkind = nfpl-fix\nsubsample = 50\n[policy:var]",
+        (["run"], "[policy:var]",
+         "[policy:fix]\nkind = nfpl-fix\nrate = 0.5\nsubsample = 5\n[policy:var]",
+         "[policy:fix]"),
+        (["run"], "seed = 21", "seed = 21\n    path = t.txt",
+         "[trace] unsupported key(s): path"),
+        (["run"], "seed = 21", "seed = 21\n    remap = false",
+         "[trace] unsupported key(s): remap"),
+        (["run"], "[policy:var]",
+         "[policy:fix]\nkind = nfpl-fix\nsubsample = 50\n[policy:var]",
          "policy 'fix': subsample must be in [1, 20], got 50"),
+        (["run"], "cache_size = 8", "cache_size = 43",
+         "[experiment] cache_size must be in [1, 40], got 43"),
+        (["sweep"], "cache_size = 8", "cache_size = 43",
+         "[experiment] cache_size must be in [1, 40], got 43"),
+        (["sweep", "--cache-sizes", "10,50"], "", "",
+         "--cache-sizes: cache_size must be in [1, 40], got 50"),
+        (["sweep", "--cache-sizes", "0,5"], "", "",
+         "--cache-sizes: cache_size must be in [1, 40], got 0"),
+        (["sweep"], "[policy:opt]", SWEEP_SIZES,
+         "[sweep] cache_sizes: cache_size must be in [1, 40], got 50"),
     ], ids=["eta-nan", "eta-inf", "alpha-nan", "alpha-inf", "seed", "base-seed",
             "tiebreak-opt", "tiebreak-var", "tiebreak-ftl", "fix-rate-and-subsample",
-            "zipf-path", "zipf-remap", "fix-subsample-above-batch"])
-    def test_rejects_bad_values(self, tmp_path, capsys, old, new, where):
+            "zipf-path", "zipf-remap", "fix-subsample-above-batch",
+            "cache-above-files", "sweep-cache-above-files",
+            "sweep-flag-cache-above-files", "sweep-flag-cache-below-one",
+            "sweep-section-cache-above-files"])
+    def test_rejects_bad_values(self, tmp_path, capsys, argv, old, new, where):
         config = write_config(tmp_path, RUN_CONFIG.replace(old, new))
         out = tmp_path / "o"
-        assert cli.main(["run", "-c", str(config), "-o", str(out)]) == 2
+        command, *flags = argv
+        assert cli.main([command, "-c", str(config), "-o", str(out), *flags]) == 2
+        assert where in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,where", [
+        (["run"], "[experiment] cache_size must be in [1, 40], got 43"),
+        (["sweep"], "[experiment] cache_size must be in [1, 40], got 43"),
+        (["sweep", "--cache-sizes", "40,41"],
+         "--cache-sizes: cache_size must be in [1, 40], got 41"),
+    ], ids=["run", "sweep", "sweep-flag"])
+    def test_cache_size_above_a_read_trace_names_its_source(
+        self, tmp_path, capsys, argv, where
+    ):
+        trace_path = tmp_path / "t.txt"
+        trace_path.write_text("".join(f"{i % 40 + 1}\n" for i in range(400)))
+        config = write_config(
+            tmp_path,
+            "[experiment]\ncache_size = 43\nbatch_size = 10\n"
+            f"[trace]\nkind = file\npath = {trace_path}\n[policy:ftl]\nkind = ftl\n",
+        )
+        out = tmp_path / "o"
+        command, *flags = argv
+        assert cli.main([command, "-c", str(config), "-o", str(out), *flags]) == 2
         assert where in capsys.readouterr().err
         assert not out.exists()
 

@@ -1,5 +1,9 @@
 """Unit tests for the request-count estimators."""
 
+import ctypes
+import sys
+
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -14,6 +18,7 @@ from noisycache import (
     bound_params,
     step_perturbed_leaders,
 )
+from noisycache import estimators
 from noisycache.estimators import estimate_block
 
 
@@ -173,6 +178,89 @@ class TestEstimateBlock:
         rng = np.random.default_rng(22)
         assert np.array_equal(self._block(spec, rng), self.SLOTS.counts)
         assert rng.random() == np.random.default_rng(22).random()
+
+
+@st.composite
+def fixed_blocks(draw):
+    """A CSR block of 1-40 slots of up to 300 requests and a fixed subsample.
+
+    Some slots request a single file, so the routine sees one color.
+    """
+    batch = draw(st.integers(1, 300))
+    slots = draw(st.integers(1, 40))
+    n_files = draw(st.integers(1, 80))
+    events = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(
+        0, n_files, (slots, batch)
+    )
+    single = draw(st.lists(st.booleans(), min_size=slots, max_size=slots))
+    events[single] = events[single, :1]
+    slotted = SlottedTrace(events.ravel(), n_files, batch)
+    spec = EstimatorSpec.fixed_subsample(draw(st.integers(1, batch)), batch)
+    return spec, slotted, draw(st.integers(0, 2**32 - 1))
+
+
+class TestFixedSubsampleRoutine:
+    """The fixed subsampler's C routine against the Generator method."""
+
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.Philox])
+    @settings(max_examples=100, deadline=None)
+    @given(fixed_blocks())
+    def test_matches_the_generator_method_at_real_sizes(self, bit_generator, case):
+        spec, slotted, seed = case
+        rng = np.random.Generator(bit_generator(seed))
+        twin = np.random.Generator(bit_generator(seed))
+        out = np.empty(slotted.counts.size)
+        estimate_block(spec, slotted.counts, slotted.offsets, rng, out)
+        offsets = slotted.offsets
+        expected = np.concatenate([
+            reference_estimate(spec, slotted.counts[lo:hi], twin)
+            for lo, hi in zip(offsets[:-1], offsets[1:])
+        ])
+        assert out.tobytes() == expected.tobytes()
+        assert rng.random() == twin.random()
+
+    # 30 slots of 200 requests over 50 files
+    SLOTS = SlottedTrace(np.random.default_rng(3).integers(0, 50, 30 * 200), 50, 200)
+
+    def _draw(self):
+        rng, spec = np.random.default_rng(9), EstimatorSpec.fixed_subsample(37, 200)
+        out = np.empty(self.SLOTS.counts.size)
+        estimate_block(spec, self.SLOTS.counts, self.SLOTS.offsets, rng, out)
+        return out, rng.random()
+
+    def test_fallback_draws_the_same_bytes(self, monkeypatch):
+        fast = self._draw()
+        monkeypatch.setattr(estimators, "_marginals", lambda: None)
+        slow = self._draw()
+        assert fast[0].tobytes() == slow[0].tobytes()
+        assert fast[1] == slow[1]
+
+    @pytest.mark.skipif(estimators._marginals() is None, reason="no C routine")
+    @pytest.mark.parametrize(
+        "offsets", [[1, 5], [0, 4], [0, 6], [0, 2, 2, 5], [0, 3, 2, 5]]
+    )
+    def test_rejects_offsets_that_leave_the_counts(self, offsets):
+        # the routine reads and writes through raw pointers, so bad slot
+        # bounds must raise rather than touch memory outside the arrays
+        spec, counts = EstimatorSpec.fixed_subsample(1, 2), np.array([1, 1, 1, 1, 1])
+        with pytest.raises(InvalidInputError, match="offsets"):
+            estimate_block(spec, counts, np.array(offsets), np.random.default_rng(0),
+                           np.empty(5))
+
+    def test_routine_is_used_wherever_numpy_exports_it(self, monkeypatch):
+        module = sys.modules[np.random.Generator.__module__]
+        exported = hasattr(
+            ctypes.CDLL(module.__file__), "random_multivariate_hypergeometric_marginals"
+        )
+        routine = estimators._marginals()
+        assert (routine is not None) == exported
+        if routine is not None:
+            calls = []
+            monkeypatch.setattr(
+                estimators, "_marginals", lambda: lambda *a: calls.append(routine(*a))
+            )
+            self._draw()
+            assert len(calls) == 30  # once per slot
 
 
 class TestBoundParams:
