@@ -5,8 +5,12 @@ policy. Seeding follows a fixed derivation so that every run is
 reproducible and, crucially, so that run r of ANY perturbed-leader
 policy draws the same noise sequence: policies under the same run index
 are compared with common random numbers. The perturbed-leader rows of an
-experiment (and the cells of a sweep at one cache size) are therefore
-stepped together, every run at once, by policies.step_perturbed_leaders.
+experiment, and every cell of a sweep at every cache size, are therefore
+stepped in one call to policies.step_perturbed_leaders, every run at
+once. A leader's totals never depend on the cache size, so a sweep draws
+each slot's noise and estimates once for all its sizes, and cells whose
+estimates are equal (full rate, or the same fixed subsample) step once
+and share one series.
 
 Deterministic policies (lru, ftl, opt) run once; their single series
 stands in for all runs, so their decile bands have zero width.
@@ -17,7 +21,7 @@ import math
 
 import numpy as np
 
-from .core import CatalogConfig, InvalidInputError, check_cache_size
+from .core import CacheSizeError, CatalogConfig, InvalidInputError, check_cache_size
 from .estimators import EstimatorKind, EstimatorSpec, bound_params
 from .metrics import (
     RegretReport,
@@ -107,6 +111,11 @@ class PolicySpec:
         """Perturbation scale: the override, else compute_eta's value."""
         if self.eta_override is not None:
             return self.eta_override
+        if catalog.cache_size == catalog.n_files:  # diameter 0: nothing to decide
+            raise CacheSizeError(
+                f"cache_size {catalog.cache_size} holds all {catalog.n_files} files, "
+                f"so policy {self.name!r} has no perturbation scale; set its eta"
+            )
         estimator = self.estimator_spec(catalog.batch_size)
         return compute_eta(bound_params(estimator, catalog), catalog.horizon)
 
@@ -265,9 +274,10 @@ def run_policy(
     )
     decisions = None
     if spec.stochastic:
-        [[series]] = _run_leaders(
-            [spec], catalog, slotted, plan, [run], record_decisions
-        )
+        leader = (spec.estimator_spec(catalog.batch_size), [spec.resolved_eta(catalog)])
+        stepped, [g] = _run_leaders([leader], slotted, [cache_size], plan, [run],
+                                    record_decisions)
+        [series] = _series(spec.name, stepped, 0, g, [run])
         return series
     if spec.kind == "lru":
         costs = least_recently_used(slotted, cache_size)
@@ -280,19 +290,26 @@ def run_policy(
     return RunSeries(policy=spec.name, run=run, costs=costs, decisions=decisions)
 
 
-def _run_leaders(specs, catalog, slotted, plan, runs, record_decisions=False):
-    """Step perturbed-leader specs over `runs` together.
+def _run_leaders(leaders, slotted, sizes, plan, runs, record_decisions=False):
+    """Step perturbed leaders over `runs` at every cache size in one call.
 
-    Run r of every leader reads the run-r noise stream, and each leader
-    gets its own run-r sampling stream. Returns one list of RunSeries
-    per spec, in run order.
+    leaders holds one (estimator, eta at each size) pair per leader. Run r
+    of every leader reads the run-r noise stream, and each leader gets its
+    own run-r sampling stream. Leaders with equal etas whose estimates are
+    equal, because both are full rate or both keep the same fixed
+    subsample, are the same leader and step once. Returns the stepper's
+    LeaderRuns and each leader's column in it.
     """
-    estimators = [spec.estimator_spec(catalog.batch_size) for spec in specs]
+    keys = [
+        (EstimatorSpec.exact(est.batch_size) if est.full_rate else est, tuple(etas))
+        for est, etas in leaders
+    ]
+    distinct = list(dict.fromkeys(keys))
     stepped = step_perturbed_leaders(
         slotted,
-        catalog.cache_size,
-        [spec.resolved_eta(catalog) for spec in specs],
-        estimators,
+        sizes,
+        np.array([etas for _, etas in distinct]).T,
+        [est for est, _ in distinct],
         noise_rngs=[plan.stream(run, SeedPlan.NOISE) for run in runs],
         sample_rngs=[
             [
@@ -300,22 +317,24 @@ def _run_leaders(specs, catalog, slotted, plan, runs, record_decisions=False):
                 else plan.stream(run, SeedPlan.SAMPLING)
                 for run in runs
             ]
-            for est in estimators
+            for est, _ in distinct
         ],
         record_decisions=record_decisions,
     )
+    return stepped, [distinct.index(key) for key in keys]
+
+
+def _series(name, stepped, s, g, runs):
+    """One RunSeries per run of leader column g at cache size index s."""
     return [
-        [
-            RunSeries(
-                policy=spec.name,
-                run=run,
-                costs=stepped.costs[g, i],
-                estimate_totals=stepped.totals[g, i],
-                decisions=None if stepped.decisions is None else stepped.decisions[g, i],
-            )
-            for i, run in enumerate(runs)
-        ]
-        for g, spec in enumerate(specs)
+        RunSeries(
+            policy=name,
+            run=run,
+            costs=stepped.costs[s, g, i],
+            estimate_totals=stepped.totals[g, i],
+            decisions=None if stepped.decisions is None else stepped.decisions[s, g, i],
+        )
+        for i, run in enumerate(runs)
     ]
 
 
@@ -355,11 +374,12 @@ def run_experiment(
     catalog = CatalogConfig(
         slotted.n_files, config.cache_size, config.batch_size, horizon
     )
+    leaders = [spec for spec in config.policies if spec.stochastic]
+    etas = [spec.resolved_eta(catalog) for spec in leaders]  # before any policy runs
     opt_decision, opt_costs = static_optimum(slotted, config.cache_size)
     optimum = int(opt_costs.sum())
 
     reports = {}
-    leaders = [spec for spec in config.policies if spec.stochastic]
     for spec in config.policies:
         if spec.stochastic:
             continue
@@ -376,15 +396,16 @@ def run_experiment(
             spec, None, [series], config.batch_size, optimum, None
         )
     if leaders:
-        stepped = _run_leaders(
-            leaders, catalog, slotted, plan, range(config.runs), record_decisions
+        estimators = [spec.estimator_spec(config.batch_size) for spec in leaders]
+        stepped, columns = _run_leaders(
+            [(est, [eta]) for est, eta in zip(estimators, etas)],
+            slotted, [config.cache_size], plan, range(config.runs), record_decisions,
         )
-        for spec, series in zip(leaders, stepped):
-            est = spec.estimator_spec(config.batch_size)
+        for spec, est, eta, g in zip(leaders, estimators, etas, columns):
+            series = _series(spec.name, stepped, 0, g, range(config.runs))
             bound = regret_bound(bound_params(est, catalog), horizon)
             reports[spec.name] = _aggregate(
-                spec, spec.resolved_eta(catalog), series, config.batch_size,
-                optimum, bound,
+                spec, eta, series, config.batch_size, optimum, bound
             )
 
     return ExperimentReport(
@@ -430,9 +451,13 @@ def run_sweep(
     The perturbation scale is pinned per cache size to the exact-estimate
     value (the rate-independent choice), so cells differ only in what the
     estimator samples; this is the scale the fixed subsampler would pick
-    for itself at any rate. All cells of one cache size are stepped
-    together. Cells are emitted cache size by cache size, variants in the
-    order given, rates in the order given, with config.runs runs each.
+    for itself at any rate. Every cell at every cache size is stepped in
+    one pass: each slot's noise and estimates are drawn once and serve all
+    sizes, and cells with equal estimates (the full-rate cells of both
+    variants, or fix rates that round to one subsample) step once and
+    share their series. Cells are emitted cache size by cache size,
+    variants in the order given, rates in the order given, with
+    config.runs runs each.
     """
     rates = tuple(float(r) for r in rates)
     if not rates:
@@ -457,39 +482,37 @@ def run_sweep(
         replace(config, cache_size=size)
 
     plan, source, slotted = _prepare(config)
-    horizon = slotted.horizon
-    catalogs = [
-        CatalogConfig(slotted.n_files, size, config.batch_size, horizon)
-        for size in sizes
+    horizon, b = slotted.horizon, config.batch_size
+    catalogs = [CatalogConfig(slotted.n_files, size, b, horizon) for size in sizes]
+    if slotted.n_files in sizes:  # diameter 0: nothing to decide
+        raise CacheSizeError(
+            f"cache_size {slotted.n_files} holds all {slotted.n_files} files, "
+            "so the sweep has no perturbation scale to pin"
+        )
+    pinned = [PolicySpec("fpl", "fpl").resolved_eta(catalog) for catalog in catalogs]
+    grid = [(variant, rate) for variant in variants for rate in rates]
+    leaders = [
+        (PolicySpec("cell", f"nfpl-{variant}", rate=rate).estimator_spec(b), pinned)
+        for variant, rate in grid
     ]
+    stepped, columns = _run_leaders(leaders, slotted, sizes, plan, range(config.runs))
 
     cells = []
-    for catalog in catalogs:
-        size = catalog.cache_size
-        pinned_eta = PolicySpec("fpl", "fpl").resolved_eta(catalog)
-        specs = [
-            PolicySpec(
-                name=f"nfpl-{variant}-r{rate:g}-c{size}",
-                kind=f"nfpl-{variant}",
-                rate=rate,
-                eta_override=pinned_eta,
-            )
-            for variant in variants
-            for rate in rates
-        ]
-        stepped = _run_leaders(specs, catalog, slotted, plan, range(config.runs))
-        for spec, series in zip(specs, stepped):
-            mean, d1, d9 = _band(series, config.batch_size)
+    for s, size in enumerate(sizes):
+        for (variant, rate), g in zip(grid, columns):
+            name = f"nfpl-{variant}-r{rate:g}-c{size}"
+            series = _series(name, stepped, s, g, range(config.runs))
+            mean, d1, d9 = _band(series, b)
             cells.append(
                 SweepCell(
-                    variant=spec.kind.removeprefix("nfpl-"),
-                    rate=spec.rate,
+                    variant=variant,
+                    rate=rate,
                     cache_size=size,
-                    eta=pinned_eta,
+                    eta=pinned[s],
                     final_mean=float(mean[-1]),
                     final_d1=float(d1[-1]),
                     final_d9=float(d9[-1]),
-                    runs=list(series),
+                    runs=series,
                 )
             )
     return SweepReport(

@@ -37,11 +37,12 @@ def compute_eta(bounds: BoundParams, horizon: int) -> float:
 
 @dataclass
 class LeaderRuns:
-    """What step_perturbed_leaders returns for G leaders over R runs.
+    """What step_perturbed_leaders returns for G leaders over R runs at S sizes.
 
-    costs is G x R x T (misses per slot), totals G x R x N (the final
-    accumulated estimates), and decisions, when recorded, G x R x T x N
-    int8 with 1 marking a file left out of the cache.
+    costs is S x G x R x T (misses per slot at each cache size), totals
+    G x R x N (the final accumulated estimates, which no cache size
+    changes), and decisions, when recorded, S x G x R x T x N int8 with 1
+    marking a file left out of the cache.
     """
 
     costs: np.ndarray
@@ -51,35 +52,42 @@ class LeaderRuns:
 
 def step_perturbed_leaders(
     slotted: SlottedTrace,
-    cache_size: int,
+    cache_sizes,
     etas,
     estimators,
     noise_rngs,
     sample_rngs,
     record_decisions: bool = False,
 ) -> LeaderRuns:
-    """Step G perturbed leaders over R runs each, all rows slot by slot.
+    """Step G perturbed leaders over R runs at S cache sizes, slot by slot.
 
-    Leader g at run r is follow-the-perturbed-leader: each slot it caches
-    the cache_size files with the largest totals + etas[g] * u, ties at
-    the boundary going to the lowest index, and pays the slot's misses;
-    only then does it add estimators[g]'s estimate of the slot's counts,
-    drawn from sample_rngs[g][r], to its totals. u is a fresh
-    standard-uniform vector from noise_rngs[r], shared by every leader at
-    run r (common random numbers). The top C of all G * R score rows are
-    taken at once. Each row draws its estimates a block of slots at a
-    time (estimators.estimate_block), and full-rate rows draw none, so
-    the sampling generators must be distinct objects, none of them a
-    noise generator. sample_rngs[g][r] is ignored for the exact estimator.
+    Leader g at run r and size s is follow-the-perturbed-leader: each slot
+    it caches the cache_sizes[s] files with the largest
+    totals + etas[s][g] * u, ties at the boundary going to the lowest
+    index, and pays the slot's misses; only then does it add
+    estimators[g]'s estimate of the slot's counts, drawn from
+    sample_rngs[g][r], to its totals. u is a fresh standard-uniform vector
+    from noise_rngs[r], shared by every leader and size at run r (common
+    random numbers). Since the totals never depend on the cache size,
+    each slot draws u and the estimates once, and every size scores,
+    ranks and charges all G * R rows from them in turn. Each row draws
+    its estimates a block of slots at a time (estimators.estimate_block),
+    and full-rate rows draw none, so the sampling generators must be
+    distinct objects, none of them a noise generator.
+    sample_rngs[g][r] is ignored for the exact estimator.
     """
-    check_cache_size(cache_size, slotted.n_files)
+    sizes = list(cache_sizes)
     etas = np.asarray(etas, dtype=np.float64)
-    n, c, b, horizon = slotted.n_files, cache_size, slotted.batch_size, slotted.horizon
-    groups, runs = etas.size, len(noise_rngs)
-    if groups < 1 or runs < 1:
-        raise InvalidInputError("need at least one leader and one run")
+    n, b, horizon = slotted.n_files, slotted.batch_size, slotted.horizon
+    for c in sizes:
+        check_cache_size(c, n)
+    if etas.ndim != 2 or etas.shape[0] != len(sizes):
+        raise InvalidInputError("etas must hold one row of leader etas per cache size")
+    groups, runs = etas.shape[1], len(noise_rngs)
+    if not sizes or groups < 1 or runs < 1:
+        raise InvalidInputError("need at least one cache size, leader and run")
     if len(estimators) != groups or len(sample_rngs) != groups:
-        raise InvalidInputError("etas, estimators and sample_rngs must have equal length")
+        raise InvalidInputError("estimators and sample_rngs need one entry per leader")
     if not np.all(np.isfinite(etas)) or np.any(etas < 0):
         raise InvalidInputError(f"etas must be finite and >= 0, got {etas.tolist()}")
     for spec, rngs in zip(estimators, sample_rngs):
@@ -102,20 +110,19 @@ def step_perturbed_leaders(
     totals = np.zeros((groups, runs, n))
     score = np.empty_like(totals)
     noise = np.empty((runs, n))
-    scale = etas[:, None, None]
+    scales = etas[:, :, None, None]
     row_totals = totals.reshape(rows, n)
     row_score = score.reshape(rows, n)
     parted = np.empty((rows, n))
     cached = np.empty((rows, n), dtype=bool)
-    costs = np.empty((groups, runs, horizon), dtype=np.int64)
-    row_costs = costs.reshape(rows, horizon)
+    costs = np.empty((len(sizes), groups, runs, horizon), dtype=np.int64)
+    row_costs = costs.reshape(len(sizes), rows, horizon)
     decisions = row_decisions = None
     if record_decisions:
-        decisions = np.empty((groups, runs, horizon, n), dtype=np.int8)
-        row_decisions = decisions.reshape(rows, horizon, n)
+        decisions = np.empty((len(sizes), groups, runs, horizon, n), dtype=np.int8)
+        row_decisions = decisions.reshape(len(sizes), rows, horizon, n)
     # one buffer of at most n estimates per row: a slot holds at most n ids
     block = np.empty((rows, n))
-    kth = n - c
     offsets = slotted.offsets
     stop = 0
 
@@ -131,22 +138,25 @@ def step_perturbed_leaders(
         counts = slotted.counts[offsets[t] : offsets[t + 1]]
         for r, rng in enumerate(noise_rngs):
             rng.random(out=noise[r])
-        # eta * random() is bit for bit uniform(0, eta)
-        np.multiply(noise, scale, out=score)
-        score += totals
-        np.copyto(parted, row_score)
-        parted.partition(kth, axis=1)
-        threshold = parted[:, kth : kth + 1]
-        # everything at or above each row's C-th largest score; rows with
-        # boundary ties hold too many and drop their highest tied indices
-        np.greater_equal(row_score, threshold, out=cached)
-        excess = np.count_nonzero(cached, axis=1) - c
-        for k in np.flatnonzero(excess):
-            tied = np.flatnonzero(row_score[k] == threshold[k])
-            cached[k, tied[tied.size - excess[k] :]] = False
-        row_costs[:, t] = b - cached[:, ids] @ counts
-        if row_decisions is not None:
-            row_decisions[:, t] = ~cached
+        for s, c in enumerate(sizes):
+            # eta * random() is bit for bit uniform(0, eta)
+            np.multiply(noise, scales[s], out=score)
+            score += totals
+            np.copyto(parted, row_score)
+            parted.partition(n - c, axis=1)
+            threshold = parted[:, n - c : n - c + 1]
+            # everything at or above each row's C-th largest score; rows with
+            # boundary ties hold too many and drop their highest tied indices.
+            # No row holds fewer than c, so one total finds whether any tie.
+            np.greater_equal(row_score, threshold, out=cached)
+            if np.count_nonzero(cached) > rows * c:
+                excess = np.count_nonzero(cached, axis=1) - c
+                for k in np.flatnonzero(excess):
+                    tied = np.flatnonzero(row_score[k] == threshold[k])
+                    cached[k, tied[tied.size - excess[k] :]] = False
+            row_costs[s, :, t] = b - cached[:, ids] @ counts
+            if row_decisions is not None:
+                row_decisions[s, :, t] = ~cached
         row_totals[:, ids] += block[:, offsets[t] - base : offsets[t + 1] - base]
     return LeaderRuns(costs=costs, totals=totals, decisions=decisions)
 

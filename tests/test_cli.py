@@ -279,12 +279,24 @@ class TestRun:
          "--cache-sizes: cache_size must be in [1, 40], got 0"),
         (["sweep"], "[policy:opt]", SWEEP_SIZES,
          "[sweep] cache_sizes: cache_size must be in [1, 40], got 50"),
+        (["run"], "cache_size = 8", "cache_size = 40",
+         "[experiment] cache_size 40 holds all 40 files, so policy 'var' has no "
+         "perturbation scale; set its eta"),
+        (["sweep"], "cache_size = 8", "cache_size = 40",
+         "[experiment] cache_size 40 holds all 40 files, so the sweep has no "
+         "perturbation scale to pin"),
+        (["sweep", "--cache-sizes", "5,40"], "", "",
+         "--cache-sizes: cache_size 40 holds all 40 files"),
+        (["sweep"], "[policy:opt]", SWEEP_SIZES.replace("10, 50", "5, 40"),
+         "[sweep] cache_sizes: cache_size 40 holds all 40 files"),
     ], ids=["eta-nan", "eta-inf", "alpha-nan", "alpha-inf", "seed", "base-seed",
             "tiebreak-opt", "tiebreak-var", "tiebreak-ftl", "fix-rate-and-subsample",
             "zipf-path", "zipf-remap", "fix-subsample-above-batch",
             "cache-above-files", "sweep-cache-above-files",
             "sweep-flag-cache-above-files", "sweep-flag-cache-below-one",
-            "sweep-section-cache-above-files"])
+            "sweep-section-cache-above-files", "cache-holds-all-files",
+            "sweep-cache-holds-all-files", "sweep-flag-cache-holds-all-files",
+            "sweep-section-cache-holds-all-files"])
     def test_rejects_bad_values(self, tmp_path, capsys, argv, old, new, where):
         config = write_config(tmp_path, RUN_CONFIG.replace(old, new))
         out = tmp_path / "o"

@@ -1,5 +1,7 @@
 """Unit tests for the experiment engine."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -334,6 +336,32 @@ class TestRunSweep:
             run_sweep(self.base_config(), rates=(0.5, 0.5))
         with pytest.raises(InvalidInputError, match="duplicate cache sizes"):
             run_sweep(self.base_config(), rates=(0.5,), cache_sizes=(5, 5))
+
+    def test_twin_cells_agree_and_each_cell_equals_its_own_experiment(self):
+        # at rate 1.0 fix and var are one full-rate leader, and fix rates
+        # 0.01 and 0.02 both keep one event of 20; stepped once, each cell
+        # must still be what an experiment of that one policy gives
+        cfg = self.base_config()
+        report = run_sweep(cfg, rates=(0.01, 0.02, 1.0), cache_sizes=(4, 8))
+        cells = {(c.cache_size, c.variant, c.rate): c for c in report.cells}
+        for size in (4, 8):
+            for a, b in [(("fix", 1.0), ("var", 1.0)), (("fix", 0.01), ("fix", 0.02))]:
+                for ra, rb in zip(cells[(size, *a)].runs, cells[(size, *b)].runs):
+                    assert np.array_equal(ra.costs, rb.costs)
+                    assert np.array_equal(ra.estimate_totals, rb.estimate_totals)
+        for cell in report.cells:
+            spec = PolicySpec(
+                "solo", f"nfpl-{cell.variant}", rate=cell.rate, eta_override=cell.eta
+            )
+            solo = run_experiment(
+                replace(cfg, cache_size=cell.cache_size, policies=(spec,))
+            ).policy("solo")
+            assert solo.final_mean == cell.final_mean
+            assert solo.final_d1 == cell.final_d1
+            assert solo.final_d9 == cell.final_d9
+            for ra, rb in zip(solo.runs, cell.runs, strict=True):
+                assert np.array_equal(ra.costs, rb.costs)
+                assert np.array_equal(ra.estimate_totals, rb.estimate_totals)
 
     def test_every_cell_equals_its_solo_run_policy(self):
         # cells stepped together must match each cell run on its own

@@ -29,7 +29,7 @@ def _step_one_slot(spec, sample_rng):
     """Run spec through the stepper, the sampler's one caller, on one slot."""
     slotted = SlottedTrace(np.repeat([0, 1, 2], [3, 2, 1]), n_files=4, batch_size=6)
     noise_rng = np.random.default_rng(0)
-    step_perturbed_leaders(slotted, 2, [1.0], [spec], [noise_rng], [[sample_rng]])
+    step_perturbed_leaders(slotted, [2], [[1.0]], [spec], [noise_rng], [[sample_rng]])
 
 
 class TestSpecValidation:

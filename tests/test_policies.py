@@ -154,24 +154,59 @@ def leader_problems(draw):
             max_size=4,
         )
     )
-    estimators = []
-    for kind, rate, _ in leaders:
-        if kind == "fpl":
-            estimators.append(EstimatorSpec.exact(b))
-        elif kind == "fix":
-            estimators.append(EstimatorSpec.fixed_subsample(max(1, round(rate * b)), b))
-        else:
-            estimators.append(EstimatorSpec.bernoulli(rate, b))
+    estimators = [_estimator(kind, rate, b) for kind, rate, _ in leaders]
     etas = [eta for _, _, eta in leaders]
     runs = draw(st.integers(1, 4))
     seed = draw(st.integers(0, 2**32 - 1))
     return slotted, c, etas, estimators, runs, SeedPlan(seed)
 
 
+def _estimator(kind, rate, b):
+    if kind == "fpl":
+        return EstimatorSpec.exact(b)
+    if kind == "fix":
+        return EstimatorSpec.fixed_subsample(max(1, round(rate * b)), b)
+    return EstimatorSpec.bernoulli(rate, b)
+
+
+@st.composite
+def multi_size_problems(draw):
+    """leader_problems at 1-3 distinct cache sizes, one eta per (size, leader).
+
+    Etas repeat across sizes and leaders and include zero; every horizon
+    has more slots than one sampling block of n_files entries can hold.
+    """
+    n = draw(st.integers(2, 9))
+    sizes = draw(st.lists(st.integers(1, n), min_size=1, max_size=3, unique=True))
+    b = draw(st.integers(1, 12))
+    horizon = draw(st.integers(n + 1, 30))
+    events = np.array(
+        draw(st.lists(st.integers(0, n - 1), min_size=horizon * b, max_size=horizon * b))
+    )
+    slotted = SlottedTrace(events, n_files=n, batch_size=b)
+    kinds = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["fpl", "fix", "var"]),
+                st.one_of(st.just(1.0), st.floats(0.05, 1.0)),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    eta = st.one_of(st.sampled_from([0.0, 3.0]), st.floats(0.0, 40.0))
+    row = st.lists(eta, min_size=len(kinds), max_size=len(kinds))
+    etas = draw(st.lists(row, min_size=len(sizes), max_size=len(sizes)))
+    estimators = [_estimator(kind, rate, b) for kind, rate in kinds]
+    runs = draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return slotted, sizes, etas, estimators, runs, SeedPlan(seed)
+
+
 def _step_exact(slotted, cache_size, eta, noise_rngs):
     """One exact leader at eta over one run per noise generator, decisions kept."""
     return step_perturbed_leaders(
-        slotted, cache_size, [eta], [EstimatorSpec.exact(slotted.batch_size)],
+        slotted, [cache_size], [[eta]], [EstimatorSpec.exact(slotted.batch_size)],
         noise_rngs, [[None] * len(noise_rngs)], record_decisions=True,
     )
 
@@ -183,8 +218,8 @@ class TestStepPerturbedLeaders:
         slotted, c, etas, estimators, runs, plan = problem
         stepped = step_perturbed_leaders(
             slotted,
-            c,
-            etas,
+            [c],
+            [etas],
             estimators,
             [plan.stream(r, SeedPlan.NOISE) for r in range(runs)],
             [[plan.stream(r, SeedPlan.SAMPLING) for r in range(runs)] for _ in etas],
@@ -196,14 +231,69 @@ class TestStepPerturbedLeaders:
                     slotted, c, eta, est,
                     plan.stream(r, SeedPlan.NOISE), plan.stream(r, SeedPlan.SAMPLING),
                 )
-                assert np.array_equal(stepped.costs[g, r], costs)
+                assert np.array_equal(stepped.costs[0, g, r], costs)
                 assert np.array_equal(stepped.totals[g, r], totals)
-                assert np.array_equal(stepped.decisions[g, r], decisions)
+                assert np.array_equal(stepped.decisions[0, g, r], decisions)
+
+    @settings(max_examples=100, deadline=None)
+    @given(multi_size_problems())
+    def test_every_cache_size_matches_its_reference_run(self, problem):
+        # one call steps every size from the same noise, estimates and totals
+        slotted, sizes, etas, estimators, runs, plan = problem
+        stepped = step_perturbed_leaders(
+            slotted,
+            sizes,
+            etas,
+            estimators,
+            [plan.stream(r, SeedPlan.NOISE) for r in range(runs)],
+            [[plan.stream(r, SeedPlan.SAMPLING) for r in range(runs)]
+             for _ in estimators],
+            record_decisions=True,
+        )
+        shape = (len(sizes), len(estimators), runs, slotted.horizon)
+        assert stepped.costs.shape == shape
+        for s, c in enumerate(sizes):
+            for g, est in enumerate(estimators):
+                for r in range(runs):
+                    costs, totals, decisions = reference_leader_run(
+                        slotted, c, etas[s][g], est,
+                        plan.stream(r, SeedPlan.NOISE),
+                        plan.stream(r, SeedPlan.SAMPLING),
+                    )
+                    assert np.array_equal(stepped.costs[s, g, r], costs)
+                    assert np.array_equal(stepped.totals[g, r], totals)
+                    assert np.array_equal(stepped.decisions[s, g, r], decisions)
+
+    def test_only_tied_rows_drop_their_highest_tied_indices(self):
+        # after slot 0 the totals are [2, 1, 1, 0]: at eta 0 and C=2 files 1
+        # and 2 tie at the boundary and file 2 must go; the noisy rows hold
+        # exactly their top two, and at C=1 slot 1 has no tie
+        events = np.array([0, 1, 2, 0, 3, 3, 3, 3])
+        slotted = SlottedTrace(events, n_files=4, batch_size=4)
+        exact = EstimatorSpec.exact(4)
+        etas = [[0.0, 0.5, 5.0], [0.0, 0.5, 5.0]]
+        seeds = (21, 22)
+        stepped = step_perturbed_leaders(
+            slotted, [2, 1], etas, [exact] * 3,
+            [np.random.default_rng(s) for s in seeds], [[None, None]] * 3,
+            record_decisions=True,
+        )
+        for r in range(2):
+            assert stepped.decisions[0, 0, r, 1].tolist() == [0, 0, 1, 1]
+            assert stepped.decisions[1, 0, r, 1].tolist() == [0, 1, 1, 1]
+        for s, c in enumerate([2, 1]):
+            for g in (1, 2):
+                for r, seed in enumerate(seeds):
+                    costs, _, decisions = reference_leader_run(
+                        slotted, c, etas[s][g], exact, np.random.default_rng(seed), None
+                    )
+                    assert np.array_equal(stepped.decisions[s, g, r], decisions)
+                    assert np.array_equal(stepped.costs[s, g, r], costs)
 
     def test_zero_eta_first_decision_caches_lowest_indices(self):
         slotted = SlottedTrace(np.array([4, 3]), n_files=5, batch_size=2)
         stepped = _step_exact(slotted, 3, 0.0, [np.random.default_rng(1)])
-        assert stepped.decisions[0, 0, 0].tolist() == [0, 0, 0, 1, 1]
+        assert stepped.decisions[0, 0, 0, 0].tolist() == [0, 0, 0, 1, 1]
 
     def test_tiny_noise_cannot_overturn_a_large_lead(self):
         # slot 0 gives file 0 a lead of 10; 50 runs each draw fresh noise
@@ -211,7 +301,7 @@ class TestStepPerturbedLeaders:
         rngs = [np.random.default_rng(2 + r) for r in range(50)]
         stepped = _step_exact(slotted, 1, 1e-6, rngs)
         for r in range(50):
-            assert stepped.decisions[0, r, 1].tolist() == [0, 1, 1]
+            assert stepped.decisions[0, 0, r, 1].tolist() == [0, 1, 1]
 
     def test_exact_observation_accumulates_true_counts(self):
         slotted = SlottedTrace(np.array([0, 1, 1, 1, 2, 3]), n_files=4, batch_size=3)
@@ -224,7 +314,7 @@ class TestStepPerturbedLeaders:
         stepped = _step_exact(slotted, 8, 0.0, [np.random.default_rng(4)])
         totals = np.zeros(40)
         for t, window in enumerate(slotted.events.reshape(-1, 20)):
-            assert np.array_equal(stepped.decisions[0, 0, t], oracle_minimize(totals, 8))
+            assert np.array_equal(stepped.decisions[0, 0, 0, t], oracle_minimize(totals, 8))
             totals += np.bincount(window, minlength=40)
 
     def test_degenerate_samplers_match_exact_decisions(self):
@@ -232,13 +322,13 @@ class TestStepPerturbedLeaders:
         specs = [EstimatorSpec.exact(10), EstimatorSpec.fixed_subsample(10, 10),
                  EstimatorSpec.bernoulli(1.0, 10)]
         stepped = step_perturbed_leaders(
-            slotted, 5, [25.0] * 3, specs, [np.random.default_rng(77)],
+            slotted, [5], [[25.0] * 3], specs, [np.random.default_rng(77)],
             [[None], [np.random.default_rng(5)], [np.random.default_rng(6)]],
             record_decisions=True,
         )
         for g in (1, 2):
-            assert np.array_equal(stepped.decisions[g], stepped.decisions[0])
-            assert np.array_equal(stepped.costs[g], stepped.costs[0])
+            assert np.array_equal(stepped.decisions[:, g], stepped.decisions[:, 0])
+            assert np.array_equal(stepped.costs[:, g], stepped.costs[:, 0])
             assert np.array_equal(stepped.totals[g], stepped.totals[0])
 
     def test_rejects_bad_inputs(self):
@@ -246,20 +336,20 @@ class TestStepPerturbedLeaders:
         rng = np.random.default_rng(0)
         exact = EstimatorSpec.exact(2)
         with pytest.raises(InvalidInputError):
-            step_perturbed_leaders(slotted, 2, [float("nan")], [exact], [rng], [[None]])
+            step_perturbed_leaders(slotted, [2], [[float("nan")]], [exact], [rng], [[None]])
         with pytest.raises(InvalidInputError):
-            step_perturbed_leaders(slotted, 2, [-1.0], [exact], [rng], [[None]])
+            step_perturbed_leaders(slotted, [2], [[-1.0]], [exact], [rng], [[None]])
         with pytest.raises(InvalidInputError):
             step_perturbed_leaders(
-                slotted, 2, [1.0], [EstimatorSpec.bernoulli(0.5, 2)], [rng], [[None]]
+                slotted, [2], [[1.0]], [EstimatorSpec.bernoulli(0.5, 2)], [rng], [[None]]
             )
         with pytest.raises(InvalidInputError):
             step_perturbed_leaders(
-                slotted, 2, [1.0], [EstimatorSpec.exact(3)], [rng], [[None]]
+                slotted, [2], [[1.0]], [EstimatorSpec.exact(3)], [rng], [[None]]
             )
         for size in (0, 5):
             with pytest.raises(InvalidInputError, match="cache_size"):
-                step_perturbed_leaders(slotted, size, [1.0], [exact], [rng], [[None]])
+                step_perturbed_leaders(slotted, [size], [[1.0]], [exact], [rng], [[None]])
 
     def test_rejects_shared_sampling_generators(self):
         # block draws would reorder the draws of a generator two rows share
@@ -275,11 +365,11 @@ class TestStepPerturbedLeaders:
         ]:
             with pytest.raises(InvalidInputError, match="own generator"):
                 step_perturbed_leaders(
-                    slotted, 2, [1.0] * len(specs), specs, noise_rngs, sample_rngs
+                    slotted, [2], [[1.0] * len(specs)], specs, noise_rngs, sample_rngs
                 )
         exact = EstimatorSpec.exact(2)  # its generator is never drawn from
         step_perturbed_leaders(
-            slotted, 2, [1.0, 1.0], [exact, var], [noise], [[noise], [shared]]
+            slotted, [2], [[1.0, 1.0]], [exact, var], [noise], [[noise], [shared]]
         )
 
 
@@ -358,7 +448,8 @@ class TestStaticOpt:
     follow_the_leader,
     least_recently_used,
     lambda slotted, c: step_perturbed_leaders(
-        slotted, c, [1.0], [EstimatorSpec.exact(2)], [np.random.default_rng(0)], [[None]]
+        slotted, [c], [[1.0]], [EstimatorSpec.exact(2)], [np.random.default_rng(0)],
+        [[None]],
     ),
 ], ids=["opt", "ftl", "lru", "stepper"])
 def test_every_policy_checks_the_cache_size(policy, cache_size):
