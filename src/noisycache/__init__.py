@@ -9,7 +9,7 @@ hindsight optimum), the metrics to compare them, and an experiment
 engine plus CLI wrapping the whole protocol.
 """
 
-from .core import CatalogConfig, InvalidInputError, oracle_minimize
+from .core import InvalidInputError, oracle_minimize
 from .engine import (
     ExperimentConfig,
     ExperimentReport,
@@ -19,7 +19,6 @@ from .engine import (
     SweepCell,
     SweepReport,
     run_experiment,
-    run_policy,
     run_sweep,
 )
 from .estimators import BoundParams, EstimatorKind, EstimatorSpec, bound_params
@@ -56,7 +55,6 @@ from .traces import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CatalogConfig",
     "InvalidInputError",
     "oracle_minimize",
     "Trace",
@@ -93,7 +91,6 @@ __all__ = [
     "PolicyReport",
     "SweepCell",
     "SweepReport",
-    "run_policy",
     "run_experiment",
     "run_sweep",
     "__version__",

@@ -1,13 +1,15 @@
 """Command-line interface: trace generation, experiment runs, rate sweeps.
 
 Exit codes: 0 on success, 2 for usage/config/input errors, 1 for
-unexpected runtime failures. Output files are rendered fully in memory
+unexpected runtime failures. Every usage error names its source: a flag,
+or a config section and key. Output files are rendered fully in memory
 and committed atomically (temp file + rename), so a failed invocation
 never leaves partial CSVs behind.
 """
 
 import argparse
 import configparser
+import contextlib
 import csv
 import io
 import os
@@ -18,6 +20,8 @@ from .engine import (
     POLICY_KINDS,
     ExperimentConfig,
     PolicySpec,
+    check_sweep_rates,
+    check_sweep_variants,
     run_experiment,
     run_sweep,
 )
@@ -93,6 +97,14 @@ def _reject_unknown(section, section_name, allowed):
         )
 
 
+def _named(source, build, *args, **kwargs):
+    """build(*args, **kwargs), with an input error reported as from source."""
+    try:
+        return build(*args, **kwargs)
+    except InvalidInputError as exc:
+        raise ConfigError(f"{source}{exc}") from None
+
+
 def _parse_trace_section(section):
     kind = _typed(section, "trace", "kind", str, required=True).strip().lower()
     if kind not in _TRACE_KEYS:
@@ -122,16 +134,15 @@ def _parse_trace_section(section):
 def _parse_policy_section(section, section_name, policy_name):
     _reject_unknown(section, section_name, _POLICY_KEYS)
     kind = _typed(section, section_name, "kind", str, required=True).strip().lower()
-    try:
-        return PolicySpec(
-            name=policy_name,
-            kind=kind,
-            rate=_typed(section, section_name, "rate", float),
-            subsample=_typed(section, section_name, "subsample", int),
-            eta_override=_typed(section, section_name, "eta", float),
-        )
-    except InvalidInputError as exc:
-        raise ConfigError(f"[{section_name}] {exc}") from None
+    return _named(
+        f"[{section_name}] ",
+        PolicySpec,
+        name=policy_name,
+        kind=kind,
+        rate=_typed(section, section_name, "rate", float),
+        subsample=_typed(section, section_name, "subsample", int),
+        eta_override=_typed(section, section_name, "eta", float),
+    )
 
 
 def load_config(path: str):
@@ -154,10 +165,7 @@ def load_config(path: str):
 
     exp = parser["experiment"]
     _reject_unknown(exp, "experiment", _EXPERIMENT_KEYS)
-    try:
-        trace = _parse_trace_section(parser["trace"])
-    except InvalidInputError as exc:
-        raise ConfigError(f"[trace] {exc}") from None
+    trace = _named("[trace] ", _parse_trace_section, parser["trace"])
 
     policies = []
     for name in parser.sections():
@@ -181,17 +189,16 @@ def load_config(path: str):
             section, "sweep", "cache_sizes", lambda raw: _split_list(raw, int)
         )
 
-    try:
-        config = ExperimentConfig(
-            trace=trace,
-            cache_size=_typed(exp, "experiment", "cache_size", int, required=True),
-            batch_size=_typed(exp, "experiment", "batch_size", int, required=True),
-            policies=tuple(policies),
-            runs=_typed(exp, "experiment", "runs", int, default=1),
-            base_seed=_typed(exp, "experiment", "base_seed", int, default=0),
-        )
-    except InvalidInputError as exc:
-        raise ConfigError(f"[experiment] {exc}") from None
+    config = _named(
+        "[experiment] ",
+        ExperimentConfig,
+        trace=trace,
+        cache_size=_typed(exp, "experiment", "cache_size", int, required=True),
+        batch_size=_typed(exp, "experiment", "batch_size", int, required=True),
+        policies=tuple(policies),
+        runs=_typed(exp, "experiment", "runs", int, default=1),
+        base_seed=_typed(exp, "experiment", "base_seed", int, default=0),
+    )
     return config, sweep
 
 
@@ -216,7 +223,7 @@ def _render_csv(header, rows) -> str:
 def _render_series(report) -> str:
     rows = []
     for pol in report.policies:
-        for t in range(report.catalog.horizon):
+        for t in range(report.horizon):
             rows.append(
                 (
                     t + 1,
@@ -324,44 +331,65 @@ def _render_echo(config, trace_source, policy_etas=None, sweep=None) -> str:
     return buf.getvalue()
 
 
+@contextlib.contextmanager
+def _output_to(path: str):
+    """Report an --output path that is the wrong kind of file as a usage error.
+
+    Other OS errors, a full disk say, stay runtime failures.
+    """
+    try:
+        yield
+    except (FileExistsError, IsADirectoryError, NotADirectoryError) as exc:
+        where = exc.filename2 or exc.filename
+        raise ConfigError(
+            f"--output {path} cannot be used: {exc.strerror}: {where}"
+        ) from None
+
+
 def _commit_files(out_dir: str, files: dict) -> None:
     """Write every file atomically; leave nothing behind on failure."""
-    os.makedirs(out_dir, exist_ok=True)
     temps = []
-    try:
-        for name, text in files.items():
-            tmp = os.path.join(out_dir, f".{name}.tmp")
-            with open(tmp, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-            temps.append((tmp, os.path.join(out_dir, name)))
-        for tmp, final in temps:
-            os.replace(tmp, final)
-    except BaseException:
-        for tmp, _ in temps:
-            if os.path.exists(tmp):
-                os.remove(tmp)
-        raise
+    with _output_to(out_dir):
+        os.makedirs(out_dir, exist_ok=True)
+        try:
+            for name, text in files.items():
+                tmp = os.path.join(out_dir, f".{name}.tmp")
+                with open(tmp, "w", encoding="utf-8", newline="") as fh:
+                    fh.write(text)
+                temps.append((tmp, os.path.join(out_dir, name)))
+            for tmp, final in temps:
+                os.replace(tmp, final)
+        except BaseException:
+            for tmp, _ in temps:
+                if os.path.exists(tmp):
+                    os.remove(tmp)
+            raise
 
 
 # --------------------------------------------------------------- commands
 
 def cmd_generate(args) -> int:
-    if args.kind == "zipf":
-        config = ZipfConfig(
-            n_files=args.files,
-            alpha=1.0 if args.alpha is None else args.alpha,
-            total_requests=args.requests,
-            seed=0 if args.seed is None else args.seed,
-        )
-        trace = generate_zipf(config)
-    else:
-        if args.alpha is not None or args.seed is not None:
-            raise ConfigError("--alpha and --seed do not apply to round-robin")
-        trace = generate_round_robin(
-            RoundRobinConfig(n_files=args.files, total_requests=args.requests)
-        )
-    os.makedirs(os.path.dirname(os.path.abspath(args.output)), exist_ok=True)
-    write_trace_file(args.output, trace)
+    try:
+        if args.kind == "zipf":
+            trace = generate_zipf(ZipfConfig(
+                n_files=args.files,
+                alpha=1.0 if args.alpha is None else args.alpha,
+                total_requests=args.requests,
+                seed=0 if args.seed is None else args.seed,
+            ))
+        else:
+            if args.alpha is not None or args.seed is not None:
+                raise ConfigError("--alpha and --seed do not apply to round-robin")
+            trace = generate_round_robin(
+                RoundRobinConfig(n_files=args.files, total_requests=args.requests)
+            )
+    except InvalidInputError as exc:  # the configs' messages start with the field
+        field = str(exc).split()[0]
+        flag = {"n_files": "files", "total_requests": "requests"}.get(field, field)
+        raise ConfigError(f"--{flag}: {exc}") from None
+    with _output_to(args.output):
+        os.makedirs(os.path.dirname(os.path.abspath(args.output)), exist_ok=True)
+        write_trace_file(args.output, trace)
     print(f"wrote {args.output}: {trace.events.size} events over {trace.n_files} files")
     return EXIT_OK
 
@@ -370,10 +398,8 @@ def cmd_run(args) -> int:
     config, _ = load_config(args.config)
     if not config.policies:
         raise ConfigError("run requires at least one [policy:NAME] section")
-    try:
-        report = run_experiment(config)
-    except CacheSizeError as exc:  # a remapped file's catalog is known once read
-        raise ConfigError(f"[experiment] {exc}") from None
+    # cache_size and batch_size are the values that only the built trace checks
+    report = _named("[experiment] ", run_experiment, config)
     etas = {
         pol.spec.name: pol.eta for pol in report.policies if pol.eta is not None
     }
@@ -389,22 +415,28 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     config, sweep = load_config(args.config)
-    rates = sweep["rates"] or DEFAULT_RATES
+    rates, rates_from = sweep["rates"] or DEFAULT_RATES, "[sweep] rates: "
     variants = sweep["variants"] or DEFAULT_VARIANTS
+    variants_from = "[sweep] variants: "
     cache_sizes = sweep["cache_sizes"]
     sizes_from = "[sweep] cache_sizes: " if cache_sizes else "[experiment] "
     if args.rates is not None:
-        rates = _cli_list(args.rates, float, "--rates")
+        rates, rates_from = _cli_list(args.rates, float, "--rates"), "--rates: "
     if args.variants is not None:
         variants = _cli_list(args.variants, str, "--variants")
+        variants_from = "--variants: "
     if args.cache_sizes is not None:
         cache_sizes = _cli_list(args.cache_sizes, int, "--cache-sizes")
         sizes_from = "--cache-sizes: "
+    _named(rates_from, check_sweep_rates, rates)
+    _named(variants_from, check_sweep_variants, variants)
     try:
         sweep_report = run_sweep(config, rates=rates, variants=variants,
                                  cache_sizes=cache_sizes)
     except CacheSizeError as exc:
         raise ConfigError(f"{sizes_from}{exc}") from None
+    except InvalidInputError as exc:  # batch_size, which only the built trace checks
+        raise ConfigError(f"[experiment] {exc}") from None
     resolved = {
         "rates": rates,
         "variants": variants,

@@ -1,16 +1,16 @@
 """Decision-space primitives for cache simulation.
 
 A catalog holds N files, a cache holds C of them, and requests arrive in
-batches of B. A decision is a length-N binary vector x with exactly N - C
-ones, where x[i] = 1 means file i is NOT cached; the per-batch cost
-<r, x> then counts cache misses. The oracle below returns the exact
-cheapest decision for a given score vector.
+batches of B over T slots. A traces.SlottedTrace owns N, B and T; C is
+an argument of each function that needs it. A decision is a length-N
+binary vector x with exactly N - C ones, where x[i] = 1 means file i is
+NOT cached; the per-batch cost <r, x> then counts cache misses. The
+oracle below returns the exact cheapest decision for a given score
+vector.
 
 File indices are 0-based throughout the vector API. The traces module
 owns the 1-based external id convention and converts at the boundary.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,31 +20,12 @@ class InvalidInputError(ValueError):
 
 
 class CacheSizeError(InvalidInputError):
-    """Raised for a cache size outside [1, N] on a catalog of N files."""
+    """Raised for a cache size outside [1, N], or one the engine cannot use."""
 
 
 def check_cache_size(cache_size: int, n_files) -> None:
     if not 1 <= cache_size <= n_files:
         raise CacheSizeError(f"cache_size must be in [1, {n_files}], got {cache_size}")
-
-
-@dataclass(frozen=True)
-class CatalogConfig:
-    """Problem dimensions: catalog size, cache capacity, batch size, horizon."""
-
-    n_files: int
-    cache_size: int
-    batch_size: int
-    horizon: int
-
-    def __post_init__(self):
-        if self.n_files < 1:
-            raise InvalidInputError(f"n_files must be >= 1, got {self.n_files}")
-        check_cache_size(self.cache_size, self.n_files)
-        if self.batch_size < 1:
-            raise InvalidInputError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.horizon < 1:
-            raise InvalidInputError(f"horizon must be >= 1, got {self.horizon}")
 
 
 def _check_vector(v, name: str) -> np.ndarray:

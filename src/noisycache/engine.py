@@ -12,8 +12,13 @@ each slot's noise and estimates once for all its sizes, and cells whose
 estimates are equal (full rate, or the same fixed subsample) step once
 and share one series.
 
-Deterministic policies (lru, ftl, opt) run once; their single series
-stands in for all runs, so their decile bands have zero width.
+Deterministic policies (lru, ftl, opt) run once, each by a direct call
+to its policy function; their single series stands in for all runs, so
+their decile bands have zero width.
+
+Each fact has one owner: the slotted trace holds N, B and T, and the
+experiment's cache size is C. Cache sizes are checked against the trace
+as soon as it is built, before any eta is resolved.
 """
 
 from dataclasses import dataclass, replace
@@ -21,7 +26,7 @@ import math
 
 import numpy as np
 
-from .core import CacheSizeError, CatalogConfig, InvalidInputError, check_cache_size
+from .core import CacheSizeError, InvalidInputError, check_cache_size
 from .estimators import EstimatorKind, EstimatorSpec, bound_params
 from .metrics import (
     RegretReport,
@@ -107,17 +112,18 @@ class PolicySpec:
     def stochastic(self) -> bool:
         return self.kind in _SAMPLED_KINDS
 
-    def resolved_eta(self, catalog: CatalogConfig) -> float:
+    def resolved_eta(self, slotted: SlottedTrace, cache_size: int) -> float:
         """Perturbation scale: the override, else compute_eta's value."""
         if self.eta_override is not None:
             return self.eta_override
-        if catalog.cache_size == catalog.n_files:  # diameter 0: nothing to decide
+        n = slotted.n_files
+        if cache_size == n:  # diameter 0: nothing to decide
             raise CacheSizeError(
-                f"cache_size {catalog.cache_size} holds all {catalog.n_files} files, "
+                f"cache_size {cache_size} holds all {n} files, "
                 f"so policy {self.name!r} has no perturbation scale; set its eta"
             )
-        estimator = self.estimator_spec(catalog.batch_size)
-        return compute_eta(bound_params(estimator, catalog), catalog.horizon)
+        estimator = self.estimator_spec(slotted.batch_size)
+        return compute_eta(bound_params(estimator, n, cache_size), slotted.horizon)
 
     def estimator_spec(self, batch_size: int) -> EstimatorSpec | None:
         if self.kind == "fpl":
@@ -217,7 +223,8 @@ class PolicyReport:
 class ExperimentReport:
     """One experiment's full results."""
 
-    catalog: CatalogConfig
+    cache_size: int
+    horizon: int
     trace_source: object
     request_totals: np.ndarray
     opt_decision: np.ndarray
@@ -246,48 +253,19 @@ def _resolve_trace(source, plan: SeedPlan):
     raise InvalidInputError(f"unknown trace source type {type(source).__name__}")
 
 
-def _prepare(config: ExperimentConfig):
-    """Seed plan, resolved trace source and slotted trace of one experiment."""
+def _prepare(config: ExperimentConfig, sizes):
+    """Seed plan, resolved trace source and slotted trace of one experiment.
+
+    Checks each of sizes against the catalog, which a remapped trace file
+    only reveals once it is read.
+    """
     plan = SeedPlan(config.base_seed)
     source, trace = _resolve_trace(config.trace, plan)
     slotted = batch_trace(trace, config.batch_size)
     del trace  # free the raw events: the engine reads only the slotted trace
+    for size in sizes:
+        check_cache_size(size, slotted.n_files)
     return plan, source, slotted
-
-
-def run_policy(
-    spec: PolicySpec,
-    slotted: SlottedTrace,
-    cache_size: int,
-    plan: SeedPlan,
-    run: int = 0,
-    record_decisions: bool = False,
-) -> RunSeries:
-    """Execute one run of one policy over a slotted trace.
-
-    A perturbed-leader run is the one-row case of the stepper
-    run_experiment and run_sweep use. lru records no decisions: its
-    cache changes within a slot.
-    """
-    catalog = CatalogConfig(
-        slotted.n_files, cache_size, slotted.batch_size, slotted.horizon
-    )
-    decisions = None
-    if spec.stochastic:
-        leader = (spec.estimator_spec(catalog.batch_size), [spec.resolved_eta(catalog)])
-        stepped, [g] = _run_leaders([leader], slotted, [cache_size], plan, [run],
-                                    record_decisions)
-        [series] = _series(spec.name, stepped, 0, g, [run])
-        return series
-    if spec.kind == "lru":
-        costs = least_recently_used(slotted, cache_size)
-    elif spec.kind == "ftl":
-        costs, decisions = follow_the_leader(slotted, cache_size, record_decisions)
-    else:
-        best, costs = static_optimum(slotted, cache_size)
-        if record_decisions:
-            decisions = np.tile(best, (slotted.horizon, 1))
-    return RunSeries(policy=spec.name, run=run, costs=costs, decisions=decisions)
 
 
 def _run_leaders(leaders, slotted, sizes, plan, runs, record_decisions=False):
@@ -369,47 +347,43 @@ def run_experiment(
     """
     if not config.policies:
         raise InvalidInputError("at least one policy is required")
-    plan, source, slotted = _prepare(config)
-    horizon = slotted.horizon
-    catalog = CatalogConfig(
-        slotted.n_files, config.cache_size, config.batch_size, horizon
-    )
+    size = config.cache_size
+    plan, source, slotted = _prepare(config, [size])
+    n, b, horizon = slotted.n_files, slotted.batch_size, slotted.horizon
     leaders = [spec for spec in config.policies if spec.stochastic]
-    etas = [spec.resolved_eta(catalog) for spec in leaders]  # before any policy runs
-    opt_decision, opt_costs = static_optimum(slotted, config.cache_size)
+    etas = [spec.resolved_eta(slotted, size) for spec in leaders]  # before any run
+    opt_decision, opt_costs = static_optimum(slotted, size)
     optimum = int(opt_costs.sum())
 
     reports = {}
     for spec in config.policies:
-        if spec.stochastic:
-            continue
+        decisions = None
         if spec.kind == "opt":
-            series = RunSeries(spec.name, 0, opt_costs)
+            costs = opt_costs
             if record_decisions:
-                series.decisions = np.tile(opt_decision, (horizon, 1))
+                decisions = np.tile(opt_decision, (horizon, 1))
+        elif spec.kind == "ftl":
+            costs, decisions = follow_the_leader(slotted, size, record_decisions)
+        elif spec.kind == "lru":  # its cache changes within a slot: no decisions
+            costs = least_recently_used(slotted, size)
         else:
-            series = run_policy(
-                spec, slotted, config.cache_size, plan,
-                record_decisions=record_decisions,
-            )
-        reports[spec.name] = _aggregate(
-            spec, None, [series], config.batch_size, optimum, None
-        )
+            continue
+        series = RunSeries(spec.name, 0, costs, decisions=decisions)
+        reports[spec.name] = _aggregate(spec, None, [series], b, optimum, None)
     if leaders:
-        estimators = [spec.estimator_spec(config.batch_size) for spec in leaders]
+        estimators = [spec.estimator_spec(b) for spec in leaders]
         stepped, columns = _run_leaders(
             [(est, [eta]) for est, eta in zip(estimators, etas)],
-            slotted, [config.cache_size], plan, range(config.runs), record_decisions,
+            slotted, [size], plan, range(config.runs), record_decisions,
         )
         for spec, est, eta, g in zip(leaders, estimators, etas, columns):
             series = _series(spec.name, stepped, 0, g, range(config.runs))
-            bound = regret_bound(bound_params(est, catalog), horizon)
-            reports[spec.name] = _aggregate(
-                spec, eta, series, config.batch_size, optimum, bound
-            )
+            bound = regret_bound(bound_params(est, n, size), horizon)
+            reports[spec.name] = _aggregate(spec, eta, series, b, optimum, bound)
 
     return ExperimentReport(
-        catalog=catalog,
+        cache_size=size,
+        horizon=horizon,
         trace_source=source,
         request_totals=slotted.totals(),
         opt_decision=opt_decision,
@@ -440,6 +414,32 @@ class SweepReport:
     cells: list[SweepCell]
 
 
+def check_sweep_rates(rates) -> tuple[float, ...]:
+    """A sweep's sampling rates as floats: at least one, distinct, in (0, 1]."""
+    rates = tuple(float(r) for r in rates)
+    if not rates:
+        raise InvalidInputError("at least one sampling rate is required")
+    for r in rates:
+        if not 0.0 < r <= 1.0:
+            raise InvalidInputError(f"sampling rates must be in (0, 1], got {r}")
+    if len(set(rates)) != len(rates):
+        raise InvalidInputError("duplicate rates in sweep")
+    return rates
+
+
+def check_sweep_variants(variants) -> tuple[str, ...]:
+    """A sweep's estimator variants: at least one, distinct, each fix or var."""
+    variants = tuple(variants)
+    if not variants:
+        raise InvalidInputError("at least one variant is required")
+    for v in variants:
+        if v not in ("fix", "var"):
+            raise InvalidInputError(f"unknown variant {v!r}, expected 'fix' or 'var'")
+    if len(set(variants)) != len(variants):
+        raise InvalidInputError("duplicate variants in sweep")
+    return variants
+
+
 def run_sweep(
     config: ExperimentConfig,
     rates,
@@ -459,37 +459,21 @@ def run_sweep(
     variants in the order given, rates in the order given, with
     config.runs runs each.
     """
-    rates = tuple(float(r) for r in rates)
-    if not rates:
-        raise InvalidInputError("at least one sampling rate is required")
-    for r in rates:
-        if not 0.0 < r <= 1.0:
-            raise InvalidInputError(f"sampling rates must be in (0, 1], got {r}")
-    if len(set(rates)) != len(rates):
-        raise InvalidInputError("duplicate rates in sweep")
-    variants = tuple(variants)
-    if not variants:
-        raise InvalidInputError("at least one variant is required")
-    for v in variants:
-        if v not in ("fix", "var"):
-            raise InvalidInputError(f"unknown variant {v!r}, expected 'fix' or 'var'")
-    if len(set(variants)) != len(variants):
-        raise InvalidInputError("duplicate variants in sweep")
+    rates, variants = check_sweep_rates(rates), check_sweep_variants(variants)
     sizes = tuple(cache_sizes) if cache_sizes else (config.cache_size,)
     if len(set(sizes)) != len(sizes):
-        raise InvalidInputError("duplicate cache sizes in sweep")
+        raise CacheSizeError("duplicate cache sizes in sweep")
     for size in sizes:  # each size, checked as its own experiment before any trace
         replace(config, cache_size=size)
 
-    plan, source, slotted = _prepare(config)
-    horizon, b = slotted.horizon, config.batch_size
-    catalogs = [CatalogConfig(slotted.n_files, size, b, horizon) for size in sizes]
+    plan, source, slotted = _prepare(config, sizes)
+    horizon, b = slotted.horizon, slotted.batch_size
     if slotted.n_files in sizes:  # diameter 0: nothing to decide
         raise CacheSizeError(
             f"cache_size {slotted.n_files} holds all {slotted.n_files} files, "
             "so the sweep has no perturbation scale to pin"
         )
-    pinned = [PolicySpec("fpl", "fpl").resolved_eta(catalog) for catalog in catalogs]
+    pinned = [PolicySpec("fpl", "fpl").resolved_eta(slotted, size) for size in sizes]
     grid = [(variant, rate) for variant in variants for rate in rates]
     leaders = [
         (PolicySpec("cell", f"nfpl-{variant}", rate=rate).estimator_spec(b), pinned)

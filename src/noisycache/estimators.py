@@ -20,10 +20,10 @@ generator, so the draws are that method's. The routine is resolved and
 probed against the method once; if it is missing or disagrees, the
 method runs once per slot instead.
 
-The bound parameters below feed the perturbation-scale and regret-bound
-formulas: the fixed subsample keeps estimate l1 mass at exactly
-batch_size, while bernoulli thinning can concentrate up to
-batch_size / rate on a single file.
+bound_params feeds the perturbation-scale and regret-bound formulas from
+the estimator, which carries B, and from N and C alone: the fixed
+subsample keeps estimate l1 mass at exactly batch_size, while bernoulli
+thinning can concentrate up to batch_size / rate on a single file.
 """
 
 import ctypes
@@ -34,7 +34,7 @@ import sys
 
 import numpy as np
 
-from .core import CatalogConfig, InvalidInputError
+from .core import InvalidInputError
 
 
 class EstimatorKind(Enum):
@@ -176,16 +176,11 @@ def _marginals():
     return routine if rng.random() == twin.random() else None
 
 
-def bound_params(spec: EstimatorSpec, catalog: CatalogConfig) -> BoundParams:
-    """Bound parameters for this estimator on this problem geometry."""
-    if spec.batch_size != catalog.batch_size:
-        raise InvalidInputError(
-            f"estimator batch size {spec.batch_size} does not match "
-            f"catalog batch size {catalog.batch_size}"
-        )
-    diameter = 2 * min(catalog.cache_size, catalog.n_files - catalog.cache_size)
+def bound_params(spec: EstimatorSpec, n_files: int, cache_size: int) -> BoundParams:
+    """Bound parameters for this estimator, whose batch_size is B, at N and C."""
+    diameter = 2 * min(cache_size, n_files - cache_size)
     if spec.kind is EstimatorKind.BERNOULLI:
-        mass = catalog.batch_size / spec.rate
+        mass = spec.batch_size / spec.rate
     else:
-        mass = float(catalog.batch_size)
+        mass = float(spec.batch_size)
     return BoundParams(cost_bound=mass, l1_bound=mass, diameter=diameter)

@@ -83,7 +83,7 @@ def _harvest_proof_steps(tag, series_list, request_totals, cache_size):
 def _harvest_experiment(tag, report):
     series = [s for pol in report.policies for s in pol.runs]
     _harvest_proof_steps(
-        tag, series, report.request_totals, report.catalog.cache_size
+        tag, series, report.request_totals, report.cache_size
     )
 
 
@@ -488,7 +488,7 @@ def test_criterion_9_regret_bound_and_sublinearity():
     report, _ = _zipf_desk_report()
     start = time.perf_counter()
     var_pol = report.policy("var")
-    horizon = report.catalog.horizon
+    horizon = report.horizon
 
     # closed form of the guarantee for bernoulli sampling when the
     # missing side is the smaller one: 2*sqrt(2)*(B/f)*sqrt(C*T)

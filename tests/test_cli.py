@@ -2,6 +2,7 @@
 
 import configparser
 import csv
+import errno
 import textwrap
 
 import pytest
@@ -102,6 +103,62 @@ class TestGenerate:
         assert code == 2
         assert "round-robin" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind,flag,value,where", [
+        ("zipf", "--files", 0, "--files: n_files must be >= 1"),
+        ("zipf", "--requests", 0, "--requests: total_requests must be >= 1"),
+        ("zipf", "--seed", -3, "--seed: seed must be >= 0, got -3"),
+        ("zipf", "--alpha", "nan", "--alpha: alpha must be finite and >= 0, got nan"),
+        ("round-robin", "--files", 0, "--files: n_files must be >= 1"),
+        ("round-robin", "--requests", 0, "--requests: total_requests must be >= 1"),
+    ], ids=["zipf-files", "zipf-requests", "zipf-seed", "zipf-alpha",
+            "round-robin-files", "round-robin-requests"])
+    def test_bad_values_name_their_flag(self, tmp_path, capsys, kind, flag, value,
+                                        where):
+        argv = {"--files": 5, "--requests": 10, flag: value}
+        out = tmp_path / "t.txt"
+        code = invoke(["generate", kind, *(x for kv in argv.items() for x in kv),
+                       "-o", out])
+        assert code == 2
+        assert where in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,path", [
+    (["run", "-c", "{config}"], "{file}"),
+    (["sweep", "-c", "{config}", "--rates", "0.5"], "{file}"),
+    (["run", "-c", "{config}"], "{file}/sub"),
+    (["generate", "round-robin", "--files", "3", "--requests", "6"], "{dir}"),
+    (["generate", "round-robin", "--files", "3", "--requests", "6"], "{file}/x.txt"),
+], ids=["run-into-file", "sweep-into-file", "run-under-file", "generate-onto-dir",
+        "generate-under-file"])
+def test_an_unusable_output_path_is_usage_error(tmp_path, capsys, argv, path):
+    names = {
+        "config": write_config(tmp_path, RUN_CONFIG),
+        "file": tmp_path / "taken",
+        "dir": tmp_path / "adir",
+    }
+    names["file"].write_text("keep\n")
+    names["dir"].mkdir()
+    before = sorted(p.name for p in tmp_path.rglob("*"))
+    output = path.format(**names)
+    assert invoke([a.format(**names) for a in argv] + ["-o", output]) == 2
+    err = capsys.readouterr().err
+    assert f"--output {output}" in err
+    assert "runtime failure" not in err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == before  # no temp file left
+    assert names["file"].read_text() == "keep\n"
+
+
+def test_a_full_disk_stays_a_runtime_failure(tmp_path, capsys, monkeypatch):
+    def full(*args):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(cli, "write_trace_file", full)
+    code = invoke(["generate", "round-robin", "--files", 3, "--requests", 6,
+                   "-o", tmp_path / "t.txt"])
+    assert code == 1
+    assert "runtime failure: OSError" in capsys.readouterr().err
+
 
 @pytest.fixture(scope="module")
 def run_dir(tmp_path_factory):
@@ -154,6 +211,44 @@ class TestRun:
         assert code == 0
         for name in ("series.csv", "summary.csv", "config_echo.ini"):
             assert (out / name).read_bytes() == (run_dir / name).read_bytes()
+
+    def test_echo_pins_each_eta_bit_for_bit(self, tmp_path):
+        # eta = sqrt(cost_bound * l1_bound * T / D) with N=40, C=7 (D=14),
+        # B=30 and T=66; literals as the formula's float operations give them
+        config = write_config(tmp_path, """\
+            [experiment]
+            cache_size = 7
+            batch_size = 30
+            base_seed = 99
+
+            [trace]
+            kind = zipf
+            files = 40
+            alpha = 1.0
+            requests = 2000
+            seed = 21
+
+            [policy:fpl]
+            kind = fpl
+
+            [policy:fix]
+            kind = nfpl-fix
+            rate = 0.3
+
+            [policy:var]
+            kind = nfpl-var
+            rate = 0.3
+            """)
+        out = tmp_path / "out"
+        assert cli.main(["run", "-c", str(config), "-o", str(out)]) == 0
+        echo = configparser.ConfigParser()
+        echo.read(out / "config_echo.ini")
+        etas = {name: echo[f"policy:{name}"]["eta"] for name in ("fpl", "fix", "var")}
+        assert etas == {
+            "fpl": "65.13721780101713",
+            "fix": "65.13721780101713",
+            "var": "217.12405933672378",
+        }
 
     def test_echo_names_no_tiebreak(self, run_dir):
         echo = configparser.ConfigParser()
@@ -289,6 +384,10 @@ class TestRun:
          "--cache-sizes: cache_size 40 holds all 40 files"),
         (["sweep"], "[policy:opt]", SWEEP_SIZES.replace("10, 50", "5, 40"),
          "[sweep] cache_sizes: cache_size 40 holds all 40 files"),
+        (["run"], "batch_size = 20", "batch_size = 5000",
+         "[experiment] batch_size must be in [1, 2000], the trace's length, got 5000"),
+        (["sweep"], "batch_size = 20", "batch_size = 5000",
+         "[experiment] batch_size must be in [1, 2000], the trace's length, got 5000"),
     ], ids=["eta-nan", "eta-inf", "alpha-nan", "alpha-inf", "seed", "base-seed",
             "tiebreak-opt", "tiebreak-var", "tiebreak-ftl", "fix-rate-and-subsample",
             "zipf-path", "zipf-remap", "fix-subsample-above-batch",
@@ -296,7 +395,8 @@ class TestRun:
             "sweep-flag-cache-above-files", "sweep-flag-cache-below-one",
             "sweep-section-cache-above-files", "cache-holds-all-files",
             "sweep-cache-holds-all-files", "sweep-flag-cache-holds-all-files",
-            "sweep-section-cache-holds-all-files"])
+            "sweep-section-cache-holds-all-files", "batch-above-trace",
+            "sweep-batch-above-trace"])
     def test_rejects_bad_values(self, tmp_path, capsys, argv, old, new, where):
         config = write_config(tmp_path, RUN_CONFIG.replace(old, new))
         out = tmp_path / "o"
@@ -369,22 +469,57 @@ class TestSweep:
         assert fix["final_d1"] == var["final_d1"]
         assert fix["final_d9"] == var["final_d9"]
 
-    @pytest.mark.parametrize("flag,value", [
-        ("--rates", "2.0"),
-        ("--rates", "0.0"),
-        ("--rates", ",,"),
-        ("--variants", "fix,magic"),
-        ("--cache-sizes", "0"),
-        ("--rates", "0.5,0.5"),
-        ("--cache-sizes", "5,5"),
+    @pytest.mark.parametrize("args,section,where", [
+        pytest.param(("--rates", "2.0"), "",
+                     "--rates: sampling rates must be in (0, 1], got 2.0",
+                     id="--rates-2.0"),
+        pytest.param(("--rates", "0.0"), "",
+                     "--rates: sampling rates must be in (0, 1], got 0.0",
+                     id="--rates-0.0"),
+        pytest.param(("--rates", ",,"), "", "cannot parse --rates value ',,'",
+                     id="--rates-,,"),
+        pytest.param(("--variants", "fix,magic"), "",
+                     "--variants: unknown variant 'magic'", id="--variants-fix,magic"),
+        pytest.param(("--cache-sizes", "0"), "",
+                     "--cache-sizes: cache_size must be in [1, 40], got 0",
+                     id="--cache-sizes-0"),
+        pytest.param(("--rates", "0.5,0.5"), "", "--rates: duplicate rates",
+                     id="--rates-0.5,0.5"),
+        pytest.param(("--cache-sizes", "5,5"), "",
+                     "--cache-sizes: duplicate cache sizes", id="--cache-sizes-5,5"),
+        pytest.param(("--variants", "var,var"), "", "--variants: duplicate variants",
+                     id="--variants-var,var"),
+        pytest.param((), "rates = 0.5, 2",
+                     "[sweep] rates: sampling rates must be in (0, 1], got 2.0",
+                     id="section-rates"),
+        pytest.param((), "rates = 0.5, 0.5", "[sweep] rates: duplicate rates",
+                     id="section-duplicate-rates"),
+        pytest.param((), "variants = fix, magic",
+                     "[sweep] variants: unknown variant 'magic'",
+                     id="section-variants"),
+        pytest.param((), "variants = var, var", "[sweep] variants: duplicate variants",
+                     id="section-duplicate-variants"),
+        pytest.param((), "cache_sizes = 5, 5",
+                     "[sweep] cache_sizes: duplicate cache sizes",
+                     id="section-duplicate-cache-sizes"),
     ])
-    def test_rejects_bad_sweep_arguments(self, tmp_path, capsys, flag, value):
-        config = write_config(tmp_path, SWEEP_CONFIG)
-        code = cli.main(
-            ["sweep", "-c", str(config), "-o", str(tmp_path / "o"), flag, value]
-        )
-        capsys.readouterr()
+    def test_rejects_bad_sweep_arguments(self, tmp_path, capsys, args, section, where):
+        body = SWEEP_CONFIG + (f"\n    [sweep]\n    {section}\n" if section else "")
+        config = write_config(tmp_path, body)
+        out = tmp_path / "o"
+        code = cli.main(["sweep", "-c", str(config), "-o", str(out), *args])
         assert code == 2
+        assert where in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_flags_override_the_sweep_section(self, tmp_path):
+        body = SWEEP_CONFIG + "\n    [sweep]\n    rates = 2\n    variants = magic\n"
+        config = write_config(tmp_path, body)
+        out = tmp_path / "o"
+        code = cli.main(["sweep", "-c", str(config), "-o", str(out),
+                         "--rates", "1.0", "--variants", "fix"])
+        assert code == 0
+        assert len(read_rows(out / "sweep.csv")) == 1
 
 
 def test_no_arguments_is_usage_error(capsys):

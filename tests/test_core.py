@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from noisycache import CatalogConfig, InvalidInputError, SlottedTrace, oracle_minimize
+from noisycache import InvalidInputError, SlottedTrace, oracle_minimize
 
 from helpers import brute_force_best_cost, feasible
 
@@ -117,22 +117,3 @@ class TestTotalCounts:
         with pytest.raises(InvalidInputError):
             SlottedTrace(np.array([-1, 0]), n_files=2, batch_size=1)
 
-
-class TestCatalogConfig:
-    def test_valid(self):
-        cfg = CatalogConfig(n_files=10, cache_size=3, batch_size=5, horizon=7)
-        assert cfg.cache_size == 3
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            dict(n_files=0, cache_size=1, batch_size=1, horizon=1),
-            dict(n_files=5, cache_size=0, batch_size=1, horizon=1),
-            dict(n_files=5, cache_size=6, batch_size=1, horizon=1),
-            dict(n_files=5, cache_size=2, batch_size=0, horizon=1),
-            dict(n_files=5, cache_size=2, batch_size=1, horizon=0),
-        ],
-    )
-    def test_invalid(self, kwargs):
-        with pytest.raises(InvalidInputError):
-            CatalogConfig(**kwargs)

@@ -18,8 +18,8 @@ from noisycache import (
     generate_zipf,
     oracle_minimize,
     run_experiment,
-    run_policy,
     run_sweep,
+    static_optimum,
 )
 
 
@@ -131,10 +131,8 @@ class TestRunExperiment:
     def test_opt_policy_reproduces_opt_cost_with_zero_regret(self):
         rep = run_experiment(small_config([PolicySpec("opt", "opt")]))
         assert int(rep.policy("opt").runs[0].costs.sum()) == rep.opt_cost
-        solo = run_policy(
-            PolicySpec("opt", "opt"), batch_trace(small_trace(), 20), 8, SeedPlan(99)
-        )
-        assert np.array_equal(solo.costs, rep.policy("opt").runs[0].costs)
+        _, costs = static_optimum(batch_trace(small_trace(), 20), 8)
+        assert np.array_equal(costs, rep.policy("opt").runs[0].costs)
         assert rep.policy("opt").regret.regret == 0.0
 
     def test_deterministic_policies_have_flat_bands(self):
@@ -202,7 +200,8 @@ class TestRunExperiment:
             policies=(PolicySpec("opt", "opt"),), runs=1, base_seed=0,
         )
         rep = run_experiment(cfg)
-        assert rep.catalog.horizon == 10
+        assert rep.horizon == 10
+        assert rep.cache_size == 2
         assert rep.policy("opt").runs[0].costs.size == 10
 
     def test_recorded_decisions_replay_the_costs(self):
@@ -241,6 +240,16 @@ class TestRunExperiment:
                 trace=small_trace(), cache_size=2, batch_size=5, base_seed=-1
             )
 
+    def test_run_independence(self):
+        # each run's series depends on its run index alone, not on the run count
+        cfg = small_config([PolicySpec("var", "nfpl-var", rate=0.5)], runs=3)
+        three = run_experiment(cfg).policy("var").runs
+        two = run_experiment(replace(cfg, runs=2)).policy("var").runs
+        for a, b in zip(two, three[:2], strict=True):
+            assert a.run == b.run
+            assert np.array_equal(a.costs, b.costs)
+            assert np.array_equal(a.estimate_totals, b.estimate_totals)
+
     def test_zipf_seed_resolution_is_deterministic(self):
         cfg = ExperimentConfig(
             trace=ZipfConfig(30, 1.0, 600),  # seed left unresolved
@@ -252,29 +261,6 @@ class TestRunExperiment:
         assert a.trace_source.seed == b.trace_source.seed
         assert np.array_equal(a.policy("ftl").runs[0].costs,
                               b.policy("ftl").runs[0].costs)
-
-
-class TestRunPolicy:
-    def test_run_independence(self):
-        # a run recomputed in isolation matches the engine's copy
-        cfg = small_config([PolicySpec("var", "nfpl-var", rate=0.5)], runs=3)
-        rep = run_experiment(cfg)
-        slotted = batch_trace(small_trace(), 20)
-        solo = run_policy(cfg.policies[0], slotted, 8, SeedPlan(99), run=1)
-        assert np.array_equal(solo.costs, rep.policy("var").runs[1].costs)
-
-    def test_rejects_a_cache_size_outside_the_catalog(self):
-        slotted = batch_trace(small_trace(), 20)
-        specs = (
-            PolicySpec("lru", "lru"), PolicySpec("ftl", "ftl"),
-            PolicySpec("opt", "opt"), PolicySpec("fpl", "fpl"),
-            PolicySpec("fix", "nfpl-fix", rate=0.5),
-            PolicySpec("var", "nfpl-var", rate=0.5),
-        )
-        for spec in specs:
-            for size in (0, 41):
-                with pytest.raises(InvalidInputError, match="cache_size"):
-                    run_policy(spec, slotted, size, SeedPlan(0))
 
 
 class TestRunSweep:
@@ -364,15 +350,20 @@ class TestRunSweep:
                 assert np.array_equal(ra.estimate_totals, rb.estimate_totals)
 
     def test_every_cell_equals_its_solo_run_policy(self):
-        # cells stepped together must match each cell run on its own
+        # cells stepped together must match each cell run on its own: a
+        # one-policy experiment at the cell's cache size, rate and eta
         cfg = self.base_config()
         report = run_sweep(cfg, rates=(0.1, 1.0), cache_sizes=(4, 8))
-        slotted = batch_trace(small_trace(), 20)
         for cell in report.cells:
             spec = PolicySpec(
                 "solo", f"nfpl-{cell.variant}", rate=cell.rate, eta_override=cell.eta
             )
+            solo = run_experiment(
+                replace(cfg, cache_size=cell.cache_size, policies=(spec,))
+            ).policy("solo")
             for run, series in enumerate(cell.runs):
-                solo = run_policy(spec, slotted, cell.cache_size, SeedPlan(99), run=run)
-                assert np.array_equal(solo.costs, series.costs)
-                assert np.array_equal(solo.estimate_totals, series.estimate_totals)
+                assert solo.runs[run].run == run
+                assert np.array_equal(solo.runs[run].costs, series.costs)
+                assert np.array_equal(
+                    solo.runs[run].estimate_totals, series.estimate_totals
+                )

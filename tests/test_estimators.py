@@ -10,7 +10,6 @@ import pytest
 from helpers import estimate_copies, reference_estimate
 from noisycache import (
     BoundParams,
-    CatalogConfig,
     EstimatorKind,
     EstimatorSpec,
     InvalidInputError,
@@ -264,26 +263,19 @@ class TestFixedSubsampleRoutine:
 
 
 class TestBoundParams:
-    CATALOG = CatalogConfig(n_files=10_000, cache_size=100, batch_size=200, horizon=500)
-
     def test_exact_and_fixed_share_bounds(self):
         for spec in (EstimatorSpec.exact(200), EstimatorSpec.fixed_subsample(20, 200)):
-            bounds = bound_params(spec, self.CATALOG)
+            bounds = bound_params(spec, 10_000, 100)
             assert bounds.cost_bound == 200.0
             assert bounds.l1_bound == 200.0
             assert bounds.diameter == 200
 
     def test_bernoulli_scales_by_rate(self):
-        bounds = bound_params(EstimatorSpec.bernoulli(0.5, 200), self.CATALOG)
+        bounds = bound_params(EstimatorSpec.bernoulli(0.5, 200), 10_000, 100)
         assert bounds.cost_bound == 400.0
         assert bounds.l1_bound == 400.0
         assert bounds.diameter == 200
 
     def test_diameter_uses_smaller_side(self):
-        catalog = CatalogConfig(n_files=10, cache_size=8, batch_size=5, horizon=7)
-        bounds = bound_params(EstimatorSpec.exact(5), catalog)
+        bounds = bound_params(EstimatorSpec.exact(5), 10, 8)
         assert bounds.diameter == 2 * min(8, 2)
-
-    def test_batch_size_must_match_catalog(self):
-        with pytest.raises(InvalidInputError):
-            bound_params(EstimatorSpec.exact(100), self.CATALOG)
