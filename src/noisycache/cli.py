@@ -221,36 +221,22 @@ def _render_csv(header, rows) -> str:
 
 
 def _render_series(report) -> str:
-    rows = []
-    for pol in report.policies:
-        for t in range(report.horizon):
-            rows.append(
-                (
-                    t + 1,
-                    pol.spec.name,
-                    _fmt(float(pol.mean[t])),
-                    _fmt(float(pol.d1[t])),
-                    _fmt(float(pol.d9[t])),
-                )
-            )
+    rows = [
+        (t + 1, pol.spec.name, _fmt(float(pol.mean[t])), _fmt(float(pol.d1[t])),
+         _fmt(float(pol.d9[t])))
+        for pol in report.policies
+        for t in range(report.horizon)
+    ]
     return _render_csv(("t", "policy", "mean", "d1", "d9"), rows)
 
 
 def _render_summary(report) -> str:
-    rows = []
-    for pol in report.policies:
-        rows.append(
-            (
-                pol.spec.name,
-                _fmt(pol.final_mean),
-                _fmt(pol.final_d1),
-                _fmt(pol.final_d9),
-                _fmt(pol.cum_cost),
-                _fmt(report.opt_cost),
-                _fmt(pol.regret.regret),
-                _fmt(pol.regret.bound),
-            )
-        )
+    rows = [
+        (pol.spec.name, _fmt(pol.final_mean), _fmt(pol.final_d1), _fmt(pol.final_d9),
+         _fmt(pol.cum_cost), _fmt(report.opt_cost), _fmt(pol.regret.regret),
+         _fmt(pol.regret.bound))
+        for pol in report.policies
+    ]
     header = (
         "policy", "final_mean", "final_d1", "final_d9",
         "cum_cost", "opt_cost", "regret", "bound",
@@ -260,14 +246,8 @@ def _render_summary(report) -> str:
 
 def _render_sweep(sweep_report) -> str:
     rows = [
-        (
-            cell.variant,
-            _fmt(cell.rate),
-            cell.cache_size,
-            _fmt(cell.final_mean),
-            _fmt(cell.final_d1),
-            _fmt(cell.final_d9),
-        )
+        (cell.variant, _fmt(cell.rate), cell.cache_size, _fmt(cell.final_mean),
+         _fmt(cell.final_d1), _fmt(cell.final_d9))
         for cell in sweep_report.cells
     ]
     header = ("variant", "rate", "cache_size", "final_mean", "final_d1", "final_d9")
@@ -331,6 +311,25 @@ def _render_echo(config, trace_source, policy_etas=None, sweep=None) -> str:
     return buf.getvalue()
 
 
+def _check_output(path: str, directory: bool) -> None:
+    """Reject an --output path before any work, as _output_to would after it.
+
+    run and sweep write a directory and generate a file. An existing
+    output must be of that kind, and the nearest existing part above a
+    missing one must be a directory.
+    """
+    if not path:
+        raise ConfigError("--output '' cannot be used: the path is empty")
+    if not directory and path.endswith(os.sep):
+        raise ConfigError(f"--output {path} cannot be used: it names a directory")
+    target = where = os.path.abspath(path)
+    while not os.path.exists(where):
+        where = os.path.dirname(where)
+    if os.path.isdir(where) != (directory or where != target):
+        kind = "a directory" if os.path.isdir(where) else "not a directory"
+        raise ConfigError(f"--output {path} cannot be used: {where} is {kind}")
+
+
 @contextlib.contextmanager
 def _output_to(path: str):
     """Report an --output path that is the wrong kind of file as a usage error.
@@ -369,6 +368,7 @@ def _commit_files(out_dir: str, files: dict) -> None:
 # --------------------------------------------------------------- commands
 
 def cmd_generate(args) -> int:
+    _check_output(args.output, directory=False)
     try:
         if args.kind == "zipf":
             trace = generate_zipf(ZipfConfig(
@@ -395,6 +395,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_run(args) -> int:
+    _check_output(args.output, directory=True)
     config, _ = load_config(args.config)
     if not config.policies:
         raise ConfigError("run requires at least one [policy:NAME] section")
@@ -414,6 +415,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    _check_output(args.output, directory=True)
     config, sweep = load_config(args.config)
     rates, rates_from = sweep["rates"] or DEFAULT_RATES, "[sweep] rates: "
     variants = sweep["variants"] or DEFAULT_VARIANTS

@@ -16,6 +16,9 @@ Deterministic policies (lru, ftl, opt) run once, each by a direct call
 to its policy function; their single series stands in for all runs, so
 their decile bands have zero width.
 
+A run keeps costs and totals, not caches: to see each slot's cache,
+call follow_the_leader or step_perturbed_leaders with an observer.
+
 Each fact has one owner: the slotted trace holds N, B and T, and the
 experiment's cache size is C. Cache sizes are checked against the trace
 as soon as it is built, before any eta is resolved.
@@ -27,7 +30,7 @@ import math
 import numpy as np
 
 from .core import CacheSizeError, InvalidInputError, check_cache_size
-from .estimators import EstimatorKind, EstimatorSpec, bound_params
+from .estimators import EstimatorKind, EstimatorSpec, bound_params, check_rate
 from .metrics import (
     RegretReport,
     RunSeries,
@@ -96,8 +99,8 @@ class PolicySpec:
         else:
             if self.rate is not None or self.subsample is not None:
                 raise InvalidInputError(f"{self.kind} takes no sampling parameters")
-        if self.rate is not None and not 0.0 < self.rate <= 1.0:
-            raise InvalidInputError(f"rate must be in (0, 1], got {self.rate}")
+        if self.rate is not None:
+            check_rate(self.rate)
         if self.subsample is not None and self.subsample < 1:
             raise InvalidInputError("subsample must be >= 1")
         if self.eta_override is not None:
@@ -123,7 +126,13 @@ class PolicySpec:
                 f"so policy {self.name!r} has no perturbation scale; set its eta"
             )
         estimator = self.estimator_spec(slotted.batch_size)
-        return compute_eta(bound_params(estimator, n, cache_size), slotted.horizon)
+        eta = compute_eta(bound_params(estimator, n, cache_size), slotted.horizon)
+        if not math.isfinite(eta):  # B / rate overflows at a tiny enough rate
+            raise InvalidInputError(
+                f"policy {self.name!r} ({self.kind}, rate {self.rate}) has no "
+                "finite perturbation scale; raise its rate or set its eta"
+            )
+        return eta
 
     def estimator_spec(self, batch_size: int) -> EstimatorSpec | None:
         if self.kind == "fpl":
@@ -268,7 +277,7 @@ def _prepare(config: ExperimentConfig, sizes):
     return plan, source, slotted
 
 
-def _run_leaders(leaders, slotted, sizes, plan, runs, record_decisions=False):
+def _run_leaders(leaders, slotted, sizes, plan, runs):
     """Step perturbed leaders over `runs` at every cache size in one call.
 
     leaders holds one (estimator, eta at each size) pair per leader. Run r
@@ -297,7 +306,6 @@ def _run_leaders(leaders, slotted, sizes, plan, runs, record_decisions=False):
             ]
             for est, _ in distinct
         ],
-        record_decisions=record_decisions,
     )
     return stepped, [distinct.index(key) for key in keys]
 
@@ -305,13 +313,7 @@ def _run_leaders(leaders, slotted, sizes, plan, runs, record_decisions=False):
 def _series(name, stepped, s, g, runs):
     """One RunSeries per run of leader column g at cache size index s."""
     return [
-        RunSeries(
-            policy=name,
-            run=run,
-            costs=stepped.costs[s, g, i],
-            estimate_totals=stepped.totals[g, i],
-            decisions=None if stepped.decisions is None else stepped.decisions[s, g, i],
-        )
+        RunSeries(name, run, stepped.costs[s, g, i], stepped.totals[g, i])
         for i, run in enumerate(runs)
     ]
 
@@ -338,9 +340,7 @@ def _aggregate(spec, eta, series, batch_size, optimum, bound):
     )
 
 
-def run_experiment(
-    config: ExperimentConfig, record_decisions: bool = False
-) -> ExperimentReport:
+def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run every configured policy on one shared trace and aggregate.
 
     The perturbed-leader policies are stepped together, all runs at once.
@@ -357,24 +357,21 @@ def run_experiment(
 
     reports = {}
     for spec in config.policies:
-        decisions = None
         if spec.kind == "opt":
             costs = opt_costs
-            if record_decisions:
-                decisions = np.tile(opt_decision, (horizon, 1))
         elif spec.kind == "ftl":
-            costs, decisions = follow_the_leader(slotted, size, record_decisions)
-        elif spec.kind == "lru":  # its cache changes within a slot: no decisions
+            costs = follow_the_leader(slotted, size)
+        elif spec.kind == "lru":
             costs = least_recently_used(slotted, size)
         else:
             continue
-        series = RunSeries(spec.name, 0, costs, decisions=decisions)
+        series = RunSeries(spec.name, 0, costs)
         reports[spec.name] = _aggregate(spec, None, [series], b, optimum, None)
     if leaders:
         estimators = [spec.estimator_spec(b) for spec in leaders]
         stepped, columns = _run_leaders(
             [(est, [eta]) for est, eta in zip(estimators, etas)],
-            slotted, [size], plan, range(config.runs), record_decisions,
+            slotted, [size], plan, range(config.runs),
         )
         for spec, est, eta, g in zip(leaders, estimators, etas, columns):
             series = _series(spec.name, stepped, 0, g, range(config.runs))
@@ -420,8 +417,7 @@ def check_sweep_rates(rates) -> tuple[float, ...]:
     if not rates:
         raise InvalidInputError("at least one sampling rate is required")
     for r in rates:
-        if not 0.0 < r <= 1.0:
-            raise InvalidInputError(f"sampling rates must be in (0, 1], got {r}")
+        check_rate(r, "sampling rates")
     if len(set(rates)) != len(rates):
         raise InvalidInputError("duplicate rates in sweep")
     return rates

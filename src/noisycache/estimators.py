@@ -43,6 +43,12 @@ class EstimatorKind(Enum):
     BERNOULLI = "bernoulli"
 
 
+def check_rate(rate, what: str = "rate") -> None:
+    """Reject a sampling rate outside (0, 1]; the message starts with what."""
+    if rate is None or not 0.0 < rate <= 1.0:
+        raise InvalidInputError(f"{what} must be in (0, 1], got {rate}")
+
+
 @dataclass(frozen=True)
 class EstimatorSpec:
     """Which estimator to run and its parameters.
@@ -68,10 +74,7 @@ class EstimatorSpec:
             if self.rate is not None:
                 raise InvalidInputError("rate does not apply to the fixed subsampler")
         elif self.kind is EstimatorKind.BERNOULLI:
-            if self.rate is None or not 0.0 < self.rate <= 1.0:
-                raise InvalidInputError(
-                    f"rate must be in (0, 1], got {self.rate}"
-                )
+            check_rate(self.rate)
             if self.subsample is not None:
                 raise InvalidInputError("subsample does not apply to bernoulli")
         else:

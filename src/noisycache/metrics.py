@@ -20,17 +20,13 @@ class RunSeries:
     """One policy run: per-slot costs plus what the run accumulated.
 
     estimate_totals holds the policy's final accumulated estimate vector
-    (None for policies that never estimate); decisions optionally holds
-    the T x N decision matrix when the engine was asked to record it. It
-    stays None for lru, whose cache changes within a slot, so that no one
-    decision per slot describes it.
+    (None for policies that never estimate).
     """
 
     policy: str
     run: int
     costs: np.ndarray
     estimate_totals: np.ndarray | None = None
-    decisions: np.ndarray | None = None
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ Every policy kind is a whole-trace function of a SlottedTrace and a
 cache size that returns the per-slot misses: static_optimum,
 follow_the_leader, least_recently_used and step_perturbed_leaders. Each
 slot a policy commits its cache before the slot's requests are counted
-and learns them only afterwards; LRU instead updates per event.
+and learns them only afterwards; LRU instead updates per event. Both
+leaders, ftl and fpl, show each slot's cache to an optional observe.
 
 All policies work on 0-based file indices.
 """
@@ -39,15 +40,13 @@ def compute_eta(bounds: BoundParams, horizon: int) -> float:
 class LeaderRuns:
     """What step_perturbed_leaders returns for G leaders over R runs at S sizes.
 
-    costs is S x G x R x T (misses per slot at each cache size), totals
-    G x R x N (the final accumulated estimates, which no cache size
-    changes), and decisions, when recorded, S x G x R x T x N int8 with 1
-    marking a file left out of the cache.
+    costs is S x G x R x T (misses per slot at each cache size) and
+    totals G x R x N (the final accumulated estimates, which no cache
+    size changes).
     """
 
     costs: np.ndarray
     totals: np.ndarray
-    decisions: np.ndarray | None = None
 
 
 def step_perturbed_leaders(
@@ -57,7 +56,7 @@ def step_perturbed_leaders(
     estimators,
     noise_rngs,
     sample_rngs,
-    record_decisions: bool = False,
+    observe=None,
 ) -> LeaderRuns:
     """Step G perturbed leaders over R runs at S cache sizes, slot by slot.
 
@@ -75,6 +74,10 @@ def step_perturbed_leaders(
     and full-rate rows draw none, so the sampling generators must be
     distinct objects, none of them a noise generator.
     sample_rngs[g][r] is ignored for the exact estimator.
+
+    observe, if given, is called as observe(t, s, cached) once per slot t
+    and size index s: cached is the G x R x N bool mask of each row's
+    cache, a view of the stepper's buffer valid only during the call.
     """
     sizes = list(cache_sizes)
     etas = np.asarray(etas, dtype=np.float64)
@@ -117,10 +120,6 @@ def step_perturbed_leaders(
     cached = np.empty((rows, n), dtype=bool)
     costs = np.empty((len(sizes), groups, runs, horizon), dtype=np.int64)
     row_costs = costs.reshape(len(sizes), rows, horizon)
-    decisions = row_decisions = None
-    if record_decisions:
-        decisions = np.empty((len(sizes), groups, runs, horizon, n), dtype=np.int8)
-        row_decisions = decisions.reshape(len(sizes), rows, horizon, n)
     # one buffer of at most n estimates per row: a slot holds at most n ids
     block = np.empty((rows, n))
     offsets = slotted.offsets
@@ -155,40 +154,40 @@ def step_perturbed_leaders(
                     tied = np.flatnonzero(row_score[k] == threshold[k])
                     cached[k, tied[tied.size - excess[k] :]] = False
             row_costs[s, :, t] = b - cached[:, ids] @ counts
-            if row_decisions is not None:
-                row_decisions[s, :, t] = ~cached
+            if observe is not None:
+                observe(t, s, cached.reshape(groups, runs, n))
         row_totals[:, ids] += block[:, offsets[t] - base : offsets[t + 1] - base]
-    return LeaderRuns(costs=costs, totals=totals, decisions=decisions)
+    return LeaderRuns(costs=costs, totals=totals)
 
 
 def follow_the_leader(
-    slotted: SlottedTrace, cache_size: int, record_decisions: bool = False
-):
+    slotted: SlottedTrace, cache_size: int, observe=None
+) -> np.ndarray:
     """Cache the top cache_size files by accumulated true counts, per slot.
 
     Equivalent to LFU over the whole history. Files tied on counts are
     ranked by how recently they were requested, then by lowest index.
-    Returns the length-T per-slot misses and, when record_decisions is
-    set, the T x N int8 decisions (else None).
+    Returns the length-T per-slot misses. observe, if given, is called as
+    observe(t, missing) once per slot with the slot's length-N int8
+    decision, 1 marking a file left out, valid only during the call.
     """
     check_cache_size(cache_size, slotted.n_files)
     n, b, horizon = slotted.n_files, slotted.batch_size, slotted.horizon
     totals = np.zeros(n, dtype=np.float64)
     stamps = np.full(n, -1, dtype=np.int64)
     costs = np.empty(horizon, dtype=np.int64)
-    decisions = np.empty((horizon, n), dtype=np.int8) if record_decisions else None
     offsets = slotted.offsets
     for t in range(horizon):
         ids = slotted.ids[offsets[t] : offsets[t + 1]]
         counts = slotted.counts[offsets[t] : offsets[t + 1]]
         missing = _top_c(totals, cache_size, stamps)
         costs[t] = counts @ missing[ids]
-        if decisions is not None:
-            decisions[t] = missing
+        if observe is not None:
+            observe(t, missing)
         totals[ids] += counts
         # duplicate indices keep the last write: the latest request in the slot
         stamps[slotted.events[t * b : (t + 1) * b]] = np.arange(t * b, (t + 1) * b)
-    return costs, decisions
+    return costs
 
 
 def least_recently_used(slotted: SlottedTrace, cache_size: int) -> np.ndarray:

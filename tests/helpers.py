@@ -68,6 +68,34 @@ def feasible(decision, n_files: int, cache_size: int) -> bool:
     )
 
 
+class Recorder:
+    """An observe callable that keeps a copy of every cache it is shown.
+
+    step_perturbed_leaders calls it as (t, s, cached), cached a G x R x N
+    bool mask; follow_the_leader as (t, missing), an int8 vector. Each is
+    copied into the references' layout, int8 with 1 = left out, and
+    decisions stacks them: S x G x R x T x N for the stepper, T x N for
+    follow_the_leader. Slots must arrive in order at each size.
+    """
+
+    def __init__(self):
+        self.slots = {}
+
+    def __call__(self, t, *where):
+        *size, shown = where
+        kept = self.slots.setdefault(tuple(size), [])
+        assert t == len(kept), f"slot {t} shown out of order"
+        kept.append((~shown if shown.dtype == bool else shown).astype(np.int8))
+
+    @property
+    def decisions(self):
+        if () in self.slots:
+            return np.stack(self.slots[()])
+        return np.stack(
+            [np.stack(self.slots[(s,)], axis=-2) for s in range(len(self.slots))]
+        )
+
+
 def reference_estimate(spec, counts, rng):
     """One slot's estimate of its sparse counts, drawn straight from the law.
 

@@ -20,6 +20,7 @@ from noisycache import (
     ExperimentConfig,
     PolicySpec,
     RoundRobinConfig,
+    SeedPlan,
     Trace,
     ZipfConfig,
     batch_trace,
@@ -30,8 +31,14 @@ from noisycache import (
     run_experiment,
     run_sweep,
     static_optimum,
+    step_perturbed_leaders,
 )
-from helpers import brute_force_best_cost, brute_force_static_minimum, estimate_copies
+from helpers import (
+    Recorder,
+    brute_force_best_cost,
+    brute_force_static_minimum,
+    estimate_copies,
+)
 
 DESK_FILES = 1000
 DESK_CACHE = 100
@@ -69,10 +76,9 @@ def _report(num, label, ok, elapsed, detail=""):
     print(f"\n[{status}] criterion {num}: {label}{tail} ({elapsed:.1f}s)")
 
 
-def _harvest_proof_steps(tag, series_list, request_totals, cache_size):
+def _harvest_proof_steps(tag, estimates, request_totals, cache_size):
     truth = oracle_minimize(request_totals.astype(np.float64), cache_size)
-    for series in series_list:
-        est = series.estimate_totals
+    for est in estimates:
         if est is None:
             continue
         lhs = float(est @ oracle_minimize(est, cache_size))
@@ -81,16 +87,17 @@ def _harvest_proof_steps(tag, series_list, request_totals, cache_size):
 
 
 def _harvest_experiment(tag, report):
-    series = [s for pol in report.policies for s in pol.runs]
+    estimates = [s.estimate_totals for pol in report.policies for s in pol.runs]
     _harvest_proof_steps(
-        tag, series, report.request_totals, report.cache_size
+        tag, estimates, report.request_totals, report.cache_size
     )
 
 
 def _harvest_sweep(tag, sweep_report, trace, batch_size):
     totals = batch_trace(trace, batch_size).totals()
     for cell in sweep_report.cells:
-        _harvest_proof_steps(tag, cell.runs, totals, cell.cache_size)
+        estimates = [s.estimate_totals for s in cell.runs]
+        _harvest_proof_steps(tag, estimates, totals, cell.cache_size)
 
 
 # ------------------------------------------------------- shared builders
@@ -130,25 +137,35 @@ def _zipf_desk_report():
     return _memo("zipf_desk", build)
 
 
-def _degeneration_report():
+def _degeneration_steps():
+    """fpl and its two full-rate twins stepped as three rows, decisions recorded.
+
+    The engine would step the twins as one column with fpl, so the stepper
+    is called directly. Each full-rate row draws from its own run-r
+    sampling stream.
+    """
     def build():
-        report = run_experiment(
-            ExperimentConfig(
-                trace=ZipfConfig(300, 1.0, 25_000, seed=3),
-                cache_size=30,
-                batch_size=50,
-                policies=(
-                    PolicySpec("exact", "fpl"),
-                    PolicySpec("fix-full", "nfpl-fix", subsample=50),
-                    PolicySpec("var-full", "nfpl-var", rate=1.0),
-                ),
-                runs=2,
-                base_seed=7,
-            ),
-            record_decisions=True,
+        slotted = batch_trace(generate_zipf(ZipfConfig(300, 1.0, 25_000, seed=3)), 50)
+        plan, runs = SeedPlan(7), range(2)
+        policies = (
+            PolicySpec("exact", "fpl"),
+            PolicySpec("fix-full", "nfpl-fix", subsample=50),
+            PolicySpec("var-full", "nfpl-var", rate=1.0),
         )
-        _harvest_experiment("c4", report)
-        return report
+        recorder = Recorder()
+        stepped = step_perturbed_leaders(
+            slotted,
+            [30],
+            [[spec.resolved_eta(slotted, 30) for spec in policies]],
+            [spec.estimator_spec(50) for spec in policies],
+            [plan.stream(run, SeedPlan.NOISE) for run in runs],
+            [[None] * len(runs)]
+            + [[plan.stream(run, SeedPlan.SAMPLING) for run in runs]
+               for _ in policies[1:]],
+            observe=recorder,
+        )
+        _harvest_proof_steps("c4", stepped.totals.reshape(-1, 300), slotted.totals(), 30)
+        return stepped, recorder.decisions
 
     return _memo("degeneration", build)
 
@@ -383,20 +400,11 @@ def test_criterion_3_estimators_are_unbiased():
 
 
 def test_criterion_4_full_rate_sampling_degenerates_to_exact():
-    report, elapsed = _degeneration_report()
-    exact = report.policy("exact")
+    (stepped, decisions), elapsed = _degeneration_steps()
     agree = True
-    for other in ("fix-full", "var-full"):
-        pol = report.policy(other)
-        for run in range(len(exact.runs)):
-            agree &= bool(
-                np.array_equal(
-                    exact.runs[run].decisions, pol.runs[run].decisions
-                )
-            )
-            agree &= bool(
-                np.array_equal(exact.runs[run].costs, pol.runs[run].costs)
-            )
+    for g in (1, 2):  # fix-full and var-full against exact, every run
+        agree &= bool(np.array_equal(decisions[:, g], decisions[:, 0]))
+        agree &= bool(np.array_equal(stepped.costs[:, g], stepped.costs[:, 0]))
     ok = agree and elapsed < 10.0
     _report(4, "full-rate sampling equals exact observation", ok, elapsed,
             "500 slots x 2 runs, decisions and costs identical")
@@ -527,7 +535,7 @@ def test_criterion_9_regret_bound_and_sublinearity():
 
 def test_criterion_10_estimates_price_the_true_optimum_higher():
     start = time.perf_counter()
-    _degeneration_report()
+    _degeneration_steps()
     _rr_cli_bundle()
     _zipf_desk_report()
     _zipf_sweep_report()

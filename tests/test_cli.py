@@ -123,15 +123,31 @@ class TestGenerate:
         assert not out.exists()
 
 
+GENERATE = ["generate", "round-robin", "--files", "3", "--requests", "6"]
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("the work started before --output was checked")
+
+
 @pytest.mark.parametrize("argv,path", [
     (["run", "-c", "{config}"], "{file}"),
     (["sweep", "-c", "{config}", "--rates", "0.5"], "{file}"),
     (["run", "-c", "{config}"], "{file}/sub"),
-    (["generate", "round-robin", "--files", "3", "--requests", "6"], "{dir}"),
-    (["generate", "round-robin", "--files", "3", "--requests", "6"], "{file}/x.txt"),
+    (GENERATE, "{dir}"),
+    (GENERATE, "{file}/x.txt"),
+    (["run", "-c", "{config}"], ""),
+    (["sweep", "-c", "{config}", "--rates", "0.5"], ""),
+    (GENERATE, ""),
+    (GENERATE, "{dir}/new/"),
 ], ids=["run-into-file", "sweep-into-file", "run-under-file", "generate-onto-dir",
-        "generate-under-file"])
-def test_an_unusable_output_path_is_usage_error(tmp_path, capsys, argv, path):
+        "generate-under-file", "run-empty", "sweep-empty", "generate-empty",
+        "generate-slash"])
+def test_an_unusable_output_path_is_usage_error(tmp_path, capsys, monkeypatch, argv,
+                                                path):
+    # the path is checked before any trace is built
+    for work in ("run_experiment", "run_sweep", "generate_round_robin"):
+        monkeypatch.setattr(cli, work, _no_work)
     names = {
         "config": write_config(tmp_path, RUN_CONFIG),
         "file": tmp_path / "taken",
@@ -143,10 +159,34 @@ def test_an_unusable_output_path_is_usage_error(tmp_path, capsys, argv, path):
     output = path.format(**names)
     assert invoke([a.format(**names) for a in argv] + ["-o", output]) == 2
     err = capsys.readouterr().err
-    assert f"--output {output}" in err
+    assert f"--output {output or repr('')} cannot be used: " in err
     assert "runtime failure" not in err
     assert sorted(p.name for p in tmp_path.rglob("*")) == before  # no temp file left
     assert names["file"].read_text() == "keep\n"
+
+
+@pytest.mark.parametrize("argv,work,taken", [
+    (["run", "-c", "{config}"], "run_experiment", "file"),
+    (GENERATE, "generate_round_robin", "dir"),
+], ids=["run", "generate"])
+def test_an_output_path_taken_during_the_work_is_usage_error(
+    tmp_path, capsys, monkeypatch, argv, work, taken
+):
+    # the commit still maps a path that turns bad after the early check
+    config, out = write_config(tmp_path, RUN_CONFIG), tmp_path / "o"
+    real = getattr(cli, work)
+
+    def racing(*args):
+        if taken == "file":
+            out.write_text("keep\n")
+        else:
+            out.mkdir()
+        return real(*args)
+
+    monkeypatch.setattr(cli, work, racing)
+    assert invoke([a.format(config=config) for a in argv] + ["-o", out]) == 2
+    assert f"--output {out} cannot be used: " in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.ini", "o"]
 
 
 def test_a_full_disk_stays_a_runtime_failure(tmp_path, capsys, monkeypatch):
@@ -388,6 +428,9 @@ class TestRun:
          "[experiment] batch_size must be in [1, 2000], the trace's length, got 5000"),
         (["sweep"], "batch_size = 20", "batch_size = 5000",
          "[experiment] batch_size must be in [1, 2000], the trace's length, got 5000"),
+        (["run"], "rate = 0.5", "rate = 1e-300",
+         "[experiment] policy 'var' (nfpl-var, rate 1e-300) has no finite "
+         "perturbation scale; raise its rate or set its eta"),
     ], ids=["eta-nan", "eta-inf", "alpha-nan", "alpha-inf", "seed", "base-seed",
             "tiebreak-opt", "tiebreak-var", "tiebreak-ftl", "fix-rate-and-subsample",
             "zipf-path", "zipf-remap", "fix-subsample-above-batch",
@@ -396,7 +439,7 @@ class TestRun:
             "sweep-section-cache-above-files", "cache-holds-all-files",
             "sweep-cache-holds-all-files", "sweep-flag-cache-holds-all-files",
             "sweep-section-cache-holds-all-files", "batch-above-trace",
-            "sweep-batch-above-trace"])
+            "sweep-batch-above-trace", "var-rate-overflows-eta"])
     def test_rejects_bad_values(self, tmp_path, capsys, argv, old, new, where):
         config = write_config(tmp_path, RUN_CONFIG.replace(old, new))
         out = tmp_path / "o"

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    Recorder,
     brute_force_static_minimum,
     reference_ftl_costs,
     reference_leader_run,
@@ -16,6 +17,7 @@ from noisycache import (
     BoundParams,
     EstimatorSpec,
     InvalidInputError,
+    RoundRobinConfig,
     SeedPlan,
     SlottedTrace,
     Trace,
@@ -23,6 +25,7 @@ from noisycache import (
     batch_trace,
     compute_eta,
     follow_the_leader,
+    generate_round_robin,
     generate_zipf,
     least_recently_used,
     oracle_minimize,
@@ -53,24 +56,36 @@ class TestComputeEta:
             compute_eta(BoundParams(1.0, 1.0, 2), 0)
 
 
+def _recorded_ftl(slotted, cache_size):
+    """follow_the_leader's costs and its T x N decisions, through a Recorder."""
+    recorder = Recorder()
+    return follow_the_leader(slotted, cache_size, recorder), recorder.decisions
+
+
+def _recorded_steps(*args):
+    """step_perturbed_leaders' LeaderRuns and its S x G x R x T x N decisions."""
+    recorder = Recorder()
+    return step_perturbed_leaders(*args, observe=recorder), recorder.decisions
+
+
 class TestFollowTheLeader:
     def test_empty_history_caches_lowest_indices(self):
         slotted = SlottedTrace(np.array([4, 3]), n_files=5, batch_size=2)
-        costs, decisions = follow_the_leader(slotted, 2, record_decisions=True)
+        costs, decisions = _recorded_ftl(slotted, 2)
         assert decisions[0].tolist() == [0, 0, 1, 1, 1]
         assert costs.tolist() == [2]
 
     def test_tracks_exact_counts(self):
         slot = np.repeat([0, 1, 2], [5, 3, 9])
         slotted = SlottedTrace(np.concatenate([slot, slot]), n_files=3, batch_size=17)
-        costs, decisions = follow_the_leader(slotted, 2, record_decisions=True)
+        costs, decisions = _recorded_ftl(slotted, 2)
         assert decisions[1].tolist() == [0, 1, 0]
         assert costs[1] == 3
 
     def test_recency_breaks_count_ties(self):
         # files 0 and 2 end up tied at one request; 2 was seen later
         slotted = SlottedTrace(np.array([0, 2, 1, 1]), n_files=3, batch_size=2)
-        _, decisions = follow_the_leader(slotted, 1, record_decisions=True)
+        _, decisions = _recorded_ftl(slotted, 1)
         assert decisions[1].tolist() == [1, 1, 0]
 
     def test_round_robin_whole_cycle_caches_most_recent(self):
@@ -79,7 +94,7 @@ class TestFollowTheLeader:
         # batch whenever N >= C + B
         n, c, b = 9, 3, 3
         slotted = SlottedTrace(np.arange(13 * b) % n, n_files=n, batch_size=b)
-        costs, decisions = follow_the_leader(slotted, c, record_decisions=True)
+        costs, decisions = _recorded_ftl(slotted, c)
         assert costs[0] == 0  # warmup slot requests exactly the default cache
         assert costs[1:12].tolist() == [b] * 11
         # after slot 12 (a whole number of cycles) files 6, 7, 8 are freshest
@@ -108,14 +123,13 @@ class TestBaselinesAgainstReferences:
     @given(baseline_problems())
     def test_follow_the_leader_matches_reference(self, problem):
         slotted, c = problem
-        costs, decisions = follow_the_leader(slotted, c, record_decisions=True)
+        costs, decisions = _recorded_ftl(slotted, c)
         ref_costs, ref_decisions = reference_ftl_costs(
             slotted.events, slotted.n_files, slotted.batch_size, c
         )
         assert costs.tolist() == ref_costs
         assert decisions.tolist() == ref_decisions
-        unrecorded, none = follow_the_leader(slotted, c)
-        assert none is None and np.array_equal(unrecorded, costs)
+        assert np.array_equal(follow_the_leader(slotted, c), costs)
 
     @settings(max_examples=150, deadline=None)
     @given(baseline_problems())
@@ -204,10 +218,10 @@ def multi_size_problems(draw):
 
 
 def _step_exact(slotted, cache_size, eta, noise_rngs):
-    """One exact leader at eta over one run per noise generator, decisions kept."""
-    return step_perturbed_leaders(
+    """One exact leader at eta over one run per noise generator, recorded."""
+    return _recorded_steps(
         slotted, [cache_size], [[eta]], [EstimatorSpec.exact(slotted.batch_size)],
-        noise_rngs, [[None] * len(noise_rngs)], record_decisions=True,
+        noise_rngs, [[None] * len(noise_rngs)],
     )
 
 
@@ -216,14 +230,13 @@ class TestStepPerturbedLeaders:
     @given(leader_problems())
     def test_matches_per_run_perturbed_leader(self, problem):
         slotted, c, etas, estimators, runs, plan = problem
-        stepped = step_perturbed_leaders(
+        stepped, recorded = _recorded_steps(
             slotted,
             [c],
             [etas],
             estimators,
             [plan.stream(r, SeedPlan.NOISE) for r in range(runs)],
             [[plan.stream(r, SeedPlan.SAMPLING) for r in range(runs)] for _ in etas],
-            record_decisions=True,
         )
         for g, (eta, est) in enumerate(zip(etas, estimators)):
             for r in range(runs):
@@ -233,14 +246,14 @@ class TestStepPerturbedLeaders:
                 )
                 assert np.array_equal(stepped.costs[0, g, r], costs)
                 assert np.array_equal(stepped.totals[g, r], totals)
-                assert np.array_equal(stepped.decisions[0, g, r], decisions)
+                assert np.array_equal(recorded[0, g, r], decisions)
 
     @settings(max_examples=100, deadline=None)
     @given(multi_size_problems())
     def test_every_cache_size_matches_its_reference_run(self, problem):
         # one call steps every size from the same noise, estimates and totals
         slotted, sizes, etas, estimators, runs, plan = problem
-        stepped = step_perturbed_leaders(
+        stepped, recorded = _recorded_steps(
             slotted,
             sizes,
             etas,
@@ -248,7 +261,6 @@ class TestStepPerturbedLeaders:
             [plan.stream(r, SeedPlan.NOISE) for r in range(runs)],
             [[plan.stream(r, SeedPlan.SAMPLING) for r in range(runs)]
              for _ in estimators],
-            record_decisions=True,
         )
         shape = (len(sizes), len(estimators), runs, slotted.horizon)
         assert stepped.costs.shape == shape
@@ -262,7 +274,7 @@ class TestStepPerturbedLeaders:
                     )
                     assert np.array_equal(stepped.costs[s, g, r], costs)
                     assert np.array_equal(stepped.totals[g, r], totals)
-                    assert np.array_equal(stepped.decisions[s, g, r], decisions)
+                    assert np.array_equal(recorded[s, g, r], decisions)
 
     def test_only_tied_rows_drop_their_highest_tied_indices(self):
         # after slot 0 the totals are [2, 1, 1, 0]: at eta 0 and C=2 files 1
@@ -273,61 +285,59 @@ class TestStepPerturbedLeaders:
         exact = EstimatorSpec.exact(4)
         etas = [[0.0, 0.5, 5.0], [0.0, 0.5, 5.0]]
         seeds = (21, 22)
-        stepped = step_perturbed_leaders(
+        stepped, recorded = _recorded_steps(
             slotted, [2, 1], etas, [exact] * 3,
             [np.random.default_rng(s) for s in seeds], [[None, None]] * 3,
-            record_decisions=True,
         )
         for r in range(2):
-            assert stepped.decisions[0, 0, r, 1].tolist() == [0, 0, 1, 1]
-            assert stepped.decisions[1, 0, r, 1].tolist() == [0, 1, 1, 1]
+            assert recorded[0, 0, r, 1].tolist() == [0, 0, 1, 1]
+            assert recorded[1, 0, r, 1].tolist() == [0, 1, 1, 1]
         for s, c in enumerate([2, 1]):
             for g in (1, 2):
                 for r, seed in enumerate(seeds):
                     costs, _, decisions = reference_leader_run(
                         slotted, c, etas[s][g], exact, np.random.default_rng(seed), None
                     )
-                    assert np.array_equal(stepped.decisions[s, g, r], decisions)
+                    assert np.array_equal(recorded[s, g, r], decisions)
                     assert np.array_equal(stepped.costs[s, g, r], costs)
 
     def test_zero_eta_first_decision_caches_lowest_indices(self):
         slotted = SlottedTrace(np.array([4, 3]), n_files=5, batch_size=2)
-        stepped = _step_exact(slotted, 3, 0.0, [np.random.default_rng(1)])
-        assert stepped.decisions[0, 0, 0, 0].tolist() == [0, 0, 0, 1, 1]
+        _, recorded = _step_exact(slotted, 3, 0.0, [np.random.default_rng(1)])
+        assert recorded[0, 0, 0, 0].tolist() == [0, 0, 0, 1, 1]
 
     def test_tiny_noise_cannot_overturn_a_large_lead(self):
         # slot 0 gives file 0 a lead of 10; 50 runs each draw fresh noise
         slotted = SlottedTrace(np.repeat([0, 1], 10), n_files=3, batch_size=10)
         rngs = [np.random.default_rng(2 + r) for r in range(50)]
-        stepped = _step_exact(slotted, 1, 1e-6, rngs)
+        _, recorded = _step_exact(slotted, 1, 1e-6, rngs)
         for r in range(50):
-            assert stepped.decisions[0, 0, r, 1].tolist() == [0, 1, 1]
+            assert recorded[0, 0, r, 1].tolist() == [0, 1, 1]
 
     def test_exact_observation_accumulates_true_counts(self):
         slotted = SlottedTrace(np.array([0, 1, 1, 1, 2, 3]), n_files=4, batch_size=3)
-        stepped = _step_exact(slotted, 2, 1.0, [np.random.default_rng(3)])
+        stepped, _ = _step_exact(slotted, 2, 1.0, [np.random.default_rng(3)])
         assert stepped.totals[0, 0].tolist() == [1.0, 3.0, 1.0, 1.0]
 
     def test_zero_eta_matches_follow_the_leader(self):
         # with no noise fpl is the leader over exact totals, ties to the lowest index
         slotted = batch_trace(generate_zipf(ZipfConfig(40, 1.0, 600, seed=11)), 20)
-        stepped = _step_exact(slotted, 8, 0.0, [np.random.default_rng(4)])
+        _, recorded = _step_exact(slotted, 8, 0.0, [np.random.default_rng(4)])
         totals = np.zeros(40)
         for t, window in enumerate(slotted.events.reshape(-1, 20)):
-            assert np.array_equal(stepped.decisions[0, 0, 0, t], oracle_minimize(totals, 8))
+            assert np.array_equal(recorded[0, 0, 0, t], oracle_minimize(totals, 8))
             totals += np.bincount(window, minlength=40)
 
     def test_degenerate_samplers_match_exact_decisions(self):
         slotted = batch_trace(generate_zipf(ZipfConfig(30, 1.0, 500, seed=12)), 10)
         specs = [EstimatorSpec.exact(10), EstimatorSpec.fixed_subsample(10, 10),
                  EstimatorSpec.bernoulli(1.0, 10)]
-        stepped = step_perturbed_leaders(
+        stepped, recorded = _recorded_steps(
             slotted, [5], [[25.0] * 3], specs, [np.random.default_rng(77)],
             [[None], [np.random.default_rng(5)], [np.random.default_rng(6)]],
-            record_decisions=True,
         )
         for g in (1, 2):
-            assert np.array_equal(stepped.decisions[:, g], stepped.decisions[:, 0])
+            assert np.array_equal(recorded[:, g], recorded[:, 0])
             assert np.array_equal(stepped.costs[:, g], stepped.costs[:, 0])
             assert np.array_equal(stepped.totals[g], stepped.totals[0])
 
@@ -371,6 +381,53 @@ class TestStepPerturbedLeaders:
         step_perturbed_leaders(
             slotted, [2], [[1.0, 1.0]], [exact, var], [noise], [[noise], [shared]]
         )
+
+
+class TestObserver:
+    def test_recorded_decisions_replay_the_costs(self):
+        # each recorded slot caches exactly C files and prices that slot's misses
+        slotted = batch_trace(generate_zipf(ZipfConfig(40, 1.0, 2000, seed=21)), 20)
+        plan = SeedPlan(99)
+        stepped, recorded = _recorded_steps(
+            slotted, [8, 3], [[50.0, 100.0], [35.0, 70.0]],
+            [EstimatorSpec.exact(20), EstimatorSpec.bernoulli(0.5, 20)],
+            [plan.stream(r, SeedPlan.NOISE) for r in range(2)],
+            [[None, None], [plan.stream(r, SeedPlan.SAMPLING) for r in range(2)]],
+        )
+        runs = [(8, *_recorded_ftl(slotted, 8))] + [
+            (c, stepped.costs[s, g, r], recorded[s, g, r])
+            for s, c in enumerate([8, 3]) for g in range(2) for r in range(2)
+        ]
+        for c, costs, decisions in runs:
+            assert decisions.shape == (slotted.horizon, 40)
+            for t, window in enumerate(slotted.events.reshape(-1, 20)):
+                assert decisions[t].sum() == 40 - c
+                assert costs[t] == decisions[t][window].sum()
+
+    def test_ftl_records_one_cache_per_slot(self):
+        slotted = batch_trace(generate_round_robin(RoundRobinConfig(10, 50)), 5)
+        _, decisions = _recorded_ftl(slotted, 3)
+        assert decisions.sum(axis=1).tolist() == [7] * 10
+
+    def test_observing_changes_no_cost_or_total(self):
+        slotted = batch_trace(generate_zipf(ZipfConfig(40, 1.0, 2000, seed=21)), 20)
+        specs = [EstimatorSpec.exact(20), EstimatorSpec.fixed_subsample(5, 20),
+                 EstimatorSpec.bernoulli(0.3, 20)]
+
+        def step(observe):
+            plan = SeedPlan(5)
+            return step_perturbed_leaders(
+                slotted, [8, 3], [[50.0] * 3, [35.0] * 3], specs,
+                [plan.stream(r, SeedPlan.NOISE) for r in range(3)],
+                [[plan.stream(r, SeedPlan.SAMPLING) for r in range(3)] for _ in specs],
+                observe=observe,
+            )
+
+        seen, unseen = step(Recorder()), step(None)
+        assert np.array_equal(seen.costs, unseen.costs)
+        assert np.array_equal(seen.totals, unseen.totals)
+        ftl = follow_the_leader(slotted, 8)
+        assert np.array_equal(follow_the_leader(slotted, 8, Recorder()), ftl)
 
 
 class TestLeastRecentlyUsed:
