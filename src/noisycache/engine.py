@@ -40,6 +40,7 @@ from .metrics import (
     regret_bound,
 )
 from .policies import (
+    check_eta,
     compute_eta,
     follow_the_leader,
     least_recently_used,
@@ -106,10 +107,7 @@ class PolicySpec:
         if self.eta_override is not None:
             if self.kind not in _SAMPLED_KINDS:
                 raise InvalidInputError(f"eta does not apply to {self.kind}")
-            if not math.isfinite(self.eta_override) or self.eta_override < 0:
-                raise InvalidInputError(
-                    f"eta must be finite and >= 0, got {self.eta_override}"
-                )
+            check_eta(self.eta_override)
 
     @property
     def stochastic(self) -> bool:
@@ -133,6 +131,18 @@ class PolicySpec:
                 "finite perturbation scale; raise its rate or set its eta"
             )
         return eta
+
+    def resolved_bound(self, slotted: SlottedTrace, cache_size: int) -> float:
+        """metrics.regret_bound for this policy's estimator at this trace and size."""
+        estimator = self.estimator_spec(slotted.batch_size)
+        bounds = bound_params(estimator, slotted.n_files, cache_size)
+        bound = regret_bound(bounds, slotted.horizon)
+        if not math.isfinite(bound):  # (B / rate)^2 overflows at a tiny enough rate
+            raise InvalidInputError(
+                f"policy {self.name!r} ({self.kind}, rate {self.rate}) has no "
+                "finite regret bound; raise its rate"
+            )
+        return bound
 
     def estimator_spec(self, batch_size: int) -> EstimatorSpec | None:
         if self.kind == "fpl":
@@ -349,9 +359,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         raise InvalidInputError("at least one policy is required")
     size = config.cache_size
     plan, source, slotted = _prepare(config, [size])
-    n, b, horizon = slotted.n_files, slotted.batch_size, slotted.horizon
+    b, horizon = slotted.batch_size, slotted.horizon
     leaders = [spec for spec in config.policies if spec.stochastic]
     etas = [spec.resolved_eta(slotted, size) for spec in leaders]  # before any run
+    bounds = [spec.resolved_bound(slotted, size) for spec in leaders]
     opt_decision, opt_costs = static_optimum(slotted, size)
     optimum = int(opt_costs.sum())
 
@@ -373,9 +384,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             [(est, [eta]) for est, eta in zip(estimators, etas)],
             slotted, [size], plan, range(config.runs),
         )
-        for spec, est, eta, g in zip(leaders, estimators, etas, columns):
+        for spec, eta, bound, g in zip(leaders, etas, bounds, columns):
             series = _series(spec.name, stepped, 0, g, range(config.runs))
-            bound = regret_bound(bound_params(est, n, size), horizon)
             reports[spec.name] = _aggregate(spec, eta, series, b, optimum, bound)
 
     return ExperimentReport(

@@ -7,18 +7,17 @@ r_hat produced by one of three estimators, each unbiased (E[r_hat] = r):
 - fixed subsample: keep exactly `subsample` of the batch's events,
   chosen uniformly without replacement, count per file, and rescale by
   batch_size / subsample. The per-file kept counts follow a multivariate
-  hypergeometric law over the batch's count vector, which is how the
-  draw is implemented (no event materialization);
+  hypergeometric law over the batch's count vector;
 - bernoulli: keep each event independently with probability `rate` and
   rescale by 1 / rate, i.e. a binomial thinning of each file's count.
 
 estimate_block draws the estimates of a block of consecutive slots of a
 slotted trace; policies.step_perturbed_leaders is its one caller. Its
-fixed subsample calls NumPy's own C routine, the one behind
-Generator.multivariate_hypergeometric, through ctypes on each row's bit
-generator, so the draws are that method's. The routine is resolved and
-probed against the method once; if it is missing or disagrees, the
-method runs once per slot instead.
+fixed subsample draws by random keys (Efraimidis & Spirakis, IPL 2006):
+each event of a slot, in the slot's sorted order, gets a uniform key,
+and the events with the `subsample` smallest keys are kept. A uniform
+subset of a permutation's positions is a uniform subset of its events,
+so this is the multivariate hypergeometric law, in pure NumPy.
 
 bound_params feeds the perturbation-scale and regret-bound formulas from
 the estimator, which carries B, and from N and C alone: the fixed
@@ -26,11 +25,8 @@ subsample keeps estimate l1 mass at exactly batch_size, while bernoulli
 thinning can concentrate up to batch_size / rate on a single file.
 """
 
-import ctypes
 from dataclasses import dataclass
 from enum import Enum
-import functools
-import sys
 
 import numpy as np
 
@@ -122,61 +118,21 @@ def estimate_block(
     Slot s owns counts[offsets[s]:offsets[s + 1]], with offsets[0] == 0,
     and its float64 estimate lands at the same positions. Binomial draws
     go element by element, so one call covers the block. The fixed
-    subsample calls NumPy's C routine once per slot, under the generator's
-    lock and with the slot's total, as Generator.multivariate_hypergeometric
-    does, or that method itself if _marginals() found no such routine.
-    The caller validates the spec and rng once, up front; only the slot
-    bounds that the routine's pointers cover are checked here.
+    subsample draws one slots x B matrix of uniform keys, row s keying
+    slot s's B events in sorted order, and keeps each row's subsample
+    smallest. The caller validates the spec and rng once, up front.
     """
     if spec.full_rate:
         out[: counts.size] = counts
     elif spec.kind is EstimatorKind.BERNOULLI:
         np.divide(rng.binomial(counts, spec.rate), spec.rate, out=out[: counts.size])
-    elif (routine := _marginals()) is None:
-        for lo, hi in zip(offsets[:-1], offsets[1:]):
-            kept = rng.multivariate_hypergeometric(counts[lo:hi], spec.subsample)
-            out[lo:hi] = kept * (spec.batch_size / spec.subsample)
     else:
-        # the routine reads and writes through raw pointers: check what they cover
-        counts, bounds = np.ascontiguousarray(counts, dtype=np.int64), offsets.tolist()
-        sizes = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
-        if bounds[0] != 0 or bounds[-1] != counts.size or min(sizes, default=1) < 1:
-            raise InvalidInputError("offsets must cut counts into non-empty slots")
-        kept = np.zeros(counts.size, np.int64)  # the routine writes sampled files only
-        totals = np.add.reduceat(counts, offsets[:-1]).tolist()
-        at, to = counts.ctypes.data, kept.ctypes.data  # 8 bytes per int64 entry
-        bitgen, b = rng.bit_generator.ctypes.bit_generator, spec.subsample
-        with rng.bit_generator.lock:
-            for lo, n, total in zip(bounds, sizes, totals):
-                routine(bitgen, total, n, at + 8 * lo, b, 1, to + 8 * lo)
-        np.multiply(kept, spec.batch_size / b, out=out[: counts.size])
-
-
-@functools.cache
-def _marginals():
-    """NumPy's random_multivariate_hypergeometric_marginals, or None.
-
-    None unless, on twin generators, it draws what the Generator method
-    draws at samples that run both of NumPy's algorithms (< 10 and >= 10)
-    and its complement branch (> total / 2), and leaves the same next draw.
-    """
-    try:
-        lib = ctypes.CDLL(sys.modules[np.random.Generator.__module__].__file__)
-        routine = lib.random_multivariate_hypergeometric_marginals
-    except (AttributeError, OSError):
-        return None
-    ptr, i64, size = ctypes.c_void_p, ctypes.c_int64, ctypes.c_size_t
-    # bitgen_t *, total, num_colors, colors *, nsample, num_variates, variates *
-    routine.argtypes, routine.restype = (ptr, i64, size, ptr, i64, size, ptr), None
-    colors = np.array([7, 12, 1, 30, 9, 1])
-    rng, twin = np.random.default_rng(2309), np.random.default_rng(2309)
-    bitgen = rng.bit_generator.ctypes.bit_generator
-    for sample in (3, 25, 48):
-        kept = np.zeros_like(colors)
-        routine(bitgen, 60, 6, colors.ctypes.data, sample, 1, kept.ctypes.data)
-        if not np.array_equal(kept, twin.multivariate_hypergeometric(colors, sample)):
-            return None
-    return routine if rng.random() == twin.random() else None
+        slots, batch, b = offsets.size - 1, spec.batch_size, spec.subsample
+        owner = np.repeat(np.arange(counts.size), counts)  # sorted event -> entry
+        picked = np.argpartition(rng.random((slots, batch)), b - 1, axis=1)[:, :b]
+        picked += np.arange(0, slots * batch, batch)[:, None]
+        kept = np.bincount(owner[picked.ravel()], minlength=counts.size)
+        np.multiply(kept, batch / b, out=out[: counts.size])
 
 
 def bound_params(spec: EstimatorSpec, n_files: int, cache_size: int) -> BoundParams:

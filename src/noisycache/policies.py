@@ -36,6 +36,14 @@ def compute_eta(bounds: BoundParams, horizon: int) -> float:
     return math.sqrt(bounds.cost_bound * bounds.l1_bound * horizon / bounds.diameter)
 
 
+def check_eta(eta, what: str = "eta") -> None:
+    """Reject a perturbation scale, or array of them, unless finite and >= 0."""
+    values = np.asarray(eta, dtype=np.float64)
+    if not np.all(np.isfinite(values)) or np.any(values < 0):
+        got = np.asarray(eta).tolist()
+        raise InvalidInputError(f"{what} must be finite and >= 0, got {got}")
+
+
 @dataclass
 class LeaderRuns:
     """What step_perturbed_leaders returns for G leaders over R runs at S sizes.
@@ -91,8 +99,7 @@ def step_perturbed_leaders(
         raise InvalidInputError("need at least one cache size, leader and run")
     if len(estimators) != groups or len(sample_rngs) != groups:
         raise InvalidInputError("estimators and sample_rngs need one entry per leader")
-    if not np.all(np.isfinite(etas)) or np.any(etas < 0):
-        raise InvalidInputError(f"etas must be finite and >= 0, got {etas.tolist()}")
+    check_eta(etas, "etas")
     for spec, rngs in zip(estimators, sample_rngs):
         if len(rngs) != runs:
             raise InvalidInputError("sample_rngs needs one generator per run")
@@ -120,16 +127,14 @@ def step_perturbed_leaders(
     cached = np.empty((rows, n), dtype=bool)
     costs = np.empty((len(sizes), groups, runs, horizon), dtype=np.int64)
     row_costs = costs.reshape(len(sizes), rows, horizon)
-    # one buffer of at most n estimates per row: a slot holds at most n ids
+    # one buffer of n estimates per row: span slots hold at most n events,
+    # so at most n CSR entries, and a fixed row keys at most max(n, b) events
     block = np.empty((rows, n))
-    offsets = slotted.offsets
-    stop = 0
+    offsets, span = slotted.offsets, max(1, n // b)
 
     for t in range(horizon):
-        if t == stop:
-            # draw the slots from t on whose CSR entries fit in n
-            base = offsets[t]
-            stop = np.searchsorted(offsets, base + n, "right") - 1
+        if t % span == 0:
+            base, stop = offsets[t], min(t + span, horizon)
             part = slotted.counts[base : offsets[stop]]
             for k, (spec, rng) in enumerate(samplers):
                 estimate_block(spec, part, offsets[t : stop + 1] - base, rng, block[k])

@@ -8,6 +8,7 @@ over many identical slots, for the estimator property tests.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -99,7 +100,10 @@ class Recorder:
 def reference_estimate(spec, counts, rng):
     """One slot's estimate of its sparse counts, drawn straight from the law.
 
-    Draws even at full rate, where the law gives back the counts.
+    The fixed subsample lists the slot's events in sorted order, gives
+    each one uniform key, sorts all the keys and keeps the events with
+    the subsample smallest. Draws even at full rate, where the law gives
+    back the counts.
     """
     from noisycache import EstimatorKind
 
@@ -107,8 +111,45 @@ def reference_estimate(spec, counts, rng):
         return counts.astype(np.float64)
     if spec.kind is EstimatorKind.BERNOULLI:
         return rng.binomial(counts, spec.rate) / spec.rate
-    kept = rng.multivariate_hypergeometric(counts, spec.subsample)
+    events = np.repeat(np.arange(counts.size), counts)
+    keys = rng.random(events.size)
+    picked = events[np.argsort(keys)[: spec.subsample]]
+    kept = np.bincount(picked, minlength=counts.size)
     return kept * (spec.batch_size / spec.subsample)
+
+
+def multivariate_hypergeometric_pmf(counts, sample):
+    """The law of the kept counts of a sample drawn without replacement.
+
+    Maps every kept-count vector to its probability, by enumeration:
+    prod_i C(counts_i, kept_i) / C(sum(counts), sample).
+    """
+    ways = math.comb(sum(counts), sample)
+    return {
+        kept: math.prod(map(math.comb, counts, kept)) / ways
+        for kept in itertools.product(*(range(c + 1) for c in counts))
+        if sum(kept) == sample
+    }
+
+
+def chi2_sf(stat, dof):
+    """Upper tail P(X >= stat) of the chi-squared law with whole dof.
+
+    The closed forms, with h = stat / 2: a Poisson tail for even dof and
+    erfc plus a half-integer series for odd dof. 0 dof is the point mass
+    at 0.
+    """
+    if dof == 0:
+        return float(stat <= 0)
+    half = stat / 2
+    if dof % 2 == 0:
+        return sum(
+            math.exp(-half) * half**i / math.factorial(i) for i in range(dof // 2)
+        )
+    return math.erfc(math.sqrt(half)) + sum(
+        math.exp(-half) * half ** (i - 0.5) / math.gamma(i + 0.5)
+        for i in range(1, dof // 2 + 1)
+    )
 
 
 def reference_leader_run(slotted, cache_size, eta, estimator, noise_rng, sample_rng):

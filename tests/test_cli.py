@@ -431,6 +431,12 @@ class TestRun:
         (["run"], "rate = 0.5", "rate = 1e-300",
          "[experiment] policy 'var' (nfpl-var, rate 1e-300) has no finite "
          "perturbation scale; raise its rate or set its eta"),
+        (["run"], "rate = 0.5", "rate = 1e-300\n    eta = 5",
+         "[experiment] policy 'var' (nfpl-var, rate 1e-300) has no finite "
+         "regret bound; raise its rate"),
+        (["run"], "rate = 0.5", "rate = 2e-152",
+         "[experiment] policy 'var' (nfpl-var, rate 2e-152) has no finite "
+         "regret bound; raise its rate"),
     ], ids=["eta-nan", "eta-inf", "alpha-nan", "alpha-inf", "seed", "base-seed",
             "tiebreak-opt", "tiebreak-var", "tiebreak-ftl", "fix-rate-and-subsample",
             "zipf-path", "zipf-remap", "fix-subsample-above-batch",
@@ -439,7 +445,8 @@ class TestRun:
             "sweep-section-cache-above-files", "cache-holds-all-files",
             "sweep-cache-holds-all-files", "sweep-flag-cache-holds-all-files",
             "sweep-section-cache-holds-all-files", "batch-above-trace",
-            "sweep-batch-above-trace", "var-rate-overflows-eta"])
+            "sweep-batch-above-trace", "var-rate-overflows-eta",
+            "var-rate-overflows-bound", "var-rate-overflows-bound-not-eta"])
     def test_rejects_bad_values(self, tmp_path, capsys, argv, old, new, where):
         config = write_config(tmp_path, RUN_CONFIG.replace(old, new))
         out = tmp_path / "o"

@@ -67,14 +67,15 @@ class TestPolicySpec:
             PolicySpec("x", "lru", eta_override=1.0)
         with pytest.raises(InvalidInputError):
             PolicySpec("x", "ftl", eta_override=1.0)
-        with pytest.raises(InvalidInputError):
+        message = "^eta must be finite and >= 0, got {}$"
+        with pytest.raises(InvalidInputError, match=message.format(r"-1\.0")):
             PolicySpec("x", "fpl", eta_override=-1.0)
         # ftl's most-recent tie rule is fixed: no kind takes a tiebreak
         for kind in ("lru", "ftl", "opt", "fpl"):
             with pytest.raises(TypeError):
                 PolicySpec("x", kind, tiebreak="lowest-index")
         for eta in (float("nan"), float("inf")):
-            with pytest.raises(InvalidInputError):
+            with pytest.raises(InvalidInputError, match=message.format(eta)):
                 PolicySpec("x", "fpl", eta_override=eta)
         assert PolicySpec("x", "fpl", eta_override=0.0).eta_override == 0.0
 

@@ -1,13 +1,15 @@
 """Unit tests for the request-count estimators."""
 
-import ctypes
-import sys
-
 from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
-from helpers import estimate_copies, reference_estimate
+from helpers import (
+    chi2_sf,
+    estimate_copies,
+    multivariate_hypergeometric_pmf,
+    reference_estimate,
+)
 from noisycache import (
     BoundParams,
     EstimatorKind,
@@ -17,7 +19,6 @@ from noisycache import (
     bound_params,
     step_perturbed_leaders,
 )
-from noisycache import estimators
 from noisycache.estimators import estimate_block
 
 
@@ -181,11 +182,12 @@ class TestEstimateBlock:
 
 @st.composite
 def fixed_blocks(draw):
-    """A CSR block of 1-40 slots of up to 300 requests and a fixed subsample.
+    """A CSR block of 1-40 slots of 2-300 requests and a sampled fixed subsample.
 
-    Some slots request a single file, so the routine sees one color.
+    Some slots request a single file, so they hold one CSR entry.
+    The subsample stays below the batch: a full one draws nothing.
     """
-    batch = draw(st.integers(1, 300))
+    batch = draw(st.integers(2, 300))
     slots = draw(st.integers(1, 40))
     n_files = draw(st.integers(1, 80))
     events = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(
@@ -194,17 +196,17 @@ def fixed_blocks(draw):
     single = draw(st.lists(st.booleans(), min_size=slots, max_size=slots))
     events[single] = events[single, :1]
     slotted = SlottedTrace(events.ravel(), n_files, batch)
-    spec = EstimatorSpec.fixed_subsample(draw(st.integers(1, batch)), batch)
+    spec = EstimatorSpec.fixed_subsample(draw(st.integers(1, batch - 1)), batch)
     return spec, slotted, draw(st.integers(0, 2**32 - 1))
 
 
-class TestFixedSubsampleRoutine:
-    """The fixed subsampler's C routine against the Generator method."""
+class TestFixedSubsampleLaw:
+    """The fixed subsampler's random keys against the law they must draw."""
 
     @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.Philox])
     @settings(max_examples=100, deadline=None)
     @given(fixed_blocks())
-    def test_matches_the_generator_method_at_real_sizes(self, bit_generator, case):
+    def test_matches_one_key_per_event_at_real_sizes(self, bit_generator, case):
         spec, slotted, seed = case
         rng = np.random.Generator(bit_generator(seed))
         twin = np.random.Generator(bit_generator(seed))
@@ -218,48 +220,29 @@ class TestFixedSubsampleRoutine:
         assert out.tobytes() == expected.tobytes()
         assert rng.random() == twin.random()
 
-    # 30 slots of 200 requests over 50 files
-    SLOTS = SlottedTrace(np.random.default_rng(3).integers(0, 50, 30 * 200), 50, 200)
-
-    def _draw(self):
-        rng, spec = np.random.default_rng(9), EstimatorSpec.fixed_subsample(37, 200)
-        out = np.empty(self.SLOTS.counts.size)
-        estimate_block(spec, self.SLOTS.counts, self.SLOTS.offsets, rng, out)
-        return out, rng.random()
-
-    def test_fallback_draws_the_same_bytes(self, monkeypatch):
-        fast = self._draw()
-        monkeypatch.setattr(estimators, "_marginals", lambda: None)
-        slow = self._draw()
-        assert fast[0].tobytes() == slow[0].tobytes()
-        assert fast[1] == slow[1]
-
-    @pytest.mark.skipif(estimators._marginals() is None, reason="no C routine")
     @pytest.mark.parametrize(
-        "offsets", [[1, 5], [0, 4], [0, 6], [0, 2, 2, 5], [0, 3, 2, 5]]
+        "counts, sample",
+        [((3, 2, 1, 4), 4), ((3, 2, 1, 4), 1), ((3, 2, 1, 4), 9), ((2, 0, 5, 1), 3),
+         ((6,), 2)],
+        ids=["b4", "b1", "b-is-B-minus-1", "unrequested-file", "single-file"],
     )
-    def test_rejects_offsets_that_leave_the_counts(self, offsets):
-        # the routine reads and writes through raw pointers, so bad slot
-        # bounds must raise rather than touch memory outside the arrays
-        spec, counts = EstimatorSpec.fixed_subsample(1, 2), np.array([1, 1, 1, 1, 1])
-        with pytest.raises(InvalidInputError, match="offsets"):
-            estimate_block(spec, counts, np.array(offsets), np.random.default_rng(0),
-                           np.empty(5))
-
-    def test_routine_is_used_wherever_numpy_exports_it(self, monkeypatch):
-        module = sys.modules[np.random.Generator.__module__]
-        exported = hasattr(
-            ctypes.CDLL(module.__file__), "random_multivariate_hypergeometric_marginals"
-        )
-        routine = estimators._marginals()
-        assert (routine is not None) == exported
-        if routine is not None:
-            calls = []
-            monkeypatch.setattr(
-                estimators, "_marginals", lambda: lambda *a: calls.append(routine(*a))
-            )
-            self._draw()
-            assert len(calls) == 30  # once per slot
+    def test_kept_counts_follow_the_multivariate_hypergeometric_law(
+        self, counts, sample
+    ):
+        pmf = multivariate_hypergeometric_pmf(counts, sample)
+        spec, draws = EstimatorSpec.fixed_subsample(sample, sum(counts)), 20_000
+        rng = np.random.default_rng(2309)
+        kept = np.rint(estimate_copies(spec, counts, draws, rng) * sample / sum(counts))
+        outcomes, seen = np.unique(kept.astype(int), axis=0, return_counts=True)
+        observed = dict(zip(map(tuple, outcomes.tolist()), seen.tolist()))
+        assert set(observed) <= set(pmf)
+        expected = draws * np.array(list(pmf.values()))
+        got = np.array([observed.get(outcome, 0) for outcome in pmf])
+        stat = float(((got - expected) ** 2 / expected).sum())
+        # Pearson's chi-squared at level 1e-3: the true law fails a case at
+        # about one seed in a thousand, so about 0.4% of seeds fail one of
+        # the four cases with more than one outcome
+        assert chi2_sf(stat, len(pmf) - 1) > 1e-3
 
 
 class TestBoundParams:

@@ -1,6 +1,7 @@
 """Unit tests for the caching policies."""
 
 import math
+import re
 
 from hypothesis import given, settings, strategies as st
 import numpy as np
@@ -146,8 +147,8 @@ class TestBaselinesAgainstReferences:
 def leader_problems(draw):
     """A small batched trace plus a mix of perturbed leaders over 1-4 runs.
 
-    Horizons reach past the stepper's sampling blocks (at most n_files
-    CSR entries each), and rate 1.0 gives the full-rate samplers.
+    Horizons reach past the stepper's sampling blocks (max(1, n_files //
+    batch_size) slots each), and rate 1.0 gives the full-rate samplers.
     """
     n = draw(st.integers(2, 9))
     c = draw(st.integers(1, n - 1))
@@ -188,7 +189,7 @@ def multi_size_problems(draw):
     """leader_problems at 1-3 distinct cache sizes, one eta per (size, leader).
 
     Etas repeat across sizes and leaders and include zero; every horizon
-    has more slots than one sampling block of n_files entries can hold.
+    has more slots than one sampling block, which holds at most n_files.
     """
     n = draw(st.integers(2, 9))
     sizes = draw(st.lists(st.integers(1, n), min_size=1, max_size=3, unique=True))
@@ -345,10 +346,10 @@ class TestStepPerturbedLeaders:
         slotted = SlottedTrace(np.array([0, 1]), n_files=4, batch_size=2)
         rng = np.random.default_rng(0)
         exact = EstimatorSpec.exact(2)
-        with pytest.raises(InvalidInputError):
-            step_perturbed_leaders(slotted, [2], [[float("nan")]], [exact], [rng], [[None]])
-        with pytest.raises(InvalidInputError):
-            step_perturbed_leaders(slotted, [2], [[-1.0]], [exact], [rng], [[None]])
+        for eta, got in ((float("nan"), "[[nan]]"), (-1.0, "[[-1.0]]")):
+            message = f"^etas must be finite and >= 0, got {re.escape(got)}$"
+            with pytest.raises(InvalidInputError, match=message):
+                step_perturbed_leaders(slotted, [2], [[eta]], [exact], [rng], [[None]])
         with pytest.raises(InvalidInputError):
             step_perturbed_leaders(
                 slotted, [2], [[1.0]], [EstimatorSpec.bernoulli(0.5, 2)], [rng], [[None]]
