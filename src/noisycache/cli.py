@@ -222,10 +222,11 @@ def _render_csv(header, rows) -> str:
 
 def _render_series(report) -> str:
     rows = [
-        (t + 1, pol.spec.name, _fmt(float(pol.mean[t])), _fmt(float(pol.d1[t])),
-         _fmt(float(pol.d9[t])))
+        (t, pol.spec.name, *map(repr, band))
         for pol in report.policies
-        for t in range(report.horizon)
+        for t, band in enumerate(
+            zip(pol.mean.tolist(), pol.d1.tolist(), pol.d9.tolist()), 1
+        )
     ]
     return _render_csv(("t", "policy", "mean", "d1", "d9"), rows)
 

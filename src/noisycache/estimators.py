@@ -12,12 +12,12 @@ r_hat produced by one of three estimators, each unbiased (E[r_hat] = r):
   rescale by 1 / rate, i.e. a binomial thinning of each file's count.
 
 estimate_block draws the estimates of a block of consecutive slots of a
-slotted trace; policies.step_perturbed_leaders is its one caller. Its
-fixed subsample draws by random keys (Efraimidis & Spirakis, IPL 2006):
-each event of a slot, in the slot's sorted order, gets a uniform key,
-and the events with the `subsample` smallest keys are kept. A uniform
-subset of a permutation's positions is a uniform subset of its events,
-so this is the multivariate hypergeometric law, in pure NumPy.
+slotted trace; policies.step_perturbed_leaders is its one caller. Both
+samplers give each event of a slot, in sorted order, one uniform key.
+Bernoulli keeps the keys below its rate; the fixed subsample keeps the
+`subsample` smallest (Efraimidis & Spirakis, IPL 2006), a uniform subset
+of the events, so the multivariate hypergeometric law. Keys are drawn
+element by element, so no stream depends on where blocks are cut.
 
 bound_params feeds the perturbation-scale and regret-bound formulas from
 the estimator, which carries B, and from N and C alone: the fixed
@@ -111,24 +111,26 @@ class BoundParams:
 
 
 def estimate_block(
-    spec: EstimatorSpec, counts: np.ndarray, offsets: np.ndarray, rng, out: np.ndarray
+    spec: EstimatorSpec, counts: np.ndarray, offsets: np.ndarray,
+    owner: np.ndarray, rng, out: np.ndarray,
 ) -> None:
     """Fill out[:counts.size] with one estimate of each slot of a block.
 
     Slot s owns counts[offsets[s]:offsets[s + 1]], with offsets[0] == 0,
-    and its float64 estimate lands at the same positions. Binomial draws
-    go element by element, so one call covers the block. The fixed
-    subsample draws one slots x B matrix of uniform keys, row s keying
-    slot s's B events in sorted order, and keeps each row's subsample
-    smallest. The caller validates the spec and rng once, up front.
+    and its float64 estimate lands at the same positions. owner, which
+    every row of the block can share, maps each sorted event to its entry:
+    np.repeat(np.arange(counts.size), counts). The fixed subsample keys
+    a slots x B matrix, row s keying slot s's events. Full-rate specs read
+    neither owner nor rng. The caller validates the spec and rng up front.
     """
     if spec.full_rate:
         out[: counts.size] = counts
     elif spec.kind is EstimatorKind.BERNOULLI:
-        np.divide(rng.binomial(counts, spec.rate), spec.rate, out=out[: counts.size])
+        keep = rng.random(owner.size) < spec.rate
+        kept = np.bincount(owner[keep], minlength=counts.size)
+        np.divide(kept, spec.rate, out=out[: counts.size])
     else:
         slots, batch, b = offsets.size - 1, spec.batch_size, spec.subsample
-        owner = np.repeat(np.arange(counts.size), counts)  # sorted event -> entry
         picked = np.argpartition(rng.random((slots, batch)), b - 1, axis=1)[:, :b]
         picked += np.arange(0, slots * batch, batch)[:, None]
         kept = np.bincount(owner[picked.ravel()], minlength=counts.size)

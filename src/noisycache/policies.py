@@ -20,6 +20,8 @@ from .core import InvalidInputError, _top_c, check_cache_size
 from .estimators import BoundParams, EstimatorKind, estimate_block
 from .traces import SlottedTrace
 
+BLOCK_EVENTS = 8192  # a sampling block holds at most max(N, this) events
+
 
 def compute_eta(bounds: BoundParams, horizon: int) -> float:
     """Perturbation scale sqrt(cost_bound * l1_bound * horizon / diameter).
@@ -80,7 +82,8 @@ def step_perturbed_leaders(
     ranks and charges all G * R rows from them in turn. Each row draws
     its estimates a block of slots at a time (estimators.estimate_block),
     and full-rate rows draw none, so the sampling generators must be
-    distinct objects, none of them a noise generator.
+    distinct objects, none of them a noise generator. Blocks hold at most
+    max(N, BLOCK_EVENTS) events.
     sample_rngs[g][r] is ignored for the exact estimator.
 
     observe, if given, is called as observe(t, s, cached) once per slot t
@@ -127,17 +130,21 @@ def step_perturbed_leaders(
     cached = np.empty((rows, n), dtype=bool)
     costs = np.empty((len(sizes), groups, runs, horizon), dtype=np.int64)
     row_costs = costs.reshape(len(sizes), rows, horizon)
-    # one buffer of n estimates per row: span slots hold at most n events,
-    # so at most n CSR entries, and a fixed row keys at most max(n, b) events
-    block = np.empty((rows, n))
-    offsets, span = slotted.offsets, max(1, n // b)
+    # span slots hold at most max(n, BLOCK_EVENTS) events, which bounds each
+    # row's keys; the buffer holds the widest block's CSR entries
+    offsets, span = slotted.offsets, max(1, max(n, BLOCK_EVENTS) // b)
+    cuts = offsets[np.append(np.arange(0, horizon, span), horizon)]
+    block = np.empty((rows, np.diff(cuts).max(initial=0)))
+    sampled = any(not spec.full_rate for spec, _ in samplers)
 
     for t in range(horizon):
         if t % span == 0:
             base, stop = offsets[t], min(t + span, horizon)
             part = slotted.counts[base : offsets[stop]]
+            edges = offsets[t : stop + 1] - base
+            owner = np.repeat(np.arange(part.size), part) if sampled else None
             for k, (spec, rng) in enumerate(samplers):
-                estimate_block(spec, part, offsets[t : stop + 1] - base, rng, block[k])
+                estimate_block(spec, part, edges, owner, rng, block[k])
         ids = slotted.ids[offsets[t] : offsets[t + 1]]
         counts = slotted.counts[offsets[t] : offsets[t + 1]]
         for r, rng in enumerate(noise_rngs):
@@ -204,18 +211,18 @@ def least_recently_used(slotted: SlottedTrace, cache_size: int) -> np.ndarray:
     check_cache_size(cache_size, slotted.n_files)
     b = slotted.batch_size
     cache = OrderedDict.fromkeys(range(cache_size))
+    move_to_end, popitem = cache.move_to_end, cache.popitem
     costs = np.empty(slotted.horizon, dtype=np.int64)
     for t in range(slotted.horizon):
         misses = 0
         # one slot at a time: a list of the whole trace would raise peak memory
         for f in slotted.events[t * b : (t + 1) * b].tolist():
             if f in cache:
-                cache.move_to_end(f)
-            else:
+                move_to_end(f)
+            else:  # the warm start keeps the cache full, so every miss evicts
                 misses += 1
                 cache[f] = None
-                if len(cache) > cache_size:
-                    cache.popitem(last=False)
+                popitem(last=False)
         costs[t] = misses
     return costs
 

@@ -100,19 +100,21 @@ class Recorder:
 def reference_estimate(spec, counts, rng):
     """One slot's estimate of its sparse counts, drawn straight from the law.
 
-    The fixed subsample lists the slot's events in sorted order, gives
-    each one uniform key, sorts all the keys and keeps the events with
-    the subsample smallest. Draws even at full rate, where the law gives
-    back the counts.
+    Both samplers list the slot's events in sorted order and give each
+    one uniform key. Bernoulli keeps the events whose keys fall below
+    the rate; the fixed subsample sorts all the keys and keeps the
+    events with the subsample smallest. Draws even at full rate, where
+    the law gives back the counts.
     """
     from noisycache import EstimatorKind
 
     if spec.kind is EstimatorKind.EXACT:
         return counts.astype(np.float64)
-    if spec.kind is EstimatorKind.BERNOULLI:
-        return rng.binomial(counts, spec.rate) / spec.rate
     events = np.repeat(np.arange(counts.size), counts)
     keys = rng.random(events.size)
+    if spec.kind is EstimatorKind.BERNOULLI:
+        kept = np.bincount(events[keys < spec.rate], minlength=counts.size)
+        return kept / spec.rate
     picked = events[np.argsort(keys)[: spec.subsample]]
     kept = np.bincount(picked, minlength=counts.size)
     return kept * (spec.batch_size / spec.subsample)
@@ -129,6 +131,21 @@ def multivariate_hypergeometric_pmf(counts, sample):
         kept: math.prod(map(math.comb, counts, kept)) / ways
         for kept in itertools.product(*(range(c + 1) for c in counts))
         if sum(kept) == sample
+    }
+
+
+def product_binomial_pmf(counts, rate):
+    """The law of the kept counts when each event is kept with probability rate.
+
+    Maps every kept-count vector to its probability, by enumeration:
+    prod_i C(counts_i, kept_i) rate^kept_i (1 - rate)^(counts_i - kept_i).
+    """
+    return {
+        kept: math.prod(
+            math.comb(c, k) * rate**k * (1 - rate) ** (c - k)
+            for c, k in zip(counts, kept)
+        )
+        for kept in itertools.product(*(range(c + 1) for c in counts))
     }
 
 
@@ -186,7 +203,8 @@ def estimate_copies(spec, counts, copies, rng):
     slot = np.repeat(np.arange(len(counts)), counts)
     slotted = SlottedTrace(np.tile(slot, copies), len(counts), slot.size)
     out = np.empty(slotted.counts.size)
-    estimate_block(spec, slotted.counts, slotted.offsets, rng, out)
+    owner = np.repeat(np.arange(slotted.counts.size), slotted.counts)
+    estimate_block(spec, slotted.counts, slotted.offsets, owner, rng, out)
     dense = np.zeros((copies, len(counts)))
     dense[np.repeat(np.arange(copies), np.diff(slotted.offsets)), slotted.ids] = out
     return dense

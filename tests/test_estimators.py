@@ -8,6 +8,7 @@ from helpers import (
     chi2_sf,
     estimate_copies,
     multivariate_hypergeometric_pmf,
+    product_binomial_pmf,
     reference_estimate,
 )
 from noisycache import (
@@ -148,7 +149,8 @@ class TestEstimateBlock:
     def _block(self, spec, rng):
         counts = self.SLOTS.counts
         out = np.full(counts.size + 3, np.nan)
-        estimate_block(spec, counts, self.SLOTS.offsets, rng, out)
+        owner = np.repeat(np.arange(counts.size), counts)
+        estimate_block(spec, counts, self.SLOTS.offsets, owner, rng, out)
         assert np.isnan(out[counts.size :]).all()
         return out[: counts.size]
 
@@ -181,11 +183,11 @@ class TestEstimateBlock:
 
 
 @st.composite
-def fixed_blocks(draw):
-    """A CSR block of 1-40 slots of 2-300 requests and a sampled fixed subsample.
+def sampled_blocks(draw, kind):
+    """A CSR block of 1-40 slots of 2-300 requests and a sampler of kind.
 
-    Some slots request a single file, so they hold one CSR entry.
-    The subsample stays below the batch: a full one draws nothing.
+    Some slots request a single file, so they hold one CSR entry. The
+    sampler is never full rate, which draws nothing.
     """
     batch = draw(st.integers(2, 300))
     slots = draw(st.integers(1, 40))
@@ -196,8 +198,40 @@ def fixed_blocks(draw):
     single = draw(st.lists(st.booleans(), min_size=slots, max_size=slots))
     events[single] = events[single, :1]
     slotted = SlottedTrace(events.ravel(), n_files, batch)
-    spec = EstimatorSpec.fixed_subsample(draw(st.integers(1, batch - 1)), batch)
+    if kind is EstimatorKind.BERNOULLI:
+        rate = draw(st.floats(1e-3, 1.0, exclude_max=True))
+        spec = EstimatorSpec.bernoulli(rate, batch)
+    else:
+        spec = EstimatorSpec.fixed_subsample(draw(st.integers(1, batch - 1)), batch)
     return spec, slotted, draw(st.integers(0, 2**32 - 1))
+
+
+def _matches_one_key_per_event(bit_generator, case):
+    """One estimate_block call draws what reference_estimate does slot by slot."""
+    spec, slotted, seed = case
+    rng = np.random.Generator(bit_generator(seed))
+    twin = np.random.Generator(bit_generator(seed))
+    out = np.empty(slotted.counts.size)
+    owner = np.repeat(np.arange(slotted.counts.size), slotted.counts)
+    estimate_block(spec, slotted.counts, slotted.offsets, owner, rng, out)
+    offsets = slotted.offsets
+    expected = np.concatenate([
+        reference_estimate(spec, slotted.counts[lo:hi], twin)
+        for lo, hi in zip(offsets[:-1], offsets[1:])
+    ])
+    assert out.tobytes() == expected.tobytes()
+    assert rng.random() == twin.random()
+
+
+def _fit(pmf, kept):
+    """Pearson's chi-squared p-value of the kept-count rows against pmf."""
+    outcomes, seen = np.unique(kept.astype(int), axis=0, return_counts=True)
+    observed = dict(zip(map(tuple, outcomes.tolist()), seen.tolist()))
+    assert set(observed) <= set(pmf)
+    expected = len(kept) * np.array(list(pmf.values()))
+    got = np.array([observed.get(outcome, 0) for outcome in pmf])
+    stat = float(((got - expected) ** 2 / expected).sum())
+    return chi2_sf(stat, len(pmf) - 1)
 
 
 class TestFixedSubsampleLaw:
@@ -205,20 +239,9 @@ class TestFixedSubsampleLaw:
 
     @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.Philox])
     @settings(max_examples=100, deadline=None)
-    @given(fixed_blocks())
+    @given(sampled_blocks(EstimatorKind.FIXED_SUBSAMPLE))
     def test_matches_one_key_per_event_at_real_sizes(self, bit_generator, case):
-        spec, slotted, seed = case
-        rng = np.random.Generator(bit_generator(seed))
-        twin = np.random.Generator(bit_generator(seed))
-        out = np.empty(slotted.counts.size)
-        estimate_block(spec, slotted.counts, slotted.offsets, rng, out)
-        offsets = slotted.offsets
-        expected = np.concatenate([
-            reference_estimate(spec, slotted.counts[lo:hi], twin)
-            for lo, hi in zip(offsets[:-1], offsets[1:])
-        ])
-        assert out.tobytes() == expected.tobytes()
-        assert rng.random() == twin.random()
+        _matches_one_key_per_event(bit_generator, case)
 
     @pytest.mark.parametrize(
         "counts, sample",
@@ -233,16 +256,35 @@ class TestFixedSubsampleLaw:
         spec, draws = EstimatorSpec.fixed_subsample(sample, sum(counts)), 20_000
         rng = np.random.default_rng(2309)
         kept = np.rint(estimate_copies(spec, counts, draws, rng) * sample / sum(counts))
-        outcomes, seen = np.unique(kept.astype(int), axis=0, return_counts=True)
-        observed = dict(zip(map(tuple, outcomes.tolist()), seen.tolist()))
-        assert set(observed) <= set(pmf)
-        expected = draws * np.array(list(pmf.values()))
-        got = np.array([observed.get(outcome, 0) for outcome in pmf])
-        stat = float(((got - expected) ** 2 / expected).sum())
         # Pearson's chi-squared at level 1e-3: the true law fails a case at
         # about one seed in a thousand, so about 0.4% of seeds fail one of
         # the four cases with more than one outcome
-        assert chi2_sf(stat, len(pmf) - 1) > 1e-3
+        assert _fit(pmf, kept) > 1e-3
+
+
+class TestBernoulliLaw:
+    """The Bernoulli sampler's random keys against the law they must draw."""
+
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.Philox])
+    @settings(max_examples=100, deadline=None)
+    @given(sampled_blocks(EstimatorKind.BERNOULLI))
+    def test_matches_one_key_per_event_at_real_sizes(self, bit_generator, case):
+        _matches_one_key_per_event(bit_generator, case)
+
+    @pytest.mark.parametrize(
+        "counts, rate",
+        [((3, 2, 1, 4), 0.5), ((3, 2, 1), 0.3), ((1, 2), 0.8), ((2, 0, 5, 1), 0.5),
+         ((4,), 0.37)],
+        ids=["half", "low-rate", "high-rate", "unrequested-file", "single-file"],
+    )
+    def test_kept_counts_follow_the_product_binomial_law(self, counts, rate):
+        # every outcome has an expected count of at least 14 at 20,000 draws
+        pmf = product_binomial_pmf(counts, rate)
+        spec, draws = EstimatorSpec.bernoulli(rate, sum(counts)), 20_000
+        rng = np.random.default_rng(2309)
+        kept = np.rint(estimate_copies(spec, counts, draws, rng) * rate)
+        # Pearson's chi-squared at level 1e-3, as for the fixed subsample
+        assert _fit(pmf, kept) > 1e-3
 
 
 class TestBoundParams:

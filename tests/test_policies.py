@@ -33,6 +33,7 @@ from noisycache import (
     static_optimum,
     step_perturbed_leaders,
 )
+from noisycache.policies import BLOCK_EVENTS
 
 
 class TestComputeEta:
@@ -147,8 +148,8 @@ class TestBaselinesAgainstReferences:
 def leader_problems(draw):
     """A small batched trace plus a mix of perturbed leaders over 1-4 runs.
 
-    Horizons reach past the stepper's sampling blocks (max(1, n_files //
-    batch_size) slots each), and rate 1.0 gives the full-rate samplers.
+    Rate 1.0 gives the full-rate samplers. Every horizon fits in one
+    sampling block; wide_batch_problems crosses blocks.
     """
     n = draw(st.integers(2, 9))
     c = draw(st.integers(1, n - 1))
@@ -188,17 +189,42 @@ def _estimator(kind, rate, b):
 def multi_size_problems(draw):
     """leader_problems at 1-3 distinct cache sizes, one eta per (size, leader).
 
-    Etas repeat across sizes and leaders and include zero; every horizon
-    has more slots than one sampling block, which holds at most n_files.
+    Etas repeat across sizes and leaders and include zero. A sampling
+    block holds max(n_files, BLOCK_EVENTS) events, so every horizon here
+    fits in one; wide_batch_problems crosses blocks.
     """
     n = draw(st.integers(2, 9))
-    sizes = draw(st.lists(st.integers(1, n), min_size=1, max_size=3, unique=True))
     b = draw(st.integers(1, 12))
     horizon = draw(st.integers(n + 1, 30))
     events = np.array(
         draw(st.lists(st.integers(0, n - 1), min_size=horizon * b, max_size=horizon * b))
     )
-    slotted = SlottedTrace(events, n_files=n, batch_size=b)
+    return draw(_leaders_at_sizes(SlottedTrace(events, n_files=n, batch_size=b)))
+
+
+@st.composite
+def wide_batch_problems(draw):
+    """multi_size_problems at batches of 1,639-8,192 requests, over 3-4 blocks.
+
+    A sampling block then holds 1-4 slots (BLOCK_EVENTS // batch_size),
+    and the horizon crosses at least two block boundaries, the last
+    block possibly short.
+    """
+    n = draw(st.integers(2, 9))
+    b = draw(st.integers(BLOCK_EVENTS // 5 + 1, BLOCK_EVENTS))
+    span = BLOCK_EVENTS // b
+    horizon = draw(st.integers(2 * span + 1, 4 * span))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = rng.dirichlet(np.ones(n) * draw(st.sampled_from([0.2, 1.0, 5.0])))
+    events = rng.choice(n, horizon * b, p=weights)
+    return draw(_leaders_at_sizes(SlottedTrace(events, n_files=n, batch_size=b)))
+
+
+@st.composite
+def _leaders_at_sizes(draw, slotted):
+    """1-3 cache sizes and 1-4 leaders with one eta per (size, leader)."""
+    n, b = slotted.n_files, slotted.batch_size
+    sizes = draw(st.lists(st.integers(1, n), min_size=1, max_size=3, unique=True))
     kinds = draw(
         st.lists(
             st.tuples(
@@ -253,6 +279,16 @@ class TestStepPerturbedLeaders:
     @given(multi_size_problems())
     def test_every_cache_size_matches_its_reference_run(self, problem):
         # one call steps every size from the same noise, estimates and totals
+        self._check_reference_runs(problem)
+
+    @settings(max_examples=30, deadline=None)
+    @given(wide_batch_problems())
+    def test_sampling_blocks_join_up_to_the_reference_run(self, problem):
+        # each block's keys and event map must line up with its own slots
+        self._check_reference_runs(problem)
+
+    @staticmethod
+    def _check_reference_runs(problem):
         slotted, sizes, etas, estimators, runs, plan = problem
         stepped, recorded = _recorded_steps(
             slotted,
