@@ -9,7 +9,7 @@ hindsight optimum), the metrics to compare them, and an experiment
 engine plus CLI wrapping the whole protocol.
 """
 
-from .core import InvalidInputError, oracle_minimize
+from .core import InvalidInputError
 from .engine import (
     ExperimentConfig,
     ExperimentReport,
@@ -56,7 +56,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "InvalidInputError",
-    "oracle_minimize",
     "Trace",
     "SlottedTrace",
     "ZipfConfig",

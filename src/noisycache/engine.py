@@ -246,7 +246,6 @@ class ExperimentReport:
     horizon: int
     trace_source: object
     request_totals: np.ndarray
-    opt_decision: np.ndarray
     opt_cost: int
     policies: list[PolicyReport]
 
@@ -363,7 +362,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     leaders = [spec for spec in config.policies if spec.stochastic]
     etas = [spec.resolved_eta(slotted, size) for spec in leaders]  # before any run
     bounds = [spec.resolved_bound(slotted, size) for spec in leaders]
-    opt_decision, opt_costs = static_optimum(slotted, size)
+    opt_costs = static_optimum(slotted, size)
     optimum = int(opt_costs.sum())
 
     reports = {}
@@ -393,7 +392,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         horizon=horizon,
         trace_source=source,
         request_totals=slotted.totals(),
-        opt_decision=opt_decision,
         opt_cost=optimum,
         policies=[reports[spec.name] for spec in config.policies],
     )

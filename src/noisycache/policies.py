@@ -4,8 +4,10 @@ Every policy kind is a whole-trace function of a SlottedTrace and a
 cache size that returns the per-slot misses: static_optimum,
 follow_the_leader, least_recently_used and step_perturbed_leaders. Each
 slot a policy commits its cache before the slot's requests are counted
-and learns them only afterwards; LRU instead updates per event. Both
-leaders, ftl and fpl, show each slot's cache to an optional observe.
+and learns them only afterwards; LRU instead updates per event. The
+static optimum and both leaders, ftl and fpl, pick their caches with
+core.top_c, and both leaders show each slot's bool cache mask to an
+optional observe.
 
 All policies work on 0-based file indices.
 """
@@ -16,7 +18,7 @@ import math
 
 import numpy as np
 
-from .core import InvalidInputError, _top_c, check_cache_size
+from .core import InvalidInputError, check_cache_size, top_c
 from .estimators import BoundParams, EstimatorKind, estimate_block
 from .traces import SlottedTrace
 
@@ -126,7 +128,6 @@ def step_perturbed_leaders(
     scales = etas[:, :, None, None]
     row_totals = totals.reshape(rows, n)
     row_score = score.reshape(rows, n)
-    parted = np.empty((rows, n))
     cached = np.empty((rows, n), dtype=bool)
     costs = np.empty((len(sizes), groups, runs, horizon), dtype=np.int64)
     row_costs = costs.reshape(len(sizes), rows, horizon)
@@ -153,18 +154,7 @@ def step_perturbed_leaders(
             # eta * random() is bit for bit uniform(0, eta)
             np.multiply(noise, scales[s], out=score)
             score += totals
-            np.copyto(parted, row_score)
-            parted.partition(n - c, axis=1)
-            threshold = parted[:, n - c : n - c + 1]
-            # everything at or above each row's C-th largest score; rows with
-            # boundary ties hold too many and drop their highest tied indices.
-            # No row holds fewer than c, so one total finds whether any tie.
-            np.greater_equal(row_score, threshold, out=cached)
-            if np.count_nonzero(cached) > rows * c:
-                excess = np.count_nonzero(cached, axis=1) - c
-                for k in np.flatnonzero(excess):
-                    tied = np.flatnonzero(row_score[k] == threshold[k])
-                    cached[k, tied[tied.size - excess[k] :]] = False
+            top_c(row_score, c, out=cached)
             row_costs[s, :, t] = b - cached[:, ids] @ counts
             if observe is not None:
                 observe(t, s, cached.reshape(groups, runs, n))
@@ -180,25 +170,30 @@ def follow_the_leader(
     Equivalent to LFU over the whole history. Files tied on counts are
     ranked by how recently they were requested, then by lowest index.
     Returns the length-T per-slot misses. observe, if given, is called as
-    observe(t, missing) once per slot with the slot's length-N int8
-    decision, 1 marking a file left out, valid only during the call.
+    observe(t, cached) once per slot with the slot's length-N bool cache
+    mask, valid only during the call.
     """
     check_cache_size(cache_size, slotted.n_files)
     n, b, horizon = slotted.n_files, slotted.batch_size, slotted.horizon
-    totals = np.zeros(n, dtype=np.float64)
-    stamps = np.full(n, -1, dtype=np.int64)
+    # one exact int64 key per file, totals * scale + stamp: stamp is the
+    # 1-based position of the file's latest request (0 if none), and scale
+    # exceeds every stamp, so the key ranks by count, then by recency.
+    # It stays below 2**63 for any trace under about 3e9 events.
+    scale = horizon * b + 1
+    totals = np.zeros(n, dtype=np.int64)
+    stamps = np.zeros(n, dtype=np.int64)
     costs = np.empty(horizon, dtype=np.int64)
     offsets = slotted.offsets
     for t in range(horizon):
         ids = slotted.ids[offsets[t] : offsets[t + 1]]
         counts = slotted.counts[offsets[t] : offsets[t + 1]]
-        missing = _top_c(totals, cache_size, stamps)
-        costs[t] = counts @ missing[ids]
+        cached = top_c(totals * scale + stamps, cache_size)
+        costs[t] = b - cached[ids] @ counts
         if observe is not None:
-            observe(t, missing)
+            observe(t, cached)
         totals[ids] += counts
         # duplicate indices keep the last write: the latest request in the slot
-        stamps[slotted.events[t * b : (t + 1) * b]] = np.arange(t * b, (t + 1) * b)
+        stamps[slotted.events[t * b : (t + 1) * b]] = np.arange(t * b, (t + 1) * b) + 1
     return costs
 
 
@@ -227,15 +222,12 @@ def least_recently_used(slotted: SlottedTrace, cache_size: int) -> np.ndarray:
     return costs
 
 
-def static_optimum(slotted: SlottedTrace, cache_size: int):
-    """Best fixed decision in hindsight and its length-T per-slot misses.
+def static_optimum(slotted: SlottedTrace, cache_size: int) -> np.ndarray:
+    """Length-T per-slot misses of the best fixed cache in hindsight.
 
-    The int8 decision caches the cache_size files with the most requests
-    overall, ties to the lowest index; the costs sum to the optimum.
+    That cache holds the cache_size files with the most requests overall,
+    ties to the lowest index; its misses sum to the optimum.
     """
     check_cache_size(cache_size, slotted.n_files)
-    missing = _top_c(slotted.totals().astype(np.float64), cache_size)
-    costs = np.add.reduceat(
-        slotted.counts * missing[slotted.ids], slotted.offsets[:-1]
-    )
-    return missing, costs
+    cached = top_c(slotted.totals(), cache_size)
+    return np.add.reduceat(slotted.counts * ~cached[slotted.ids], slotted.offsets[:-1])

@@ -198,7 +198,9 @@ def read_trace_file(path: str, remap: bool = True, n_files: int | None = None) -
     """
     if remap == (n_files is not None):
         raise InvalidInputError("give n_files if and only if remap is false")
-    events = _parse_fast(path)
+    # a pipe or other non-regular file may be read only once, so it goes
+    # straight to the line loop
+    events = _parse_fast(path) if os.path.isfile(path) else None
     if (
         events is None
         or events.size == 0

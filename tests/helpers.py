@@ -60,20 +60,36 @@ def reference_slots(events_1based, n_files: int, batch_size: int):
     return np.array(ids), np.array(counts), np.array(offsets), totals
 
 
-def feasible(decision, n_files: int, cache_size: int) -> bool:
-    x = np.asarray(decision)
+def feasible(cached, n_files: int, cache_size: int) -> bool:
+    mask = np.asarray(cached)
     return (
-        x.shape == (n_files,)
-        and bool(np.all((x == 0) | (x == 1)))
-        and int(x.sum()) == n_files - cache_size
+        mask.shape == (n_files,)
+        and mask.dtype == bool
+        and int(mask.sum()) == cache_size
     )
+
+
+def reference_top_c(score, cache_size: int) -> np.ndarray:
+    """Bool mask of each row's cache_size largest scores, by one lexsort a row.
+
+    Each row is sorted by descending score, then ascending index, and
+    its first cache_size files are cached: boundary ties go to the
+    lowest index. score is length-N or rows x N.
+    """
+    score = np.asarray(score, dtype=np.float64)
+    rows = score.reshape(-1, score.shape[-1])
+    mask = np.zeros(rows.shape, dtype=bool)
+    for row, cached in zip(rows, mask):
+        order = np.lexsort((np.arange(row.size), -row))
+        cached[order[:cache_size]] = True
+    return mask.reshape(score.shape)
 
 
 class Recorder:
     """An observe callable that keeps a copy of every cache it is shown.
 
     step_perturbed_leaders calls it as (t, s, cached), cached a G x R x N
-    bool mask; follow_the_leader as (t, missing), an int8 vector. Each is
+    bool mask; follow_the_leader as (t, cached), a length-N one. Each is
     copied into the references' layout, int8 with 1 = left out, and
     decisions stacks them: S x G x R x T x N for the stepper, T x N for
     follow_the_leader. Slots must arrive in order at each size.
@@ -86,7 +102,7 @@ class Recorder:
         *size, shown = where
         kept = self.slots.setdefault(tuple(size), [])
         assert t == len(kept), f"slot {t} shown out of order"
-        kept.append((~shown if shown.dtype == bool else shown).astype(np.int8))
+        kept.append((~shown).astype(np.int8))
 
     @property
     def decisions(self):
@@ -173,18 +189,17 @@ def reference_leader_run(slotted, cache_size, eta, estimator, noise_rng, sample_
     """One perturbed-leader run stepped the slow way, one slot at a time.
 
     Each slot recounts its raw events, caches the top cache_size files of
-    totals + uniform(0, eta) noise, pays the misses, and only then adds
-    the slot's reference_estimate to the totals. Returns (per-slot
-    costs, final totals, T x N decisions).
+    totals + uniform(0, eta) noise (reference_top_c), pays the misses, and
+    only then adds the slot's reference_estimate to the totals. Returns
+    (per-slot costs, final totals, T x N decisions with 1 = not cached).
     """
-    from noisycache import oracle_minimize
-
     n, b = slotted.n_files, slotted.batch_size
     totals = np.zeros(n)
     costs, decisions = [], []
     for t in range(slotted.horizon):
         ids, counts = np.unique(slotted.events[t * b : (t + 1) * b], return_counts=True)
-        x = oracle_minimize(totals + noise_rng.uniform(0, eta, n), cache_size)
+        score = totals + noise_rng.uniform(0, eta, n)
+        x = (~reference_top_c(score, cache_size)).astype(np.int8)
         costs.append(counts @ x[ids])
         decisions.append(x)
         totals[ids] += reference_estimate(estimator, counts, sample_rng)

@@ -27,12 +27,12 @@ from noisycache import (
     cli,
     generate_round_robin,
     generate_zipf,
-    oracle_minimize,
     run_experiment,
     run_sweep,
     static_optimum,
     step_perturbed_leaders,
 )
+from noisycache.core import top_c
 from helpers import (
     Recorder,
     brute_force_best_cost,
@@ -77,12 +77,12 @@ def _report(num, label, ok, elapsed, detail=""):
 
 
 def _harvest_proof_steps(tag, estimates, request_totals, cache_size):
-    truth = oracle_minimize(request_totals.astype(np.float64), cache_size)
+    left_out = ~top_c(request_totals, cache_size)
     for est in estimates:
         if est is None:
             continue
-        lhs = float(est @ oracle_minimize(est, cache_size))
-        rhs = float(est @ truth)
+        lhs = float(est @ ~top_c(est, cache_size))
+        rhs = float(est @ left_out)
         PROOF_STEPS.append((tag, lhs, rhs))
 
 
@@ -307,11 +307,10 @@ def test_criterion_1_oracle_matches_exhaustive_search():
         missing[row, list(cached)] = 0
     scores = rng.integers(0, 100, size=(600, n))
     brute = (scores @ missing.T).min(axis=1)
-    for i in range(600):
-        vec = scores[i].astype(np.float64)
-        decision = oracle_minimize(vec, c)
-        assert float(vec @ decision) == float(brute[i])
-        checked += 1
+    cached = top_c(scores.astype(np.float64), c)  # one row-wise call
+    assert np.all(cached.sum(axis=1) == c)
+    assert np.array_equal((scores * ~cached).sum(axis=1), brute)
+    checked += len(scores)
 
     # spread of smaller shapes, half drawn from a tiny range so ties
     # are common
@@ -320,8 +319,9 @@ def test_criterion_1_oracle_matches_exhaustive_search():
         capacity = int(rng.integers(1, min(6, size) + 1))
         span = 4 if rng.random() < 0.5 else 60
         vec = rng.integers(0, span, size=size).astype(np.float64)
-        decision = oracle_minimize(vec, capacity)
-        assert float(vec @ decision) == brute_force_best_cost(vec, capacity)
+        cached = top_c(vec, capacity)
+        assert np.count_nonzero(cached) == capacity
+        assert float(vec @ ~cached) == brute_force_best_cost(vec, capacity)
         checked += 1
 
     elapsed = time.perf_counter() - start
@@ -340,7 +340,7 @@ def test_criterion_2_static_optimum_matches_brute_force():
         slots = int(rng.integers(4, 11))
         events = rng.integers(1, n + 1, size=slots * batch)
         slotted = batch_trace(Trace(events=events, n_files=n), batch)
-        fast = int(static_optimum(slotted, capacity)[1].sum())
+        fast = int(static_optimum(slotted, capacity).sum())
         slow = brute_force_static_minimum(events, n, capacity)
         assert fast == slow
     elapsed = time.perf_counter() - start

@@ -3,10 +3,15 @@
 import configparser
 import csv
 import errno
+import hashlib
+import os
+import subprocess
+import sys
 import textwrap
 
 import pytest
 
+import noisycache
 from noisycache import cli, read_trace_file
 
 
@@ -320,6 +325,36 @@ class TestRun:
         rows = read_rows(out / "summary.csv")
         assert rows[0]["policy"] == "ftl"
 
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+    def test_trace_file_on_a_pipe_is_read_once(self, tmp_path):
+        # a pipe cannot be read twice: a header line must not send the
+        # reader back to the start of the file
+        config = write_config(tmp_path, """\
+            [experiment]
+            cache_size = 1
+            batch_size = 1
+
+            [trace]
+            kind = file
+            path = /dev/stdin
+
+            [policy:opt]
+            kind = opt
+            """)
+        out = tmp_path / "out"
+        package_root = os.path.dirname(os.path.dirname(noisycache.__file__))
+        path = os.pathsep.join(
+            filter(None, [package_root, os.environ.get("PYTHONPATH")])
+        )
+        done = subprocess.run(
+            [sys.executable, "-m", "noisycache.cli",
+             "run", "-c", str(config), "-o", str(out)],
+            input="# header\n3\n1\n2\n", capture_output=True, text=True,
+            timeout=60, env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert done.returncode == 0, done.stderr
+        assert [r["t"] for r in read_rows(out / "series.csv")] == ["1", "2", "3"]
+
     @pytest.mark.parametrize("extra,key", [
         ("remap = true\nfiles = 3", "n_files"),
         ("alpha = 1.0", "alpha"),
@@ -575,3 +610,114 @@ class TestSweep:
 def test_no_arguments_is_usage_error(capsys):
     assert cli.main([]) == 2
     capsys.readouterr()
+
+
+GOLDEN_CONFIGS = {
+    # all six policy kinds, with sampled fix and var rows
+    "run-six-kinds": ("run", """\
+        [experiment]
+        cache_size = 6
+        batch_size = 20
+        runs = 3
+        base_seed = 5
+
+        [trace]
+        kind = zipf
+        files = 40
+        alpha = 0.9
+        requests = 2000
+        seed = 17
+
+        [policy:opt]
+        kind = opt
+
+        [policy:lru]
+        kind = lru
+
+        [policy:ftl]
+        kind = ftl
+
+        [policy:fpl]
+        kind = fpl
+
+        [policy:fix]
+        kind = nfpl-fix
+        rate = 0.3
+
+        [policy:var]
+        kind = nfpl-var
+        rate = 0.3
+        """),
+    # one request per slot: ftl is LFU, and its recency rule decides often
+    "run-ftl-opt-b1": ("run", """\
+        [experiment]
+        cache_size = 5
+        batch_size = 1
+        base_seed = 5
+
+        [trace]
+        kind = zipf
+        files = 30
+        alpha = 0.8
+        requests = 600
+        seed = 3
+
+        [policy:opt]
+        kind = opt
+
+        [policy:ftl]
+        kind = ftl
+        """),
+    "sweep-two-sizes": ("sweep", """\
+        [experiment]
+        cache_size = 6
+        batch_size = 20
+        runs = 2
+        base_seed = 5
+
+        [trace]
+        kind = zipf
+        files = 40
+        alpha = 0.9
+        requests = 2000
+        seed = 17
+
+        [sweep]
+        rates = 0.1, 1.0
+        variants = fix, var
+        cache_sizes = 4, 10
+        """),
+}
+
+# sha256 of every output file, recorded with NumPy 2.4.6 (Python 3.11).
+# A NumPy release that changes a generator's stream or a float
+# reduction's order changes these bytes without any change here.
+GOLDEN_SHA256 = {
+    "run-six-kinds": {
+        "config_echo.ini": "079a39d59a1ff0384519ead29a25d7c383181e2f9f61760fdaedd2f13a30414d",
+        "series.csv": "3e2023d6c4c10f5ccd66738e2cec04d1c89a5855919f97c94f304ca5715bf859",
+        "summary.csv": "5ba07cf0af8a04b4724f4aa8f8f58df8411bfe86d763984af9229f1a6fe64af2",
+    },
+    "run-ftl-opt-b1": {
+        "config_echo.ini": "5e9b3f3442c3dcc6ea84a386127ba40e691af13ea7b41422c27039dd2bfb428e",
+        "series.csv": "6d0a0bfa5c916a5d7e77ebf5f2a2ff1d8e37329cfc79f2abba2e456e69c6dbf0",
+        "summary.csv": "eaf26427ebdb9736f73100336d40bb5e212ab9923f4cfd91cd56c0dd26331248",
+    },
+    "sweep-two-sizes": {
+        "config_echo.ini": "db679cdb65af65e7c9bcbb8466288921d59b274d24be6c97b6710623373c541f",
+        "sweep.csv": "5a02b83c4fec38311bb5055594d2f752f16fb6937eff656fcce99d84af186003",
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CONFIGS))
+def test_output_bytes_match_their_pins(tmp_path, case):
+    command, body = GOLDEN_CONFIGS[case]
+    config = write_config(tmp_path, body)
+    out = tmp_path / "out"
+    assert cli.main([command, "-c", str(config), "-o", str(out)]) == 0
+    got = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(out.iterdir())
+    }
+    assert got == GOLDEN_SHA256[case]

@@ -15,11 +15,12 @@ from noisycache import (
     ZipfConfig,
     batch_trace,
     generate_zipf,
-    oracle_minimize,
     run_experiment,
     run_sweep,
     static_optimum,
 )
+
+from helpers import reference_top_c
 
 
 def small_trace(seed=21):
@@ -131,7 +132,7 @@ class TestRunExperiment:
     def test_opt_policy_reproduces_opt_cost_with_zero_regret(self):
         rep = run_experiment(small_config([PolicySpec("opt", "opt")]))
         assert int(rep.policy("opt").runs[0].costs.sum()) == rep.opt_cost
-        _, costs = static_optimum(batch_trace(small_trace(), 20), 8)
+        costs = static_optimum(batch_trace(small_trace(), 20), 8)
         assert np.array_equal(costs, rep.policy("opt").runs[0].costs)
         assert rep.policy("opt").regret.regret == 0.0
 
@@ -174,7 +175,7 @@ class TestRunExperiment:
         totals = np.zeros(40)
         leader = []
         for window in batch_trace(small_trace(), 20).events.reshape(-1, 20):
-            leader.append(int(oracle_minimize(totals, 8)[window].sum()))
+            leader.append(int((~reference_top_c(totals, 8))[window].sum()))
             totals += np.bincount(window, minlength=40)
         for series in rep.policy("fpl0").runs:
             assert series.costs.tolist() == leader

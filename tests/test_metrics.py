@@ -43,7 +43,7 @@ class TestAverageMissRatio:
 
 
 def best_static_cost(slotted, cache_size):
-    return int(static_optimum(slotted, cache_size)[1].sum())
+    return int(static_optimum(slotted, cache_size).sum())
 
 
 class TestOptCost:

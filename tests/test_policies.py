@@ -13,6 +13,7 @@ from helpers import (
     reference_ftl_costs,
     reference_leader_run,
     reference_lru_costs,
+    reference_top_c,
 )
 from noisycache import (
     BoundParams,
@@ -29,7 +30,6 @@ from noisycache import (
     generate_round_robin,
     generate_zipf,
     least_recently_used,
-    oracle_minimize,
     static_optimum,
     step_perturbed_leaders,
 )
@@ -362,7 +362,7 @@ class TestStepPerturbedLeaders:
         _, recorded = _step_exact(slotted, 8, 0.0, [np.random.default_rng(4)])
         totals = np.zeros(40)
         for t, window in enumerate(slotted.events.reshape(-1, 20)):
-            assert np.array_equal(recorded[0, 0, 0, t], oracle_minimize(totals, 8))
+            assert np.array_equal(recorded[0, 0, 0, t], ~reference_top_c(totals, 8))
             totals += np.bincount(window, minlength=40)
 
     def test_degenerate_samplers_match_exact_decisions(self):
@@ -495,23 +495,25 @@ def _slotted(counts_per_slot):
 
 class TestStaticOpt:
     def test_caches_top_total_counts(self):
+        # files 0 and 2 are cached, so each slot misses file 1's requests
         slotted = _slotted([[5, 3, 9], [6, 4, 7]])
-        decision, costs = static_optimum(slotted, 2)
-        assert decision.tolist() == [0, 1, 0]
-        assert costs.tolist() == [3, 4]
+        assert static_optimum(slotted, 2).tolist() == [3, 4]
 
     def test_round_robin_whole_cycles_tie_to_lowest(self):
+        # slots alternate files 0-2 and 3-5; caching 0 and 1 misses one
+        # request of each first half-cycle and all three of each second
         trace = Trace(events=np.arange(30) % 6 + 1, n_files=6)
-        decision, _ = static_optimum(batch_trace(trace, 6), 2)
-        assert decision.tolist() == [0, 0, 1, 1, 1, 1]
+        assert static_optimum(batch_trace(trace, 3), 2).tolist() == [1, 3] * 5
 
     def test_replay_matches_per_batch_cost(self):
         rng = np.random.default_rng(9)
         slotted = _slotted(
             [rng.multinomial(12, [0.4, 0.3, 0.2, 0.1]) for _ in range(8)]
         )
-        x, replayed = static_optimum(slotted, 2)
-        assert replayed.tolist() == x[slotted.events].reshape(-1, 12).sum(axis=1).tolist()
+        missing = ~reference_top_c(slotted.totals(), 2)
+        replayed = static_optimum(slotted, 2)
+        per_slot = missing[slotted.events].reshape(-1, 12).sum(axis=1)
+        assert replayed.tolist() == per_slot.tolist()
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -529,9 +531,11 @@ class TestStaticOpt:
         if len(events) < b:
             return
         slotted = batch_trace(Trace(events=np.array(events), n_files=n), b)
-        x, costs = static_optimum(slotted, c)
+        missing = ~reference_top_c(slotted.totals(), c)
+        costs = static_optimum(slotted, c)
         assert costs.dtype == np.int64
-        assert costs.tolist() == x[slotted.events].reshape(-1, b).sum(axis=1).tolist()
+        per_slot = missing[slotted.events].reshape(-1, b).sum(axis=1)
+        assert costs.tolist() == per_slot.tolist()
         used = events[: slotted.horizon * b]
         assert int(costs.sum()) == brute_force_static_minimum(used, n, c)
 
