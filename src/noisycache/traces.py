@@ -113,14 +113,21 @@ def generate_round_robin(config: RoundRobinConfig) -> Trace:
 
 
 def _dense_remap(events: np.ndarray) -> tuple[np.ndarray, int]:
-    # relabel ids 1..K in order of first appearance; scattering positions
-    # in reverse leaves each id's earliest one, with no stable sort
-    uniq, inverse = np.unique(events, return_inverse=True)
-    first = np.empty(uniq.size, dtype=np.int64)
-    first[inverse[::-1]] = np.arange(events.size - 1, -1, -1)
-    rank = np.empty(uniq.size, dtype=np.int64)
-    rank[np.argsort(first)] = np.arange(1, uniq.size + 1)
-    return rank[inverse], int(uniq.size)
+    # relabel ids 1..K in order of first appearance through a table indexed
+    # by id: scattering positions in reverse leaves each id's earliest one,
+    # and unseen ids keep the sentinel n, so they sort last. Ids above n are
+    # first packed to 0..K-1 by one sort, so the table never exceeds n + 1.
+    n = events.size
+    if events.max() > n:
+        events = np.unique(events, return_inverse=True)[1]
+    first = np.full(int(events.max()) + 1, n, dtype=np.int64)
+    first[events[::-1]] = np.arange(n - 1, -1, -1)
+    catalog = int(np.count_nonzero(first < n))
+    order = np.argsort(first)
+    del first  # free the table before the ranks are built
+    rank = np.empty(order.size, dtype=np.int64)
+    rank[order] = np.arange(1, order.size + 1)
+    return rank[events], catalog
 
 
 def _parse_fast(path: str) -> np.ndarray | None:
@@ -132,7 +139,7 @@ def _parse_fast(path: str) -> np.ndarray | None:
             warnings.simplefilter("error")
             return np.loadtxt(
                 path, dtype=np.int64, delimiter=",", usecols=0,
-                comments=None, ndmin=1, encoding="utf-8",
+                comments=None, ndmin=1, encoding="utf-8-sig",
             )
     except (OSError, ValueError, Warning):
         return None
@@ -144,7 +151,7 @@ def _parse_lines(path: str, n_files: int | None) -> np.ndarray:
     # holding them can be named.
     raw = []
     try:
-        fh = open(path, "r", encoding="utf-8", errors="surrogateescape")
+        fh = open(path, "r", encoding="utf-8-sig", errors="surrogateescape")
     except OSError as exc:
         raise TraceParseError(f"{path}: cannot read trace file: {exc.strerror}") from None
     with fh:
@@ -186,8 +193,9 @@ def read_trace_file(path: str, remap: bool = True, n_files: int | None = None) -
     """Parse a trace file into a Trace.
 
     Format: one request per line, the file id as a positive integer.
-    Blank lines and lines starting with '#' are skipped. A second
-    comma-separated field (e.g. a timestamp) is tolerated and ignored.
+    Blank lines and lines starting with '#' are skipped, as is a leading
+    UTF-8 byte-order mark. A second comma-separated field (e.g. a
+    timestamp) is tolerated and ignored.
 
     With remap=True (default) ids are relabeled densely 1..K in order of
     first appearance and the catalog size is K. With remap=False the ids

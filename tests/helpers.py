@@ -290,7 +290,7 @@ def reference_read_trace(path, remap=True, n_files=None):
     from noisycache import TraceParseError
 
     raw = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
             if not text or text.startswith("#"):

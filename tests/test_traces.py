@@ -1,6 +1,8 @@
 """Unit tests for trace generation, file I/O, and batching."""
 
 import os
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,8 +21,11 @@ from noisycache import (
     read_trace_file,
     write_trace_file,
 )
+from noisycache.traces import _dense_remap
 
 from helpers import reference_dense_remap, reference_read_trace, reference_slots
+
+BOM = b"\xef\xbb\xbf"  # the UTF-8 byte-order mark Windows tools write
 
 
 class TestZipf:
@@ -125,6 +130,56 @@ class TestTraceFiles:
         with pytest.raises(TraceParseError, match=":2"):
             read_trace_file(str(path))
 
+    # the first body goes through NumPy's parser, the second through the
+    # line loop
+    @pytest.mark.parametrize(
+        "body", [b"7\n3\n7\n", b"# note\r\n7\r\n3\n7"], ids=["numpy", "lines"]
+    )
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path, body):
+        path = tmp_path / "t.txt"
+        path.write_bytes(body)
+        plain = read_trace_file(str(path))
+        path.write_bytes(BOM + body)
+        trace = read_trace_file(str(path))
+        assert trace.events.tolist() == plain.events.tolist() == [1, 2, 1]
+        assert trace.n_files == plain.n_files == 2
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+    def test_leading_byte_order_mark_is_skipped_on_stdin(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_bytes(b"7\n3\n7\n")
+        plain = read_trace_file(str(path))
+        # put a pipe holding the marked file on this process's stdin
+        read_end, write_end = os.pipe()
+        os.write(write_end, BOM + path.read_bytes())
+        os.close(write_end)
+        saved = os.dup(0)
+        os.dup2(read_end, 0)
+        try:
+            trace = read_trace_file("/dev/stdin")
+        finally:
+            os.dup2(saved, 0)
+            os.close(saved)
+            os.close(read_end)
+        assert trace.events.tolist() == plain.events.tolist()
+        assert trace.n_files == plain.n_files
+
+    # only the first mark is skipped: one later in the file, or a second
+    # one at the start, is a bad id on its line
+    @pytest.mark.parametrize("body,lineno,field", [
+        (b"7\n" + BOM + b"3\n", 2, "\ufeff3"),
+        (BOM + b"# note\n" + BOM + b"3\n", 2, "\ufeff3"),
+        (BOM + BOM + b"7\n", 1, "\ufeff7"),
+    ], ids=["second-line", "after-a-header", "doubled"])
+    def test_byte_order_mark_after_the_start_is_an_error(
+        self, tmp_path, body, lineno, field
+    ):
+        path = tmp_path / "t.txt"
+        path.write_bytes(body)
+        message = f"{path}:{lineno}: expected an integer file id, got {field!r}"
+        with pytest.raises(TraceParseError, match=f"^{re.escape(message)}$"):
+            read_trace_file(str(path))
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "t.txt"
         path.write_text("# nothing\n")
@@ -220,7 +275,11 @@ class TestTraceFileDifferential:
         ),
         st.booleans(),
         st.one_of(st.none(), st.integers(1, 15)),
-        st.lists(st.sampled_from(HEADER_LINES), max_size=3),
+        st.builds(
+            lambda bom, lines: bom + lines,
+            st.sampled_from([[], ["\ufeff"]]),
+            st.lists(st.sampled_from(HEADER_LINES), max_size=3),
+        ),
     )
     # the C parser's comments= must stay off
     @example([("5 # c", "\n")], True, None, [])
@@ -230,6 +289,9 @@ class TestTraceFileDifferential:
     @example([("4", "\n"), ("x", "\n")], True, None, ["# id\n", "\n"])
     @example([("4", "\n"), ("# c", "\n"), ("2", "\n")], True, None, ["#\r"])
     @example([("", "\n")], True, None, ["# only a header\n"])
+    # a leading byte-order mark is skipped on both paths
+    @example([("3", "\n"), ("1", "\n")], True, None, ["\ufeff"])
+    @example([("3", "\n"), ("x", "\n")], True, None, ["\ufeff", "# id\n"])
     def test_reader_matches_line_by_line_reference(
         self, tmp_path, lines, last_eol, n_files, header
     ):
@@ -251,12 +313,50 @@ class TestTraceFileDifferential:
         )
     )
     def test_dense_remap_matches_first_index_ranking(self, ids):
-        from noisycache.traces import _dense_remap
-
         events, catalog = _dense_remap(np.asarray(ids, dtype=np.int64))
         expected, expected_catalog = reference_dense_remap(ids)
         assert events.tolist() == expected.tolist()
         assert catalog == expected_catalog
+
+    # ids up to the event count fill a table indexed by id; larger ids are
+    # packed by np.unique first, and only then
+    @pytest.mark.parametrize("ids,packs", [
+        pytest.param([3, 1, 3], False, id="max-is-length"),
+        pytest.param([4, 1, 4], True, id="max-is-length-plus-one"),
+        pytest.param([2, 2, 2], False, id="all-equal"),
+        pytest.param([1], False, id="one-event"),
+        pytest.param([2**63 - 1, 5, 2**63 - 1], True, id="int64-max"),
+        pytest.param([5, 2, 6, 2, 5, 1], False, id="repeats"),
+    ])
+    def test_dense_remap_cases(self, monkeypatch, ids, packs):
+        expected, expected_catalog = reference_dense_remap(ids)
+        calls = []
+        unique = np.unique
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return unique(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", spy)
+        events, catalog = _dense_remap(np.asarray(ids, dtype=np.int64))
+        assert events.tolist() == expected.tolist()
+        assert catalog == expected_catalog
+        assert len(calls) == packs
+
+    def test_dense_remap_peak_memory_is_one_copy_of_the_events(self):
+        # ids below the event count need no sort: the table is as long as
+        # the largest id, and the reversed positions are the one temporary
+        # as long as the events
+        events = np.random.default_rng(3).integers(1, 1001, 200_000)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            _dense_remap(events)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * events.nbytes
 
     @settings(
         deadline=None, max_examples=100,
