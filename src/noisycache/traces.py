@@ -93,6 +93,30 @@ class TraceFileConfig:
             raise InvalidInputError("give n_files if and only if remap is false")
 
 
+# Arrays built and filled one block of events at a time stay in cache.
+_BLOCK = 1 << 14
+
+
+def _inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """np.searchsorted(cdf, u) for a nondecreasing cdf and u in [0, 1).
+
+    A guide table over M = 2**k >= 4 * len(cdf) equal buckets holds each
+    bucket's answer, or -1 where a cdf entry falls inside the bucket and
+    only a search can tell. M is a power of two, so u * M is exact.
+    """
+    m = 1 << (4 * cdf.size - 1).bit_length()
+    edges = np.searchsorted(cdf, np.arange(m + 1) / m)
+    guide = edges[:-1]
+    guide[edges[1:] != guide] = -1
+    out = np.empty(u.size, dtype=np.int64)
+    for start in range(0, u.size, _BLOCK):
+        block, found = u[start : start + _BLOCK], out[start : start + _BLOCK]
+        found[...] = guide[(block * m).astype(np.intp)]
+        straddle = np.flatnonzero(found < 0)
+        found[straddle] = np.searchsorted(cdf, block[straddle])
+    return out
+
+
 def generate_zipf(config: ZipfConfig) -> Trace:
     """Sample an i.i.d. Zipf trace, deterministic for a given seed."""
     if config.seed is None:
@@ -101,9 +125,10 @@ def generate_zipf(config: ZipfConfig) -> Trace:
     weights = ranks ** -config.alpha
     cdf = np.cumsum(weights / weights.sum())
     rng = np.random.default_rng(config.seed)
-    draws = np.searchsorted(cdf, rng.random(config.total_requests))
+    events = _inverse_cdf(cdf, rng.random(config.total_requests))
     # guard the cdf[-1] < 1.0 rounding corner
-    events = np.minimum(draws, config.n_files - 1) + 1
+    np.minimum(events, config.n_files - 1, out=events)
+    events += 1
     return Trace(events=events, n_files=config.n_files)
 
 
@@ -130,15 +155,30 @@ def _dense_remap(events: np.ndarray) -> tuple[np.ndarray, int]:
     return rank[events], catalog
 
 
+def _header_lines(path: str) -> int:
+    # the count of blank and '#' lines that open the file, which the line
+    # loop skips and NumPy's C parser would refuse
+    count = 0
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
+        for line in fh:
+            text = line.strip()
+            if text and not text.startswith("#"):
+                break
+            count += 1
+    return count
+
+
 def _parse_fast(path: str) -> np.ndarray | None:
     # NumPy's C parser accepts a subset of the line grammar with equal
-    # values: no '#' or whitespace-only lines (comments=None keeps "5 # c"
-    # an error), no '1_000', no id beyond int64. None means it refused.
+    # values: no '#' or whitespace-only lines after the header (comments=None
+    # keeps "5 # c" an error), no '1_000', no id beyond int64. None means it
+    # refused.
     try:
+        skip = _header_lines(path)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             return np.loadtxt(
-                path, dtype=np.int64, delimiter=",", usecols=0,
+                path, dtype=np.int64, delimiter=",", usecols=0, skiprows=skip,
                 comments=None, ndmin=1, encoding="utf-8-sig",
             )
     except (OSError, ValueError, Warning):
@@ -223,12 +263,51 @@ def read_trace_file(path: str, remap: bool = True, n_files: int | None = None) -
     return Trace(events=events, n_files=n_files)
 
 
+def _decimal_lines(events: np.ndarray):
+    """Yield the bytes of "%d\\n" for each positive int64 id, a block at a time."""
+    # A line is laid out as `groups` words of 4 ASCII digits, most
+    # significant first, then a word whose first byte is the newline; a
+    # mask keeps the line's significant digits and its newline. The digit
+    # words are built from bytes and the newline is set through the byte
+    # view, so the output does not depend on byte order.
+    digits = len(str(int(events.max())))
+    groups = -(-digits // 4)
+    width = 4 * groups
+    value = np.arange(10_000)
+    table = np.empty((10_000, 4), dtype=np.uint8)
+    for k in range(4):
+        table[:, 3 - k] = ord("0") + value // 10**k % 10
+    table = table.view(np.uint32).ravel()
+    # keep[d] selects the last d + 1 digits and the newline
+    keep = np.zeros((width, width + 4), dtype=bool)
+    for d in range(width):
+        keep[d, width - 1 - d : width + 1] = True
+    for start in range(0, events.size, _BLOCK):
+        block = events[start : start + _BLOCK]
+        words = np.empty((block.size, groups + 1), dtype=np.uint32)
+        rest = block
+        for g in range(groups - 1, 0, -1):
+            rest, low = np.divmod(rest, 10_000)
+            words[:, g] = table[low]
+        words[:, 0] = table[rest]
+        raw = words.view(np.uint8)
+        raw[:, width] = ord("\n")
+        more = np.zeros(block.size, dtype=np.intp)  # digits - 1
+        for k in range(1, digits):
+            more += block >= 10**k
+        yield raw[np.take(keep, more, axis=0)]
+
+
 def write_trace_file(path: str, trace: Trace) -> None:
-    """Write a trace in the format read_trace_file accepts, via temp file + rename."""
+    """Write a trace in the format read_trace_file accepts, via temp file + rename.
+
+    Each event is written as "%d\\n" % id would write it.
+    """
     tmp = f"{path}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(("%d\n" * trace.events.size) % tuple(trace.events.tolist()))
+        with open(tmp, "wb") as fh:
+            for lines in _decimal_lines(trace.events):
+                fh.write(lines)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

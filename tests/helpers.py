@@ -321,3 +321,18 @@ def reference_read_trace(path, remap=True, n_files=None):
     if remap:
         return reference_dense_remap(events)
     return events, n_files
+
+
+def reference_trace_bytes(ids) -> bytes:
+    """The bytes of a trace file holding ids, one "%d\\n" per id."""
+    ids = [int(i) for i in ids]
+    return (("%d\n" * len(ids)) % tuple(ids)).encode()
+
+
+def reference_zipf_events(n_files: int, alpha: float, requests: int, seed: int):
+    """Zipf draws by one np.searchsorted over the whole cdf, 1-based."""
+    ranks = np.arange(1, n_files + 1, dtype=np.float64)
+    weights = ranks ** -alpha
+    cdf = np.cumsum(weights / weights.sum())
+    draws = np.searchsorted(cdf, np.random.default_rng(seed).random(requests))
+    return np.minimum(draws, n_files - 1) + 1

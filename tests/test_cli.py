@@ -721,3 +721,24 @@ def test_output_bytes_match_their_pins(tmp_path, case):
         for path in sorted(out.iterdir())
     }
     assert got == GOLDEN_SHA256[case]
+
+
+# sha256 of `generate`'s trace.txt, recorded like GOLDEN_SHA256. The
+# second zipf and the round-robin trace hold ids of one and two groups of
+# four digits.
+GENERATE_SHA256 = {
+    "zipf --files 1000 --alpha 0.9 --requests 5000 --seed 11":
+        "cc644388e89dfcdd88d68236896f85510c414c0c626d50d9451f90fcbbd3a7f1",
+    "zipf --files 50000 --alpha 0.7 --requests 20000 --seed 12":
+        "6c43d8918c4e7da87922d57ece6ed217b78580c5d9f9578236aac54b035ba342",
+    "round-robin --files 12345 --requests 30000":
+        "3c1f39bc2f47513c248d3402e175889266aa8c7f81474787cb11827405672f56",
+}
+
+
+@pytest.mark.parametrize("args", sorted(GENERATE_SHA256))
+def test_generate_bytes_match_their_pins(tmp_path, capsys, args):
+    out = tmp_path / "trace.txt"
+    assert cli.main(["generate", *args.split(), "-o", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GENERATE_SHA256[args]

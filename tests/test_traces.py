@@ -21,9 +21,16 @@ from noisycache import (
     read_trace_file,
     write_trace_file,
 )
-from noisycache.traces import _dense_remap
+from noisycache import traces
+from noisycache.traces import _dense_remap, _inverse_cdf
 
-from helpers import reference_dense_remap, reference_read_trace, reference_slots
+from helpers import (
+    reference_dense_remap,
+    reference_read_trace,
+    reference_slots,
+    reference_trace_bytes,
+    reference_zipf_events,
+)
 
 BOM = b"\xef\xbb\xbf"  # the UTF-8 byte-order mark Windows tools write
 
@@ -71,6 +78,63 @@ class TestZipf:
             ZipfConfig(3, -0.5, 10, seed=0)
         with pytest.raises(InvalidInputError):
             ZipfConfig(3, 1.0, 0, seed=0)
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        st.one_of(st.integers(1, 3000), st.sampled_from([1, 2, 3, 64, 65, 1024, 1025])),
+        st.one_of(st.floats(0, 3), st.sampled_from([0.0, 1.0, 60.0, 400.0])),
+        st.integers(1, 3000),
+        st.integers(0, 2**32),
+    )
+    def test_matches_one_searchsorted_over_the_cdf(self, n, alpha, requests, seed):
+        trace = generate_zipf(ZipfConfig(n, alpha, requests, seed=seed))
+        expected = reference_zipf_events(n, alpha, requests, seed)
+        assert trace.events.tolist() == expected.tolist()
+
+
+def _edges_and_values(cdf):
+    # every bucket edge j / 2**k of any guide table up to 8 * len(cdf)
+    # buckets, and each cdf value below 1.0 with its neighbours
+    m = 1 << (8 * cdf.size).bit_length()
+    u = np.concatenate([
+        np.arange(m) / m, cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0),
+    ])
+    return u[u < 1.0]
+
+
+class TestInverseCdf:
+    @settings(deadline=None, max_examples=300)
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(0, 1),
+                st.integers(0, 64).map(lambda j: j / 64),  # on bucket edges
+                st.just(0.0),
+            ),
+            min_size=1, max_size=80,
+        ),
+        # scales the cdf, so that its last entry may fall short of 1.0 or
+        # pass it by rounding
+        st.sampled_from([1.0, 0.75, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)]),
+        st.lists(st.floats(0, 1, exclude_max=True), max_size=50),
+    )
+    def test_matches_searchsorted(self, values, scale, draws):
+        cdf = np.sort(values) * scale
+        u = np.concatenate([np.asarray(draws, dtype=float), _edges_and_values(cdf)])
+        assert _inverse_cdf(cdf, u).tolist() == np.searchsorted(cdf, u).tolist()
+
+    # N = 1, 2**k and 2**k + 1 over Zipf cdfs; alpha = 60 and 400 underflow
+    # to flat steps, and more draws than one block cross block edges
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 1024, 1025])
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 60.0, 400.0])
+    def test_zipf_cdfs_on_edges_values_and_blocks(self, n, alpha):
+        weights = np.arange(1, n + 1, dtype=np.float64) ** -alpha
+        cdf = np.cumsum(weights / weights.sum())
+        u = np.concatenate([
+            _edges_and_values(cdf),
+            np.random.default_rng(n).random(2 * traces._BLOCK + 7),
+        ])
+        assert np.array_equal(_inverse_cdf(cdf, u), np.searchsorted(cdf, u))
 
 
 class TestRoundRobin:
@@ -228,6 +292,35 @@ class TestTraceFiles:
         assert path.read_text() == "1\n2\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["t.txt"]
 
+    @pytest.mark.parametrize("body", [
+        pytest.param("# header\n\n  # note\r\n \t\n3\n1\n2\n", id="header"),
+        pytest.param("\ufeff# header\r3\n1\n2", id="byte-order-mark"),
+    ])
+    def test_header_lines_stay_on_the_fast_path(self, tmp_path, monkeypatch, body):
+        path = tmp_path / "t.txt"
+        path.write_bytes(body.encode("utf-8"))
+
+        def refuse(*args):
+            raise AssertionError("read by the line loop")
+
+        monkeypatch.setattr(traces, "_parse_lines", refuse)
+        trace = read_trace_file(str(path))
+        assert trace.events.tolist() == [1, 2, 3]
+
+    def test_comment_after_data_reaches_the_line_loop(self, tmp_path, monkeypatch):
+        path = tmp_path / "t.txt"
+        path.write_text("# header\n3\n# late\n1\n")
+        calls = []
+        parse_lines = traces._parse_lines
+
+        def spy(*args):
+            calls.append(args)
+            return parse_lines(*args)
+
+        monkeypatch.setattr(traces, "_parse_lines", spy)
+        assert read_trace_file(str(path)).events.tolist() == [1, 2]
+        assert len(calls) == 1
+
     def test_write_read_roundtrip(self, tmp_path):
         path = tmp_path / "t.txt"
         trace = generate_zipf(ZipfConfig(9, 1.0, 200, seed=2))
@@ -359,16 +452,38 @@ class TestTraceFileDifferential:
         assert peak <= 2 * events.nbytes
 
     @settings(
-        deadline=None, max_examples=100,
+        deadline=None, max_examples=200,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(
-        st.lists(st.integers(1, 2**63 - 1), min_size=1, max_size=40),
+        st.lists(
+            st.one_of(
+                st.integers(1, 2**63 - 1),
+                # each side of a change in digit count
+                st.integers(1, 18).flatmap(
+                    lambda k: st.sampled_from([10**k - 1, 10**k, 10**k + 1])
+                ),
+                st.integers(1, 10**5),
+            ),
+            min_size=1, max_size=60,
+        )
     )
     def test_writer_bytes_match_joined_lines(self, tmp_path, ids):
         path = tmp_path / "t.txt"
         write_trace_file(str(path), Trace(events=np.asarray(ids), n_files=max(ids)))
-        assert path.read_bytes() == ("\n".join(map(str, ids)) + "\n").encode()
+        assert path.read_bytes() == reference_trace_bytes(ids)
+
+    @pytest.mark.parametrize("top", [9, 10, 9999, 10**4, 10**8 - 1, 10**8, 2**63 - 1])
+    def test_writer_digit_boundaries_across_blocks(self, tmp_path, top):
+        # every 10**k - 1 and 10**k up to top, scattered over more than two
+        # blocks of random ids whose largest is top
+        bounds = [v for k in range(1, 19) for v in (10**k - 1, 10**k) if v <= top]
+        rng = np.random.default_rng(top % 1000)
+        ids = rng.integers(1, top, 2 * traces._BLOCK + 5, endpoint=True)
+        ids[rng.choice(ids.size, len(bounds) + 2, replace=False)] = [1, top, *bounds]
+        path = tmp_path / "t.txt"
+        write_trace_file(str(path), Trace(events=ids, n_files=top))
+        assert path.read_bytes() == reference_trace_bytes(ids.tolist())
 
 
 class TestBatchTrace:
