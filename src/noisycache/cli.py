@@ -17,7 +17,6 @@ import sys
 
 from .core import CacheSizeError, InvalidInputError
 from .engine import (
-    POLICY_KINDS,
     ExperimentConfig,
     PolicySpec,
     check_sweep_rates,
@@ -49,52 +48,90 @@ class ConfigError(Exception):
 
 # ---------------------------------------------------------------- config
 
-_EXPERIMENT_KEYS = {"cache_size", "batch_size", "runs", "base_seed"}
-_TRACE_KEYS = {
-    "zipf": {"kind", "files", "alpha", "requests", "seed"},
-    "round-robin": {"kind", "files", "requests"},
-    "file": {"kind", "path", "remap", "files"},
+def _float(value) -> str:
+    return repr(float(value))
+
+
+def _bool(raw: str) -> bool:
+    return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+
+
+def _list(conv):
+    """Parser of a comma-separated list of conv values; an empty list is an error."""
+    def parse(raw):
+        items = [part.strip() for part in raw.split(",") if part.strip()]
+        if not items:
+            raise ValueError("empty list")
+        return tuple(conv(part) for part in items)
+    return parse
+
+
+def _joined(render):
+    return lambda values: ", ".join(map(render, values))
+
+
+# One row per config key: (key, field it fills, parse, render, required).
+# A section's rows are parsed and echoed in their order here.
+_EXPERIMENT = (
+    ("cache_size", "cache_size", int, str, True),
+    ("batch_size", "batch_size", int, str, True),
+    ("runs", "runs", int, str, False),
+    ("base_seed", "base_seed", int, str, False),
+)
+_KIND = ("kind", "kind", str.lower, str, True)
+_FILES = ("files", "n_files", int, str, True)
+_REQUESTS = ("requests", "total_requests", int, str, True)
+_ZIPF = (_FILES, ("alpha", "alpha", float, _float, True), _REQUESTS,
+         ("seed", "seed", int, str, False))
+_TRACES = {  # [trace] kind: the config it builds and the rows of its other keys
+    "zipf": (ZipfConfig, _ZIPF),
+    "round-robin": (RoundRobinConfig, (_FILES, _REQUESTS)),
+    "file": (TraceFileConfig, (
+        ("path", "path", str, os.path.abspath, True),
+        ("remap", "remap", _bool, lambda remap: str(remap).lower(), False),
+        (*_FILES[:-1], False),  # only remap = false needs files
+    )),
 }
-_POLICY_KEYS = {"kind", "rate", "subsample", "eta"}
-_SWEEP_KEYS = {"rates", "variants", "cache_sizes"}
+_POLICY = (
+    _KIND,
+    ("rate", "rate", float, _float, False),
+    ("subsample", "subsample", int, str, False),
+    ("eta", "eta_override", float, _float, False),
+)
+_SWEEP = (
+    ("rates", "rates", _list(float), _joined(_float), False),
+    ("variants", "variants", _list(str), _joined(str), False),
+    ("cache_sizes", "cache_sizes", _list(int), _joined(str), False),
+)
 
-_BOOLEANS = {
-    "true": True, "yes": True, "on": True, "1": True,
-    "false": False, "no": False, "off": False, "0": False,
-}
 
-
-def _typed(section, section_name, key, conv, default=None, required=False):
+def _field(section, name, row):
+    """The value of row's key in section, or None when it is absent."""
+    key, _, parse, _, required = row
     raw = section.get(key)
     if raw is None:
         if required:
-            raise ConfigError(f"[{section_name}] missing required key '{key}'")
-        return default
+            raise ConfigError(f"[{name}] missing required key '{key}'")
+        return None
     try:
-        return conv(raw)
+        return parse(raw)
     except (ValueError, KeyError):
-        raise ConfigError(
-            f"[{section_name}] cannot parse {key} = {raw!r}"
-        ) from None
+        raise ConfigError(f"[{name}] cannot parse {key} = {raw!r}") from None
 
 
-def _to_bool(raw: str) -> bool:
-    return _BOOLEANS[raw.strip().lower()]
-
-
-def _split_list(raw: str, conv):
-    items = [part.strip() for part in raw.split(",") if part.strip()]
-    if not items:
-        raise ValueError("empty list")
-    return tuple(conv(part) for part in items)
-
-
-def _reject_unknown(section, section_name, allowed):
-    unknown = set(section.keys()) - allowed
+def _read(section, name, rows) -> dict:
+    """{field: value} of the keys section gives, after rejecting keys no row has."""
+    unknown = set(section) - {row[0] for row in rows}
     if unknown:
-        raise ConfigError(
-            f"[{section_name}] unsupported key(s): {', '.join(sorted(unknown))}"
-        )
+        raise ConfigError(f"[{name}] unsupported key(s): {', '.join(sorted(unknown))}")
+    fields = {row[1]: _field(section, name, row) for row in rows}
+    return {field: value for field, value in fields.items() if value is not None}
+
+
+def _echo(fields, rows) -> dict:
+    """The config keys of rows rendered from fields, skipping None values."""
+    return {key: render(fields[field])
+            for key, field, _, render, _ in rows if fields[field] is not None}
 
 
 def _named(source, build, *args, **kwargs):
@@ -105,44 +142,16 @@ def _named(source, build, *args, **kwargs):
         raise ConfigError(f"{source}{exc}") from None
 
 
-def _parse_trace_section(section):
-    kind = _typed(section, "trace", "kind", str, required=True).strip().lower()
-    if kind not in _TRACE_KEYS:
+def _read_trace(section):
+    kind = _field(section, "trace", _KIND)
+    if kind not in _TRACES:
         raise ConfigError(
             f"[trace] unknown kind {kind!r}, expected zipf, round-robin, or file"
         )
-    _reject_unknown(section, "trace", _TRACE_KEYS[kind])
-    if kind == "zipf":
-        return ZipfConfig(
-            n_files=_typed(section, "trace", "files", int, required=True),
-            alpha=_typed(section, "trace", "alpha", float, required=True),
-            total_requests=_typed(section, "trace", "requests", int, required=True),
-            seed=_typed(section, "trace", "seed", int),
-        )
-    if kind == "round-robin":
-        return RoundRobinConfig(
-            n_files=_typed(section, "trace", "files", int, required=True),
-            total_requests=_typed(section, "trace", "requests", int, required=True),
-        )
-    return TraceFileConfig(
-        path=_typed(section, "trace", "path", str, required=True),
-        remap=_typed(section, "trace", "remap", _to_bool, default=True),
-        n_files=_typed(section, "trace", "files", int),
-    )
-
-
-def _parse_policy_section(section, section_name, policy_name):
-    _reject_unknown(section, section_name, _POLICY_KEYS)
-    kind = _typed(section, section_name, "kind", str, required=True).strip().lower()
-    return _named(
-        f"[{section_name}] ",
-        PolicySpec,
-        name=policy_name,
-        kind=kind,
-        rate=_typed(section, section_name, "rate", float),
-        subsample=_typed(section, section_name, "subsample", int),
-        eta_override=_typed(section, section_name, "eta", float),
-    )
+    build, rows = _TRACES[kind]
+    fields = _read(section, "trace", (_KIND, *rows))
+    del fields["kind"]  # it picked build and rows
+    return _named("[trace] ", build, **fields)
 
 
 def load_config(path: str):
@@ -150,10 +159,17 @@ def load_config(path: str):
 
     The sweep dict carries the optional [sweep] section's rates,
     variants, and cache_sizes (None when the section omits them).
+    Values are literal: there is no %-interpolation.
     """
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    if not parser.read(path):
-        raise ConfigError(f"cannot read config file {path!r}")
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
+    try:
+        if not parser.read(path):
+            raise ConfigError(f"cannot read config file {path!r}")
+    except configparser.Error as exc:  # its text names the file and the line
+        raise ConfigError(str(exc)) from None
+    if parser.defaults():  # its keys would leak into every section
+        keys = ", ".join(sorted(parser.defaults()))
+        raise ConfigError(f"unsupported section [DEFAULT] with key(s): {keys}")
     known = {"experiment", "trace", "sweep"}
     for name in parser.sections():
         if name not in known and not name.startswith("policy:"):
@@ -163,42 +179,19 @@ def load_config(path: str):
     if "trace" not in parser:
         raise ConfigError("missing [trace] section")
 
-    exp = parser["experiment"]
-    _reject_unknown(exp, "experiment", _EXPERIMENT_KEYS)
-    trace = _named("[trace] ", _parse_trace_section, parser["trace"])
-
-    policies = []
-    for name in parser.sections():
-        if name.startswith("policy:"):
-            policy_name = name[len("policy:"):].strip()
-            policies.append(
-                _parse_policy_section(parser[name], name, policy_name)
-            )
-
-    sweep = {"rates": None, "variants": None, "cache_sizes": None}
-    if "sweep" in parser:
-        section = parser["sweep"]
-        _reject_unknown(section, "sweep", _SWEEP_KEYS)
-        sweep["rates"] = _typed(
-            section, "sweep", "rates", lambda raw: _split_list(raw, float)
-        )
-        sweep["variants"] = _typed(
-            section, "sweep", "variants", lambda raw: _split_list(raw, str)
-        )
-        sweep["cache_sizes"] = _typed(
-            section, "sweep", "cache_sizes", lambda raw: _split_list(raw, int)
-        )
-
-    config = _named(
-        "[experiment] ",
-        ExperimentConfig,
-        trace=trace,
-        cache_size=_typed(exp, "experiment", "cache_size", int, required=True),
-        batch_size=_typed(exp, "experiment", "batch_size", int, required=True),
-        policies=tuple(policies),
-        runs=_typed(exp, "experiment", "runs", int, default=1),
-        base_seed=_typed(exp, "experiment", "base_seed", int, default=0),
+    experiment = _read(parser["experiment"], "experiment", _EXPERIMENT)
+    trace = _read_trace(parser["trace"])
+    policies = tuple(
+        _named(f"[{name}] ", PolicySpec, name=name[len("policy:"):].strip(),
+               **_read(parser[name], name, _POLICY))
+        for name in parser.sections()
+        if name.startswith("policy:")
     )
+    sweep = {field: None for _, field, *_ in _SWEEP}
+    if "sweep" in parser:
+        sweep.update(_read(parser["sweep"], "sweep", _SWEEP))
+    config = _named("[experiment] ", ExperimentConfig, trace=trace,
+                    policies=policies, **experiment)
     return config, sweep
 
 
@@ -255,58 +248,23 @@ def _render_sweep(sweep_report) -> str:
     return _render_csv(header, rows)
 
 
-def _trace_echo(source) -> dict:
-    if isinstance(source, ZipfConfig):
-        return {
-            "kind": "zipf",
-            "files": str(source.n_files),
-            "alpha": _fmt(float(source.alpha)),
-            "requests": str(source.total_requests),
-            "seed": str(source.seed),
-        }
-    if isinstance(source, RoundRobinConfig):
-        return {
-            "kind": "round-robin",
-            "files": str(source.n_files),
-            "requests": str(source.total_requests),
-        }
-    if isinstance(source, TraceFileConfig):
-        echo = {
-            "kind": "file",
-            "path": os.path.abspath(source.path),
-            "remap": "true" if source.remap else "false",
-        }
-        if source.n_files is not None:
-            echo["files"] = str(source.n_files)
-        return echo
-    raise InvalidInputError(f"cannot echo trace source {type(source).__name__}")
-
-
 def _render_echo(config, trace_source, policy_etas=None, sweep=None) -> str:
-    """Fully resolved config: rerunning it reproduces the same outputs."""
-    out = configparser.ConfigParser()
-    out["experiment"] = {
-        "cache_size": str(config.cache_size),
-        "batch_size": str(config.batch_size),
-        "runs": str(config.runs),
-        "base_seed": str(config.base_seed),
-    }
-    out["trace"] = _trace_echo(trace_source)
+    """Fully resolved config: rerunning it reproduces the same outputs.
+
+    A policy echoes the eta that policy_etas gives it, and no eta without one.
+    """
+    out = configparser.ConfigParser(interpolation=None)
+    out["experiment"] = _echo(vars(config), _EXPERIMENT)
+    kind, rows = next((kind, rows) for kind, (build, rows) in _TRACES.items()
+                      if isinstance(trace_source, build))
+    out["trace"] = _echo({**vars(trace_source), "kind": kind}, (_KIND, *rows))
+    etas = policy_etas or {}
     for spec in config.policies:
-        section = {"kind": spec.kind}
-        if spec.rate is not None:
-            section["rate"] = _fmt(float(spec.rate))
-        if spec.subsample is not None:
-            section["subsample"] = str(spec.subsample)
-        if policy_etas and spec.name in policy_etas:
-            section["eta"] = _fmt(policy_etas[spec.name])
-        out[f"policy:{spec.name}"] = section
+        out[f"policy:{spec.name}"] = _echo(
+            {**vars(spec), "eta_override": etas.get(spec.name)}, _POLICY
+        )
     if sweep is not None:
-        out["sweep"] = {
-            "rates": ", ".join(_fmt(float(r)) for r in sweep["rates"]),
-            "variants": ", ".join(sweep["variants"]),
-            "cache_sizes": ", ".join(str(c) for c in sweep["cache_sizes"]),
-        }
+        out["sweep"] = _echo(sweep, _SWEEP)
     buf = io.StringIO()
     out.write(buf)
     return buf.getvalue()
@@ -386,8 +344,8 @@ def cmd_generate(args) -> int:
             )
     except InvalidInputError as exc:  # the configs' messages start with the field
         field = str(exc).split()[0]
-        flag = {"n_files": "files", "total_requests": "requests"}.get(field, field)
-        raise ConfigError(f"--{flag}: {exc}") from None
+        flags = {row[1]: row[0] for row in _ZIPF}
+        raise ConfigError(f"--{flags.get(field, field)}: {exc}") from None
     with _output_to(args.output):
         os.makedirs(os.path.dirname(os.path.abspath(args.output)), exist_ok=True)
         write_trace_file(args.output, trace)
@@ -418,48 +376,37 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     _check_output(args.output, directory=True)
     config, sweep = load_config(args.config)
-    rates, rates_from = sweep["rates"] or DEFAULT_RATES, "[sweep] rates: "
-    variants = sweep["variants"] or DEFAULT_VARIANTS
-    variants_from = "[sweep] variants: "
-    cache_sizes = sweep["cache_sizes"]
-    sizes_from = "[sweep] cache_sizes: " if cache_sizes else "[experiment] "
-    if args.rates is not None:
-        rates, rates_from = _cli_list(args.rates, float, "--rates"), "--rates: "
-    if args.variants is not None:
-        variants = _cli_list(args.variants, str, "--variants")
-        variants_from = "--variants: "
-    if args.cache_sizes is not None:
-        cache_sizes = _cli_list(args.cache_sizes, int, "--cache-sizes")
-        sizes_from = "--cache-sizes: "
-    _named(rates_from, check_sweep_rates, rates)
-    _named(variants_from, check_sweep_variants, variants)
+    source = {}  # field: the prefix that names where its value came from
+    for key, field, parse, _, _ in _SWEEP:
+        source[field] = f"[sweep] {key}: "
+        raw = getattr(args, field)
+        if raw is not None:
+            flag = "--" + key.replace("_", "-")
+            try:
+                sweep[field] = parse(raw)
+            except ValueError:
+                raise ConfigError(f"cannot parse {flag} value {raw!r}") from None
+            source[field] = f"{flag}: "
+    sweep["rates"] = sweep["rates"] or DEFAULT_RATES
+    sweep["variants"] = sweep["variants"] or DEFAULT_VARIANTS
+    _named(source["rates"], check_sweep_rates, sweep["rates"])
+    _named(source["variants"], check_sweep_variants, sweep["variants"])
     try:
-        sweep_report = run_sweep(config, rates=rates, variants=variants,
-                                 cache_sizes=cache_sizes)
+        sweep_report = run_sweep(config, **sweep)
     except CacheSizeError as exc:
-        raise ConfigError(f"{sizes_from}{exc}") from None
+        where = source["cache_sizes"] if sweep["cache_sizes"] else "[experiment] "
+        raise ConfigError(f"{where}{exc}") from None
     except InvalidInputError as exc:  # batch_size, which only the built trace checks
         raise ConfigError(f"[experiment] {exc}") from None
-    resolved = {
-        "rates": rates,
-        "variants": variants,
-        "cache_sizes": cache_sizes if cache_sizes else (config.cache_size,),
-    }
+    sweep["cache_sizes"] = sweep["cache_sizes"] or (config.cache_size,)
     files = {
         "sweep.csv": _render_sweep(sweep_report),
         "config_echo.ini": _render_echo(config, sweep_report.trace_source,
-                                        sweep=resolved),
+                                        sweep=sweep),
     }
     _commit_files(args.output, files)
     print(f"wrote {', '.join(files)} to {args.output}")
     return EXIT_OK
-
-
-def _cli_list(raw, conv, flag):
-    try:
-        return _split_list(raw, conv)
-    except ValueError:
-        raise ConfigError(f"cannot parse {flag} value {raw!r}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -5,14 +5,19 @@ import csv
 import errno
 import hashlib
 import os
+import pathlib
+import re
 import subprocess
 import sys
 import textwrap
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import noisycache
 from noisycache import cli, read_trace_file
+from noisycache.engine import POLICY_KINDS, ExperimentConfig, PolicySpec
+from noisycache.traces import RoundRobinConfig, TraceFileConfig, ZipfConfig
 
 
 def invoke(argv):
@@ -325,6 +330,63 @@ class TestRun:
         rows = read_rows(out / "summary.csv")
         assert rows[0]["policy"] == "ftl"
 
+    def test_file_trace_echo_text(self, tmp_path, monkeypatch):
+        # the echo names the trace by its absolute path
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "t.txt").write_text("".join(f"{i % 12 + 1}\n" for i in range(48)))
+        body = """\
+            [experiment]
+            cache_size = 3
+            batch_size = 4
+
+            [trace]
+            kind = file
+            path = t.txt
+            remap = false
+            files = 12
+
+            [policy:ftl]
+            kind = ftl
+            """
+        write_config(tmp_path, body)
+        assert cli.main(["run", "-c", "exp.ini", "-o", "out"]) == 0
+        expected = textwrap.dedent(f"""\
+            [experiment]
+            cache_size = 3
+            batch_size = 4
+            runs = 1
+            base_seed = 0
+
+            [trace]
+            kind = file
+            path = {os.path.abspath("t.txt")}
+            remap = false
+            files = 12
+
+            [policy:ftl]
+            kind = ftl
+
+            """)
+        assert (tmp_path / "out" / "config_echo.ini").read_text() == expected
+
+    def test_a_percent_in_the_trace_path_is_literal(self, tmp_path):
+        # config values are not interpolated, on reading or in the echo
+        trace_path = tmp_path / "tr%41%%.txt"
+        trace_path.write_text("".join(f"{i % 30 + 1}\n" for i in range(600)))
+        config = write_config(
+            tmp_path,
+            "[experiment]\ncache_size = 5\nbatch_size = 30\n"
+            f"[trace]\nkind = file\npath = {trace_path}\n"
+            "[policy:ftl]\nkind = ftl\n[policy:fpl]\nkind = fpl\n",
+        )
+        out, again = tmp_path / "out", tmp_path / "again"
+        assert cli.main(["run", "-c", str(config), "-o", str(out)]) == 0
+        echo = out / "config_echo.ini"
+        assert f"path = {trace_path}\n" in echo.read_text()
+        assert cli.main(["run", "-c", str(echo), "-o", str(again)]) == 0
+        for name in ("series.csv", "summary.csv", "config_echo.ini"):
+            assert (again / name).read_bytes() == (out / name).read_bytes()
+
     @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
     def test_trace_file_on_a_pipe_is_read_once(self, tmp_path):
         # a pipe cannot be read twice: a header line must not send the
@@ -472,6 +534,19 @@ class TestRun:
         (["run"], "rate = 0.5", "rate = 2e-152",
          "[experiment] policy 'var' (nfpl-var, rate 2e-152) has no finite "
          "regret bound; raise its rate"),
+        (["run"], "cache_size = 8", "warp = 8",
+         "[experiment] unsupported key(s): warp"),
+        (["run"], "base_seed = 99\n\n    [trace]\n    kind = zipf",
+         "warp = 1\n\n    [trace]\n    kind = bogus",
+         "[experiment] unsupported key(s): warp"),
+        (["run"], "kind = zipf\n    files = 40", "warp = 1",
+         "[trace] missing required key 'kind'"),
+        (["run"], "files = 40", "warp = 1", "[trace] unsupported key(s): warp"),
+        (["run"], "alpha = 1.0", "alpha = x", "[trace] cannot parse alpha = 'x'"),
+        (["run"], "kind = nfpl-var\n    rate = 0.5", "warp = 1",
+         "[policy:var] unsupported key(s): warp"),
+        (["run"], "kind = nfpl-var\n    rate = 0.5", "rate = x",
+         "[policy:var] missing required key 'kind'"),
     ], ids=["eta-nan", "eta-inf", "alpha-nan", "alpha-inf", "seed", "base-seed",
             "tiebreak-opt", "tiebreak-var", "tiebreak-ftl", "fix-rate-and-subsample",
             "zipf-path", "zipf-remap", "fix-subsample-above-batch",
@@ -481,7 +556,11 @@ class TestRun:
             "sweep-cache-holds-all-files", "sweep-flag-cache-holds-all-files",
             "sweep-section-cache-holds-all-files", "batch-above-trace",
             "sweep-batch-above-trace", "var-rate-overflows-eta",
-            "var-rate-overflows-bound", "var-rate-overflows-bound-not-eta"])
+            "var-rate-overflows-bound", "var-rate-overflows-bound-not-eta",
+            "unknown-before-missing", "experiment-before-trace",
+            "trace-kind-before-unknown", "trace-unknown-before-missing",
+            "trace-unparsable", "policy-unknown-before-missing",
+            "policy-kind-before-unparsable"])
     def test_rejects_bad_values(self, tmp_path, capsys, argv, old, new, where):
         config = write_config(tmp_path, RUN_CONFIG.replace(old, new))
         out = tmp_path / "o"
@@ -612,6 +691,103 @@ def test_no_arguments_is_usage_error(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("old,new,where", [
+    ("runs = 3\n", "runs = 3\nruns = 4\n",
+     r"exp\.ini.*\[line +5\]: option 'runs' in section 'experiment' already exists"),
+    ("kind = opt\n", "kind = opt\n\n[policy:var]\nkind = fpl\n",
+     r"exp\.ini.*\[line +\d+\]: section 'policy:var' already exists"),
+    ("runs = 3\n", "runs = 3\nwarp\n",
+     r"parsing errors: .*exp\.ini'\n\t\[line +5\]: 'warp"),
+    ("[experiment]\n", "runs = 3\n[experiment]\n",
+     r"no section headers\.\nfile: .*exp\.ini', line: 1"),
+    ("rate = 0.5", "rate = %(x)s", re.escape("[policy:var] cannot parse rate = '%(x)s'")),
+    ("[experiment]\n", "[DEFAULT]\nruns = 2\n[experiment]\n",
+     re.escape("unsupported section [DEFAULT] with key(s): runs")),
+], ids=["duplicate-key", "duplicate-section", "no-equals", "no-section-header",
+        "interpolation", "default-section"])
+def test_a_malformed_config_is_usage_error(tmp_path, capsys, old, new, where):
+    body = textwrap.dedent(RUN_CONFIG)
+    config = write_config(tmp_path, body.replace(old, new, 1))
+    out = tmp_path / "o"
+    assert cli.main(["run", "-c", str(config), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert re.search(where, err, re.S), err
+    assert not out.exists()
+
+
+POLICY_NAMES = st.text("abcxyz019_-", min_size=1, max_size=6)
+RATES = st.floats(0, 1, exclude_min=True)
+ETAS = st.floats(0, 1e12, exclude_min=True)
+
+
+@st.composite
+def policy_specs(draw, batch_size):
+    kind = draw(st.sampled_from(POLICY_KINDS))
+    params = {}
+    if kind == "nfpl-var" or (kind == "nfpl-fix" and draw(st.booleans())):
+        params["rate"] = draw(RATES)
+    elif kind == "nfpl-fix":
+        params["subsample"] = draw(st.integers(1, batch_size))
+    if kind in ("fpl", "nfpl-fix", "nfpl-var"):
+        params["eta_override"] = draw(st.none() | ETAS)
+    return PolicySpec(name=draw(POLICY_NAMES), kind=kind, **params)
+
+
+@st.composite
+def experiments(draw):
+    n = draw(st.integers(1, 10**6))
+    path = st.text("abcXYZ019_-.%", max_size=12).map(lambda s: f"/data/t{s}")
+    trace = draw(st.one_of(
+        st.builds(ZipfConfig, st.just(n), st.floats(0, 5), st.integers(1, 10**9),
+                  st.none() | st.integers(0, 2**63)),
+        st.builds(RoundRobinConfig, st.just(n), st.integers(1, 10**9)),
+        st.builds(TraceFileConfig, path, st.just(True)),
+        st.builds(TraceFileConfig, path, st.just(False), st.just(n)),
+    ))
+    batch_size = draw(st.integers(1, 10**4))
+    policies = draw(st.lists(policy_specs(batch_size), max_size=6,
+                             unique_by=lambda spec: spec.name))
+    return ExperimentConfig(
+        trace=trace, cache_size=draw(st.integers(1, n)), batch_size=batch_size,
+        policies=tuple(policies), runs=draw(st.integers(1, 1000)),
+        base_seed=draw(st.integers(0, 2**63)),
+    )
+
+
+SWEEPS = st.none() | st.fixed_dictionaries({
+    "rates": st.none() | st.lists(RATES, min_size=1, max_size=4).map(tuple),
+    "variants": st.none() | st.lists(st.sampled_from(["fix", "var"]), min_size=1,
+                                     max_size=3).map(tuple),
+    "cache_sizes": st.none() | st.lists(st.integers(1, 10**6), min_size=1,
+                                        max_size=3).map(tuple),
+})
+
+
+def assert_echo_reloads(path, config, sweep):
+    """The echo of (config, sweep), read back, is (config, sweep) again."""
+    etas = {p.name: p.eta_override for p in config.policies
+            if p.eta_override is not None}
+    path.write_text(cli._render_echo(config, config.trace, etas, sweep))
+    no_sweep = {"rates": None, "variants": None, "cache_sizes": None}
+    assert cli.load_config(str(path)) == (config, sweep or no_sweep)
+
+
+@settings(deadline=None, max_examples=200,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(experiments(), SWEEPS)
+def test_echo_of_any_config_reads_back_equal(tmp_path, config, sweep):
+    assert_echo_reloads(tmp_path / "echo.ini", config, sweep)
+
+
+CONFIGS_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.mark.parametrize("preset", sorted(p.name for p in CONFIGS_DIR.glob("*.ini")))
+def test_echo_of_a_shipped_config_reads_back_equal(tmp_path, preset):
+    config, sweep = cli.load_config(str(CONFIGS_DIR / preset))
+    assert_echo_reloads(tmp_path / "echo.ini", config, sweep)
+
+
 GOLDEN_CONFIGS = {
     # all six policy kinds, with sampled fix and var rows
     "run-six-kinds": ("run", """\
@@ -668,6 +844,30 @@ GOLDEN_CONFIGS = {
         [policy:ftl]
         kind = ftl
         """),
+    # a round-robin trace, an explicit subsample and an eta override
+    "run-round-robin-overrides": ("run", """\
+        [experiment]
+        cache_size = 10
+        batch_size = 25
+        runs = 2
+        base_seed = 8
+
+        [trace]
+        kind = round-robin
+        files = 50
+        requests = 1500
+
+        [policy:opt]
+        kind = opt
+
+        [policy:fpl]
+        kind = fpl
+        eta = 12.5
+
+        [policy:fix]
+        kind = nfpl-fix
+        subsample = 5
+        """),
     "sweep-two-sizes": ("sweep", """\
         [experiment]
         cache_size = 6
@@ -702,6 +902,11 @@ GOLDEN_SHA256 = {
         "config_echo.ini": "5e9b3f3442c3dcc6ea84a386127ba40e691af13ea7b41422c27039dd2bfb428e",
         "series.csv": "6d0a0bfa5c916a5d7e77ebf5f2a2ff1d8e37329cfc79f2abba2e456e69c6dbf0",
         "summary.csv": "eaf26427ebdb9736f73100336d40bb5e212ab9923f4cfd91cd56c0dd26331248",
+    },
+    "run-round-robin-overrides": {
+        "config_echo.ini": "cfbbb9a9ae730d5fd8eab29dbf2d01ec0fadc2b311ae001ab83946393efaadd3",
+        "series.csv": "9439feb0f831b9f57d8c666a19df6539d8293fab516eedd011a4e6ee14b5e91f",
+        "summary.csv": "e9b721af77901a9d3d4852b9caa522107bc7e4b2cdc0dce4ea7208b5797189f9",
     },
     "sweep-two-sizes": {
         "config_echo.ini": "db679cdb65af65e7c9bcbb8466288921d59b274d24be6c97b6710623373c541f",
