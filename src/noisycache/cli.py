@@ -159,12 +159,26 @@ def load_config(path: str):
 
     The sweep dict carries the optional [sweep] section's rates,
     variants, and cache_sizes (None when the section omits them).
-    Values are literal: there is no %-interpolation.
+    The file is read as UTF-8, and values are literal: there is no
+    %-interpolation.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     try:
-        if not parser.read(path):
-            raise ConfigError(f"cannot read config file {path!r}")
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError:
+        raise ConfigError(f"cannot read config file {path!r}") from None
+    try:
+        text = data.decode("utf-8")  # whatever the locale's encoding
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(
+            f"config file {path!r}, line {line}: "
+            f"byte 0x{data[exc.start]:02x} is not valid UTF-8"
+        ) from None
+    try:
+        # newline=None reads \r\n and \r line ends as open() would
+        parser.read_file(io.StringIO(text, newline=None), source=os.fspath(path))
     except configparser.Error as exc:  # its text names the file and the line
         raise ConfigError(str(exc)) from None
     if parser.defaults():  # its keys would leak into every section

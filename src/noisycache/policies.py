@@ -7,7 +7,8 @@ slot a policy commits its cache before the slot's requests are counted
 and learns them only afterwards; LRU instead updates per event. The
 static optimum and both leaders, ftl and fpl, pick their caches with
 core.top_c, and both leaders show each slot's bool cache mask to an
-optional observe.
+optional observe. step_perturbed_leaders splits its independent rows
+across forked processes, one per usable CPU, that fill one shared result.
 
 All policies work on 0-based file indices.
 """
@@ -15,6 +16,11 @@ All policies work on 0-based file indices.
 from collections import OrderedDict
 from dataclasses import dataclass
 import math
+import mmap
+import os
+import signal
+import threading
+import warnings
 
 import numpy as np
 
@@ -88,12 +94,23 @@ def step_perturbed_leaders(
     max(N, BLOCK_EVENTS) events.
     sample_rngs[g][r] is ignored for the exact estimator.
 
+    The rows are independent, so they are split across the usable CPUs,
+    one forked process each, by run when R >= 2 and by leader when R = 1
+    (every process then draws the same run-0 noise from its own copy of
+    noise_rngs[0]). Each process writes its rows in place into costs and
+    totals, which live in one shared anonymous mapping; the result does
+    not depend on the split. The state of the generators passed in is
+    unspecified after the call.
+
     observe, if given, is called as observe(t, s, cached) once per slot t
     and size index s: cached is the G x R x N bool mask of each row's
     cache, a view of the stepper's buffer valid only during the call.
+    With an observer the rows are stepped in this process.
     """
     sizes = list(cache_sizes)
     etas = np.asarray(etas, dtype=np.float64)
+    estimators, noise_rngs = list(estimators), list(noise_rngs)
+    sample_rngs = [list(rngs) for rngs in sample_rngs]
     n, b, horizon = slotted.n_files, slotted.batch_size, slotted.horizon
     for c in sizes:
         check_cache_size(c, n)
@@ -115,22 +132,53 @@ def step_perturbed_leaders(
             )
         if spec.kind is not EstimatorKind.EXACT and any(rng is None for rng in rngs):
             raise InvalidInputError(f"{spec.kind.value} estimation requires an rng")
-    samplers = [(s, rng) for s, rngs in zip(estimators, sample_rngs) for rng in rngs]
     # a generator that two rows draw from would see its draws reordered
-    drawn = [id(rng) for spec, rng in samplers if spec.kind is not EstimatorKind.EXACT]
+    drawn = [
+        id(rng) for spec, rngs in zip(estimators, sample_rngs) for rng in rngs
+        if spec.kind is not EstimatorKind.EXACT
+    ]
     if len(set(drawn)) < len(drawn) or not set(drawn).isdisjoint(map(id, noise_rngs)):
         raise InvalidInputError("each sampling row needs its own generator")
 
+    costs_shape, totals_shape = (len(sizes), groups, runs, horizon), (groups, runs, n)
+    units = runs if runs > 1 else groups  # what the processes split
+    procs = 1 if observe is not None else min(units, _usable_cpus())
+    if procs < 2:
+        costs, totals = np.empty(costs_shape, dtype=np.int64), np.zeros(totals_shape)
+        _step_rows(slotted, sizes, etas, estimators, noise_rngs, sample_rngs,
+                   costs, totals, observe)
+    else:
+        costs, totals = _shared_result(costs_shape, totals_shape)
+
+        def step(lo, hi):
+            g, r = (slice(None), slice(lo, hi)) if runs > 1 else (slice(lo, hi), slice(None))
+            _step_rows(slotted, sizes, etas[:, g], estimators[g], noise_rngs[r],
+                       [rngs[r] for rngs in sample_rngs[g]], costs[:, g, r],
+                       totals[g, r], None)
+
+        cuts = [units * k // procs for k in range(procs + 1)]
+        _in_processes(step, list(zip(cuts, cuts[1:])))
+    return LeaderRuns(costs=costs, totals=totals)
+
+
+def _step_rows(
+    slotted, sizes, etas, estimators, noise_rngs, sample_rngs, costs, totals, observe
+) -> None:
+    """Step the G x R rows whose results costs and totals hold, in place.
+
+    costs (S x G x R x T) and totals (G x R x N, all zero) may be strided
+    views of a larger result. The inputs are step_perturbed_leaders', for
+    these rows only and already checked.
+    """
+    groups, runs, n = totals.shape
+    b, horizon = slotted.batch_size, slotted.horizon
+    samplers = [(s, rng) for s, rngs in zip(estimators, sample_rngs) for rng in rngs]
     rows = groups * runs
-    totals = np.zeros((groups, runs, n))
-    score = np.empty_like(totals)
+    score = np.empty((groups, runs, n))
     noise = np.empty((runs, n))
     scales = etas[:, :, None, None]
-    row_totals = totals.reshape(rows, n)
     row_score = score.reshape(rows, n)
     cached = np.empty((rows, n), dtype=bool)
-    costs = np.empty((len(sizes), groups, runs, horizon), dtype=np.int64)
-    row_costs = costs.reshape(len(sizes), rows, horizon)
     # span slots hold at most max(n, BLOCK_EVENTS) events, which bounds each
     # row's keys; the buffer holds the widest block's CSR entries
     offsets, span = slotted.offsets, max(1, max(n, BLOCK_EVENTS) // b)
@@ -155,11 +203,95 @@ def step_perturbed_leaders(
             np.multiply(noise, scales[s], out=score)
             score += totals
             top_c(row_score, c, out=cached)
-            row_costs[s, :, t] = b - cached[:, ids] @ counts
+            costs[s, :, :, t] = (b - cached[:, ids] @ counts).reshape(groups, runs)
             if observe is not None:
                 observe(t, s, cached.reshape(groups, runs, n))
-        row_totals[:, ids] += block[:, offsets[t] - base : offsets[t + 1] - base]
-    return LeaderRuns(costs=costs, totals=totals)
+        estimates = block[:, offsets[t] - base : offsets[t + 1] - base]
+        totals[:, :, ids] += estimates.reshape(groups, runs, -1)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: 1 where it cannot tell or cannot fork."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity and hasattr(os, "fork") else 1
+
+
+def _shared_result(costs_shape, totals_shape):
+    """int64 costs and zeroed float64 totals in one anonymous shared mapping.
+
+    A forked child writes into them and the parent sees the writes.
+    """
+    size = math.prod(costs_shape)
+    shared = mmap.mmap(-1, 8 * (size + math.prod(totals_shape)))
+    costs = np.frombuffer(shared, np.int64, size).reshape(costs_shape)
+    totals = np.frombuffer(shared, np.float64, offset=8 * size).reshape(totals_shape)
+    return costs, totals
+
+
+def _in_processes(step, shares) -> None:
+    """Call step(*share) for every share: the first here, each other in a fork.
+
+    The parent steps its own share, then reaps the children in turn. If a
+    child failed, or the parent's own share raised, it first kills and
+    reaps every child left; a failed child is then raised as a
+    RuntimeError that carries the child's error.
+    """
+    alive_r, alive_w = os.pipe()  # only the parent holds the write end
+    error_r, error_w = os.pipe()  # a failing child writes its error line here
+    children, failed = [], None
+    try:
+        for share in shares[1:]:
+            with warnings.catch_warnings():
+                # NumPy's BLAS thread pool makes this process multi-threaded,
+                # so Python 3.12 warns that a forked child may deadlock. The
+                # child makes no BLAS call: bool @ int64 is not BLAS.
+                warnings.filterwarnings(
+                    "ignore", r"This process .* is multi-threaded", DeprecationWarning
+                )
+                pid = os.fork()
+            if pid == 0:
+                _child(step, share, alive_r, alive_w, error_w)
+            children.append(pid)
+        step(*shares[0])
+        while children and failed is None:
+            pid = children.pop(0)
+            status = os.waitpid(pid, 0)[1]
+            if status:
+                code = os.waitstatus_to_exitcode(status)
+                failed = f"stepper process {pid} ended with exit status {code}"
+    finally:
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        os.close(error_w)
+        errors = os.read(error_r, 4096).decode(errors="replace")  # no writer is left
+        for fd in (alive_r, alive_w, error_r):
+            os.close(fd)
+    if failed is not None:
+        raise RuntimeError(errors.partition("\n")[0] or failed)
+
+
+def _child(step, share, alive_r, alive_w, error_w):
+    """A forked child's whole life: step its share, report, and _exit."""
+    code = 1
+    try:
+        os.close(alive_w)
+        threading.Thread(target=_exit_with_parent, args=(alive_r,), daemon=True).start()
+        step(*share)
+        code = 0
+    except BaseException as exc:  # KeyboardInterrupt too: never return to the caller
+        line = f"stepper process {os.getpid()} failed: {type(exc).__name__}: {exc}"
+        os.write(error_w, line.replace("\n", " ").encode()[:1000] + b"\n")
+    finally:  # even if the write above raises
+        os._exit(code)
+
+
+def _exit_with_parent(alive_r):
+    """End this child once the parent is gone, so a killed parent leaves none."""
+    try:
+        os.read(alive_r, 1)  # returns only at EOF: the parent, the writer, has ended
+    finally:
+        os._exit(1)
 
 
 def follow_the_leader(

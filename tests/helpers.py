@@ -9,6 +9,7 @@ over many identical slots, for the estimator property tests.
 
 import itertools
 import math
+import os
 
 import numpy as np
 
@@ -111,6 +112,30 @@ class Recorder:
         return np.stack(
             [np.stack(self.slots[(s,)], axis=-2) for s in range(len(self.slots))]
         )
+
+
+def record_forks(monkeypatch) -> list:
+    """The pids of the children os.fork makes while the test runs, as a list."""
+    forked, fork = [], os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return forked
+
+
+def assert_reaped(pids) -> None:
+    """Each pid is no child of this process: it ended and was waited for."""
+    for pid in pids:
+        try:
+            os.waitpid(pid, os.WNOHANG)
+        except ChildProcessError:
+            continue
+        raise AssertionError(f"process {pid} is still a child of this one")
 
 
 def reference_estimate(spec, counts, rng):

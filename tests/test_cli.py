@@ -14,8 +14,10 @@ import textwrap
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from helpers import assert_reaped, record_forks
+
 import noisycache
-from noisycache import cli, read_trace_file
+from noisycache import cli, policies, read_trace_file
 from noisycache.engine import POLICY_KINDS, ExperimentConfig, PolicySpec
 from noisycache.traces import RoundRobinConfig, TraceFileConfig, ZipfConfig
 
@@ -691,6 +693,18 @@ def test_no_arguments_is_usage_error(capsys):
     capsys.readouterr()
 
 
+def test_a_config_is_read_as_utf8(tmp_path, capsys):
+    body = textwrap.dedent(RUN_CONFIG).replace("[trace]", "# café\n[trace]")
+    config = write_config(tmp_path, body)
+    assert cli.load_config(str(config))[0].runs == 3
+    config.write_bytes(body.replace("é", "\xff").encode("latin-1"))
+    out = tmp_path / "o"
+    assert cli.main(["run", "-c", str(config), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: config file {str(config)!r}, line 7: byte 0xff is not valid UTF-8" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("old,new,where", [
     ("runs = 3\n", "runs = 3\nruns = 4\n",
      r"exp\.ini.*\[line +5\]: option 'runs' in section 'experiment' already exists"),
@@ -926,6 +940,35 @@ def test_output_bytes_match_their_pins(tmp_path, case):
         for path in sorted(out.iterdir())
     }
     assert got == GOLDEN_SHA256[case]
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("case", sorted(GOLDEN_CONFIGS))
+def test_output_bytes_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch, case, cpus):
+    monkeypatch.setattr(policies, "_usable_cpus", lambda: cpus)
+    test_output_bytes_match_their_pins(tmp_path, case)
+
+
+def test_a_failed_stepper_process_is_a_runtime_failure(tmp_path, capsys, monkeypatch):
+    parent, real_top_c = os.getpid(), policies.top_c
+
+    def top_c(*args, **kwargs):
+        if os.getpid() != parent:
+            raise MemoryError("no room in the child")
+        return real_top_c(*args, **kwargs)
+
+    monkeypatch.setattr(policies, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(policies, "top_c", top_c)
+    forked = record_forks(monkeypatch)
+    config = write_config(tmp_path, RUN_CONFIG)
+    out = tmp_path / "o"
+    assert cli.main(["run", "-c", str(config), "-o", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("runtime failure: RuntimeError: ")
+    assert err[0].endswith("MemoryError: no room in the child")
+    assert not out.exists()
+    assert len(forked) == 1
+    assert_reaped(forked)  # no process is left
 
 
 # sha256 of `generate`'s trace.txt, recorded like GOLDEN_SHA256. The

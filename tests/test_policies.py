@@ -1,7 +1,13 @@
 """Unit tests for the caching policies."""
 
 import math
+import os
 import re
+import signal
+import subprocess
+import sys
+import textwrap
+import time
 
 from hypothesis import given, settings, strategies as st
 import numpy as np
@@ -9,11 +15,13 @@ import pytest
 
 from helpers import (
     Recorder,
+    assert_reaped,
     brute_force_static_minimum,
     reference_ftl_costs,
     reference_leader_run,
     reference_lru_costs,
     reference_top_c,
+    record_forks,
 )
 from noisycache import (
     BoundParams,
@@ -33,6 +41,7 @@ from noisycache import (
     static_optimum,
     step_perturbed_leaders,
 )
+from noisycache import policies
 from noisycache.policies import BLOCK_EVENTS
 
 
@@ -465,6 +474,157 @@ class TestObserver:
         assert np.array_equal(seen.totals, unseen.totals)
         ftl = follow_the_leader(slotted, 8)
         assert np.array_equal(follow_the_leader(slotted, 8, Recorder()), ftl)
+
+
+def _large_sweep_shape(runs):
+    """7 leaders at 2 cache sizes over `runs` runs: the large-sweep mix, smaller.
+
+    Returns the arguments of step_perturbed_leaders with fresh generators.
+    """
+    slotted = batch_trace(generate_zipf(ZipfConfig(300, 1.0, 6000, seed=3)), 20)
+    specs = [EstimatorSpec.fixed_subsample(k, 20) for k in (1, 2, 10)]
+    specs += [EstimatorSpec.exact(20)]
+    specs += [EstimatorSpec.bernoulli(rate, 20) for rate in (0.05, 0.1, 0.5)]
+    plan = SeedPlan(11)
+    return (
+        slotted, [10, 120], [[40.0] * 7, [90.0] * 7], specs,
+        [plan.stream(r, SeedPlan.NOISE) for r in range(runs)],
+        [[plan.stream(r, SeedPlan.SAMPLING) for r in range(runs)] for _ in specs],
+    )
+
+
+def _step_on(monkeypatch, cpus, *args, **kwargs):
+    monkeypatch.setattr(policies, "_usable_cpus", lambda: cpus)
+    return step_perturbed_leaders(*args, **kwargs)
+
+
+class TestProcessSplit:
+    """The rows split across forked processes give the serial result exactly."""
+
+    @pytest.mark.parametrize("runs", [1, 2, 5])
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_matches_the_serial_stepper(self, monkeypatch, runs, cpus):
+        serial = _step_on(monkeypatch, 1, *_large_sweep_shape(runs))
+        forked = record_forks(monkeypatch)
+        split = _step_on(monkeypatch, cpus, *_large_sweep_shape(runs))
+        assert len(forked) == min(cpus, runs if runs > 1 else 7) - 1
+        assert_reaped(forked)
+        assert np.array_equal(split.costs, serial.costs)
+        assert np.array_equal(split.totals, serial.totals)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(multi_size_problems(), wide_batch_problems()), st.sampled_from([2, 3]))
+    def test_any_problem_matches_the_serial_stepper(self, problem, cpus):
+        slotted, sizes, etas, estimators, runs, plan = problem
+
+        def step(count):
+            policies._usable_cpus = lambda: count
+            return step_perturbed_leaders(
+                slotted, sizes, etas, estimators,
+                [plan.stream(r, SeedPlan.NOISE) for r in range(runs)],
+                [[plan.stream(r, SeedPlan.SAMPLING) for r in range(runs)]
+                 for _ in estimators],
+            )
+
+        usable = policies._usable_cpus
+        try:
+            serial, split = step(1), step(cpus)
+        finally:
+            policies._usable_cpus = usable
+        assert np.array_equal(split.costs, serial.costs)
+        assert np.array_equal(split.totals, serial.totals)
+
+    def test_an_observer_keeps_the_rows_in_one_process(self, monkeypatch):
+        forked = record_forks(monkeypatch)
+        recorder = Recorder()
+        stepped = _step_on(monkeypatch, 3, *_large_sweep_shape(2), observe=recorder)
+        assert forked == []
+        assert recorder.decisions.shape == (2, 7, 2, 300, 300)
+        serial = _step_on(monkeypatch, 1, *_large_sweep_shape(2))
+        assert np.array_equal(stepped.costs, serial.costs)
+
+    def test_a_failed_child_raises_and_is_reaped(self, monkeypatch):
+        parent, real_top_c = os.getpid(), policies.top_c
+
+        def top_c(*args, **kwargs):
+            if os.getpid() != parent:
+                raise ValueError("child broke")
+            return real_top_c(*args, **kwargs)
+
+        monkeypatch.setattr(policies, "top_c", top_c)
+        forked = record_forks(monkeypatch)
+        with pytest.raises(RuntimeError, match="ValueError: child broke"):
+            _step_on(monkeypatch, 2, *_large_sweep_shape(2))
+        assert len(forked) == 1
+        assert_reaped(forked)
+
+    def test_a_failed_parent_kills_and_reaps_its_children(self, monkeypatch):
+        parent, real_top_c = os.getpid(), policies.top_c
+
+        def top_c(*args, **kwargs):
+            if os.getpid() == parent:
+                raise ValueError("parent broke")
+            time.sleep(60)  # a child that would outlive the test unless killed
+
+        monkeypatch.setattr(policies, "top_c", top_c)
+        forked = record_forks(monkeypatch)
+        started = time.monotonic()
+        with pytest.raises(ValueError, match="parent broke"):
+            _step_on(monkeypatch, 3, *_large_sweep_shape(3))
+        assert time.monotonic() - started < 30
+        assert len(forked) == 2
+        assert_reaped(forked)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+    def test_a_child_ends_when_its_parent_is_killed(self, tmp_path):
+        script = tmp_path / "orphan.py"
+        script.write_text(textwrap.dedent("""\
+            import os, sys, time
+            sys.path[:0] = sys.argv[1:]
+            import test_policies
+            from noisycache import policies
+            policies._usable_cpus = lambda: 2
+            parent, real_top_c, fork = os.getpid(), policies.top_c, os.fork
+
+            def top_c(*args, **kwargs):
+                if os.getpid() != parent:
+                    time.sleep(60)  # the child would sleep on after the parent
+                return real_top_c(*args, **kwargs)
+
+            def announcing_fork():
+                pid = fork()
+                if pid:
+                    print(pid, flush=True)
+                return pid
+
+            policies.top_c, os.fork = top_c, announcing_fork
+            policies.step_perturbed_leaders(*test_policies._large_sweep_shape(2))
+            """))
+        src = os.path.dirname(os.path.dirname(policies.__file__))
+        tests = os.path.dirname(__file__)
+        proc = subprocess.Popen([sys.executable, str(script), src, tests],
+                                stdout=subprocess.PIPE, text=True)
+        try:
+            child = int(proc.stdout.readline())
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stdout.close()
+        deadline = time.monotonic() + 20
+        while time.monotonic() < deadline and _running(child):
+            time.sleep(0.05)
+        if _running(child):
+            os.kill(child, signal.SIGKILL)
+            pytest.fail("the child outlived its killed parent")
+
+
+def _running(pid):
+    """Whether pid is a process that has not exited (a zombie has)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+    except FileNotFoundError:
+        return False
 
 
 class TestLeastRecentlyUsed:
