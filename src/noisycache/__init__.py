@@ -16,8 +16,6 @@ from .engine import (
     PolicyReport,
     PolicySpec,
     SeedPlan,
-    SweepCell,
-    SweepReport,
     run_experiment,
     run_sweep,
 )
@@ -88,8 +86,6 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentReport",
     "PolicyReport",
-    "SweepCell",
-    "SweepReport",
     "run_experiment",
     "run_sweep",
     "__version__",

@@ -252,11 +252,12 @@ def _render_summary(report) -> str:
     return _render_csv(header, rows)
 
 
-def _render_sweep(sweep_report) -> str:
+def _render_sweep(reports) -> str:
     rows = [
-        (cell.variant, _fmt(cell.rate), cell.cache_size, _fmt(cell.final_mean),
-         _fmt(cell.final_d1), _fmt(cell.final_d9))
-        for cell in sweep_report.cells
+        (pol.spec.kind.removeprefix("nfpl-"), _fmt(pol.spec.rate), report.cache_size,
+         _fmt(pol.final_mean), _fmt(pol.final_d1), _fmt(pol.final_d9))
+        for report in reports
+        for pol in report.policies
     ]
     header = ("variant", "rate", "cache_size", "final_mean", "final_d1", "final_d9")
     return _render_csv(header, rows)
@@ -265,7 +266,7 @@ def _render_sweep(sweep_report) -> str:
 def _render_echo(config, trace_source, policy_etas=None, sweep=None) -> str:
     """Fully resolved config: rerunning it reproduces the same outputs.
 
-    A policy echoes the eta that policy_etas gives it, and no eta without one.
+    A policy echoes the eta that policy_etas gives it, else its configured eta.
     """
     out = configparser.ConfigParser(interpolation=None)
     out["experiment"] = _echo(vars(config), _EXPERIMENT)
@@ -275,7 +276,8 @@ def _render_echo(config, trace_source, policy_etas=None, sweep=None) -> str:
     etas = policy_etas or {}
     for spec in config.policies:
         out[f"policy:{spec.name}"] = _echo(
-            {**vars(spec), "eta_override": etas.get(spec.name)}, _POLICY
+            {**vars(spec), "eta_override": etas.get(spec.name, spec.eta_override)},
+            _POLICY,
         )
     if sweep is not None:
         out["sweep"] = _echo(sweep, _SWEEP)
@@ -406,7 +408,7 @@ def cmd_sweep(args) -> int:
     _named(source["rates"], check_sweep_rates, sweep["rates"])
     _named(source["variants"], check_sweep_variants, sweep["variants"])
     try:
-        sweep_report = run_sweep(config, **sweep)
+        reports = run_sweep(config, **sweep)
     except CacheSizeError as exc:
         where = source["cache_sizes"] if sweep["cache_sizes"] else "[experiment] "
         raise ConfigError(f"{where}{exc}") from None
@@ -414,9 +416,8 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"[experiment] {exc}") from None
     sweep["cache_sizes"] = sweep["cache_sizes"] or (config.cache_size,)
     files = {
-        "sweep.csv": _render_sweep(sweep_report),
-        "config_echo.ini": _render_echo(config, sweep_report.trace_source,
-                                        sweep=sweep),
+        "sweep.csv": _render_sweep(reports),
+        "config_echo.ini": _render_echo(config, reports[0].trace_source, sweep=sweep),
     }
     _commit_files(args.output, files)
     print(f"wrote {', '.join(files)} to {args.output}")

@@ -1,26 +1,28 @@
 """Experiment engine: seeding, policy runs, aggregation, and sweeps.
 
 One experiment = one trace, a set of policies, and M runs per stochastic
-policy. Seeding follows a fixed derivation so that every run is
-reproducible and, crucially, so that run r of ANY perturbed-leader
-policy draws the same noise sequence: policies under the same run index
-are compared with common random numbers. The perturbed-leader rows of an
-experiment, and every cell of a sweep at every cache size, are therefore
-stepped in one call to policies.step_perturbed_leaders, every run at
-once. A leader's totals never depend on the cache size, so a sweep draws
-each slot's noise and estimates once for all its sizes, and cells whose
-estimates are equal (full rate, or the same fixed subsample) step once
-and share one series.
+policy, at one or more cache sizes, reported one ExperimentReport per
+size. run_experiment (one size, each leader at its own eta) and
+run_sweep (a generated grid of rate cells at fpl's eta) share one path.
+Seeding follows a fixed derivation so that every run is reproducible
+and, crucially, so that run r of ANY perturbed-leader policy draws the
+same noise sequence: policies under the same run index are compared
+with common random numbers. The perturbed-leader rows of every size are
+therefore stepped in one call to policies.step_perturbed_leaders, every
+run at once. A leader's totals never depend on the cache size, so each
+slot's noise and estimates are drawn once for all sizes, and leaders
+with equal etas and equal estimates (full rate, or the same fixed
+subsample) step once and share one series.
 
-Deterministic policies (lru, ftl, opt) run once, each by a direct call
-to its policy function; their single series stands in for all runs, so
-their decile bands have zero width.
+Deterministic policies (lru, ftl, opt) run once per size, each by a
+direct call to its policy function; their single series stands in for
+all runs, so their decile bands have zero width.
 
 A run keeps costs and totals, not caches: to see each slot's cache,
 call follow_the_leader or step_perturbed_leaders with an observer.
 
-Each fact has one owner: the slotted trace holds N, B and T, and the
-experiment's cache size is C. Cache sizes are checked against the trace
+Each fact has one owner: the slotted trace holds N, B and T, and each
+report's cache size is C. Cache sizes are checked against the trace
 as soon as it is built, before any eta is resolved.
 """
 
@@ -240,7 +242,7 @@ class PolicyReport:
 
 @dataclass
 class ExperimentReport:
-    """One experiment's full results."""
+    """One experiment's full results at one cache size."""
 
     cache_size: int
     horizon: int
@@ -269,21 +271,6 @@ def _resolve_trace(source, plan: SeedPlan):
     if isinstance(source, TraceFileConfig):
         return source, read_trace_file(source.path, source.remap, source.n_files)
     raise InvalidInputError(f"unknown trace source type {type(source).__name__}")
-
-
-def _prepare(config: ExperimentConfig, sizes):
-    """Seed plan, resolved trace source and slotted trace of one experiment.
-
-    Checks each of sizes against the catalog, which a remapped trace file
-    only reveals once it is read.
-    """
-    plan = SeedPlan(config.base_seed)
-    source, trace = _resolve_trace(config.trace, plan)
-    slotted = batch_trace(trace, config.batch_size)
-    del trace  # free the raw events: the engine reads only the slotted trace
-    for size in sizes:
-        check_cache_size(size, slotted.n_files)
-    return plan, source, slotted
 
 
 def _run_leaders(leaders, slotted, sizes, plan, runs):
@@ -319,23 +306,10 @@ def _run_leaders(leaders, slotted, sizes, plan, runs):
     return stepped, [distinct.index(key) for key in keys]
 
 
-def _series(name, stepped, s, g, runs):
-    """One RunSeries per run of leader column g at cache size index s."""
-    return [
-        RunSeries(name, run, stepped.costs[s, g, i], stepped.totals[g, i])
-        for i, run in enumerate(runs)
-    ]
-
-
-def _band(series, batch_size):
-    """Mean, d1 and d9 of the running miss ratio across the runs in series."""
-    return decile_band(
+def _aggregate(spec, eta, series, batch_size, optimum, bound):
+    mean, d1, d9 = decile_band(
         np.stack([average_miss_ratio(s.costs, batch_size) for s in series])
     )
-
-
-def _aggregate(spec, eta, series, batch_size, optimum, bound):
-    mean, d1, d9 = _band(series, batch_size)
     cum = float(np.mean([float(s.costs.sum()) for s in series]))
     return PolicyReport(
         spec=spec,
@@ -349,74 +323,90 @@ def _aggregate(spec, eta, series, batch_size, optimum, bound):
     )
 
 
-def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    """Run every configured policy on one shared trace and aggregate.
+def _own_scales(slotted, size, leaders):
+    """Each leader's own eta and regret bound at size; an eta's error comes first."""
+    etas = [spec.resolved_eta(slotted, size) for spec in leaders]
+    return etas, [spec.resolved_bound(slotted, size) for spec in leaders]
 
-    The perturbed-leader policies are stepped together, all runs at once.
+
+def _pinned_scales(slotted, size, leaders):
+    """fpl's eta at size for every leader, and no regret bound."""
+    if size == slotted.n_files:  # diameter 0: nothing to decide
+        raise CacheSizeError(
+            f"cache_size {size} holds all {size} files, "
+            "so the sweep has no perturbation scale to pin"
+        )
+    eta = PolicySpec("fpl", "fpl").resolved_eta(slotted, size)
+    return [eta] * len(leaders), [None] * len(leaders)
+
+
+def _run(config: ExperimentConfig, sizes, scales) -> list[ExperimentReport]:
+    """Run config's policies on its one trace at each of sizes; a report per size.
+
+    scales(slotted, size, leaders) gives the perturbed leaders' etas and
+    regret bounds at one size. It is asked at every size before any
+    policy runs, and every leader at every size is stepped in one call.
     """
-    if not config.policies:
-        raise InvalidInputError("at least one policy is required")
-    size = config.cache_size
-    plan, source, slotted = _prepare(config, [size])
-    b, horizon = slotted.batch_size, slotted.horizon
+    plan = SeedPlan(config.base_seed)
+    source, trace = _resolve_trace(config.trace, plan)
+    slotted = batch_trace(trace, config.batch_size)
+    del trace  # free the raw events: the engine reads only the slotted trace
+    for size in sizes:  # a remapped trace file reveals its catalog only now
+        check_cache_size(size, slotted.n_files)
+    b, runs = slotted.batch_size, range(config.runs)
     leaders = [spec for spec in config.policies if spec.stochastic]
-    etas = [spec.resolved_eta(slotted, size) for spec in leaders]  # before any run
-    bounds = [spec.resolved_bound(slotted, size) for spec in leaders]
-    opt_costs = static_optimum(slotted, size)
-    optimum = int(opt_costs.sum())
-
-    reports = {}
-    for spec in config.policies:
-        if spec.kind == "opt":
-            costs = opt_costs
-        elif spec.kind == "ftl":
-            costs = follow_the_leader(slotted, size)
-        elif spec.kind == "lru":
-            costs = least_recently_used(slotted, size)
-        else:
-            continue
-        series = RunSeries(spec.name, 0, costs)
-        reports[spec.name] = _aggregate(spec, None, [series], b, optimum, None)
+    etas, bounds = zip(*(scales(slotted, size, leaders) for size in sizes))
+    stepped, columns = None, []
     if leaders:
         estimators = [spec.estimator_spec(b) for spec in leaders]
         stepped, columns = _run_leaders(
-            [(est, [eta]) for est, eta in zip(estimators, etas)],
-            slotted, [size], plan, range(config.runs),
+            zip(estimators, zip(*etas)), slotted, sizes, plan, runs
         )
-        for spec, eta, bound, g in zip(leaders, etas, bounds, columns):
-            series = _series(spec.name, stepped, 0, g, range(config.runs))
-            reports[spec.name] = _aggregate(spec, eta, series, b, optimum, bound)
 
-    return ExperimentReport(
-        cache_size=size,
-        horizon=horizon,
-        trace_source=source,
-        request_totals=slotted.totals(),
-        opt_cost=optimum,
-        policies=[reports[spec.name] for spec in config.policies],
-    )
+    totals = slotted.totals()
+    reports = []
+    for s, size in enumerate(sizes):
+        opt_costs = static_optimum(slotted, size)
+        optimum = int(opt_costs.sum())
+        scale = iter(zip(etas[s], bounds[s], columns))
+        policies = []
+        for spec in config.policies:
+            eta = bound = None
+            if spec.stochastic:
+                eta, bound, g = next(scale)
+                series = [
+                    RunSeries(spec.name, run, stepped.costs[s, g, i], stepped.totals[g, i])
+                    for i, run in enumerate(runs)
+                ]
+            elif spec.kind == "opt":
+                series = [RunSeries(spec.name, 0, opt_costs)]
+            else:
+                policy = follow_the_leader if spec.kind == "ftl" else least_recently_used
+                series = [RunSeries(spec.name, 0, policy(slotted, size))]
+            policies.append(_aggregate(spec, eta, series, b, optimum, bound))
+        reports.append(
+            ExperimentReport(
+                cache_size=size,
+                horizon=slotted.horizon,
+                trace_source=source,
+                request_totals=totals,
+                opt_cost=optimum,
+                policies=policies,
+            )
+        )
+    return reports
 
 
-@dataclass
-class SweepCell:
-    """Final-slot band for one (variant, rate, cache size) sweep cell."""
+def run_experiment(config: ExperimentConfig) -> ExperimentReport:
+    """Run every configured policy on one shared trace and aggregate.
 
-    variant: str
-    rate: float
-    cache_size: int
-    eta: float
-    final_mean: float
-    final_d1: float
-    final_d9: float
-    runs: list[RunSeries]
-
-
-@dataclass
-class SweepReport:
-    trace_source: object
-    n_files: int
-    horizon: int
-    cells: list[SweepCell]
+    Each perturbed leader runs at its own eta, the override or
+    compute_eta's value, and carries its regret bound. The perturbed
+    leaders are stepped together, all runs at once.
+    """
+    if not config.policies:
+        raise InvalidInputError("at least one policy is required")
+    return _run(config, (config.cache_size,), _own_scales)[0]
 
 
 def check_sweep_rates(rates) -> tuple[float, ...]:
@@ -449,60 +439,29 @@ def run_sweep(
     rates,
     variants=("fix", "var"),
     cache_sizes=None,
-) -> SweepReport:
+) -> list[ExperimentReport]:
     """Sweep sampling rates for both estimator variants on one trace.
 
-    The perturbation scale is pinned per cache size to the exact-estimate
-    value (the rate-independent choice), so cells differ only in what the
-    estimator samples; this is the scale the fixed subsampler would pick
-    for itself at any rate. Every cell at every cache size is stepped in
-    one pass: each slot's noise and estimates are drawn once and serve all
-    sizes, and cells with equal estimates (the full-rate cells of both
-    variants, or fix rates that round to one subsample) step once and
-    share their series. Cells are emitted cache size by cache size,
-    variants in the order given, rates in the order given, with
-    config.runs runs each.
+    The sweep's cells are the policies of one experiment: nfpl-{variant}
+    at each rate, variants in the order given and rates within each;
+    config.policies is not used. Returns one ExperimentReport per cache
+    size, in the order of cache_sizes (None: config.cache_size alone).
+    Each cell's eta is pinned per size to fpl's, the rate-independent
+    scale the fixed subsampler would pick for itself at any rate, so
+    cells differ only in what the estimator samples; cells carry no
+    regret bound.
     """
     rates, variants = check_sweep_rates(rates), check_sweep_variants(variants)
-    sizes = tuple(cache_sizes) if cache_sizes else (config.cache_size,)
+    sizes = (config.cache_size,) if cache_sizes is None else tuple(cache_sizes)
+    if not sizes:
+        raise CacheSizeError("at least one cache size is required")
     if len(set(sizes)) != len(sizes):
         raise CacheSizeError("duplicate cache sizes in sweep")
     for size in sizes:  # each size, checked as its own experiment before any trace
         replace(config, cache_size=size)
-
-    plan, source, slotted = _prepare(config, sizes)
-    horizon, b = slotted.horizon, slotted.batch_size
-    if slotted.n_files in sizes:  # diameter 0: nothing to decide
-        raise CacheSizeError(
-            f"cache_size {slotted.n_files} holds all {slotted.n_files} files, "
-            "so the sweep has no perturbation scale to pin"
-        )
-    pinned = [PolicySpec("fpl", "fpl").resolved_eta(slotted, size) for size in sizes]
-    grid = [(variant, rate) for variant in variants for rate in rates]
-    leaders = [
-        (PolicySpec("cell", f"nfpl-{variant}", rate=rate).estimator_spec(b), pinned)
-        for variant, rate in grid
-    ]
-    stepped, columns = _run_leaders(leaders, slotted, sizes, plan, range(config.runs))
-
-    cells = []
-    for s, size in enumerate(sizes):
-        for (variant, rate), g in zip(grid, columns):
-            name = f"nfpl-{variant}-r{rate:g}-c{size}"
-            series = _series(name, stepped, s, g, range(config.runs))
-            mean, d1, d9 = _band(series, b)
-            cells.append(
-                SweepCell(
-                    variant=variant,
-                    rate=rate,
-                    cache_size=size,
-                    eta=pinned[s],
-                    final_mean=float(mean[-1]),
-                    final_d1=float(d1[-1]),
-                    final_d9=float(d9[-1]),
-                    runs=series,
-                )
-            )
-    return SweepReport(
-        trace_source=source, n_files=slotted.n_files, horizon=horizon, cells=cells
+    cells = tuple(
+        PolicySpec(f"nfpl-{variant}-{rate!r}", f"nfpl-{variant}", rate=rate)
+        for variant in variants
+        for rate in rates
     )
+    return _run(replace(config, policies=cells), sizes, _pinned_scales)

@@ -86,6 +86,11 @@ def reference_top_c(score, cache_size: int) -> np.ndarray:
     return mask.reshape(score.shape)
 
 
+def sweep_cells(reports):
+    """Each cell of a sweep as a (cache size, PolicyReport) pair, in report order."""
+    return [(rep.cache_size, pol) for rep in reports for pol in rep.policies]
+
+
 class Recorder:
     """An observe callable that keeps a copy of every cache it is shown.
 

@@ -38,6 +38,7 @@ from helpers import (
     brute_force_best_cost,
     brute_force_static_minimum,
     estimate_copies,
+    sweep_cells,
 )
 
 DESK_FILES = 1000
@@ -93,11 +94,11 @@ def _harvest_experiment(tag, report):
     )
 
 
-def _harvest_sweep(tag, sweep_report, trace, batch_size):
+def _harvest_sweep(tag, sweep_reports, trace, batch_size):
     totals = batch_trace(trace, batch_size).totals()
-    for cell in sweep_report.cells:
-        estimates = [s.estimate_totals for s in cell.runs]
-        _harvest_proof_steps(tag, estimates, totals, cell.cache_size)
+    for cache_size, pol in sweep_cells(sweep_reports):
+        estimates = [s.estimate_totals for s in pol.runs]
+        _harvest_proof_steps(tag, estimates, totals, cache_size)
 
 
 # ------------------------------------------------------- shared builders
@@ -286,8 +287,8 @@ def _rr_sweep_report():
 
 def _sweep_finals(report):
     finals = {"fix": [], "var": []}
-    for cell in report.cells:
-        finals[cell.variant].append(cell.final_mean)
+    for _, pol in sweep_cells(report):
+        finals[pol.spec.kind.removeprefix("nfpl-")].append(pol.final_mean)
     return finals
 
 

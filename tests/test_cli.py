@@ -678,6 +678,19 @@ class TestSweep:
         assert where in capsys.readouterr().err
         assert not out.exists()
 
+    def test_echo_keeps_each_policys_eta(self, tmp_path):
+        # a sweep ignores the policies, but its echo still configures them:
+        # rerun through sweep and run, it gives the original config's bytes
+        body = SWEEP_CONFIG + "\n    [policy:fpl]\n    kind = fpl\n    eta = 5.0\n"
+        config = write_config(tmp_path, body)
+        echo = tmp_path / "sweep-exp" / "config_echo.ini"
+        for command in ("sweep", "run"):
+            for source in (config, echo):
+                out = tmp_path / f"{command}-{source.stem}"
+                assert invoke([command, "-c", source, "-o", out]) == 0
+            for original in (tmp_path / f"{command}-exp").iterdir():
+                assert (out / original.name).read_bytes() == original.read_bytes()
+
     def test_flags_override_the_sweep_section(self, tmp_path):
         body = SWEEP_CONFIG + "\n    [sweep]\n    rates = 2\n    variants = magic\n"
         config = write_config(tmp_path, body)

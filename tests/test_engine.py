@@ -20,7 +20,9 @@ from noisycache import (
     static_optimum,
 )
 
-from helpers import reference_top_c
+from noisycache.core import CacheSizeError
+
+from helpers import reference_top_c, sweep_cells
 
 
 def small_trace(seed=21):
@@ -240,6 +242,10 @@ class TestRunExperiment:
                               b.policy("ftl").runs[0].costs)
 
 
+def variant(pol):
+    return pol.spec.kind.removeprefix("nfpl-")
+
+
 class TestRunSweep:
     def base_config(self):
         return ExperimentConfig(
@@ -247,23 +253,23 @@ class TestRunSweep:
         )
 
     def test_cell_grid_and_order(self):
-        report = run_sweep(
+        reports = run_sweep(
             self.base_config(), rates=(0.5, 1.0), variants=("fix", "var"),
             cache_sizes=(4, 8),
         )
-        grid = [(c.cache_size, c.variant, c.rate) for c in report.cells]
+        grid = [(size, variant(pol), pol.spec.rate) for size, pol in sweep_cells(reports)]
         assert grid == [
             (4, "fix", 0.5), (4, "fix", 1.0), (4, "var", 0.5), (4, "var", 1.0),
             (8, "fix", 0.5), (8, "fix", 1.0), (8, "var", 0.5), (8, "var", 1.0),
         ]
-        assert all(len(c.runs) == 3 for c in report.cells)
+        assert all(len(pol.runs) == 3 for _, pol in sweep_cells(reports))
 
     def test_eta_is_pinned_to_the_exact_bounds_value(self):
-        report = run_sweep(self.base_config(), rates=(0.01, 1.0))
-        horizon = report.horizon
-        for cell in report.cells:
-            d = 2 * min(cell.cache_size, 40 - cell.cache_size)
-            assert cell.eta == pytest.approx(
+        reports = run_sweep(self.base_config(), rates=(0.01, 1.0))
+        horizon = reports[0].horizon
+        for size, pol in sweep_cells(reports):
+            d = 2 * min(size, 40 - size)
+            assert pol.eta == pytest.approx(
                 np.sqrt(20 * 20 * horizon / d), rel=1e-12
             )
 
@@ -279,10 +285,10 @@ class TestRunSweep:
                 policies=(PolicySpec("fpl", "fpl"),), runs=3, base_seed=99,
             )
         ).policy("fpl")
-        for cell in sweep.cells:
-            assert cell.final_mean == fpl.final_mean
-            assert cell.final_d1 == fpl.final_d1
-            assert cell.final_d9 == fpl.final_d9
+        for _, pol in sweep_cells(sweep):
+            assert pol.final_mean == fpl.final_mean
+            assert pol.final_d1 == fpl.final_d1
+            assert pol.final_d9 == fpl.final_d9
 
     def test_rejects_bad_rates_and_variants(self):
         with pytest.raises(InvalidInputError):
@@ -299,30 +305,34 @@ class TestRunSweep:
             run_sweep(self.base_config(), rates=(0.5, 0.5))
         with pytest.raises(InvalidInputError, match="duplicate cache sizes"):
             run_sweep(self.base_config(), rates=(0.5,), cache_sizes=(5, 5))
+        with pytest.raises(CacheSizeError, match="at least one cache size is required"):
+            run_sweep(self.base_config(), rates=(0.5,), cache_sizes=())
 
     def test_twin_cells_agree_and_each_cell_equals_its_own_experiment(self):
         # at rate 1.0 fix and var are one full-rate leader, and fix rates
         # 0.01 and 0.02 both keep one event of 20; stepped once, each cell
         # must still be what an experiment of that one policy gives
         cfg = self.base_config()
-        report = run_sweep(cfg, rates=(0.01, 0.02, 1.0), cache_sizes=(4, 8))
-        cells = {(c.cache_size, c.variant, c.rate): c for c in report.cells}
+        reports = run_sweep(cfg, rates=(0.01, 0.02, 1.0), cache_sizes=(4, 8))
+        cells = {
+            (size, variant(pol), pol.spec.rate): pol for size, pol in sweep_cells(reports)
+        }
         for size in (4, 8):
             for a, b in [(("fix", 1.0), ("var", 1.0)), (("fix", 0.01), ("fix", 0.02))]:
                 for ra, rb in zip(cells[(size, *a)].runs, cells[(size, *b)].runs):
                     assert np.array_equal(ra.costs, rb.costs)
                     assert np.array_equal(ra.estimate_totals, rb.estimate_totals)
-        for cell in report.cells:
+        for size, pol in sweep_cells(reports):
             spec = PolicySpec(
-                "solo", f"nfpl-{cell.variant}", rate=cell.rate, eta_override=cell.eta
+                "solo", pol.spec.kind, rate=pol.spec.rate, eta_override=pol.eta
             )
             solo = run_experiment(
-                replace(cfg, cache_size=cell.cache_size, policies=(spec,))
+                replace(cfg, cache_size=size, policies=(spec,))
             ).policy("solo")
-            assert solo.final_mean == cell.final_mean
-            assert solo.final_d1 == cell.final_d1
-            assert solo.final_d9 == cell.final_d9
-            for ra, rb in zip(solo.runs, cell.runs, strict=True):
+            assert solo.final_mean == pol.final_mean
+            assert solo.final_d1 == pol.final_d1
+            assert solo.final_d9 == pol.final_d9
+            for ra, rb in zip(solo.runs, pol.runs, strict=True):
                 assert np.array_equal(ra.costs, rb.costs)
                 assert np.array_equal(ra.estimate_totals, rb.estimate_totals)
 
@@ -330,17 +340,30 @@ class TestRunSweep:
         # cells stepped together must match each cell run on its own: a
         # one-policy experiment at the cell's cache size, rate and eta
         cfg = self.base_config()
-        report = run_sweep(cfg, rates=(0.1, 1.0), cache_sizes=(4, 8))
-        for cell in report.cells:
+        reports = run_sweep(cfg, rates=(0.1, 1.0), cache_sizes=(4, 8))
+        for size, pol in sweep_cells(reports):
             spec = PolicySpec(
-                "solo", f"nfpl-{cell.variant}", rate=cell.rate, eta_override=cell.eta
+                "solo", pol.spec.kind, rate=pol.spec.rate, eta_override=pol.eta
             )
             solo = run_experiment(
-                replace(cfg, cache_size=cell.cache_size, policies=(spec,))
+                replace(cfg, cache_size=size, policies=(spec,))
             ).policy("solo")
-            for run, series in enumerate(cell.runs):
+            for run, series in enumerate(pol.runs):
                 assert solo.runs[run].run == run
                 assert np.array_equal(solo.runs[run].costs, series.costs)
                 assert np.array_equal(
                     solo.runs[run].estimate_totals, series.estimate_totals
                 )
+
+    def test_each_report_prices_its_size_as_its_experiment_does(self):
+        # opt_cost and request_totals are those of run_experiment at that size
+        cfg = self.base_config()
+        reports = run_sweep(cfg, rates=(0.5,), cache_sizes=(4, 8))
+        assert [rep.cache_size for rep in reports] == [4, 8]
+        for rep in reports:
+            solo = run_experiment(
+                replace(cfg, cache_size=rep.cache_size,
+                        policies=(PolicySpec("opt", "opt"),))
+            )
+            assert rep.opt_cost == solo.opt_cost
+            assert np.array_equal(rep.request_totals, solo.request_totals)
