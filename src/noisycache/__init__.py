@@ -20,14 +20,7 @@ from .engine import (
     run_sweep,
 )
 from .estimators import BoundParams, EstimatorKind, EstimatorSpec, bound_params
-from .metrics import (
-    RegretReport,
-    RunSeries,
-    average_miss_ratio,
-    decile_band,
-    empirical_regret,
-    regret_bound,
-)
+from .metrics import average_miss_ratio, decile_band, regret_bound
 from .policies import (
     LeaderRuns,
     compute_eta,
@@ -75,10 +68,7 @@ __all__ = [
     "static_optimum",
     "step_perturbed_leaders",
     "LeaderRuns",
-    "RunSeries",
-    "RegretReport",
     "average_miss_ratio",
-    "empirical_regret",
     "regret_bound",
     "decile_band",
     "PolicySpec",

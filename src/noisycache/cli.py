@@ -17,6 +17,7 @@ import sys
 
 from .core import CacheSizeError, InvalidInputError
 from .engine import (
+    SWEEP_VARIANTS,
     ExperimentConfig,
     PolicySpec,
     check_sweep_rates,
@@ -39,7 +40,6 @@ EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 
 DEFAULT_RATES = (0.01, 0.1, 0.5, 1.0)
-DEFAULT_VARIANTS = ("fix", "var")
 
 
 class ConfigError(Exception):
@@ -241,8 +241,8 @@ def _render_series(report) -> str:
 def _render_summary(report) -> str:
     rows = [
         (pol.spec.name, _fmt(pol.final_mean), _fmt(pol.final_d1), _fmt(pol.final_d9),
-         _fmt(pol.cum_cost), _fmt(report.opt_cost), _fmt(pol.regret.regret),
-         _fmt(pol.regret.bound))
+         _fmt(pol.cum_cost), _fmt(report.opt_cost), _fmt(pol.regret),
+         _fmt(pol.bound))
         for pol in report.policies
     ]
     header = (
@@ -404,7 +404,7 @@ def cmd_sweep(args) -> int:
                 raise ConfigError(f"cannot parse {flag} value {raw!r}") from None
             source[field] = f"{flag}: "
     sweep["rates"] = sweep["rates"] or DEFAULT_RATES
-    sweep["variants"] = sweep["variants"] or DEFAULT_VARIANTS
+    sweep["variants"] = sweep["variants"] or SWEEP_VARIANTS
     _named(source["rates"], check_sweep_rates, sweep["rates"])
     _named(source["variants"], check_sweep_variants, sweep["variants"])
     try:

@@ -12,14 +12,15 @@ therefore stepped in one call to policies.step_perturbed_leaders, every
 run at once. A leader's totals never depend on the cache size, so each
 slot's noise and estimates are drawn once for all sizes, and leaders
 with equal etas and equal estimates (full rate, or the same fixed
-subsample) step once and share one series.
+subsample) step once and share one column of the stepper's result.
 
 Deterministic policies (lru, ftl, opt) run once per size, each by a
 direct call to its policy function; their single series stands in for
 all runs, so their decile bands have zero width.
 
-A run keeps costs and totals, not caches: to see each slot's cache,
-call follow_the_leader or step_perturbed_leaders with an observer.
+A PolicyReport keeps its runs' costs and totals as arrays, not their
+caches: to see each slot's cache, call follow_the_leader or
+step_perturbed_leaders with an observer.
 
 Each fact has one owner: the slotted trace holds N, B and T, and each
 report's cache size is C. Cache sizes are checked against the trace
@@ -33,14 +34,7 @@ import numpy as np
 
 from .core import CacheSizeError, InvalidInputError, check_cache_size
 from .estimators import EstimatorKind, EstimatorSpec, bound_params, check_rate
-from .metrics import (
-    RegretReport,
-    RunSeries,
-    average_miss_ratio,
-    decile_band,
-    empirical_regret,
-    regret_bound,
-)
+from .metrics import average_miss_ratio, decile_band, regret_bound
 from .policies import (
     check_eta,
     compute_eta,
@@ -62,6 +56,7 @@ from .traces import (
 )
 
 POLICY_KINDS = ("lru", "ftl", "fpl", "nfpl-fix", "nfpl-var", "opt")
+SWEEP_VARIANTS = ("fix", "var")  # a sweep cell's kind is nfpl-{variant}
 _SAMPLED_KINDS = ("fpl", "nfpl-fix", "nfpl-var")
 
 
@@ -216,7 +211,13 @@ class ExperimentConfig:
 
 @dataclass
 class PolicyReport:
-    """Aggregated results for one policy across its runs."""
+    """One policy's runs and their aggregates at one cache size.
+
+    costs is R x T misses per slot (one row, standing in for every run,
+    for lru, ftl and opt), totals R x N final estimates or None. A
+    perturbed leader's are views of the stepper's result, shared with its
+    twins. regret is cum_cost - opt_cost; bound is None where none applies.
+    """
 
     spec: PolicySpec
     eta: float | None
@@ -224,8 +225,10 @@ class PolicyReport:
     d1: np.ndarray
     d9: np.ndarray
     cum_cost: float
-    regret: RegretReport
-    runs: list[RunSeries]
+    regret: float
+    bound: float | None
+    costs: np.ndarray
+    totals: np.ndarray | None
 
     @property
     def final_mean(self) -> float:
@@ -306,20 +309,12 @@ def _run_leaders(leaders, slotted, sizes, plan, runs):
     return stepped, [distinct.index(key) for key in keys]
 
 
-def _aggregate(spec, eta, series, batch_size, optimum, bound):
-    mean, d1, d9 = decile_band(
-        np.stack([average_miss_ratio(s.costs, batch_size) for s in series])
-    )
-    cum = float(np.mean([float(s.costs.sum()) for s in series]))
+def _aggregate(spec, eta, costs, totals, batch_size, optimum, bound):
+    mean, d1, d9 = decile_band(average_miss_ratio(costs, batch_size))
+    # int64 run sums are exact as floats below 2**53, in any summation order
+    cum = float(costs.sum(axis=1).mean())
     return PolicyReport(
-        spec=spec,
-        eta=eta,
-        mean=mean,
-        d1=d1,
-        d9=d9,
-        cum_cost=cum,
-        regret=empirical_regret(cum, optimum, bound),
-        runs=list(series),
+        spec, eta, mean, d1, d9, cum, cum - optimum, bound, costs, totals
     )
 
 
@@ -363,7 +358,6 @@ def _run(config: ExperimentConfig, sizes, scales) -> list[ExperimentReport]:
             zip(estimators, zip(*etas)), slotted, sizes, plan, runs
         )
 
-    totals = slotted.totals()
     reports = []
     for s, size in enumerate(sizes):
         opt_costs = static_optimum(slotted, size)
@@ -371,25 +365,22 @@ def _run(config: ExperimentConfig, sizes, scales) -> list[ExperimentReport]:
         scale = iter(zip(etas[s], bounds[s], columns))
         policies = []
         for spec in config.policies:
-            eta = bound = None
+            eta = bound = totals = None
             if spec.stochastic:
                 eta, bound, g = next(scale)
-                series = [
-                    RunSeries(spec.name, run, stepped.costs[s, g, i], stepped.totals[g, i])
-                    for i, run in enumerate(runs)
-                ]
+                costs, totals = stepped.costs[s, g], stepped.totals[g]
             elif spec.kind == "opt":
-                series = [RunSeries(spec.name, 0, opt_costs)]
+                costs = opt_costs[None]
             else:
                 policy = follow_the_leader if spec.kind == "ftl" else least_recently_used
-                series = [RunSeries(spec.name, 0, policy(slotted, size))]
-            policies.append(_aggregate(spec, eta, series, b, optimum, bound))
+                costs = policy(slotted, size)[None]
+            policies.append(_aggregate(spec, eta, costs, totals, b, optimum, bound))
         reports.append(
             ExperimentReport(
                 cache_size=size,
                 horizon=slotted.horizon,
                 trace_source=source,
-                request_totals=totals,
+                request_totals=slotted.totals(),
                 opt_cost=optimum,
                 policies=policies,
             )
@@ -427,8 +418,9 @@ def check_sweep_variants(variants) -> tuple[str, ...]:
     if not variants:
         raise InvalidInputError("at least one variant is required")
     for v in variants:
-        if v not in ("fix", "var"):
-            raise InvalidInputError(f"unknown variant {v!r}, expected 'fix' or 'var'")
+        if v not in SWEEP_VARIANTS:
+            expected = " or ".join(map(repr, SWEEP_VARIANTS))
+            raise InvalidInputError(f"unknown variant {v!r}, expected {expected}")
     if len(set(variants)) != len(variants):
         raise InvalidInputError("duplicate variants in sweep")
     return variants
@@ -437,7 +429,7 @@ def check_sweep_variants(variants) -> tuple[str, ...]:
 def run_sweep(
     config: ExperimentConfig,
     rates,
-    variants=("fix", "var"),
+    variants=SWEEP_VARIANTS,
     cache_sizes=None,
 ) -> list[ExperimentReport]:
     """Sweep sampling rates for both estimator variants on one trace.

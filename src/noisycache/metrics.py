@@ -1,12 +1,13 @@
-"""Run-level metrics: miss ratios, regret, deciles.
+"""Run-level metrics: miss ratios, regret bounds, deciles.
 
-A run produces a length-T per-slot cost series; everything here is a
-pure function of such series (plus the problem geometry), so the same
-metrics apply whether a series came from the engine or was computed by
-hand in a test.
+A run produces a length-T per-slot cost series, and M runs an M x T
+matrix of them; everything here is a pure function of such series (plus
+the problem geometry), so the same metrics apply whether a series came
+from the engine or was computed by hand in a test. A policy's regret is
+one subtraction, its mean cumulative cost minus the optimum's, which
+the engine's PolicyReport holds next to regret_bound's value.
 """
 
-from dataclasses import dataclass
 import math
 
 import numpy as np
@@ -15,59 +16,21 @@ from .core import InvalidInputError
 from .estimators import BoundParams
 
 
-@dataclass
-class RunSeries:
-    """One policy run: per-slot costs plus what the run accumulated.
-
-    estimate_totals holds the policy's final accumulated estimate vector
-    (None for policies that never estimate).
-    """
-
-    policy: str
-    run: int
-    costs: np.ndarray
-    estimate_totals: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
-class RegretReport:
-    """Cumulative cost vs the best fixed decision, with the a priori bound."""
-
-    cumulative_cost: float
-    opt_cost: int
-    regret: float
-    bound: float | None
-
-
 def average_miss_ratio(costs, batch_size: int) -> np.ndarray:
-    """Running mean miss ratio: cumsum(costs) / (batch_size * t), t = 1..T."""
+    """Running mean miss ratio: cumsum(costs) / (batch_size * t), t = 1..T.
+
+    costs is one length-T series or an M x T matrix of them, one row per
+    run; each row's ratios are those of the row on its own.
+    """
     arr = np.asarray(costs, dtype=np.float64)
-    if arr.ndim != 1 or arr.size < 1:
-        raise InvalidInputError("costs must be a non-empty 1-d series")
+    if arr.ndim not in (1, 2) or arr.size < 1:
+        raise InvalidInputError("costs must be a non-empty series or M x T matrix")
     if batch_size < 1:
         raise InvalidInputError("batch_size must be >= 1")
     if arr.min() < 0 or arr.max() > batch_size:
         raise InvalidInputError("per-slot costs must lie in [0, batch_size]")
-    slots = np.arange(1, arr.size + 1, dtype=np.float64)
-    return np.cumsum(arr) / (batch_size * slots)
-
-
-def empirical_regret(
-    cumulative_cost: float, optimum: int, bound: float | None = None
-) -> RegretReport:
-    """Regret of a realized (or run-averaged) cumulative cost vs the optimum.
-
-    Can be negative for a single noisy run; the guarantee is about the
-    expectation, which `bound` (when given) upper-bounds.
-    """
-    if cumulative_cost < 0 or optimum < 0:
-        raise InvalidInputError("costs must be nonnegative")
-    return RegretReport(
-        cumulative_cost=float(cumulative_cost),
-        opt_cost=int(optimum),
-        regret=float(cumulative_cost) - int(optimum),
-        bound=bound,
-    )
+    slots = np.arange(1, arr.shape[-1] + 1, dtype=np.float64)
+    return np.cumsum(arr, axis=-1) / (batch_size * slots)
 
 
 def regret_bound(bounds: BoundParams, horizon: int) -> float:

@@ -331,6 +331,7 @@ class SlottedTrace:
     ids: np.ndarray = field(init=False, repr=False)
     counts: np.ndarray = field(init=False, repr=False)
     offsets: np.ndarray = field(init=False, repr=False)
+    _totals: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         events = np.asarray(self.events, dtype=np.int64)
@@ -354,10 +355,13 @@ class SlottedTrace:
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "counts", np.diff(bounds))
         object.__setattr__(self, "offsets", offsets)
+        totals = np.bincount(events, minlength=self.n_files)
+        totals.flags.writeable = False  # shared by every caller
+        object.__setattr__(self, "_totals", totals)
 
     def totals(self) -> np.ndarray:
-        """Dense int64 request count of every file over all slots."""
-        return np.bincount(self.events, minlength=self.n_files)
+        """Dense int64 request count of every file over all slots (read-only)."""
+        return self._totals
 
 
 def batch_trace(trace: Trace, batch_size: int) -> SlottedTrace:

@@ -80,15 +80,16 @@ def _report(num, label, ok, elapsed, detail=""):
 def _harvest_proof_steps(tag, estimates, request_totals, cache_size):
     left_out = ~top_c(request_totals, cache_size)
     for est in estimates:
-        if est is None:
-            continue
         lhs = float(est @ ~top_c(est, cache_size))
         rhs = float(est @ left_out)
         PROOF_STEPS.append((tag, lhs, rhs))
 
 
 def _harvest_experiment(tag, report):
-    estimates = [s.estimate_totals for pol in report.policies for s in pol.runs]
+    estimates = [
+        totals for pol in report.policies if pol.totals is not None
+        for totals in pol.totals
+    ]
     _harvest_proof_steps(
         tag, estimates, report.request_totals, report.cache_size
     )
@@ -97,8 +98,7 @@ def _harvest_experiment(tag, report):
 def _harvest_sweep(tag, sweep_reports, trace, batch_size):
     totals = batch_trace(trace, batch_size).totals()
     for cache_size, pol in sweep_cells(sweep_reports):
-        estimates = [s.estimate_totals for s in pol.runs]
-        _harvest_proof_steps(tag, estimates, totals, cache_size)
+        _harvest_proof_steps(tag, pol.totals, totals, cache_size)
 
 
 # ------------------------------------------------------- shared builders
@@ -502,8 +502,8 @@ def test_criterion_9_regret_bound_and_sublinearity():
     # closed form of the guarantee for bernoulli sampling when the
     # missing side is the smaller one: 2*sqrt(2)*(B/f)*sqrt(C*T)
     closed_form = 2 * math.sqrt(2) * (DESK_BATCH / 0.5) * math.sqrt(DESK_CACHE * horizon)
-    bound_ok = math.isclose(var_pol.regret.bound, closed_form, rel_tol=1e-12)
-    within_ok = var_pol.regret.regret <= var_pol.regret.bound
+    bound_ok = math.isclose(var_pol.bound, closed_form, rel_tol=1e-12)
+    within_ok = var_pol.regret <= var_pol.bound
 
     # same trace, shorter prefixes: average regret per slot must shrink
     trace, _ = _zipf_desk_trace()
@@ -520,13 +520,13 @@ def test_criterion_9_regret_bound_and_sublinearity():
                 base_seed=DESK_SEED,
             )
         )
-        per_slot[slots] = prefix_report.policy("var").regret.regret / slots
+        per_slot[slots] = prefix_report.policy("var").regret / slots
     shrink_ok = per_slot[500] < per_slot[125]
 
     elapsed = time.perf_counter() - start
     ok = bound_ok and within_ok and shrink_ok and elapsed < 300.0
     _report(9, "regret sits under its bound and grows sublinearly", ok, elapsed,
-            f"regret {var_pol.regret.regret:.0f} <= bound {var_pol.regret.bound:.0f}; "
+            f"regret {var_pol.regret:.0f} <= bound {var_pol.bound:.0f}; "
             f"regret/slot {per_slot[125]:.3f} -> {per_slot[500]:.3f}")
     assert bound_ok
     assert within_ok

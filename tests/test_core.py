@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import noisycache
 from noisycache import InvalidInputError, SlottedTrace
 from noisycache.core import top_c
 
@@ -106,6 +107,12 @@ class TestTotalCounts:
         slotted = SlottedTrace(np.array([0, 2, 2, 1, 1, 1]), n_files=3, batch_size=3)
         assert slotted.totals().tolist() == [1, 3, 2]
 
+    def test_counted_once_and_read_only(self):
+        slotted = SlottedTrace(np.array([0, 2, 2, 1, 1, 1]), n_files=3, batch_size=3)
+        assert slotted.totals() is slotted.totals()
+        with pytest.raises(ValueError):
+            slotted.totals()[0] = 5
+
     def test_rejects_empty_and_mismatched(self):
         with pytest.raises(InvalidInputError):
             SlottedTrace(np.array([], dtype=np.int64), n_files=2, batch_size=1)
@@ -117,3 +124,7 @@ class TestTotalCounts:
         with pytest.raises(InvalidInputError):
             SlottedTrace(np.array([-1, 0]), n_files=2, batch_size=1)
 
+
+def test_every_public_name_resolves():
+    for name in noisycache.__all__:
+        getattr(noisycache, name)  # raises AttributeError for a stale export

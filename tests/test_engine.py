@@ -128,15 +128,15 @@ class TestRunExperiment:
         assert a.opt_cost == b.opt_cost
         for pa, pb in zip(a.policies, b.policies):
             assert np.array_equal(pa.mean, pb.mean)
-            for ra, rb in zip(pa.runs, pb.runs):
-                assert np.array_equal(ra.costs, rb.costs)
+            for ra, rb in zip(pa.costs, pb.costs):
+                assert np.array_equal(ra, rb)
 
     def test_opt_policy_reproduces_opt_cost_with_zero_regret(self):
         rep = run_experiment(small_config([PolicySpec("opt", "opt")]))
-        assert int(rep.policy("opt").runs[0].costs.sum()) == rep.opt_cost
+        assert int(rep.policy("opt").costs[0].sum()) == rep.opt_cost
         costs = static_optimum(batch_trace(small_trace(), 20), 8)
-        assert np.array_equal(costs, rep.policy("opt").runs[0].costs)
-        assert rep.policy("opt").regret.regret == 0.0
+        assert np.array_equal(costs, rep.policy("opt").costs[0])
+        assert rep.policy("opt").regret == 0.0
 
     def test_deterministic_policies_have_flat_bands(self):
         rep = run_experiment(
@@ -144,13 +144,14 @@ class TestRunExperiment:
         )
         for name in ("lru", "ftl"):
             pol = rep.policy(name)
-            assert len(pol.runs) == 1
+            assert len(pol.costs) == 1
             assert np.array_equal(pol.mean, pol.d1)
             assert np.array_equal(pol.mean, pol.d9)
 
     def test_stochastic_policies_get_all_runs(self):
         rep = run_experiment(small_config([PolicySpec("fpl", "fpl")], runs=4))
-        assert [s.run for s in rep.policy("fpl").runs] == [0, 1, 2, 3]
+        assert rep.policy("fpl").costs.shape == (4, rep.horizon)
+        assert rep.policy("fpl").totals.shape == (4, 40)
 
     def test_degenerate_samplers_share_cost_series_with_fpl(self):
         # b = B and f = 1 estimate the counts exactly, so both are twins
@@ -165,9 +166,9 @@ class TestRunExperiment:
         )
         rep = run_experiment(cfg)
         for run in range(2):
-            base = rep.policy("fpl").runs[run].costs
-            assert np.array_equal(rep.policy("fix").runs[run].costs, base)
-            assert np.array_equal(rep.policy("var").runs[run].costs, base)
+            base = rep.policy("fpl").costs[run]
+            assert np.array_equal(rep.policy("fix").costs[run], base)
+            assert np.array_equal(rep.policy("var").costs[run], base)
 
     def test_zero_eta_fpl_equals_lowest_index_ftl(self):
         rep = run_experiment(
@@ -179,8 +180,8 @@ class TestRunExperiment:
         for window in batch_trace(small_trace(), 20).events.reshape(-1, 20):
             leader.append(int((~reference_top_c(totals, 8))[window].sum()))
             totals += np.bincount(window, minlength=40)
-        for series in rep.policy("fpl0").runs:
-            assert series.costs.tolist() == leader
+        for costs in rep.policy("fpl0").costs:
+            assert costs.tolist() == leader
 
     def test_estimate_totals_only_for_estimating_policies(self):
         cfg = small_config(
@@ -189,12 +190,10 @@ class TestRunExperiment:
             runs=1,
         )
         rep = run_experiment(cfg)
-        assert rep.policy("ftl").runs[0].estimate_totals is None
-        assert rep.policy("opt").runs[0].estimate_totals is None
+        assert rep.policy("ftl").totals is None
+        assert rep.policy("opt").totals is None
         # exact observation accumulates the true totals
-        assert np.array_equal(
-            rep.policy("fpl").runs[0].estimate_totals, rep.request_totals
-        )
+        assert np.array_equal(rep.policy("fpl").totals[0], rep.request_totals)
 
     def test_horizon_truncates_partial_batches(self):
         trace = Trace(events=np.arange(105) % 7 + 1, n_files=7)
@@ -205,7 +204,7 @@ class TestRunExperiment:
         rep = run_experiment(cfg)
         assert rep.horizon == 10
         assert rep.cache_size == 2
-        assert rep.policy("opt").runs[0].costs.size == 10
+        assert rep.policy("opt").costs[0].size == 10
 
     def test_rejects_bad_configs(self):
         with pytest.raises(InvalidInputError):
@@ -222,12 +221,12 @@ class TestRunExperiment:
     def test_run_independence(self):
         # each run's series depends on its run index alone, not on the run count
         cfg = small_config([PolicySpec("var", "nfpl-var", rate=0.5)], runs=3)
-        three = run_experiment(cfg).policy("var").runs
-        two = run_experiment(replace(cfg, runs=2)).policy("var").runs
-        for a, b in zip(two, three[:2], strict=True):
-            assert a.run == b.run
-            assert np.array_equal(a.costs, b.costs)
-            assert np.array_equal(a.estimate_totals, b.estimate_totals)
+        three = run_experiment(cfg).policy("var")
+        two = run_experiment(replace(cfg, runs=2)).policy("var")
+        for a, b in zip(two.costs, three.costs[:2], strict=True):
+            assert np.array_equal(a, b)
+        for a, b in zip(two.totals, three.totals[:2], strict=True):
+            assert np.array_equal(a, b)
 
     def test_zipf_seed_resolution_is_deterministic(self):
         cfg = ExperimentConfig(
@@ -238,8 +237,7 @@ class TestRunExperiment:
         a = run_experiment(cfg)
         b = run_experiment(cfg)
         assert a.trace_source.seed == b.trace_source.seed
-        assert np.array_equal(a.policy("ftl").runs[0].costs,
-                              b.policy("ftl").runs[0].costs)
+        assert np.array_equal(a.policy("ftl").costs[0], b.policy("ftl").costs[0])
 
 
 def variant(pol):
@@ -262,7 +260,7 @@ class TestRunSweep:
             (4, "fix", 0.5), (4, "fix", 1.0), (4, "var", 0.5), (4, "var", 1.0),
             (8, "fix", 0.5), (8, "fix", 1.0), (8, "var", 0.5), (8, "var", 1.0),
         ]
-        assert all(len(pol.runs) == 3 for _, pol in sweep_cells(reports))
+        assert all(len(pol.costs) == 3 for _, pol in sweep_cells(reports))
 
     def test_eta_is_pinned_to_the_exact_bounds_value(self):
         reports = run_sweep(self.base_config(), rates=(0.01, 1.0))
@@ -319,9 +317,10 @@ class TestRunSweep:
         }
         for size in (4, 8):
             for a, b in [(("fix", 1.0), ("var", 1.0)), (("fix", 0.01), ("fix", 0.02))]:
-                for ra, rb in zip(cells[(size, *a)].runs, cells[(size, *b)].runs):
-                    assert np.array_equal(ra.costs, rb.costs)
-                    assert np.array_equal(ra.estimate_totals, rb.estimate_totals)
+                pa, pb = cells[(size, *a)], cells[(size, *b)]
+                for run in range(len(pa.costs)):
+                    assert np.array_equal(pa.costs[run], pb.costs[run])
+                    assert np.array_equal(pa.totals[run], pb.totals[run])
         for size, pol in sweep_cells(reports):
             spec = PolicySpec(
                 "solo", pol.spec.kind, rate=pol.spec.rate, eta_override=pol.eta
@@ -332,9 +331,10 @@ class TestRunSweep:
             assert solo.final_mean == pol.final_mean
             assert solo.final_d1 == pol.final_d1
             assert solo.final_d9 == pol.final_d9
-            for ra, rb in zip(solo.runs, pol.runs, strict=True):
-                assert np.array_equal(ra.costs, rb.costs)
-                assert np.array_equal(ra.estimate_totals, rb.estimate_totals)
+            for ra, rb in zip(solo.costs, pol.costs, strict=True):
+                assert np.array_equal(ra, rb)
+            for ra, rb in zip(solo.totals, pol.totals, strict=True):
+                assert np.array_equal(ra, rb)
 
     def test_every_cell_equals_its_solo_run_policy(self):
         # cells stepped together must match each cell run on its own: a
@@ -348,12 +348,9 @@ class TestRunSweep:
             solo = run_experiment(
                 replace(cfg, cache_size=size, policies=(spec,))
             ).policy("solo")
-            for run, series in enumerate(pol.runs):
-                assert solo.runs[run].run == run
-                assert np.array_equal(solo.runs[run].costs, series.costs)
-                assert np.array_equal(
-                    solo.runs[run].estimate_totals, series.estimate_totals
-                )
+            for run in range(len(pol.costs)):
+                assert np.array_equal(solo.costs[run], pol.costs[run])
+                assert np.array_equal(solo.totals[run], pol.totals[run])
 
     def test_each_report_prices_its_size_as_its_experiment_does(self):
         # opt_cost and request_totals are those of run_experiment at that size

@@ -15,7 +15,6 @@ from noisycache import (
     average_miss_ratio,
     batch_trace,
     decile_band,
-    empirical_regret,
     generate_round_robin,
     regret_bound,
     static_optimum,
@@ -40,6 +39,28 @@ class TestAverageMissRatio:
             average_miss_ratio([6], 5)
         with pytest.raises(InvalidInputError):
             average_miss_ratio([], 5)
+
+    @given(st.integers(1, 20), st.integers(1, 6), st.integers(1, 30),
+           st.integers(0, 2**32 - 1))
+    def test_matrix_rows_equal_their_series(self, batch_size, m, horizon, seed):
+        costs = np.random.default_rng(seed).integers(0, batch_size + 1, (m, horizon))
+        ratios = average_miss_ratio(costs, batch_size)
+        assert ratios.shape == (m, horizon)
+        for row, ratio in zip(costs, ratios, strict=True):
+            assert np.array_equal(ratio, average_miss_ratio(row, batch_size))
+
+    def test_rejects_bad_matrices(self):
+        costs = np.zeros((3, 4), dtype=np.int64)
+        costs[-1, -1] = 6  # above the batch size in the last row only
+        with pytest.raises(InvalidInputError):
+            average_miss_ratio(costs, 5)
+        costs[-1, -1] = -1
+        with pytest.raises(InvalidInputError):
+            average_miss_ratio(costs, 5)
+        with pytest.raises(InvalidInputError):
+            average_miss_ratio(np.zeros((2, 3, 4)), 5)
+        with pytest.raises(InvalidInputError):
+            average_miss_ratio(np.zeros((3, 0)), 5)
 
 
 def best_static_cost(slotted, cache_size):
@@ -75,22 +96,6 @@ class TestOptCost:
             missing = np.ones(8, dtype=np.int8)
             missing[rng.choice(8, size=3, replace=False)] = 0
             assert best <= int(missing[slotted.events].sum())
-
-
-class TestEmpiricalRegret:
-    def test_fields_and_sign(self):
-        report = empirical_regret(120.0, 100, bound=50.0)
-        assert report.cumulative_cost == 120.0
-        assert report.opt_cost == 100
-        assert report.regret == 20.0
-        assert report.bound == 50.0
-
-    def test_single_runs_may_beat_the_optimum(self):
-        assert empirical_regret(90.0, 100).regret == -10.0
-
-    def test_rejects_negative_costs(self):
-        with pytest.raises(InvalidInputError):
-            empirical_regret(-1.0, 100)
 
 
 class TestRegretBound:
