@@ -49,6 +49,7 @@ from .traces import (
     Trace,
     TraceFileConfig,
     ZipfConfig,
+    _batch_in_place,
     batch_trace,
     generate_round_robin,
     generate_zipf,
@@ -341,11 +342,16 @@ def _run(config: ExperimentConfig, sizes, scales) -> list[ExperimentReport]:
     scales(slotted, size, leaders) gives the perturbed leaders' etas and
     regret bounds at one size. It is asked at every size before any
     policy runs, and every leader at every size is stepped in one call.
+    A trace the engine builds from a config is slotted in place, so the
+    run holds one copy of its events; a caller's Trace is copied instead.
     """
     plan = SeedPlan(config.base_seed)
     source, trace = _resolve_trace(config.trace, plan)
-    slotted = batch_trace(trace, config.batch_size)
-    del trace  # free the raw events: the engine reads only the slotted trace
+    if source is None:  # a caller's Trace is read, never written
+        slotted = batch_trace(trace, config.batch_size)
+    else:  # the engine's own trace: its one copy of the events is slotted in place
+        slotted = _batch_in_place(trace, config.batch_size)
+    del trace  # the engine reads only the slotted trace
     for size in sizes:  # a remapped trace file reveals its catalog only now
         check_cache_size(size, slotted.n_files)
     b, runs = slotted.batch_size, range(config.runs)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .core import InvalidInputError, check_cache_size, top_c
 from .estimators import BoundParams, EstimatorKind, estimate_block
-from .traces import SlottedTrace
+from .traces import _BLOCK, SlottedTrace
 
 BLOCK_EVENTS = 8192  # a sampling block holds at most max(N, this) events
 
@@ -358,8 +358,19 @@ def static_optimum(slotted: SlottedTrace, cache_size: int) -> np.ndarray:
     """Length-T per-slot misses of the best fixed cache in hindsight.
 
     That cache holds the cache_size files with the most requests overall,
-    ties to the lowest index; its misses sum to the optimum.
+    ties to the lowest index; its misses sum to the optimum. The misses
+    are charged a block of slots at a time, so no temporary is as long as
+    the slotted trace.
     """
     check_cache_size(cache_size, slotted.n_files)
-    cached = top_c(slotted.totals(), cache_size)
-    return np.add.reduceat(slotted.counts * ~cached[slotted.ids], slotted.offsets[:-1])
+    missed = ~top_c(slotted.totals(), cache_size)
+    horizon, offsets = slotted.horizon, slotted.offsets
+    span = max(1, _BLOCK // slotted.batch_size)
+    costs = np.empty(horizon, dtype=np.int64)
+    for t in range(0, horizon, span):
+        starts = offsets[t : min(t + span, horizon) + 1]
+        lo, hi = starts[0], starts[-1]
+        costs[t : t + span] = np.add.reduceat(
+            slotted.counts[lo:hi] * missed[slotted.ids[lo:hi]], starts[:-1] - lo
+        )
+    return costs

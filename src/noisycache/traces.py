@@ -7,6 +7,7 @@ into slots of fixed-size request batches, a SlottedTrace in the 0-based
 index space the rest of the package works in.
 """
 
+from codecs import BOM_UTF8
 from dataclasses import dataclass, field
 import math
 import os
@@ -138,21 +139,30 @@ def generate_round_robin(config: RoundRobinConfig) -> Trace:
 
 
 def _dense_remap(events: np.ndarray) -> tuple[np.ndarray, int]:
-    # relabel ids 1..K in order of first appearance through a table indexed
-    # by id: scattering positions in reverse leaves each id's earliest one,
-    # and unseen ids keep the sentinel n, so they sort last. Ids above n are
-    # first packed to 0..K-1 by one sort, so the table never exceeds n + 1.
+    """Relabel ids 1..K in order of first appearance; returns (ids, K).
+
+    Consumes events: the relabeled ids are written over it, unless ids
+    above len(events) force a packed copy first.
+    """
+    # A table indexed by id holds each id's first position: scattering
+    # positions a block at a time, latest block first and each block in
+    # reverse, leaves each id's earliest one, and unseen ids keep the
+    # sentinel n, so they sort last. Ids above n are first packed to
+    # 0..K-1 by one sort, so the table never exceeds n + 1.
     n = events.size
     if events.max() > n:
         events = np.unique(events, return_inverse=True)[1]
     first = np.full(int(events.max()) + 1, n, dtype=np.int64)
-    first[events[::-1]] = np.arange(n - 1, -1, -1)
+    for stop in range(n, 0, -_BLOCK):
+        start = max(0, stop - _BLOCK)
+        first[events[start:stop][::-1]] = np.arange(stop - 1, start - 1, -1)
     catalog = int(np.count_nonzero(first < n))
     order = np.argsort(first)
     del first  # free the table before the ranks are built
     rank = np.empty(order.size, dtype=np.int64)
     rank[order] = np.arange(1, order.size + 1)
-    return rank[events], catalog
+    # every id indexes the table; mode="raise" would buffer a full copy
+    return np.take(rank, events, out=events, mode="clip"), catalog
 
 
 def _header_lines(path: str) -> int:
@@ -168,20 +178,39 @@ def _header_lines(path: str) -> int:
     return count
 
 
+def _comments_open_their_lines(path: str) -> bool:
+    # True if the file holds a '#' and every '#' opens its line or follows
+    # another '#', past a leading byte-order mark: NumPy's comments="#"
+    # then drops just the lines the line loop skips
+    with open(path, "rb") as fh:
+        data = fh.read()
+    skip = len(BOM_UTF8) if data.startswith(BOM_UTF8) else 0
+    raw = np.frombuffer(data, dtype=np.uint8, offset=skip)
+    at = np.flatnonzero(raw == ord("#"))
+    return at.size > 0 and bool(np.isin(raw[at[at > 0] - 1], list(b"\n\r#")).all())
+
+
 def _parse_fast(path: str) -> np.ndarray | None:
     # NumPy's C parser accepts a subset of the line grammar with equal
-    # values: no '#' or whitespace-only lines after the header (comments=None
-    # keeps "5 # c" an error), no '1_000', no id beyond int64. None means it
-    # refused.
+    # values: no whitespace-only lines after the header, no '1_000', no id
+    # beyond int64. '#' lines after the header pass on a second try with
+    # comments="#", made only where every '#' opens its line, so that
+    # "5 # c" stays an error. None means it refused.
     try:
         skip = _header_lines(path)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            return np.loadtxt(
-                path, dtype=np.int64, delimiter=",", usecols=0, skiprows=skip,
-                comments=None, ndmin=1, encoding="utf-8-sig",
-            )
-    except (OSError, ValueError, Warning):
+            for comments in (None, "#"):
+                try:
+                    return np.loadtxt(
+                        path, dtype=np.int64, delimiter=",", usecols=0,
+                        skiprows=skip, comments=comments, ndmin=1,
+                        encoding="utf-8-sig",
+                    )
+                except (ValueError, Warning):
+                    if comments or not _comments_open_their_lines(path):
+                        return None
+    except OSError:
         return None
 
 
@@ -321,7 +350,9 @@ class SlottedTrace:
 
     events holds the 0-based file index of every request. Slot t requests
     the strictly increasing files ids[offsets[t]:offsets[t + 1]], each as
-    often as counts at the same position says.
+    often as counts at the same position says. The CSR arrays are built a
+    block of slots at a time, so no full-length temporary is made beside
+    events, ids and counts.
     """
 
     events: np.ndarray
@@ -341,19 +372,30 @@ class SlottedTrace:
         if events.min() < 0 or events.max() >= self.n_files:
             raise InvalidInputError("event indices must lie in [0, n_files)")
         # sort each slot's requests, then run-length encode the rows: a run
-        # starts at every row's first entry and wherever the index changes
-        rows = np.sort(events.reshape(-1, b), axis=1)
-        starts = np.ones(rows.shape, dtype=bool)
-        np.not_equal(rows[:, 1:], rows[:, :-1], out=starts[:, 1:])
-        ids = rows[starts]
-        del rows  # free the sorted copy before the run lengths are built
-        bounds = np.flatnonzero(np.append(starts, True))
-        offsets = np.zeros(starts.shape[0] + 1, dtype=np.int64)
-        np.cumsum(np.count_nonzero(starts, axis=1), out=offsets[1:])
+        # starts at every row's first entry and wherever the index changes.
+        # The runs fill buffers as long as the events, cut to size at the end.
+        horizon, span = events.size // b, max(1, _BLOCK // b)
+        ids = np.empty(events.size, dtype=np.int64)
+        counts = np.empty(events.size, dtype=np.int64)
+        offsets = np.zeros(horizon + 1, dtype=np.int64)
+        runs = 0
+        for t in range(0, horizon, span):
+            rows = np.sort(events[t * b : (t + span) * b].reshape(-1, b), axis=1)
+            starts = np.ones(rows.shape, dtype=bool)
+            np.not_equal(rows[:, 1:], rows[:, :-1], out=starts[:, 1:])
+            first = np.flatnonzero(starts)
+            end = runs + first.size
+            ids[runs:end] = rows.ravel()[first]
+            counts[runs:end] = np.diff(first, append=rows.size)
+            offsets[t + 1 : t + 1 + rows.shape[0]] = np.count_nonzero(starts, axis=1)
+            runs = end
+        np.cumsum(offsets, out=offsets)
+        ids.resize(runs, refcheck=False)  # in place: the unused tail was never written
+        counts.resize(runs, refcheck=False)
         object.__setattr__(self, "events", events)
-        object.__setattr__(self, "horizon", starts.shape[0])
+        object.__setattr__(self, "horizon", horizon)
         object.__setattr__(self, "ids", ids)
-        object.__setattr__(self, "counts", np.diff(bounds))
+        object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "offsets", offsets)
         totals = np.bincount(events, minlength=self.n_files)
         totals.flags.writeable = False  # shared by every caller
@@ -364,19 +406,34 @@ class SlottedTrace:
         return self._totals
 
 
-def batch_trace(trace: Trace, batch_size: int) -> SlottedTrace:
-    """Cut a trace into consecutive slots of exactly batch_size requests.
-
-    A trailing partial batch is discarded, so the horizon is
-    len(events) // batch_size. Raises if the trace is shorter than one
-    batch.
-    """
+def _slotted_length(trace: Trace, batch_size: int) -> int:
+    # the events that fill whole slots, once batch_size fits the trace
     if not 1 <= batch_size <= trace.events.size:
         raise InvalidInputError(
             f"batch_size must be in [1, {trace.events.size}], the trace's "
             f"length, got {batch_size}"
         )
-    horizon = trace.events.size // batch_size
-    return SlottedTrace(
-        trace.events[: horizon * batch_size] - 1, trace.n_files, batch_size
-    )
+    return trace.events.size // batch_size * batch_size
+
+
+def batch_trace(trace: Trace, batch_size: int) -> SlottedTrace:
+    """Cut a trace into consecutive slots of exactly batch_size requests.
+
+    A trailing partial batch is discarded, so the horizon is
+    len(events) // batch_size. Raises if the trace is shorter than one
+    batch. The trace is left as it is: the slots hold a 0-based copy.
+    """
+    used = _slotted_length(trace, batch_size)
+    return SlottedTrace(trace.events[:used] - 1, trace.n_files, batch_size)
+
+
+def _batch_in_place(trace: Trace, batch_size: int) -> SlottedTrace:
+    """batch_trace without the copy, for a trace nothing else holds.
+
+    Consumes the trace: its events are shifted to 0-based in place and
+    become the slotted trace's, so the trace must not be read again.
+    """
+    used = _slotted_length(trace, batch_size)
+    events = trace.events[:used]
+    events -= 1
+    return SlottedTrace(events, trace.n_files, batch_size)

@@ -206,6 +206,15 @@ class TestRunExperiment:
         assert rep.cache_size == 2
         assert rep.policy("opt").costs[0].size == 10
 
+    def test_a_callers_trace_is_never_written(self):
+        # the engine slots its own traces in place, never one it was given
+        trace = small_trace()
+        before = trace.events.copy()
+        policies = [PolicySpec(kind, kind) for kind in ("opt", "lru", "fpl")]
+        run_experiment(small_config(policies, runs=1, trace=trace))
+        run_sweep(small_config([], runs=1, trace=trace), [0.5])
+        assert np.array_equal(trace.events, before)
+
     def test_rejects_bad_configs(self):
         with pytest.raises(InvalidInputError):
             run_experiment(small_config([]))

@@ -700,6 +700,26 @@ class TestStaticOpt:
         assert int(costs.sum()) == brute_force_static_minimum(used, n, c)
 
 
+    @pytest.mark.parametrize("block_events,batch_size", [
+        (1, 2), (4, 2), (7, 2), (9, 3), (8, 1),
+    ])
+    def test_partial_last_block_matches_brute_force(
+        self, monkeypatch, block_events, batch_size
+    ):
+        # max(1, block_events // batch_size) slots a block, and 23 events
+        # leave a last block shorter than the others
+        monkeypatch.setattr(policies, "_BLOCK", block_events)
+        n, c = 7, 3
+        events = np.random.default_rng(block_events).integers(1, n, 23, endpoint=True)
+        slotted = batch_trace(Trace(events=events, n_files=n), batch_size)
+        costs = static_optimum(slotted, c)
+        missing = ~reference_top_c(slotted.totals(), c)
+        per_slot = missing[slotted.events].reshape(-1, batch_size).sum(axis=1)
+        assert costs.tolist() == per_slot.tolist()
+        used = events[: slotted.horizon * batch_size]
+        assert int(costs.sum()) == brute_force_static_minimum(used, n, c)
+
+
 @pytest.mark.parametrize("cache_size", [-1, 0, 5])
 @pytest.mark.parametrize("policy", [
     static_optimum,
