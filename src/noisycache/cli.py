@@ -11,6 +11,7 @@ import argparse
 import configparser
 import contextlib
 import csv
+from dataclasses import replace
 import io
 import os
 import sys
@@ -73,7 +74,7 @@ def _joined(render):
 # One row per config key: (key, field it fills, parse, render, required).
 # A section's rows are parsed and echoed in their order here.
 _EXPERIMENT = (
-    ("cache_size", "cache_size", int, str, True),
+    ("cache_size", "cache_sizes", lambda raw: (int(raw),), _joined(str), True),
     ("batch_size", "batch_size", int, str, True),
     ("runs", "runs", int, str, False),
     ("base_seed", "base_seed", int, str, False),
@@ -375,7 +376,7 @@ def cmd_run(args) -> int:
     if not config.policies:
         raise ConfigError("run requires at least one [policy:NAME] section")
     # cache_size and batch_size are the values that only the built trace checks
-    report = _named("[experiment] ", run_experiment, config)
+    (report,) = _named("[experiment] ", run_experiment, config)
     etas = {
         pol.spec.name: pol.eta for pol in report.policies if pol.eta is not None
     }
@@ -405,16 +406,18 @@ def cmd_sweep(args) -> int:
             source[field] = f"{flag}: "
     sweep["rates"] = sweep["rates"] or DEFAULT_RATES
     sweep["variants"] = sweep["variants"] or SWEEP_VARIANTS
+    if not sweep["cache_sizes"]:
+        sweep["cache_sizes"] = config.cache_sizes
+        source["cache_sizes"] = "[experiment] "
     _named(source["rates"], check_sweep_rates, sweep["rates"])
     _named(source["variants"], check_sweep_variants, sweep["variants"])
     try:
-        reports = run_sweep(config, **sweep)
+        sized = replace(config, cache_sizes=sweep["cache_sizes"])
+        reports = run_sweep(sized, sweep["rates"], sweep["variants"])
     except CacheSizeError as exc:
-        where = source["cache_sizes"] if sweep["cache_sizes"] else "[experiment] "
-        raise ConfigError(f"{where}{exc}") from None
+        raise ConfigError(f"{source['cache_sizes']}{exc}") from None
     except InvalidInputError as exc:  # batch_size, which only the built trace checks
         raise ConfigError(f"[experiment] {exc}") from None
-    sweep["cache_sizes"] = sweep["cache_sizes"] or (config.cache_size,)
     files = {
         "sweep.csv": _render_sweep(reports),
         "config_echo.ini": _render_echo(config, reports[0].trace_source, sweep=sweep),

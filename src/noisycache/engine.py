@@ -1,9 +1,9 @@
 """Experiment engine: seeding, policy runs, aggregation, and sweeps.
 
 One experiment = one trace, a set of policies, and M runs per stochastic
-policy, at one or more cache sizes, reported one ExperimentReport per
-size. run_experiment (one size, each leader at its own eta) and
-run_sweep (a generated grid of rate cells at fpl's eta) share one path.
+policy at each of the config's cache sizes, one ExperimentReport per
+size. run_experiment (each leader at its own eta) and run_sweep (a
+generated grid of rate cells at fpl's eta) share one path.
 Seeding follows a fixed derivation so that every run is reproducible
 and, crucially, so that run r of ANY perturbed-leader policy draws the
 same noise sequence: policies under the same run index are compared
@@ -22,9 +22,10 @@ A PolicyReport keeps its runs' costs and totals as arrays, not their
 caches: to see each slot's cache, call follow_the_leader or
 step_perturbed_leaders with an observer.
 
-Each fact has one owner: the slotted trace holds N, B and T, and each
-report's cache size is C. Cache sizes are checked against the trace
-as soon as it is built, before any eta is resolved.
+Each fact has one owner: the slotted trace holds N, B and T, the config
+its cache sizes, which it checks, and each report's cache size is C. The
+sizes are checked again against the trace as soon as it is built, before
+any eta is resolved, since a remapped trace file reveals N only then.
 """
 
 from dataclasses import dataclass, replace
@@ -185,7 +186,7 @@ class ExperimentConfig:
     """Everything one experiment needs besides the outputs' location."""
 
     trace: ZipfConfig | RoundRobinConfig | TraceFileConfig | Trace
-    cache_size: int
+    cache_sizes: tuple[int, ...]
     batch_size: int
     policies: tuple[PolicySpec, ...] = ()
     runs: int = 1
@@ -193,7 +194,12 @@ class ExperimentConfig:
 
     def __post_init__(self):
         n_files = getattr(self.trace, "n_files", None)  # None: a file yet to be read
-        check_cache_size(self.cache_size, n_files or math.inf)
+        if not self.cache_sizes:
+            raise CacheSizeError("at least one cache size is required")
+        if len(set(self.cache_sizes)) != len(self.cache_sizes):
+            raise CacheSizeError("duplicate cache sizes in sweep")
+        for size in self.cache_sizes:
+            check_cache_size(size, n_files or math.inf)
         if self.batch_size < 1:
             raise InvalidInputError("batch_size must be >= 1")
         if self.runs < 1:
@@ -336,8 +342,8 @@ def _pinned_scales(slotted, size, leaders):
     return [eta] * len(leaders), [None] * len(leaders)
 
 
-def _run(config: ExperimentConfig, sizes, scales) -> list[ExperimentReport]:
-    """Run config's policies on its one trace at each of sizes; a report per size.
+def _run(config: ExperimentConfig, scales) -> list[ExperimentReport]:
+    """Run config's policies on its one trace at each of its cache sizes.
 
     scales(slotted, size, leaders) gives the perturbed leaders' etas and
     regret bounds at one size. It is asked at every size before any
@@ -352,6 +358,7 @@ def _run(config: ExperimentConfig, sizes, scales) -> list[ExperimentReport]:
     else:  # the engine's own trace: its one copy of the events is slotted in place
         slotted = _batch_in_place(trace, config.batch_size)
     del trace  # the engine reads only the slotted trace
+    sizes = config.cache_sizes
     for size in sizes:  # a remapped trace file reveals its catalog only now
         check_cache_size(size, slotted.n_files)
     b, runs = slotted.batch_size, range(config.runs)
@@ -394,16 +401,16 @@ def _run(config: ExperimentConfig, sizes, scales) -> list[ExperimentReport]:
     return reports
 
 
-def run_experiment(config: ExperimentConfig) -> ExperimentReport:
+def run_experiment(config: ExperimentConfig) -> list[ExperimentReport]:
     """Run every configured policy on one shared trace and aggregate.
 
-    Each perturbed leader runs at its own eta, the override or
-    compute_eta's value, and carries its regret bound. The perturbed
-    leaders are stepped together, all runs at once.
+    Returns a report per cache size. Each perturbed leader runs at its
+    own eta, the override or compute_eta's value, and carries its regret
+    bound. The perturbed leaders are stepped together, all runs at once.
     """
     if not config.policies:
         raise InvalidInputError("at least one policy is required")
-    return _run(config, (config.cache_size,), _own_scales)[0]
+    return _run(config, _own_scales)
 
 
 def check_sweep_rates(rates) -> tuple[float, ...]:
@@ -433,33 +440,22 @@ def check_sweep_variants(variants) -> tuple[str, ...]:
 
 
 def run_sweep(
-    config: ExperimentConfig,
-    rates,
-    variants=SWEEP_VARIANTS,
-    cache_sizes=None,
+    config: ExperimentConfig, rates, variants=SWEEP_VARIANTS
 ) -> list[ExperimentReport]:
     """Sweep sampling rates for both estimator variants on one trace.
 
     The sweep's cells are the policies of one experiment: nfpl-{variant}
     at each rate, variants in the order given and rates within each;
     config.policies is not used. Returns one ExperimentReport per cache
-    size, in the order of cache_sizes (None: config.cache_size alone).
-    Each cell's eta is pinned per size to fpl's, the rate-independent
-    scale the fixed subsampler would pick for itself at any rate, so
-    cells differ only in what the estimator samples; cells carry no
-    regret bound.
+    size, in the order of config.cache_sizes. Each cell's eta is pinned
+    per size to fpl's, the rate-independent scale the fixed subsampler
+    would pick for itself at any rate, so cells differ only in what the
+    estimator samples; cells carry no regret bound.
     """
     rates, variants = check_sweep_rates(rates), check_sweep_variants(variants)
-    sizes = (config.cache_size,) if cache_sizes is None else tuple(cache_sizes)
-    if not sizes:
-        raise CacheSizeError("at least one cache size is required")
-    if len(set(sizes)) != len(sizes):
-        raise CacheSizeError("duplicate cache sizes in sweep")
-    for size in sizes:  # each size, checked as its own experiment before any trace
-        replace(config, cache_size=size)
     cells = tuple(
         PolicySpec(f"nfpl-{variant}-{rate!r}", f"nfpl-{variant}", rate=rate)
         for variant in variants
         for rate in rates
     )
-    return _run(replace(config, policies=cells), sizes, _pinned_scales)
+    return _run(replace(config, policies=cells), _pinned_scales)

@@ -141,17 +141,21 @@ def generate_round_robin(config: RoundRobinConfig) -> Trace:
 def _dense_remap(events: np.ndarray) -> tuple[np.ndarray, int]:
     """Relabel ids 1..K in order of first appearance; returns (ids, K).
 
-    Consumes events: the relabeled ids are written over it, unless ids
-    above len(events) force a packed copy first.
+    Consumes events: the relabeled ids are written over it.
     """
     # A table indexed by id holds each id's first position: scattering
     # positions a block at a time, latest block first and each block in
     # reverse, leaves each id's earliest one, and unseen ids keep the
-    # sentinel n, so they sort last. Ids above n are first packed to
-    # 0..K-1 by one sort, so the table never exceeds n + 1.
+    # sentinel n, so they sort last. Ids above n are first packed in
+    # place to 0..K-1, their ranks among the sorted distinct ids, a block
+    # at a time, so the table never exceeds n + 1.
     n = events.size
     if events.max() > n:
-        events = np.unique(events, return_inverse=True)[1]
+        distinct = np.unique(events)
+        for start in range(0, n, _BLOCK):
+            block = events[start : start + _BLOCK]
+            block[...] = np.searchsorted(distinct, block)
+        del distinct
     first = np.full(int(events.max()) + 1, n, dtype=np.int64)
     for stop in range(n, 0, -_BLOCK):
         start = max(0, stop - _BLOCK)

@@ -125,13 +125,13 @@ def _zipf_desk_report():
         report = run_experiment(
             ExperimentConfig(
                 trace=trace,
-                cache_size=DESK_CACHE,
+                cache_sizes=(DESK_CACHE,),
                 batch_size=DESK_BATCH,
                 policies=_desk_policies(),
                 runs=DESK_RUNS,
                 base_seed=DESK_SEED,
             )
-        )
+        )[0]
         _harvest_experiment("c6", report)
         return report
 
@@ -222,7 +222,7 @@ def _rr_cli_bundle():
         mirror = run_experiment(
             ExperimentConfig(
                 trace=RoundRobinConfig(DESK_FILES, RR_REQUESTS),
-                cache_size=DESK_CACHE,
+                cache_sizes=(DESK_CACHE,),
                 batch_size=DESK_BATCH,
                 policies=(
                     PolicySpec("opt", "opt"),
@@ -234,7 +234,7 @@ def _rr_cli_bundle():
                 runs=DESK_RUNS,
                 base_seed=DESK_SEED,
             )
-        )
+        )[0]
         _harvest_experiment("c5", mirror)
         return {
             "root": root,
@@ -253,7 +253,7 @@ def _zipf_sweep_report():
         report = run_sweep(
             ExperimentConfig(
                 trace=trace,
-                cache_size=DESK_CACHE,
+                cache_sizes=(DESK_CACHE,),
                 batch_size=DESK_BATCH,
                 runs=DESK_RUNS,
                 base_seed=DESK_SEED,
@@ -272,7 +272,7 @@ def _rr_sweep_report():
         report = run_sweep(
             ExperimentConfig(
                 trace=trace_config,
-                cache_size=DESK_CACHE,
+                cache_sizes=(DESK_CACHE,),
                 batch_size=DESK_BATCH,
                 runs=DESK_RUNS,
                 base_seed=DESK_SEED,
@@ -513,13 +513,13 @@ def test_criterion_9_regret_bound_and_sublinearity():
         prefix_report = run_experiment(
             ExperimentConfig(
                 trace=prefix,
-                cache_size=DESK_CACHE,
+                cache_sizes=(DESK_CACHE,),
                 batch_size=DESK_BATCH,
                 policies=(PolicySpec("var", "nfpl-var", rate=0.5),),
                 runs=DESK_RUNS,
                 base_seed=DESK_SEED,
             )
-        )
+        )[0]
         per_slot[slots] = prefix_report.policy("var").regret / slots
     shrink_ok = per_slot[500] < per_slot[125]
 

@@ -593,6 +593,17 @@ class TestRun:
         assert where in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_experiment_cache_size_is_one_size(self, tmp_path, capsys, command):
+        # a list of sizes belongs to [sweep] cache_sizes or --cache-sizes
+        config = write_config(
+            tmp_path, RUN_CONFIG.replace("cache_size = 8", "cache_size = 4, 10")
+        )
+        out = tmp_path / "o"
+        assert cli.main([command, "-c", str(config), "-o", str(out)]) == 2
+        assert "[experiment] cannot parse cache_size = '4, 10'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_run_without_policies(self, tmp_path, capsys):
         config = write_config(tmp_path, SWEEP_CONFIG)
         assert cli.main(["run", "-c", str(config), "-o", str(tmp_path / "o")]) == 2
@@ -775,7 +786,7 @@ def experiments(draw):
     policies = draw(st.lists(policy_specs(batch_size), max_size=6,
                              unique_by=lambda spec: spec.name))
     return ExperimentConfig(
-        trace=trace, cache_size=draw(st.integers(1, n)), batch_size=batch_size,
+        trace=trace, cache_sizes=(draw(st.integers(1, n)),), batch_size=batch_size,
         policies=tuple(policies), runs=draw(st.integers(1, 1000)),
         base_seed=draw(st.integers(0, 2**63)),
     )

@@ -32,7 +32,7 @@ def small_trace(seed=21):
 def small_config(policies, runs=3, trace=None):
     return ExperimentConfig(
         trace=trace if trace is not None else small_trace(),
-        cache_size=8,
+        cache_sizes=(8,),
         batch_size=20,
         policies=tuple(policies),
         runs=runs,
@@ -123,8 +123,8 @@ class TestRunExperiment:
         cfg = small_config(
             [PolicySpec("fpl", "fpl"), PolicySpec("var", "nfpl-var", rate=0.5)]
         )
-        a = run_experiment(cfg)
-        b = run_experiment(cfg)
+        a = run_experiment(cfg)[0]
+        b = run_experiment(cfg)[0]
         assert a.opt_cost == b.opt_cost
         for pa, pb in zip(a.policies, b.policies):
             assert np.array_equal(pa.mean, pb.mean)
@@ -132,7 +132,7 @@ class TestRunExperiment:
                 assert np.array_equal(ra, rb)
 
     def test_opt_policy_reproduces_opt_cost_with_zero_regret(self):
-        rep = run_experiment(small_config([PolicySpec("opt", "opt")]))
+        rep = run_experiment(small_config([PolicySpec("opt", "opt")]))[0]
         assert int(rep.policy("opt").costs[0].sum()) == rep.opt_cost
         costs = static_optimum(batch_trace(small_trace(), 20), 8)
         assert np.array_equal(costs, rep.policy("opt").costs[0])
@@ -141,7 +141,7 @@ class TestRunExperiment:
     def test_deterministic_policies_have_flat_bands(self):
         rep = run_experiment(
             small_config([PolicySpec("lru", "lru"), PolicySpec("ftl", "ftl")], runs=5)
-        )
+        )[0]
         for name in ("lru", "ftl"):
             pol = rep.policy(name)
             assert len(pol.costs) == 1
@@ -149,7 +149,7 @@ class TestRunExperiment:
             assert np.array_equal(pol.mean, pol.d9)
 
     def test_stochastic_policies_get_all_runs(self):
-        rep = run_experiment(small_config([PolicySpec("fpl", "fpl")], runs=4))
+        rep = run_experiment(small_config([PolicySpec("fpl", "fpl")], runs=4))[0]
         assert rep.policy("fpl").costs.shape == (4, rep.horizon)
         assert rep.policy("fpl").totals.shape == (4, 40)
 
@@ -164,7 +164,7 @@ class TestRunExperiment:
             ],
             runs=2,
         )
-        rep = run_experiment(cfg)
+        rep = run_experiment(cfg)[0]
         for run in range(2):
             base = rep.policy("fpl").costs[run]
             assert np.array_equal(rep.policy("fix").costs[run], base)
@@ -173,7 +173,7 @@ class TestRunExperiment:
     def test_zero_eta_fpl_equals_lowest_index_ftl(self):
         rep = run_experiment(
             small_config([PolicySpec("fpl0", "fpl", eta_override=0.0)])
-        )
+        )[0]
         # the leader over exact running totals, ties to the lowest index
         totals = np.zeros(40)
         leader = []
@@ -189,7 +189,7 @@ class TestRunExperiment:
              PolicySpec("opt", "opt")],
             runs=1,
         )
-        rep = run_experiment(cfg)
+        rep = run_experiment(cfg)[0]
         assert rep.policy("ftl").totals is None
         assert rep.policy("opt").totals is None
         # exact observation accumulates the true totals
@@ -198,10 +198,10 @@ class TestRunExperiment:
     def test_horizon_truncates_partial_batches(self):
         trace = Trace(events=np.arange(105) % 7 + 1, n_files=7)
         cfg = ExperimentConfig(
-            trace=trace, cache_size=2, batch_size=10,
+            trace=trace, cache_sizes=(2,), batch_size=10,
             policies=(PolicySpec("opt", "opt"),), runs=1, base_seed=0,
         )
-        rep = run_experiment(cfg)
+        rep = run_experiment(cfg)[0]
         assert rep.horizon == 10
         assert rep.cache_size == 2
         assert rep.policy("opt").costs[0].size == 10
@@ -221,17 +221,52 @@ class TestRunExperiment:
         with pytest.raises(InvalidInputError):
             small_config([PolicySpec("a", "fpl"), PolicySpec("a", "lru")])
         with pytest.raises(InvalidInputError):
-            ExperimentConfig(trace=small_trace(), cache_size=0, batch_size=5)
+            ExperimentConfig(trace=small_trace(), cache_sizes=(0,), batch_size=5)
         with pytest.raises(InvalidInputError):
             ExperimentConfig(
-                trace=small_trace(), cache_size=2, batch_size=5, base_seed=-1
+                trace=small_trace(), cache_sizes=(2,), batch_size=5, base_seed=-1
             )
+
+    @pytest.mark.parametrize("sizes,message", [
+        ((), "at least one cache size is required"),
+        ((5, 5), "duplicate cache sizes"),
+        ((0,), r"cache_size must be in \[1, 40\], got 0"),
+        ((8, 41), r"cache_size must be in \[1, 40\], got 41"),
+    ], ids=["empty", "duplicate", "zero", "above-files"])
+    def test_config_rejects_bad_cache_sizes(self, sizes, message):
+        with pytest.raises(CacheSizeError, match=message):
+            ExperimentConfig(trace=small_trace(), cache_sizes=sizes, batch_size=5)
+
+    def test_each_size_reports_its_one_size_experiment(self):
+        # every policy row and the pricing at each size are those of a
+        # run of the same config at that size alone
+        policies = [PolicySpec(kind, kind) for kind in ("opt", "lru", "ftl", "fpl")]
+        policies += [PolicySpec("fix", "nfpl-fix", rate=0.1),
+                     PolicySpec("var", "nfpl-var", rate=0.5)]
+        cfg = replace(small_config(policies), cache_sizes=(4, 8))
+        reports = run_experiment(cfg)
+        assert [rep.cache_size for rep in reports] == [4, 8]
+        for rep in reports:
+            (solo,) = run_experiment(replace(cfg, cache_sizes=(rep.cache_size,)))
+            assert rep.opt_cost == solo.opt_cost
+            assert rep.horizon == solo.horizon
+            assert np.array_equal(rep.request_totals, solo.request_totals)
+            for pol, one in zip(rep.policies, solo.policies, strict=True):
+                assert (pol.spec, pol.eta, pol.bound) == (one.spec, one.eta, one.bound)
+                assert (pol.cum_cost, pol.regret) == (one.cum_cost, one.regret)
+                for ours, theirs in [(pol.mean, one.mean), (pol.d1, one.d1),
+                                     (pol.d9, one.d9), (pol.costs, one.costs)]:
+                    assert np.array_equal(ours, theirs)
+                if pol.totals is None:
+                    assert one.totals is None
+                else:
+                    assert np.array_equal(pol.totals, one.totals)
 
     def test_run_independence(self):
         # each run's series depends on its run index alone, not on the run count
         cfg = small_config([PolicySpec("var", "nfpl-var", rate=0.5)], runs=3)
-        three = run_experiment(cfg).policy("var")
-        two = run_experiment(replace(cfg, runs=2)).policy("var")
+        three = run_experiment(cfg)[0].policy("var")
+        two = run_experiment(replace(cfg, runs=2))[0].policy("var")
         for a, b in zip(two.costs, three.costs[:2], strict=True):
             assert np.array_equal(a, b)
         for a, b in zip(two.totals, three.totals[:2], strict=True):
@@ -240,11 +275,11 @@ class TestRunExperiment:
     def test_zipf_seed_resolution_is_deterministic(self):
         cfg = ExperimentConfig(
             trace=ZipfConfig(30, 1.0, 600),  # seed left unresolved
-            cache_size=5, batch_size=20,
+            cache_sizes=(5,), batch_size=20,
             policies=(PolicySpec("ftl", "ftl"),), runs=1, base_seed=5,
         )
-        a = run_experiment(cfg)
-        b = run_experiment(cfg)
+        a = run_experiment(cfg)[0]
+        b = run_experiment(cfg)[0]
         assert a.trace_source.seed == b.trace_source.seed
         assert np.array_equal(a.policy("ftl").costs[0], b.policy("ftl").costs[0])
 
@@ -256,13 +291,13 @@ def variant(pol):
 class TestRunSweep:
     def base_config(self):
         return ExperimentConfig(
-            trace=small_trace(), cache_size=8, batch_size=20, runs=3, base_seed=99
+            trace=small_trace(), cache_sizes=(8,), batch_size=20, runs=3, base_seed=99
         )
 
     def test_cell_grid_and_order(self):
         reports = run_sweep(
-            self.base_config(), rates=(0.5, 1.0), variants=("fix", "var"),
-            cache_sizes=(4, 8),
+            replace(self.base_config(), cache_sizes=(4, 8)), rates=(0.5, 1.0),
+            variants=("fix", "var"),
         )
         grid = [(size, variant(pol), pol.spec.rate) for size, pol in sweep_cells(reports)]
         assert grid == [
@@ -288,10 +323,10 @@ class TestRunSweep:
         sweep = run_sweep(cfg, rates=(1.0,))
         fpl = run_experiment(
             ExperimentConfig(
-                trace=cfg.trace, cache_size=8, batch_size=20,
+                trace=cfg.trace, cache_sizes=(8,), batch_size=20,
                 policies=(PolicySpec("fpl", "fpl"),), runs=3, base_seed=99,
             )
-        ).policy("fpl")
+        )[0].policy("fpl")
         for _, pol in sweep_cells(sweep):
             assert pol.final_mean == fpl.final_mean
             assert pol.final_d1 == fpl.final_d1
@@ -310,17 +345,13 @@ class TestRunSweep:
             run_sweep(self.base_config(), rates=(0.5,), variants=("nope",))
         with pytest.raises(InvalidInputError, match="duplicate rates"):
             run_sweep(self.base_config(), rates=(0.5, 0.5))
-        with pytest.raises(InvalidInputError, match="duplicate cache sizes"):
-            run_sweep(self.base_config(), rates=(0.5,), cache_sizes=(5, 5))
-        with pytest.raises(CacheSizeError, match="at least one cache size is required"):
-            run_sweep(self.base_config(), rates=(0.5,), cache_sizes=())
 
     def test_twin_cells_agree_and_each_cell_equals_its_own_experiment(self):
         # at rate 1.0 fix and var are one full-rate leader, and fix rates
         # 0.01 and 0.02 both keep one event of 20; stepped once, each cell
         # must still be what an experiment of that one policy gives
         cfg = self.base_config()
-        reports = run_sweep(cfg, rates=(0.01, 0.02, 1.0), cache_sizes=(4, 8))
+        reports = run_sweep(replace(cfg, cache_sizes=(4, 8)), rates=(0.01, 0.02, 1.0))
         cells = {
             (size, variant(pol), pol.spec.rate): pol for size, pol in sweep_cells(reports)
         }
@@ -335,8 +366,8 @@ class TestRunSweep:
                 "solo", pol.spec.kind, rate=pol.spec.rate, eta_override=pol.eta
             )
             solo = run_experiment(
-                replace(cfg, cache_size=size, policies=(spec,))
-            ).policy("solo")
+                replace(cfg, cache_sizes=(size,), policies=(spec,))
+            )[0].policy("solo")
             assert solo.final_mean == pol.final_mean
             assert solo.final_d1 == pol.final_d1
             assert solo.final_d9 == pol.final_d9
@@ -349,14 +380,14 @@ class TestRunSweep:
         # cells stepped together must match each cell run on its own: a
         # one-policy experiment at the cell's cache size, rate and eta
         cfg = self.base_config()
-        reports = run_sweep(cfg, rates=(0.1, 1.0), cache_sizes=(4, 8))
+        reports = run_sweep(replace(cfg, cache_sizes=(4, 8)), rates=(0.1, 1.0))
         for size, pol in sweep_cells(reports):
             spec = PolicySpec(
                 "solo", pol.spec.kind, rate=pol.spec.rate, eta_override=pol.eta
             )
             solo = run_experiment(
-                replace(cfg, cache_size=size, policies=(spec,))
-            ).policy("solo")
+                replace(cfg, cache_sizes=(size,), policies=(spec,))
+            )[0].policy("solo")
             for run in range(len(pol.costs)):
                 assert np.array_equal(solo.costs[run], pol.costs[run])
                 assert np.array_equal(solo.totals[run], pol.totals[run])
@@ -364,12 +395,12 @@ class TestRunSweep:
     def test_each_report_prices_its_size_as_its_experiment_does(self):
         # opt_cost and request_totals are those of run_experiment at that size
         cfg = self.base_config()
-        reports = run_sweep(cfg, rates=(0.5,), cache_sizes=(4, 8))
+        reports = run_sweep(replace(cfg, cache_sizes=(4, 8)), rates=(0.5,))
         assert [rep.cache_size for rep in reports] == [4, 8]
         for rep in reports:
             solo = run_experiment(
-                replace(cfg, cache_size=rep.cache_size,
+                replace(cfg, cache_sizes=(rep.cache_size,),
                         policies=(PolicySpec("opt", "opt"),))
-            )
+            )[0]
             assert rep.opt_cost == solo.opt_cost
             assert np.array_equal(rep.request_totals, solo.request_totals)

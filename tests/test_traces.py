@@ -464,6 +464,28 @@ class TestTraceFileDifferential:
             tracemalloc.stop()
         assert peak <= events.nbytes // 4
 
+    @pytest.mark.parametrize("values", [1000, 20_000, 200_000])
+    def test_dense_remap_packs_large_ids_within_twice_the_events(self, values):
+        # ids above the event count are packed in place by a search among
+        # the sorted distinct ids, with no inverse array beside the events
+        rng = np.random.default_rng(values)
+        pool = rng.choice(2**40, values, replace=False) + 1
+        events = rng.choice(pool, 200_000)
+        expected, expected_catalog = _dense_remap(
+            np.unique(events, return_inverse=True)[1].reshape(-1)
+        )
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            ids, catalog = _dense_remap(events)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * events.nbytes
+        assert np.array_equal(ids, expected)
+        assert catalog == expected_catalog
+
     @settings(
         deadline=None, max_examples=200,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
