@@ -7,76 +7,52 @@ the perturbed-leader family (exact, fixed-subsample, and bernoulli
 observation), classical baselines (LRU, follow-the-leader, the static
 hindsight optimum), the metrics to compare them, and an experiment
 engine plus CLI wrapping the whole protocol.
+
+`InvalidInputError` and `__version__` are bound on import. Every other
+public name is imported from its submodule on first access (PEP 562),
+so `import noisycache`, like `noisycache generate`, loads no simulator
+code until a name from it is used.
 """
 
+import importlib
+
 from .core import InvalidInputError
-from .engine import (
-    ExperimentConfig,
-    ExperimentReport,
-    PolicyReport,
-    PolicySpec,
-    SeedPlan,
-    run_experiment,
-    run_sweep,
-)
-from .estimators import BoundParams, EstimatorKind, EstimatorSpec, bound_params
-from .metrics import average_miss_ratio, decile_band, regret_bound
-from .policies import (
-    LeaderRuns,
-    compute_eta,
-    follow_the_leader,
-    least_recently_used,
-    static_optimum,
-    step_perturbed_leaders,
-)
-from .traces import (
-    RoundRobinConfig,
-    SlottedTrace,
-    Trace,
-    TraceFileConfig,
-    TraceParseError,
-    ZipfConfig,
-    batch_trace,
-    generate_round_robin,
-    generate_zipf,
-    read_trace_file,
-    write_trace_file,
-)
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "InvalidInputError",
-    "Trace",
-    "SlottedTrace",
-    "ZipfConfig",
-    "RoundRobinConfig",
-    "TraceFileConfig",
-    "TraceParseError",
-    "generate_zipf",
-    "generate_round_robin",
-    "read_trace_file",
-    "write_trace_file",
-    "batch_trace",
-    "EstimatorKind",
-    "EstimatorSpec",
-    "BoundParams",
-    "bound_params",
-    "compute_eta",
-    "follow_the_leader",
-    "least_recently_used",
-    "static_optimum",
-    "step_perturbed_leaders",
-    "LeaderRuns",
-    "average_miss_ratio",
-    "regret_bound",
-    "decile_band",
-    "PolicySpec",
-    "SeedPlan",
-    "ExperimentConfig",
-    "ExperimentReport",
-    "PolicyReport",
-    "run_experiment",
-    "run_sweep",
-    "__version__",
-]
+# The public names resolved on first access, by the submodule that defines them.
+_LAZY = {
+    "traces": (
+        "Trace", "SlottedTrace", "ZipfConfig", "RoundRobinConfig",
+        "TraceFileConfig", "TraceParseError", "generate_zipf",
+        "generate_round_robin", "read_trace_file", "write_trace_file",
+        "batch_trace",
+    ),
+    "estimators": ("EstimatorKind", "EstimatorSpec", "BoundParams", "bound_params"),
+    "policies": (
+        "compute_eta", "follow_the_leader", "least_recently_used",
+        "static_optimum", "step_perturbed_leaders", "LeaderRuns",
+    ),
+    "metrics": ("average_miss_ratio", "regret_bound", "decile_band"),
+    "engine": (
+        "PolicySpec", "SeedPlan", "ExperimentConfig", "ExperimentReport",
+        "PolicyReport", "run_experiment", "run_sweep",
+    ),
+}
+_SOURCE = {name: module for module, names in _LAZY.items() for name in names}
+
+__all__ = ["InvalidInputError", *_SOURCE, "__version__"]
+
+
+def __getattr__(name):
+    # An AttributeError here also lets `from noisycache import cli` fall
+    # back to importing the submodule.
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_SOURCE[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

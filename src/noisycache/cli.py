@@ -5,6 +5,10 @@ unexpected runtime failures. Every usage error names its source: a flag,
 or a config section and key. Output files are rendered fully in memory
 and committed atomically (temp file + rename), so a failed invocation
 never leaves partial CSVs behind.
+
+The engine, and through it the policies, estimators and metrics, is
+imported inside the functions that use it, so `generate` loads only
+the trace code.
 """
 
 import argparse
@@ -17,15 +21,6 @@ import os
 import sys
 
 from .core import CacheSizeError, InvalidInputError
-from .engine import (
-    SWEEP_VARIANTS,
-    ExperimentConfig,
-    PolicySpec,
-    check_sweep_rates,
-    check_sweep_variants,
-    run_experiment,
-    run_sweep,
-)
 from .traces import (
     RoundRobinConfig,
     TraceFileConfig,
@@ -163,6 +158,8 @@ def load_config(path: str):
     The file is read as UTF-8, and values are literal: there is no
     %-interpolation.
     """
+    from .engine import ExperimentConfig, PolicySpec
+
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     try:
         with open(path, "rb") as fh:
@@ -229,13 +226,15 @@ def _render_csv(header, rows) -> str:
 
 
 def _render_series(report) -> str:
-    rows = [
+    # a generator: the csv writer takes one row at a time, so the T x P
+    # rows are never all held at once
+    rows = (
         (t, pol.spec.name, *map(repr, band))
         for pol in report.policies
         for t, band in enumerate(
             zip(pol.mean.tolist(), pol.d1.tolist(), pol.d9.tolist()), 1
         )
-    ]
+    )
     return _render_csv(("t", "policy", "mean", "d1", "d9"), rows)
 
 
@@ -371,6 +370,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_run(args) -> int:
+    from .engine import run_experiment
+
     _check_output(args.output, directory=True)
     config, _ = load_config(args.config)
     if not config.policies:
@@ -391,6 +392,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from .engine import SWEEP_VARIANTS, check_sweep_rates, check_sweep_variants, run_sweep
+
     _check_output(args.output, directory=True)
     config, sweep = load_config(args.config)
     source = {}  # field: the prefix that names where its value came from

@@ -194,11 +194,13 @@ class ExperimentConfig:
 
     def __post_init__(self):
         n_files = getattr(self.trace, "n_files", None)  # None: a file yet to be read
-        if not self.cache_sizes:
+        sizes = self.cache_sizes
+        if not sizes:
             raise CacheSizeError("at least one cache size is required")
-        if len(set(self.cache_sizes)) != len(self.cache_sizes):
-            raise CacheSizeError("duplicate cache sizes in sweep")
-        for size in self.cache_sizes:
+        repeated = [size for size in dict.fromkeys(sizes) if sizes.count(size) > 1]
+        if repeated:
+            raise CacheSizeError(f"duplicate cache sizes: {', '.join(map(str, repeated))}")
+        for size in sizes:
             check_cache_size(size, n_files or math.inf)
         if self.batch_size < 1:
             raise InvalidInputError("batch_size must be >= 1")

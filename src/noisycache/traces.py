@@ -162,11 +162,13 @@ def _dense_remap(events: np.ndarray) -> tuple[np.ndarray, int]:
         first[events[start:stop][::-1]] = np.arange(stop - 1, start - 1, -1)
     catalog = int(np.count_nonzero(first < n))
     order = np.argsort(first)
-    del first  # free the table before the ranks are built
-    rank = np.empty(order.size, dtype=np.int64)
-    rank[order] = np.arange(1, order.size + 1)
+    # each id's rank overwrites its position in the table, a block at a time
+    for lo in range(0, order.size, _BLOCK):
+        hi = min(lo + _BLOCK, order.size)
+        first[order[lo:hi]] = np.arange(lo + 1, hi + 1)
+    del order
     # every id indexes the table; mode="raise" would buffer a full copy
-    return np.take(rank, events, out=events, mode="clip"), catalog
+    return np.take(first, events, out=events, mode="clip"), catalog
 
 
 def _header_lines(path: str) -> int:

@@ -17,13 +17,20 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from helpers import assert_reaped, record_forks
 
 import noisycache
-from noisycache import cli, policies, read_trace_file
+from noisycache import cli, engine, policies, read_trace_file
 from noisycache.engine import POLICY_KINDS, ExperimentConfig, PolicySpec
 from noisycache.traces import RoundRobinConfig, TraceFileConfig, ZipfConfig
 
 
 def invoke(argv):
     return cli.main([str(a) for a in argv])
+
+
+def package_env():
+    """The environment of a fresh Python process that imports this noisycache."""
+    package_root = os.path.dirname(os.path.dirname(noisycache.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
 
 
 def write_config(tmp_path, body, name="exp.ini"):
@@ -158,8 +165,9 @@ def _no_work(*args, **kwargs):
 def test_an_unusable_output_path_is_usage_error(tmp_path, capsys, monkeypatch, argv,
                                                 path):
     # the path is checked before any trace is built
-    for work in ("run_experiment", "run_sweep", "generate_round_robin"):
-        monkeypatch.setattr(cli, work, _no_work)
+    monkeypatch.setattr(cli, "generate_round_robin", _no_work)
+    for work in ("run_experiment", "run_sweep"):
+        monkeypatch.setattr(engine, work, _no_work)
     names = {
         "config": write_config(tmp_path, RUN_CONFIG),
         "file": tmp_path / "taken",
@@ -177,16 +185,16 @@ def test_an_unusable_output_path_is_usage_error(tmp_path, capsys, monkeypatch, a
     assert names["file"].read_text() == "keep\n"
 
 
-@pytest.mark.parametrize("argv,work,taken", [
-    (["run", "-c", "{config}"], "run_experiment", "file"),
-    (GENERATE, "generate_round_robin", "dir"),
+@pytest.mark.parametrize("argv,owner,work,taken", [
+    (["run", "-c", "{config}"], engine, "run_experiment", "file"),
+    (GENERATE, cli, "generate_round_robin", "dir"),
 ], ids=["run", "generate"])
 def test_an_output_path_taken_during_the_work_is_usage_error(
-    tmp_path, capsys, monkeypatch, argv, work, taken
+    tmp_path, capsys, monkeypatch, argv, owner, work, taken
 ):
     # the commit still maps a path that turns bad after the early check
     config, out = write_config(tmp_path, RUN_CONFIG), tmp_path / "o"
-    real = getattr(cli, work)
+    real = getattr(owner, work)
 
     def racing(*args):
         if taken == "file":
@@ -195,10 +203,35 @@ def test_an_output_path_taken_during_the_work_is_usage_error(
             out.mkdir()
         return real(*args)
 
-    monkeypatch.setattr(cli, work, racing)
+    monkeypatch.setattr(owner, work, racing)
     assert invoke([a.format(config=config) for a in argv] + ["-o", out]) == 2
     assert f"--output {out} cannot be used: " in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.ini", "o"]
+
+
+SIMULATOR = {"noisycache.engine", "noisycache.policies", "noisycache.estimators",
+             "noisycache.metrics"}
+
+
+def test_generate_and_a_bare_import_load_no_simulator_code(tmp_path):
+    generate = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "noisycache.cli", "generate", "zipf",
+         "--files", "50", "--requests", "200", "-o", str(tmp_path / "t.txt")],
+        capture_output=True, text=True, timeout=60, env=package_env(),
+    )
+    assert generate.returncode == 0, generate.stderr
+    # each "import time: self | cumulative | name" line is one first import
+    imported = {line.rpartition("|")[2].strip() for line in generate.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "noisycache.traces" in imported
+    assert not imported & SIMULATOR
+    bare = subprocess.run(
+        [sys.executable, "-c", "import sys, noisycache; print(*sys.modules)"],
+        capture_output=True, text=True, timeout=60, env=package_env(),
+    )
+    assert bare.returncode == 0, bare.stderr
+    assert "noisycache.core" in bare.stdout.split()
+    assert not set(bare.stdout.split()) & SIMULATOR
 
 
 def test_a_full_disk_stays_a_runtime_failure(tmp_path, capsys, monkeypatch):
@@ -406,15 +439,11 @@ class TestRun:
             kind = opt
             """)
         out = tmp_path / "out"
-        package_root = os.path.dirname(os.path.dirname(noisycache.__file__))
-        path = os.pathsep.join(
-            filter(None, [package_root, os.environ.get("PYTHONPATH")])
-        )
         done = subprocess.run(
             [sys.executable, "-m", "noisycache.cli",
              "run", "-c", str(config), "-o", str(out)],
             input="# header\n3\n1\n2\n", capture_output=True, text=True,
-            timeout=60, env=dict(os.environ, PYTHONPATH=path),
+            timeout=60, env=package_env(),
         )
         assert done.returncode == 0, done.stderr
         assert [r["t"] for r in read_rows(out / "series.csv")] == ["1", "2", "3"]

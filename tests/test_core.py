@@ -1,5 +1,7 @@
 """Unit tests for the decision-space primitives."""
 
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -125,6 +127,19 @@ class TestTotalCounts:
             SlottedTrace(np.array([-1, 0]), n_files=2, batch_size=1)
 
 
-def test_every_public_name_resolves():
+def test_every_public_name_resolves(monkeypatch):
+    assert noisycache.__all__ == ["InvalidInputError", *noisycache._SOURCE, "__version__"]
+    # forget what earlier imports resolved, so each name resolves afresh
+    for name in noisycache._SOURCE:
+        monkeypatch.delitem(vars(noisycache), name, raising=False)
+    assert set(noisycache.__all__) <= set(dir(noisycache))
     for name in noisycache.__all__:
         getattr(noisycache, name)  # raises AttributeError for a stale export
+    for name, module in noisycache._SOURCE.items():
+        owner = importlib.import_module(f"noisycache.{module}")
+        assert vars(noisycache)[name] is getattr(owner, name)
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        noisycache.no_such_name
+    namespace = {}
+    exec("from noisycache import *", namespace)
+    assert set(noisycache.__all__) <= namespace.keys()

@@ -230,9 +230,11 @@ class TestRunExperiment:
     @pytest.mark.parametrize("sizes,message", [
         ((), "at least one cache size is required"),
         ((5, 5), "duplicate cache sizes"),
+        # a library caller ran no sweep, so the message names the size, not one
+        ((5, 8, 5), "^duplicate cache sizes: 5$"),
         ((0,), r"cache_size must be in \[1, 40\], got 0"),
         ((8, 41), r"cache_size must be in \[1, 40\], got 41"),
-    ], ids=["empty", "duplicate", "zero", "above-files"])
+    ], ids=["empty", "duplicate", "duplicate-named", "zero", "above-files"])
     def test_config_rejects_bad_cache_sizes(self, sizes, message):
         with pytest.raises(CacheSizeError, match=message):
             ExperimentConfig(trace=small_trace(), cache_sizes=sizes, batch_size=5)

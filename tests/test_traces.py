@@ -354,6 +354,18 @@ def _outcome(read, *args):
     return events.tolist(), catalog
 
 
+def _traced_peak(fn, *args):
+    """fn(*args) and the peak bytes it allocated beyond what was live before."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
 def _read_package(path, remap, n_files):
     trace = read_trace_file(path, remap=remap, n_files=n_files)
     return trace.events, trace.n_files
@@ -454,15 +466,18 @@ class TestTraceFileDifferential:
         # the largest id, the positions are scattered a block at a time,
         # and the ranks are written over the events
         events = np.random.default_rng(3).integers(1, 1001, 200_000)
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            _dense_remap(events)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        _, peak = _traced_peak(_dense_remap, events)
         assert peak <= events.nbytes // 4
+
+    def test_dense_remap_ranks_all_distinct_ids_within_the_table(self):
+        # with every id distinct the table and its argsort are each as long
+        # as the events; the ranks overwrite the table a block at a time
+        events = np.random.default_rng(4).permutation(200_000) + 1
+        expected, expected_catalog = reference_dense_remap(events)
+        (ids, catalog), peak = _traced_peak(_dense_remap, events)
+        assert peak <= 2.2 * events.nbytes
+        assert np.array_equal(ids, expected)
+        assert catalog == expected_catalog == events.size
 
     @pytest.mark.parametrize("values", [1000, 20_000, 200_000])
     def test_dense_remap_packs_large_ids_within_twice_the_events(self, values):
@@ -474,14 +489,7 @@ class TestTraceFileDifferential:
         expected, expected_catalog = _dense_remap(
             np.unique(events, return_inverse=True)[1].reshape(-1)
         )
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            ids, catalog = _dense_remap(events)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        (ids, catalog), peak = _traced_peak(_dense_remap, events)
         assert peak <= 2 * events.nbytes
         assert np.array_equal(ids, expected)
         assert catalog == expected_catalog
