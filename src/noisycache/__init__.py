@@ -31,11 +31,11 @@ _LAZY = {
     "estimators": ("EstimatorKind", "EstimatorSpec", "BoundParams", "bound_params"),
     "policies": (
         "compute_eta", "follow_the_leader", "least_recently_used",
-        "static_optimum", "step_perturbed_leaders", "LeaderRuns",
+        "static_optimum", "step_perturbed_leaders", "LeaderRuns", "SeedPlan",
     ),
     "metrics": ("average_miss_ratio", "regret_bound", "decile_band"),
     "engine": (
-        "PolicySpec", "SeedPlan", "ExperimentConfig", "ExperimentReport",
+        "PolicySpec", "ExperimentConfig", "ExperimentReport",
         "PolicyReport", "run_experiment", "run_sweep",
     ),
 }

@@ -193,17 +193,21 @@ def load_config(path: str):
 
     experiment = _read(parser["experiment"], "experiment", _EXPERIMENT)
     trace = _read_trace(parser["trace"])
+    sections = [name for name in parser.sections() if name.startswith("policy:")]
     policies = tuple(
         _named(f"[{name}] ", PolicySpec, name=name[len("policy:"):].strip(),
                **_read(parser[name], name, _POLICY))
-        for name in parser.sections()
-        if name.startswith("policy:")
+        for name in sections
     )
     sweep = {field: None for _, field, *_ in _SWEEP}
     if "sweep" in parser:
         sweep.update(_read(parser["sweep"], "sweep", _SWEEP))
-    config = _named("[experiment] ", ExperimentConfig, trace=trace,
-                    policies=policies, **experiment)
+    config = _named("[experiment] ", ExperimentConfig, trace=trace, **experiment)
+    # [policy:a] and [policy: a] name one policy: a repeat is theirs to report
+    names = [spec.name for spec in policies]
+    where = ", ".join(f"[{section}]" for section, name in zip(sections, names)
+                      if names.count(name) > 1)
+    config = _named(f"{where or '[experiment]'} ", replace, config, policies=policies)
     return config, sweep
 
 

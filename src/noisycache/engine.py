@@ -4,15 +4,16 @@ One experiment = one trace, a set of policies, and M runs per stochastic
 policy at each of the config's cache sizes, one ExperimentReport per
 size. run_experiment (each leader at its own eta) and run_sweep (a
 generated grid of rate cells at fpl's eta) share one path.
-Seeding follows a fixed derivation so that every run is reproducible
-and, crucially, so that run r of ANY perturbed-leader policy draws the
-same noise sequence: policies under the same run index are compared
-with common random numbers. The perturbed-leader rows of every size are
-therefore stepped in one call to policies.step_perturbed_leaders, every
-run at once. A leader's totals never depend on the cache size, so each
-slot's noise and estimates are drawn once for all sizes, and leaders
-with equal etas and equal estimates (full rate, or the same fixed
-subsample) step once and share one column of the stepper's result.
+The engine builds one policies.SeedPlan from the config's base seed, and
+the stepper derives every run's streams from it: run r of ANY
+perturbed-leader policy draws the same noise sequence, so policies under
+the same run index are compared with common random numbers. The
+perturbed-leader rows of every size are therefore stepped in one call
+to policies.step_perturbed_leaders, every run at once. A leader's
+totals never depend on the cache size, so each slot's noise and
+estimates are drawn once for all sizes, and leaders with equal etas and
+equal estimates (full rate, or the same fixed subsample) step once and
+share one column of the stepper's result.
 
 Deterministic policies (lru, ftl, opt) run once per size, each by a
 direct call to its policy function; their single series stands in for
@@ -34,9 +35,10 @@ import math
 import numpy as np
 
 from .core import CacheSizeError, InvalidInputError, check_cache_size
-from .estimators import EstimatorKind, EstimatorSpec, bound_params, check_rate
+from .estimators import EstimatorSpec, bound_params, check_rate
 from .metrics import average_miss_ratio, decile_band, regret_bound
 from .policies import (
+    SeedPlan,
     check_eta,
     compute_eta,
     follow_the_leader,
@@ -155,33 +157,6 @@ class PolicySpec:
 
 
 @dataclass(frozen=True)
-class SeedPlan:
-    """Per-(run, stream) RNG derivation from one base seed.
-
-    stream(run, stream_id) spawns an independent generator keyed by the
-    run index and a stream id: NOISE for decision perturbations,
-    SAMPLING for estimator draws, TRACE for trace generation. The trace
-    stream ignores the run index (one trace per experiment), and the
-    noise stream depends only on the run index, never on the policy, so
-    equal-run comparisons share randomness.
-    """
-
-    base_seed: int
-
-    NOISE = 0
-    SAMPLING = 1
-    TRACE = 2
-
-    def stream(self, run: int, stream_id: int) -> np.random.Generator:
-        seq = np.random.SeedSequence(self.base_seed, spawn_key=(run, stream_id))
-        return np.random.default_rng(seq)
-
-    def derived_trace_seed(self) -> int:
-        seq = np.random.SeedSequence(self.base_seed, spawn_key=(0, self.TRACE))
-        return int(seq.generate_state(1)[0])
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     """Everything one experiment needs besides the outputs' location."""
 
@@ -201,7 +176,10 @@ class ExperimentConfig:
         if repeated:
             raise CacheSizeError(f"duplicate cache sizes: {', '.join(map(str, repeated))}")
         for size in sizes:
-            check_cache_size(size, n_files or math.inf)
+            if n_files is not None:
+                check_cache_size(size, n_files)
+            elif size < 1:  # a trace file yet to be read reveals N only then
+                raise CacheSizeError(f"cache_size must be >= 1, got {size}")
         if self.batch_size < 1:
             raise InvalidInputError("batch_size must be >= 1")
         if self.runs < 1:
@@ -209,8 +187,11 @@ class ExperimentConfig:
         if self.base_seed < 0:
             raise InvalidInputError(f"base_seed must be >= 0, got {self.base_seed}")
         names = [p.name for p in self.policies]
-        if len(set(names)) != len(names):
-            raise InvalidInputError("policy names must be unique")
+        repeated = [name for name in dict.fromkeys(names) if names.count(name) > 1]
+        if repeated:
+            raise InvalidInputError(
+                f"duplicate policy names: {', '.join(map(repr, repeated))}"
+            )
         for p in self.policies:
             try:
                 p.estimator_spec(self.batch_size)
@@ -288,12 +269,12 @@ def _resolve_trace(source, plan: SeedPlan):
 def _run_leaders(leaders, slotted, sizes, plan, runs):
     """Step perturbed leaders over `runs` at every cache size in one call.
 
-    leaders holds one (estimator, eta at each size) pair per leader. Run r
-    of every leader reads the run-r noise stream, and each leader gets its
-    own run-r sampling stream. Leaders with equal etas whose estimates are
-    equal, because both are full rate or both keep the same fixed
-    subsample, are the same leader and step once. Returns the stepper's
-    LeaderRuns and each leader's column in it.
+    leaders holds one (estimator, eta at each size) pair per leader; the
+    stepper derives every run's noise and sampling streams from plan.
+    Leaders with equal etas whose estimates are equal, because both are
+    full rate or both keep the same fixed subsample, are the same leader
+    and step once. Returns the stepper's LeaderRuns and each leader's
+    column in it.
     """
     keys = [
         (EstimatorSpec.exact(est.batch_size) if est.full_rate else est, tuple(etas))
@@ -301,19 +282,8 @@ def _run_leaders(leaders, slotted, sizes, plan, runs):
     ]
     distinct = list(dict.fromkeys(keys))
     stepped = step_perturbed_leaders(
-        slotted,
-        sizes,
-        np.array([etas for _, etas in distinct]).T,
-        [est for est, _ in distinct],
-        noise_rngs=[plan.stream(run, SeedPlan.NOISE) for run in runs],
-        sample_rngs=[
-            [
-                None if est.kind is EstimatorKind.EXACT
-                else plan.stream(run, SeedPlan.SAMPLING)
-                for run in runs
-            ]
-            for est, _ in distinct
-        ],
+        slotted, sizes, np.array([etas for _, etas in distinct]).T,
+        [est for est, _ in distinct], runs, plan,
     )
     return stepped, [distinct.index(key) for key in keys]
 
@@ -363,14 +333,14 @@ def _run(config: ExperimentConfig, scales) -> list[ExperimentReport]:
     sizes = config.cache_sizes
     for size in sizes:  # a remapped trace file reveals its catalog only now
         check_cache_size(size, slotted.n_files)
-    b, runs = slotted.batch_size, range(config.runs)
+    b = slotted.batch_size
     leaders = [spec for spec in config.policies if spec.stochastic]
     etas, bounds = zip(*(scales(slotted, size, leaders) for size in sizes))
     stepped, columns = None, []
     if leaders:
         estimators = [spec.estimator_spec(b) for spec in leaders]
         stepped, columns = _run_leaders(
-            zip(estimators, zip(*etas)), slotted, sizes, plan, runs
+            zip(estimators, zip(*etas)), slotted, sizes, plan, config.runs
         )
 
     reports = []

@@ -7,8 +7,10 @@ slot a policy commits its cache before the slot's requests are counted
 and learns them only afterwards; LRU instead updates per event. The
 static optimum and both leaders, ftl and fpl, pick their caches with
 core.top_c, and both leaders show each slot's bool cache mask to an
-optional observe. step_perturbed_leaders splits its independent rows
-across forked processes, one per usable CPU, that fill one shared result.
+optional observe. step_perturbed_leaders derives every run's random
+streams from a SeedPlan, the one owner of the seed rule, and splits its
+independent rows across forked processes, one per usable CPU, that fill
+one shared result.
 
 All policies work on 0-based file indices.
 """
@@ -25,7 +27,7 @@ import warnings
 import numpy as np
 
 from .core import InvalidInputError, check_cache_size, top_c
-from .estimators import BoundParams, EstimatorKind, estimate_block
+from .estimators import BoundParams, estimate_block
 from .traces import _BLOCK, SlottedTrace
 
 BLOCK_EVENTS = 8192  # a sampling block holds at most max(N, this) events
@@ -54,6 +56,33 @@ def check_eta(eta, what: str = "eta") -> None:
         raise InvalidInputError(f"{what} must be finite and >= 0, got {got}")
 
 
+@dataclass(frozen=True)
+class SeedPlan:
+    """Per-(run, stream) RNG derivation from one base seed.
+
+    stream(run, stream_id) spawns an independent generator keyed by the
+    run index and a stream id: NOISE for decision perturbations,
+    SAMPLING for estimator draws, TRACE for trace generation. The trace
+    stream ignores the run index (one trace per experiment), and the
+    noise stream depends only on the run index, never on the policy, so
+    equal-run comparisons share randomness.
+    """
+
+    base_seed: int
+
+    NOISE = 0
+    SAMPLING = 1
+    TRACE = 2
+
+    def stream(self, run: int, stream_id: int) -> np.random.Generator:
+        seq = np.random.SeedSequence(self.base_seed, spawn_key=(run, stream_id))
+        return np.random.default_rng(seq)
+
+    def derived_trace_seed(self) -> int:
+        seq = np.random.SeedSequence(self.base_seed, spawn_key=(0, self.TRACE))
+        return int(seq.generate_state(1)[0])
+
+
 @dataclass
 class LeaderRuns:
     """What step_perturbed_leaders returns for G leaders over R runs at S sizes.
@@ -72,8 +101,8 @@ def step_perturbed_leaders(
     cache_sizes,
     etas,
     estimators,
-    noise_rngs,
-    sample_rngs,
+    runs: int,
+    plan: SeedPlan,
     observe=None,
 ) -> LeaderRuns:
     """Step G perturbed leaders over R runs at S cache sizes, slot by slot.
@@ -82,25 +111,21 @@ def step_perturbed_leaders(
     it caches the cache_sizes[s] files with the largest
     totals + etas[s][g] * u, ties at the boundary going to the lowest
     index, and pays the slot's misses; only then does it add
-    estimators[g]'s estimate of the slot's counts, drawn from
-    sample_rngs[g][r], to its totals. u is a fresh standard-uniform vector
-    from noise_rngs[r], shared by every leader and size at run r (common
-    random numbers). Since the totals never depend on the cache size,
-    each slot draws u and the estimates once, and every size scores,
-    ranks and charges all G * R rows from them in turn. Each row draws
-    its estimates a block of slots at a time (estimators.estimate_block),
-    and full-rate rows draw none, so the sampling generators must be
-    distinct objects, none of them a noise generator. Blocks hold at most
-    max(N, BLOCK_EVENTS) events.
-    sample_rngs[g][r] is ignored for the exact estimator.
+    estimators[g]'s estimate of the slot's counts to its totals. u is a
+    fresh standard-uniform vector from plan.stream(r, NOISE), shared by
+    every leader and size at run r (common random numbers), and each
+    sampled leader draws its estimates from its own
+    plan.stream(r, SAMPLING). Since the totals never depend on the cache
+    size, each slot draws u and the estimates once, and every size
+    scores, ranks and charges all G * R rows from them in turn. Each row
+    draws its estimates a block of slots, at most max(N, BLOCK_EVENTS)
+    events, at a time (estimators.estimate_block); full-rate rows draw none.
 
     The rows are independent, so they are split across the usable CPUs,
-    one forked process each, by run when R >= 2 and by leader when R = 1
-    (every process then draws the same run-0 noise from its own copy of
-    noise_rngs[0]). Each process writes its rows in place into costs and
-    totals, which live in one shared anonymous mapping; the result does
-    not depend on the split. The state of the generators passed in is
-    unspecified after the call.
+    one forked process each, by run when R >= 2 and by leader when R = 1.
+    Each process derives the streams of its own rows and writes them in
+    place into costs and totals, which live in one shared anonymous
+    mapping; the result does not depend on the split.
 
     observe, if given, is called as observe(t, s, cached) once per slot t
     and size index s: cached is the G x R x N bool mask of each row's
@@ -109,70 +134,57 @@ def step_perturbed_leaders(
     """
     sizes = list(cache_sizes)
     etas = np.asarray(etas, dtype=np.float64)
-    estimators, noise_rngs = list(estimators), list(noise_rngs)
-    sample_rngs = [list(rngs) for rngs in sample_rngs]
+    estimators = list(estimators)
     n, b, horizon = slotted.n_files, slotted.batch_size, slotted.horizon
     for c in sizes:
         check_cache_size(c, n)
     if etas.ndim != 2 or etas.shape[0] != len(sizes):
         raise InvalidInputError("etas must hold one row of leader etas per cache size")
-    groups, runs = etas.shape[1], len(noise_rngs)
+    groups = etas.shape[1]
     if not sizes or groups < 1 or runs < 1:
         raise InvalidInputError("need at least one cache size, leader and run")
-    if len(estimators) != groups or len(sample_rngs) != groups:
-        raise InvalidInputError("estimators and sample_rngs need one entry per leader")
+    if len(estimators) != groups:
+        raise InvalidInputError("estimators need one entry per leader")
     check_eta(etas, "etas")
-    for spec, rngs in zip(estimators, sample_rngs):
-        if len(rngs) != runs:
-            raise InvalidInputError("sample_rngs needs one generator per run")
+    for spec in estimators:
         if spec.batch_size != b:
             raise InvalidInputError(
                 f"estimator batch size {spec.batch_size} does not match "
                 f"the trace's batch size {b}"
             )
-        if spec.kind is not EstimatorKind.EXACT and any(rng is None for rng in rngs):
-            raise InvalidInputError(f"{spec.kind.value} estimation requires an rng")
-    # a generator that two rows draw from would see its draws reordered
-    drawn = [
-        id(rng) for spec, rngs in zip(estimators, sample_rngs) for rng in rngs
-        if spec.kind is not EstimatorKind.EXACT
-    ]
-    if len(set(drawn)) < len(drawn) or not set(drawn).isdisjoint(map(id, noise_rngs)):
-        raise InvalidInputError("each sampling row needs its own generator")
 
-    costs_shape, totals_shape = (len(sizes), groups, runs, horizon), (groups, runs, n)
+    costs, totals = _shared_result((len(sizes), groups, runs, horizon), (groups, runs, n))
     units = runs if runs > 1 else groups  # what the processes split
     procs = 1 if observe is not None else min(units, _usable_cpus())
-    if procs < 2:
-        costs, totals = np.empty(costs_shape, dtype=np.int64), np.zeros(totals_shape)
-        _step_rows(slotted, sizes, etas, estimators, noise_rngs, sample_rngs,
-                   costs, totals, observe)
-    else:
-        costs, totals = _shared_result(costs_shape, totals_shape)
 
-        def step(lo, hi):
-            g, r = (slice(None), slice(lo, hi)) if runs > 1 else (slice(lo, hi), slice(None))
-            _step_rows(slotted, sizes, etas[:, g], estimators[g], noise_rngs[r],
-                       [rngs[r] for rngs in sample_rngs[g]], costs[:, g, r],
-                       totals[g, r], None)
+    def step(lo, hi):
+        g, r = (slice(None), slice(lo, hi)) if runs > 1 else (slice(lo, hi), slice(None))
+        _step_rows(slotted, sizes, etas[:, g], estimators[g], range(runs)[r], plan,
+                   costs[:, g, r], totals[g, r], observe)
 
-        cuts = [units * k // procs for k in range(procs + 1)]
-        _in_processes(step, list(zip(cuts, cuts[1:])))
+    cuts = [units * k // procs for k in range(procs + 1)]
+    _in_processes(step, list(zip(cuts, cuts[1:])))
     return LeaderRuns(costs=costs, totals=totals)
 
 
 def _step_rows(
-    slotted, sizes, etas, estimators, noise_rngs, sample_rngs, costs, totals, observe
+    slotted, sizes, etas, estimators, run_ids, plan, costs, totals, observe
 ) -> None:
     """Step the G x R rows whose results costs and totals hold, in place.
 
-    costs (S x G x R x T) and totals (G x R x N, all zero) may be strided
-    views of a larger result. The inputs are step_perturbed_leaders', for
-    these rows only and already checked.
+    run_ids is the range of these rows' runs: run r draws noise from
+    plan.stream(r, NOISE), and each sampled row at run r from its own
+    plan.stream(r, SAMPLING). costs (S x G x R x T) and totals (G x R x N,
+    all zero) may be strided views of a larger result. The other inputs
+    are step_perturbed_leaders', for these rows only and already checked.
     """
     groups, runs, n = totals.shape
     b, horizon = slotted.batch_size, slotted.horizon
-    samplers = [(s, rng) for s, rngs in zip(estimators, sample_rngs) for rng in rngs]
+    noise_rngs = [plan.stream(r, SeedPlan.NOISE) for r in run_ids]
+    samplers = [
+        (spec, None if spec.full_rate else plan.stream(r, SeedPlan.SAMPLING))
+        for spec in estimators for r in run_ids
+    ]
     rows = groups * runs
     score = np.empty((groups, runs, n))
     noise = np.empty((runs, n))

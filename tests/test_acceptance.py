@@ -142,12 +142,10 @@ def _degeneration_steps():
     """fpl and its two full-rate twins stepped as three rows, decisions recorded.
 
     The engine would step the twins as one column with fpl, so the stepper
-    is called directly. Each full-rate row draws from its own run-r
-    sampling stream.
+    is called directly, with the engine's seed rule.
     """
     def build():
         slotted = batch_trace(generate_zipf(ZipfConfig(300, 1.0, 25_000, seed=3)), 50)
-        plan, runs = SeedPlan(7), range(2)
         policies = (
             PolicySpec("exact", "fpl"),
             PolicySpec("fix-full", "nfpl-fix", subsample=50),
@@ -159,10 +157,8 @@ def _degeneration_steps():
             [30],
             [[spec.resolved_eta(slotted, 30) for spec in policies]],
             [spec.estimator_spec(50) for spec in policies],
-            [plan.stream(run, SeedPlan.NOISE) for run in runs],
-            [[None] * len(runs)]
-            + [[plan.stream(run, SeedPlan.SAMPLING) for run in runs]
-               for _ in policies[1:]],
+            2,
+            SeedPlan(7),
             observe=recorder,
         )
         _harvest_proof_steps("c4", stepped.totals.reshape(-1, 300), slotted.totals(), 30)

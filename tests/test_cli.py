@@ -623,6 +623,31 @@ class TestRun:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_cache_size_below_one_before_a_trace_is_read(self, tmp_path, capsys, command):
+        # N is unknown until the file is read, so only the lower bound applies
+        config = write_config(
+            tmp_path,
+            "[experiment]\ncache_size = 0\nbatch_size = 10\n"
+            "[trace]\nkind = file\npath = t.txt\n[policy:ftl]\nkind = ftl\n",
+        )
+        out = tmp_path / "o"
+        assert cli.main([command, "-c", str(config), "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: [experiment] cache_size must be >= 1, got 0\n"
+        assert not out.exists()
+
+    def test_a_repeated_policy_name_names_its_sections(self, tmp_path, capsys):
+        # two sections whose names strip to one policy name
+        config = write_config(tmp_path, RUN_CONFIG.replace(
+            "[policy:ftl]", "[policy: opt]\n    kind = lru\n\n    [policy:ftl]"
+        ))
+        out = tmp_path / "o"
+        assert cli.main(["run", "-c", str(config), "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: [policy:opt], [policy: opt] duplicate policy names: 'opt'\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
     def test_experiment_cache_size_is_one_size(self, tmp_path, capsys, command):
         # a list of sizes belongs to [sweep] cache_sizes or --cache-sizes
         config = write_config(

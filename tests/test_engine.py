@@ -18,6 +18,7 @@ from noisycache import (
     run_experiment,
     run_sweep,
     static_optimum,
+    step_perturbed_leaders,
 )
 
 from noisycache.core import CacheSizeError
@@ -170,6 +171,24 @@ class TestRunExperiment:
             assert np.array_equal(rep.policy("fix").costs[run], base)
             assert np.array_equal(rep.policy("var").costs[run], base)
 
+    def test_leaders_are_one_stepper_call_under_the_config_seed(self):
+        # the stepper owns the seed rule: a direct call at the config's run
+        # count and SeedPlan(base_seed) gives every leader's costs and totals
+        leaders = [PolicySpec("fpl", "fpl"), PolicySpec("fix", "nfpl-fix", rate=0.3),
+                   PolicySpec("var", "nfpl-var", rate=0.5)]
+        cfg = small_config([PolicySpec("opt", "opt"), *leaders], runs=3)
+        rep = run_experiment(cfg)[0]
+        reports = [rep.policy(spec.name) for spec in leaders]
+        stepped = step_perturbed_leaders(
+            batch_trace(small_trace(), 20), [8], [[pol.eta for pol in reports]],
+            [spec.estimator_spec(20) for spec in leaders], cfg.runs,
+            SeedPlan(cfg.base_seed),
+        )
+        for g, pol in enumerate(reports):
+            assert np.array_equal(pol.costs, stepped.costs[0, g])
+            assert np.array_equal(pol.totals, stepped.totals[g])
+        assert not np.array_equal(stepped.totals[:, 0], stepped.totals[:, 1])
+
     def test_zero_eta_fpl_equals_lowest_index_ftl(self):
         rep = run_experiment(
             small_config([PolicySpec("fpl0", "fpl", eta_override=0.0)])
@@ -218,8 +237,9 @@ class TestRunExperiment:
     def test_rejects_bad_configs(self):
         with pytest.raises(InvalidInputError):
             run_experiment(small_config([]))
-        with pytest.raises(InvalidInputError):
-            small_config([PolicySpec("a", "fpl"), PolicySpec("a", "lru")])
+        with pytest.raises(InvalidInputError, match="^duplicate policy names: 'a'$"):
+            small_config([PolicySpec("a", "fpl"), PolicySpec("b", "opt"),
+                          PolicySpec("a", "lru")])
         with pytest.raises(InvalidInputError):
             ExperimentConfig(trace=small_trace(), cache_sizes=(0,), batch_size=5)
         with pytest.raises(InvalidInputError):

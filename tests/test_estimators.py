@@ -16,6 +16,7 @@ from noisycache import (
     EstimatorKind,
     EstimatorSpec,
     InvalidInputError,
+    SeedPlan,
     SlottedTrace,
     bound_params,
     step_perturbed_leaders,
@@ -26,11 +27,10 @@ from noisycache.estimators import estimate_block
 COUNTS = [3, 2, 1, 0]  # six events over four files
 
 
-def _step_one_slot(spec, sample_rng):
+def _step_one_slot(spec):
     """Run spec through the stepper, the sampler's one caller, on one slot."""
     slotted = SlottedTrace(np.repeat([0, 1, 2], [3, 2, 1]), n_files=4, batch_size=6)
-    noise_rng = np.random.default_rng(0)
-    step_perturbed_leaders(slotted, [2], [[1.0]], [spec], [noise_rng], [[sample_rng]])
+    step_perturbed_leaders(slotted, [2], [[1.0]], [spec], 1, SeedPlan(0))
 
 
 class TestSpecValidation:
@@ -64,14 +64,10 @@ class TestExact:
 
     def test_batch_size_mismatch(self):
         with pytest.raises(InvalidInputError, match="batch size"):
-            _step_one_slot(EstimatorSpec.exact(5), None)
+            _step_one_slot(EstimatorSpec.exact(5))
 
 
 class TestFixedSubsample:
-    def test_requires_rng(self):
-        with pytest.raises(InvalidInputError, match="requires an rng"):
-            _step_one_slot(EstimatorSpec.fixed_subsample(2, 6), None)
-
     def test_l1_mass_is_conserved(self):
         # (B/b) * b kept events = B exactly, every single draw
         rng = np.random.default_rng(0)
@@ -112,10 +108,6 @@ class TestFixedSubsample:
 
 
 class TestBernoulli:
-    def test_requires_rng(self):
-        with pytest.raises(InvalidInputError, match="requires an rng"):
-            _step_one_slot(EstimatorSpec.bernoulli(0.5, 6), None)
-
     def test_full_rate_degenerates_to_exact(self):
         rng = np.random.default_rng(5)
         spec = EstimatorSpec.bernoulli(1.0, 6)

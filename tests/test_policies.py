@@ -253,11 +253,11 @@ def _leaders_at_sizes(draw, slotted):
     return slotted, sizes, etas, estimators, runs, SeedPlan(seed)
 
 
-def _step_exact(slotted, cache_size, eta, noise_rngs):
-    """One exact leader at eta over one run per noise generator, recorded."""
+def _step_exact(slotted, cache_size, eta, runs, plan):
+    """One exact leader at eta over runs, seeded by plan, recorded."""
     return _recorded_steps(
         slotted, [cache_size], [[eta]], [EstimatorSpec.exact(slotted.batch_size)],
-        noise_rngs, [[None] * len(noise_rngs)],
+        runs, plan,
     )
 
 
@@ -267,12 +267,7 @@ class TestStepPerturbedLeaders:
     def test_matches_per_run_perturbed_leader(self, problem):
         slotted, c, etas, estimators, runs, plan = problem
         stepped, recorded = _recorded_steps(
-            slotted,
-            [c],
-            [etas],
-            estimators,
-            [plan.stream(r, SeedPlan.NOISE) for r in range(runs)],
-            [[plan.stream(r, SeedPlan.SAMPLING) for r in range(runs)] for _ in etas],
+            slotted, [c], [etas], estimators, runs, plan
         )
         for g, (eta, est) in enumerate(zip(etas, estimators)):
             for r in range(runs):
@@ -300,13 +295,7 @@ class TestStepPerturbedLeaders:
     def _check_reference_runs(problem):
         slotted, sizes, etas, estimators, runs, plan = problem
         stepped, recorded = _recorded_steps(
-            slotted,
-            sizes,
-            etas,
-            estimators,
-            [plan.stream(r, SeedPlan.NOISE) for r in range(runs)],
-            [[plan.stream(r, SeedPlan.SAMPLING) for r in range(runs)]
-             for _ in estimators],
+            slotted, sizes, etas, estimators, runs, plan
         )
         shape = (len(sizes), len(estimators), runs, slotted.horizon)
         assert stepped.costs.shape == shape
@@ -330,45 +319,42 @@ class TestStepPerturbedLeaders:
         slotted = SlottedTrace(events, n_files=4, batch_size=4)
         exact = EstimatorSpec.exact(4)
         etas = [[0.0, 0.5, 5.0], [0.0, 0.5, 5.0]]
-        seeds = (21, 22)
-        stepped, recorded = _recorded_steps(
-            slotted, [2, 1], etas, [exact] * 3,
-            [np.random.default_rng(s) for s in seeds], [[None, None]] * 3,
-        )
+        plan = SeedPlan(21)
+        stepped, recorded = _recorded_steps(slotted, [2, 1], etas, [exact] * 3, 2, plan)
         for r in range(2):
             assert recorded[0, 0, r, 1].tolist() == [0, 0, 1, 1]
             assert recorded[1, 0, r, 1].tolist() == [0, 1, 1, 1]
         for s, c in enumerate([2, 1]):
             for g in (1, 2):
-                for r, seed in enumerate(seeds):
+                for r in range(2):
+                    noise = plan.stream(r, SeedPlan.NOISE)
                     costs, _, decisions = reference_leader_run(
-                        slotted, c, etas[s][g], exact, np.random.default_rng(seed), None
+                        slotted, c, etas[s][g], exact, noise, None
                     )
                     assert np.array_equal(recorded[s, g, r], decisions)
                     assert np.array_equal(stepped.costs[s, g, r], costs)
 
     def test_zero_eta_first_decision_caches_lowest_indices(self):
         slotted = SlottedTrace(np.array([4, 3]), n_files=5, batch_size=2)
-        _, recorded = _step_exact(slotted, 3, 0.0, [np.random.default_rng(1)])
+        _, recorded = _step_exact(slotted, 3, 0.0, 1, SeedPlan(1))
         assert recorded[0, 0, 0, 0].tolist() == [0, 0, 0, 1, 1]
 
     def test_tiny_noise_cannot_overturn_a_large_lead(self):
         # slot 0 gives file 0 a lead of 10; 50 runs each draw fresh noise
         slotted = SlottedTrace(np.repeat([0, 1], 10), n_files=3, batch_size=10)
-        rngs = [np.random.default_rng(2 + r) for r in range(50)]
-        _, recorded = _step_exact(slotted, 1, 1e-6, rngs)
+        _, recorded = _step_exact(slotted, 1, 1e-6, 50, SeedPlan(2))
         for r in range(50):
             assert recorded[0, 0, r, 1].tolist() == [0, 1, 1]
 
     def test_exact_observation_accumulates_true_counts(self):
         slotted = SlottedTrace(np.array([0, 1, 1, 1, 2, 3]), n_files=4, batch_size=3)
-        stepped, _ = _step_exact(slotted, 2, 1.0, [np.random.default_rng(3)])
+        stepped, _ = _step_exact(slotted, 2, 1.0, 1, SeedPlan(3))
         assert stepped.totals[0, 0].tolist() == [1.0, 3.0, 1.0, 1.0]
 
     def test_zero_eta_matches_follow_the_leader(self):
         # with no noise fpl is the leader over exact totals, ties to the lowest index
         slotted = batch_trace(generate_zipf(ZipfConfig(40, 1.0, 600, seed=11)), 20)
-        _, recorded = _step_exact(slotted, 8, 0.0, [np.random.default_rng(4)])
+        _, recorded = _step_exact(slotted, 8, 0.0, 1, SeedPlan(4))
         totals = np.zeros(40)
         for t, window in enumerate(slotted.events.reshape(-1, 20)):
             assert np.array_equal(recorded[0, 0, 0, t], ~reference_top_c(totals, 8))
@@ -379,8 +365,7 @@ class TestStepPerturbedLeaders:
         specs = [EstimatorSpec.exact(10), EstimatorSpec.fixed_subsample(10, 10),
                  EstimatorSpec.bernoulli(1.0, 10)]
         stepped, recorded = _recorded_steps(
-            slotted, [5], [[25.0] * 3], specs, [np.random.default_rng(77)],
-            [[None], [np.random.default_rng(5)], [np.random.default_rng(6)]],
+            slotted, [5], [[25.0] * 3], specs, 1, SeedPlan(77)
         )
         for g in (1, 2):
             assert np.array_equal(recorded[:, g], recorded[:, 0])
@@ -389,56 +374,31 @@ class TestStepPerturbedLeaders:
 
     def test_rejects_bad_inputs(self):
         slotted = SlottedTrace(np.array([0, 1]), n_files=4, batch_size=2)
-        rng = np.random.default_rng(0)
+        plan = SeedPlan(0)
         exact = EstimatorSpec.exact(2)
         for eta, got in ((float("nan"), "[[nan]]"), (-1.0, "[[-1.0]]")):
             message = f"^etas must be finite and >= 0, got {re.escape(got)}$"
             with pytest.raises(InvalidInputError, match=message):
-                step_perturbed_leaders(slotted, [2], [[eta]], [exact], [rng], [[None]])
-        with pytest.raises(InvalidInputError):
+                step_perturbed_leaders(slotted, [2], [[eta]], [exact], 1, plan)
+        with pytest.raises(InvalidInputError, match="batch size"):
             step_perturbed_leaders(
-                slotted, [2], [[1.0]], [EstimatorSpec.bernoulli(0.5, 2)], [rng], [[None]]
+                slotted, [2], [[1.0]], [EstimatorSpec.exact(3)], 1, plan
             )
-        with pytest.raises(InvalidInputError):
-            step_perturbed_leaders(
-                slotted, [2], [[1.0]], [EstimatorSpec.exact(3)], [rng], [[None]]
-            )
+        with pytest.raises(InvalidInputError, match="leader and run"):
+            step_perturbed_leaders(slotted, [2], [[1.0]], [exact], 0, plan)
         for size in (0, 5):
             with pytest.raises(InvalidInputError, match="cache_size"):
-                step_perturbed_leaders(slotted, [size], [[1.0]], [exact], [rng], [[None]])
-
-    def test_rejects_shared_sampling_generators(self):
-        # block draws would reorder the draws of a generator two rows share
-        slotted = SlottedTrace(np.array([0, 1, 1, 2]), n_files=4, batch_size=2)
-        var = EstimatorSpec.bernoulli(0.5, 2)
-        full = EstimatorSpec.fixed_subsample(2, 2)
-        noise, other, shared = (np.random.default_rng(s) for s in range(3))
-        for noise_rngs, specs, sample_rngs in [
-            ([noise], [var, full], [[shared], [shared]]),
-            ([noise, other], [var], [[shared, shared]]),
-            ([noise], [var], [[noise]]),
-            ([noise, other], [full], [[shared, other]]),
-        ]:
-            with pytest.raises(InvalidInputError, match="own generator"):
-                step_perturbed_leaders(
-                    slotted, [2], [[1.0] * len(specs)], specs, noise_rngs, sample_rngs
-                )
-        exact = EstimatorSpec.exact(2)  # its generator is never drawn from
-        step_perturbed_leaders(
-            slotted, [2], [[1.0, 1.0]], [exact, var], [noise], [[noise], [shared]]
-        )
+                step_perturbed_leaders(slotted, [size], [[1.0]], [exact], 1, plan)
 
 
 class TestObserver:
     def test_recorded_decisions_replay_the_costs(self):
         # each recorded slot caches exactly C files and prices that slot's misses
         slotted = batch_trace(generate_zipf(ZipfConfig(40, 1.0, 2000, seed=21)), 20)
-        plan = SeedPlan(99)
         stepped, recorded = _recorded_steps(
             slotted, [8, 3], [[50.0, 100.0], [35.0, 70.0]],
             [EstimatorSpec.exact(20), EstimatorSpec.bernoulli(0.5, 20)],
-            [plan.stream(r, SeedPlan.NOISE) for r in range(2)],
-            [[None, None], [plan.stream(r, SeedPlan.SAMPLING) for r in range(2)]],
+            2, SeedPlan(99),
         )
         runs = [(8, *_recorded_ftl(slotted, 8))] + [
             (c, stepped.costs[s, g, r], recorded[s, g, r])
@@ -461,11 +421,8 @@ class TestObserver:
                  EstimatorSpec.bernoulli(0.3, 20)]
 
         def step(observe):
-            plan = SeedPlan(5)
             return step_perturbed_leaders(
-                slotted, [8, 3], [[50.0] * 3, [35.0] * 3], specs,
-                [plan.stream(r, SeedPlan.NOISE) for r in range(3)],
-                [[plan.stream(r, SeedPlan.SAMPLING) for r in range(3)] for _ in specs],
+                slotted, [8, 3], [[50.0] * 3, [35.0] * 3], specs, 3, SeedPlan(5),
                 observe=observe,
             )
 
@@ -479,18 +436,13 @@ class TestObserver:
 def _large_sweep_shape(runs):
     """7 leaders at 2 cache sizes over `runs` runs: the large-sweep mix, smaller.
 
-    Returns the arguments of step_perturbed_leaders with fresh generators.
+    Returns the arguments of step_perturbed_leaders.
     """
     slotted = batch_trace(generate_zipf(ZipfConfig(300, 1.0, 6000, seed=3)), 20)
     specs = [EstimatorSpec.fixed_subsample(k, 20) for k in (1, 2, 10)]
     specs += [EstimatorSpec.exact(20)]
     specs += [EstimatorSpec.bernoulli(rate, 20) for rate in (0.05, 0.1, 0.5)]
-    plan = SeedPlan(11)
-    return (
-        slotted, [10, 120], [[40.0] * 7, [90.0] * 7], specs,
-        [plan.stream(r, SeedPlan.NOISE) for r in range(runs)],
-        [[plan.stream(r, SeedPlan.SAMPLING) for r in range(runs)] for _ in specs],
-    )
+    return slotted, [10, 120], [[40.0] * 7, [90.0] * 7], specs, runs, SeedPlan(11)
 
 
 def _step_on(monkeypatch, cpus, *args, **kwargs):
@@ -504,8 +456,9 @@ class TestProcessSplit:
     @pytest.mark.parametrize("runs", [1, 2, 5])
     @pytest.mark.parametrize("cpus", [2, 3])
     def test_matches_the_serial_stepper(self, monkeypatch, runs, cpus):
-        serial = _step_on(monkeypatch, 1, *_large_sweep_shape(runs))
         forked = record_forks(monkeypatch)
+        serial = _step_on(monkeypatch, 1, *_large_sweep_shape(runs))
+        assert forked == []  # one share is stepped here, through the same path
         split = _step_on(monkeypatch, cpus, *_large_sweep_shape(runs))
         assert len(forked) == min(cpus, runs if runs > 1 else 7) - 1
         assert_reaped(forked)
@@ -519,12 +472,7 @@ class TestProcessSplit:
 
         def step(count):
             policies._usable_cpus = lambda: count
-            return step_perturbed_leaders(
-                slotted, sizes, etas, estimators,
-                [plan.stream(r, SeedPlan.NOISE) for r in range(runs)],
-                [[plan.stream(r, SeedPlan.SAMPLING) for r in range(runs)]
-                 for _ in estimators],
-            )
+            return step_perturbed_leaders(slotted, sizes, etas, estimators, runs, plan)
 
         usable = policies._usable_cpus
         try:
@@ -726,8 +674,7 @@ class TestStaticOpt:
     follow_the_leader,
     least_recently_used,
     lambda slotted, c: step_perturbed_leaders(
-        slotted, [c], [[1.0]], [EstimatorSpec.exact(2)], [np.random.default_rng(0)],
-        [[None]],
+        slotted, [c], [[1.0]], [EstimatorSpec.exact(2)], 1, SeedPlan(0)
     ),
 ], ids=["opt", "ftl", "lru", "stepper"])
 def test_every_policy_checks_the_cache_size(policy, cache_size):
