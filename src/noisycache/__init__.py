@@ -30,10 +30,10 @@ _LAZY = {
     ),
     "estimators": ("EstimatorKind", "EstimatorSpec", "BoundParams", "bound_params"),
     "policies": (
-        "compute_eta", "follow_the_leader", "least_recently_used",
+        "follow_the_leader", "least_recently_used",
         "static_optimum", "step_perturbed_leaders", "LeaderRuns", "SeedPlan",
     ),
-    "metrics": ("average_miss_ratio", "regret_bound", "decile_band"),
+    "metrics": ("average_miss_ratio", "compute_eta", "regret_bound", "decile_band"),
     "engine": (
         "PolicySpec", "ExperimentConfig", "ExperimentReport",
         "PolicyReport", "run_experiment", "run_sweep",

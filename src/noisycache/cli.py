@@ -203,6 +203,8 @@ def load_config(path: str):
     if "sweep" in parser:
         sweep.update(_read(parser["sweep"], "sweep", _SWEEP))
     config = _named("[experiment] ", ExperimentConfig, trace=trace, **experiment)
+    for section, spec in zip(sections, policies):  # a policy's own keys are its to report
+        _named(f"[{section}] ", spec.estimator_spec, config.batch_size)
     # [policy:a] and [policy: a] name one policy: a repeat is theirs to report
     names = [spec.name for spec in policies]
     where = ", ".join(f"[{section}]" for section, name in zip(sections, names)
@@ -382,9 +384,7 @@ def cmd_run(args) -> int:
         raise ConfigError("run requires at least one [policy:NAME] section")
     # cache_size and batch_size are the values that only the built trace checks
     (report,) = _named("[experiment] ", run_experiment, config)
-    etas = {
-        pol.spec.name: pol.eta for pol in report.policies if pol.eta is not None
-    }
+    etas = {pol.spec.name: pol.eta for pol in report.policies if pol.eta is not None}
     files = {
         "series.csv": _render_series(report),
         "summary.csv": _render_summary(report),

@@ -3,7 +3,8 @@
 One experiment = one trace, a set of policies, and M runs per stochastic
 policy at each of the config's cache sizes, one ExperimentReport per
 size. run_experiment (each leader at its own eta) and run_sweep (a
-generated grid of rate cells at fpl's eta) share one path.
+generated grid of rate cells at fpl's eta) differ only in the eta rule
+they pass one path, and each leader's regret bound is the one at its eta.
 The engine builds one policies.SeedPlan from the config's base seed, and
 the stepper derives every run's streams from it: run r of ANY
 perturbed-leader policy draws the same noise sequence, so policies under
@@ -36,11 +37,10 @@ import numpy as np
 
 from .core import CacheSizeError, InvalidInputError, check_cache_size
 from .estimators import EstimatorSpec, bound_params, check_rate
-from .metrics import average_miss_ratio, decile_band, regret_bound
+from .metrics import average_miss_ratio, compute_eta, decile_band, regret_bound
 from .policies import (
     SeedPlan,
     check_eta,
-    compute_eta,
     follow_the_leader,
     least_recently_used,
     static_optimum,
@@ -126,24 +126,27 @@ class PolicySpec:
             )
         estimator = self.estimator_spec(slotted.batch_size)
         eta = compute_eta(bound_params(estimator, n, cache_size), slotted.horizon)
-        if not math.isfinite(eta):  # B / rate overflows at a tiny enough rate
-            raise InvalidInputError(
-                f"policy {self.name!r} ({self.kind}, rate {self.rate}) has no "
-                "finite perturbation scale; raise its rate or set its eta"
-            )
-        return eta
+        return self._finite(eta, "perturbation scale; raise its rate or set its eta")
 
-    def resolved_bound(self, slotted: SlottedTrace, cache_size: int) -> float:
-        """metrics.regret_bound for this policy's estimator at this trace and size."""
+    def resolved_bound(self, slotted: SlottedTrace, cache_size: int, eta: float):
+        """metrics.regret_bound for this policy's estimator at eta; None at eta 0."""
+        if eta == 0:
+            return None
         estimator = self.estimator_spec(slotted.batch_size)
         bounds = bound_params(estimator, slotted.n_files, cache_size)
-        bound = regret_bound(bounds, slotted.horizon)
-        if not math.isfinite(bound):  # (B / rate)^2 overflows at a tiny enough rate
+        bound = regret_bound(bounds, slotted.horizon, eta)
+        mass = bounds.cost_bound * bounds.l1_bound * slotted.horizon
+        fix = "eta" if math.isfinite(mass) else "rate"  # what overflowed R * A * T / eta
+        return self._finite(bound, f"regret bound; raise its {fix}")
+
+    def _finite(self, value: float, what: str) -> float:
+        """value, or an error naming this policy if it overflowed a float."""
+        if not math.isfinite(value):
             raise InvalidInputError(
                 f"policy {self.name!r} ({self.kind}, rate {self.rate}) has no "
-                "finite regret bound; raise its rate"
+                f"finite {what}"
             )
-        return bound
+        return value
 
     def estimator_spec(self, batch_size: int) -> EstimatorSpec | None:
         if self.kind == "fpl":
@@ -206,7 +209,8 @@ class PolicyReport:
     costs is R x T misses per slot (one row, standing in for every run,
     for lru, ftl and opt), totals R x N final estimates or None. A
     perturbed leader's are views of the stepper's result, shared with its
-    twins. regret is cum_cost - opt_cost; bound is None where none applies.
+    twins. regret is cum_cost - opt_cost; bound is metrics.regret_bound at
+    eta, None for lru, ftl and opt and at eta 0.
     """
 
     spec: PolicySpec
@@ -292,36 +296,27 @@ def _aggregate(spec, eta, costs, totals, batch_size, optimum, bound):
     mean, d1, d9 = decile_band(average_miss_ratio(costs, batch_size))
     # int64 run sums are exact as floats below 2**53, in any summation order
     cum = float(costs.sum(axis=1).mean())
-    return PolicyReport(
-        spec, eta, mean, d1, d9, cum, cum - optimum, bound, costs, totals
-    )
+    return PolicyReport(spec, eta, mean, d1, d9, cum, cum - optimum, bound, costs, totals)
 
 
-def _own_scales(slotted, size, leaders):
-    """Each leader's own eta and regret bound at size; an eta's error comes first."""
-    etas = [spec.resolved_eta(slotted, size) for spec in leaders]
-    return etas, [spec.resolved_bound(slotted, size) for spec in leaders]
-
-
-def _pinned_scales(slotted, size, leaders):
-    """fpl's eta at size for every leader, and no regret bound."""
+def _pinned_eta(spec, slotted, size):
+    """fpl's eta at size, the one every sweep cell runs at."""
     if size == slotted.n_files:  # diameter 0: nothing to decide
         raise CacheSizeError(
             f"cache_size {size} holds all {size} files, "
             "so the sweep has no perturbation scale to pin"
         )
-    eta = PolicySpec("fpl", "fpl").resolved_eta(slotted, size)
-    return [eta] * len(leaders), [None] * len(leaders)
+    return PolicySpec("fpl", "fpl").resolved_eta(slotted, size)
 
 
-def _run(config: ExperimentConfig, scales) -> list[ExperimentReport]:
+def _run(config: ExperimentConfig, eta_of) -> list[ExperimentReport]:
     """Run config's policies on its one trace at each of its cache sizes.
 
-    scales(slotted, size, leaders) gives the perturbed leaders' etas and
-    regret bounds at one size. It is asked at every size before any
-    policy runs, and every leader at every size is stepped in one call.
-    A trace the engine builds from a config is slotted in place, so the
-    run holds one copy of its events; a caller's Trace is copied instead.
+    eta_of(spec, slotted, size) is a perturbed leader's eta at one size.
+    Every eta, then every regret bound, is resolved before any policy
+    runs, and every leader at every size is stepped in one call. A trace
+    the engine builds from a config is slotted in place, so the run holds
+    one copy of its events; a caller's Trace is copied instead.
     """
     plan = SeedPlan(config.base_seed)
     source, trace = _resolve_trace(config.trace, plan)
@@ -335,7 +330,9 @@ def _run(config: ExperimentConfig, scales) -> list[ExperimentReport]:
         check_cache_size(size, slotted.n_files)
     b = slotted.batch_size
     leaders = [spec for spec in config.policies if spec.stochastic]
-    etas, bounds = zip(*(scales(slotted, size, leaders) for size in sizes))
+    etas = [[eta_of(spec, slotted, size) for spec in leaders] for size in sizes]
+    bounds = [[spec.resolved_bound(slotted, size, eta) for spec, eta in zip(leaders, row)]
+              for size, row in zip(sizes, etas)]
     stepped, columns = None, []
     if leaders:
         estimators = [spec.estimator_spec(b) for spec in leaders]
@@ -378,11 +375,11 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentReport]:
 
     Returns a report per cache size. Each perturbed leader runs at its
     own eta, the override or compute_eta's value, and carries its regret
-    bound. The perturbed leaders are stepped together, all runs at once.
+    bound at that eta. The leaders are stepped together, all runs at once.
     """
     if not config.policies:
         raise InvalidInputError("at least one policy is required")
-    return _run(config, _own_scales)
+    return _run(config, PolicySpec.resolved_eta)
 
 
 def check_sweep_rates(rates) -> tuple[float, ...]:
@@ -422,7 +419,7 @@ def run_sweep(
     size, in the order of config.cache_sizes. Each cell's eta is pinned
     per size to fpl's, the rate-independent scale the fixed subsampler
     would pick for itself at any rate, so cells differ only in what the
-    estimator samples; cells carry no regret bound.
+    estimator samples; each cell carries its regret bound at that eta.
     """
     rates, variants = check_sweep_rates(rates), check_sweep_variants(variants)
     cells = tuple(
@@ -430,4 +427,4 @@ def run_sweep(
         for variant in variants
         for rate in rates
     )
-    return _run(replace(config, policies=cells), _pinned_scales)
+    return _run(replace(config, policies=cells), _pinned_eta)

@@ -1,11 +1,11 @@
-"""Run-level metrics: miss ratios, regret bounds, deciles.
+"""Run-level metrics: miss ratios, the perturbation scale, regret bounds, deciles.
 
 A run produces a length-T per-slot cost series, and M runs an M x T
 matrix of them; everything here is a pure function of such series (plus
 the problem geometry), so the same metrics apply whether a series came
 from the engine or was computed by hand in a test. A policy's regret is
 one subtraction, its mean cumulative cost minus the optimum's, which
-the engine's PolicyReport holds next to regret_bound's value.
+the engine's PolicyReport holds next to regret_bound at the policy's eta.
 """
 
 import math
@@ -33,13 +33,29 @@ def average_miss_ratio(costs, batch_size: int) -> np.ndarray:
     return np.cumsum(arr, axis=-1) / (batch_size * slots)
 
 
-def regret_bound(bounds: BoundParams, horizon: int) -> float:
-    """A priori regret bound 2 * sqrt(cost_bound * l1_bound * diameter * horizon)."""
+def compute_eta(bounds: BoundParams, horizon: int) -> float:
+    """sqrt(cost_bound * l1_bound * horizon / diameter), the eta minimising regret_bound.
+
+    Requires a positive diameter (a cache that holds everything, or
+    nothing, has no decision to make).
+    """
     if horizon < 1:
         raise InvalidInputError(f"horizon must be >= 1, got {horizon}")
-    return 2.0 * math.sqrt(
-        bounds.cost_bound * bounds.l1_bound * bounds.diameter * horizon
-    )
+    if bounds.diameter <= 0:
+        raise InvalidInputError("diameter must be positive to set a perturbation scale")
+    return math.sqrt(bounds.cost_bound * bounds.l1_bound * horizon / bounds.diameter)
+
+
+def regret_bound(bounds: BoundParams, horizon: int, eta: float) -> float:
+    """Expected regret bound eta * diameter + cost_bound * l1_bound * horizon / eta.
+
+    Kalai & Vempala's additive bound for perturbations uniform on [0, eta]^N.
+    """
+    if horizon < 1:
+        raise InvalidInputError(f"horizon must be >= 1, got {horizon}")
+    if not eta > 0:
+        raise InvalidInputError(f"eta must be > 0 for a regret bound, got {eta}")
+    return eta * bounds.diameter + bounds.cost_bound * bounds.l1_bound * horizon / eta
 
 
 def decile_band(ratios) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

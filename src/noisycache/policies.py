@@ -27,25 +27,10 @@ import warnings
 import numpy as np
 
 from .core import InvalidInputError, check_cache_size, top_c
-from .estimators import BoundParams, estimate_block
+from .estimators import estimate_block
 from .traces import _BLOCK, SlottedTrace
 
 BLOCK_EVENTS = 8192  # a sampling block holds at most max(N, this) events
-
-
-def compute_eta(bounds: BoundParams, horizon: int) -> float:
-    """Perturbation scale sqrt(cost_bound * l1_bound * horizon / diameter).
-
-    This is the scale that balances the perturbation penalty against the
-    switching cost in the regret analysis; regret under it is bounded by
-    metrics.regret_bound. Requires a positive diameter (a cache that
-    holds everything, or nothing, has no decision to make).
-    """
-    if horizon < 1:
-        raise InvalidInputError(f"horizon must be >= 1, got {horizon}")
-    if bounds.diameter <= 0:
-        raise InvalidInputError("diameter must be positive to set a perturbation scale")
-    return math.sqrt(bounds.cost_bound * bounds.l1_bound * horizon / bounds.diameter)
 
 
 def check_eta(eta, what: str = "eta") -> None:

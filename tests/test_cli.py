@@ -4,6 +4,7 @@ import configparser
 import csv
 import errno
 import hashlib
+import math
 import os
 import pathlib
 import re
@@ -531,7 +532,7 @@ class TestRun:
          "[trace] unsupported key(s): remap"),
         (["run"], "[policy:var]",
          "[policy:fix]\nkind = nfpl-fix\nsubsample = 50\n[policy:var]",
-         "policy 'fix': subsample must be in [1, 20], got 50"),
+         "[policy:fix] subsample must be in [1, 20], got 50"),
         (["run"], "cache_size = 8", "cache_size = 43",
          "[experiment] cache_size must be in [1, 40], got 43"),
         (["sweep"], "cache_size = 8", "cache_size = 43",
@@ -562,9 +563,13 @@ class TestRun:
         (["run"], "rate = 0.5", "rate = 1e-300\n    eta = 5",
          "[experiment] policy 'var' (nfpl-var, rate 1e-300) has no finite "
          "regret bound; raise its rate"),
-        (["run"], "rate = 0.5", "rate = 2e-152",
-         "[experiment] policy 'var' (nfpl-var, rate 2e-152) has no finite "
-         "regret bound; raise its rate"),
+        (["sweep", "--rates", "1e-300"], "", "",
+         "[experiment] policy 'nfpl-var-1e-300' (nfpl-var, rate 1e-300) has no "
+         "finite regret bound; raise its rate"),
+        (["run"], "[policy:var]",
+         "[policy:tiny]\nkind = fpl\neta = 1e-310\n[policy:var]",
+         "[experiment] policy 'tiny' (fpl, rate None) has no finite regret bound; "
+         "raise its eta"),
         (["run"], "cache_size = 8", "warp = 8",
          "[experiment] unsupported key(s): warp"),
         (["run"], "base_seed = 99\n\n    [trace]\n    kind = zipf",
@@ -587,7 +592,8 @@ class TestRun:
             "sweep-cache-holds-all-files", "sweep-flag-cache-holds-all-files",
             "sweep-section-cache-holds-all-files", "batch-above-trace",
             "sweep-batch-above-trace", "var-rate-overflows-eta",
-            "var-rate-overflows-bound", "var-rate-overflows-bound-not-eta",
+            "var-rate-overflows-bound", "sweep-var-rate-overflows-bound",
+            "tiny-eta-overflows-bound",
             "unknown-before-missing", "experiment-before-trace",
             "trace-kind-before-unknown", "trace-unknown-before-missing",
             "trace-unparsable", "policy-unknown-before-missing",
@@ -599,6 +605,48 @@ class TestRun:
         assert cli.main([command, "-c", str(config), "-o", str(out), *flags]) == 2
         assert where in capsys.readouterr().err
         assert not out.exists()
+
+    def test_a_rate_whose_bound_product_overflows_runs(self, tmp_path):
+        # (B / rate)^2 * D * T overflows at rate 2e-152, but the tuned eta
+        # and the bound at it, eta * D + (B / rate)^2 * T / eta, are finite
+        config = write_config(tmp_path, RUN_CONFIG.replace("rate = 0.5", "rate = 2e-152"))
+        out = tmp_path / "o"
+        assert cli.main(["run", "-c", str(config), "-o", str(out)]) == 0
+        var = {r["policy"]: r for r in read_rows(out / "summary.csv")}["var"]
+        assert math.isfinite(float(var["bound"]))
+        assert float(var["regret"]) <= float(var["bound"])
+
+    def test_each_leaders_bound_is_the_one_at_its_eta(self, tmp_path):
+        # a 2, 1, 2, 1, ... trace at C = B = 1: eta = 0 is ftl under the
+        # lowest-index tiebreak and misses every request, so no bound
+        # exists for it; eta = 1 has eta * D + R * A * T / eta = 2 + 40000
+        trace_path = tmp_path / "t.txt"
+        trace_path.write_text("2\n1\n" * 20000)
+        config = write_config(tmp_path, f"""\
+            [experiment]
+            cache_size = 1
+            batch_size = 1
+
+            [trace]
+            kind = file
+            path = {trace_path}
+            remap = false
+            files = 2
+
+            [policy:zero]
+            kind = fpl
+            eta = 0
+
+            [policy:one]
+            kind = fpl
+            eta = 1
+            """)
+        out = tmp_path / "o"
+        assert cli.main(["run", "-c", str(config), "-o", str(out)]) == 0
+        rows = {r["policy"]: r for r in read_rows(out / "summary.csv")}
+        assert (rows["zero"]["regret"], rows["zero"]["bound"]) == ("20000.0", "")
+        assert rows["one"]["bound"] == "40002.0"
+        assert float(rows["one"]["regret"]) <= 40002.0
 
     @pytest.mark.parametrize("argv,where", [
         (["run"], "[experiment] cache_size must be in [1, 40], got 43"),
@@ -998,7 +1046,7 @@ GOLDEN_SHA256 = {
     "run-round-robin-overrides": {
         "config_echo.ini": "cfbbb9a9ae730d5fd8eab29dbf2d01ec0fadc2b311ae001ab83946393efaadd3",
         "series.csv": "9439feb0f831b9f57d8c666a19df6539d8293fab516eedd011a4e6ee14b5e91f",
-        "summary.csv": "e9b721af77901a9d3d4852b9caa522107bc7e4b2cdc0dce4ea7208b5797189f9",
+        "summary.csv": "f551f62ca82e19198707dcfb086faafcc531c4fb6777fb4a673f2eed721b9fb3",
     },
     "sweep-two-sizes": {
         "config_echo.ini": "db679cdb65af65e7c9bcbb8466288921d59b274d24be6c97b6710623373c541f",

@@ -14,6 +14,7 @@ from noisycache import (
     Trace,
     average_miss_ratio,
     batch_trace,
+    compute_eta,
     decile_band,
     generate_round_robin,
     regret_bound,
@@ -99,19 +100,33 @@ class TestOptCost:
 
 
 class TestRegretBound:
+    # at compute_eta's eta, eta * D + R * A * T / eta is 2 * sqrt(R * A * D * T)
     def test_desk_scale_values(self):
         exact = BoundParams(cost_bound=200.0, l1_bound=200.0, diameter=200)
-        assert regret_bound(exact, 500) == pytest.approx(126491.10640673517, rel=1e-12)
+        eta = compute_eta(exact, 500)
+        assert regret_bound(exact, 500, eta) == pytest.approx(126491.10640673517, rel=1e-12)
         half = BoundParams(cost_bound=400.0, l1_bound=400.0, diameter=200)
-        assert regret_bound(half, 500) == pytest.approx(252982.21281347034, rel=1e-12)
+        eta = compute_eta(half, 500)
+        assert regret_bound(half, 500, eta) == pytest.approx(252982.21281347034, rel=1e-12)
 
     def test_formula(self):
         bounds = BoundParams(cost_bound=3.0, l1_bound=5.0, diameter=4)
-        assert regret_bound(bounds, 7) == pytest.approx(2 * math.sqrt(3 * 5 * 4 * 7))
+        assert regret_bound(bounds, 7, compute_eta(bounds, 7)) == pytest.approx(
+            2 * math.sqrt(3 * 5 * 4 * 7), rel=1e-12
+        )
+
+    def test_formula_at_an_untuned_eta(self):
+        bounds = BoundParams(cost_bound=3.0, l1_bound=5.0, diameter=4)
+        assert regret_bound(bounds, 7, 2.0) == 2.0 * 4 + 3 * 5 * 7 / 2.0
 
     def test_rejects_bad_horizon(self):
         with pytest.raises(InvalidInputError):
-            regret_bound(BoundParams(1.0, 1.0, 2), 0)
+            regret_bound(BoundParams(1.0, 1.0, 2), 0, 1.0)
+
+    @pytest.mark.parametrize("eta", [0.0, -1.0, math.nan])
+    def test_rejects_an_eta_not_above_zero(self, eta):
+        with pytest.raises(InvalidInputError, match="eta must be > 0"):
+            regret_bound(BoundParams(1.0, 1.0, 2), 10, eta)
 
 
 class TestDecileBand:
