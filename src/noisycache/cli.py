@@ -138,6 +138,13 @@ def _named(source, build, *args, **kwargs):
         raise ConfigError(f"{source}{exc}") from None
 
 
+def _keyed(exc, rows) -> str:
+    """exc's message, led by the key of the field it starts with, if rows have it."""
+    field = str(exc).split()[0]
+    key = next((row[0] for row in rows if row[1] == field), None)
+    return str(exc) if key is None else f"{key}: {exc}"
+
+
 def _read_trace(section):
     kind = _field(section, "trace", _KIND)
     if kind not in _TRACES:
@@ -147,7 +154,10 @@ def _read_trace(section):
     build, rows = _TRACES[kind]
     fields = _read(section, "trace", (_KIND, *rows))
     del fields["kind"]  # it picked build and rows
-    return _named("[trace] ", build, **fields)
+    try:
+        return build(**fields)
+    except InvalidInputError as exc:
+        raise ConfigError(f"[trace] {_keyed(exc, rows)}") from None
 
 
 def load_config(path: str):
@@ -365,9 +375,7 @@ def cmd_generate(args) -> int:
                 RoundRobinConfig(n_files=args.files, total_requests=args.requests)
             )
     except InvalidInputError as exc:  # the configs' messages start with the field
-        field = str(exc).split()[0]
-        flags = {row[1]: row[0] for row in _ZIPF}
-        raise ConfigError(f"--{flags.get(field, field)}: {exc}") from None
+        raise ConfigError(f"--{_keyed(exc, _ZIPF)}") from None
     with _output_to(args.output):
         os.makedirs(os.path.dirname(os.path.abspath(args.output)), exist_ok=True)
         write_trace_file(args.output, trace)
@@ -376,14 +384,18 @@ def cmd_generate(args) -> int:
 
 
 def cmd_run(args) -> int:
-    from .engine import run_experiment
+    from .engine import PolicyError, run_experiment
 
     _check_output(args.output, directory=True)
     config, _ = load_config(args.config)
     if not config.policies:
         raise ConfigError("run requires at least one [policy:NAME] section")
-    # cache_size and batch_size are the values that only the built trace checks
-    (report,) = _named("[experiment] ", run_experiment, config)
+    try:
+        (report,) = run_experiment(config)
+    except PolicyError as exc:  # the policy's rate or eta, set in its section
+        raise ConfigError(f"[policy:{exc.policy}] {exc}") from None
+    except InvalidInputError as exc:  # cache_size and batch_size: the trace checks them
+        raise ConfigError(f"[experiment] {exc}") from None
     etas = {pol.spec.name: pol.eta for pol in report.policies if pol.eta is not None}
     files = {
         "series.csv": _render_series(report),
@@ -396,7 +408,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    from .engine import SWEEP_VARIANTS, check_sweep_rates, check_sweep_variants, run_sweep
+    from .engine import (
+        SWEEP_VARIANTS, PolicyError, check_sweep_rates, check_sweep_variants, run_sweep,
+    )
 
     _check_output(args.output, directory=True)
     config, sweep = load_config(args.config)
@@ -423,6 +437,8 @@ def cmd_sweep(args) -> int:
         reports = run_sweep(sized, sweep["rates"], sweep["variants"])
     except CacheSizeError as exc:
         raise ConfigError(f"{source['cache_sizes']}{exc}") from None
+    except PolicyError as exc:  # a cell's rate: every cell's eta is pinned
+        raise ConfigError(f"{source['rates']}{exc}") from None
     except InvalidInputError as exc:  # batch_size, which only the built trace checks
         raise ConfigError(f"[experiment] {exc}") from None
     files = {

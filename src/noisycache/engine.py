@@ -64,6 +64,17 @@ SWEEP_VARIANTS = ("fix", "var")  # a sweep cell's kind is nfpl-{variant}
 _SAMPLED_KINDS = ("fpl", "nfpl-fix", "nfpl-var")
 
 
+class PolicyError(InvalidInputError):
+    """Raised when a policy's own rate or eta overflows its eta or bound.
+
+    policy is the policy's name, so a caller can say where it was set.
+    """
+
+    def __init__(self, policy: str, message: str):
+        super().__init__(message)
+        self.policy = policy
+
+
 @dataclass(frozen=True)
 class PolicySpec:
     """Declarative description of one policy row in an experiment.
@@ -140,11 +151,12 @@ class PolicySpec:
         return self._finite(bound, f"regret bound; raise its {fix}")
 
     def _finite(self, value: float, what: str) -> float:
-        """value, or an error naming this policy if it overflowed a float."""
+        """value, or a PolicyError naming this policy if it overflowed a float."""
         if not math.isfinite(value):
-            raise InvalidInputError(
-                f"policy {self.name!r} ({self.kind}, rate {self.rate}) has no "
-                f"finite {what}"
+            rate = "" if self.rate is None else f", rate {self.rate}"
+            raise PolicyError(
+                self.name,
+                f"policy {self.name!r} ({self.kind}{rate}) has no finite {what}",
             )
         return value
 
@@ -315,8 +327,9 @@ def _run(config: ExperimentConfig, eta_of) -> list[ExperimentReport]:
     eta_of(spec, slotted, size) is a perturbed leader's eta at one size.
     Every eta, then every regret bound, is resolved before any policy
     runs, and every leader at every size is stepped in one call. A trace
-    the engine builds from a config is slotted in place, so the run holds
-    one copy of its events; a caller's Trace is copied instead.
+    the engine builds from a config is slotted in place, narrowed to int32
+    in half its own buffer, so the run holds one copy of its events; a
+    caller's Trace is copied instead.
     """
     plan = SeedPlan(config.base_seed)
     source, trace = _resolve_trace(config.trace, plan)

@@ -12,7 +12,9 @@ streams from a SeedPlan, the one owner of the seed rule, and splits its
 independent rows across forked processes, one per usable CPU, that fill
 one shared result.
 
-All policies work on 0-based file indices.
+All policies work on 0-based file indices. They read the slotted
+trace's int32 events, ids and counts a slot or a block of slots at a
+time, and each slot's misses, at most B, land in int64 costs.
 """
 
 from collections import OrderedDict
@@ -312,17 +314,23 @@ def follow_the_leader(
     totals = np.zeros(n, dtype=np.int64)
     stamps = np.zeros(n, dtype=np.int64)
     costs = np.empty(horizon, dtype=np.int64)
-    offsets = slotted.offsets
+    offsets, span = slotted.offsets, max(1, _BLOCK // b)
     for t in range(horizon):
-        ids = slotted.ids[offsets[t] : offsets[t + 1]]
-        counts = slotted.counts[offsets[t] : offsets[t + 1]]
+        if t % span == 0:  # NumPy indexes with intp: widen a block of slots at once
+            base, stop = offsets[t], offsets[min(t + span, horizon)]
+            ids_block = slotted.ids[base:stop].astype(np.intp)
+            counts_block = slotted.counts[base:stop].astype(np.int64)
+            events_block = slotted.events[t * b : (t + span) * b].astype(np.intp)
+        ids = ids_block[offsets[t] - base : offsets[t + 1] - base]
+        counts = counts_block[offsets[t] - base : offsets[t + 1] - base]
         cached = top_c(totals * scale + stamps, cache_size)
         costs[t] = b - cached[ids] @ counts
         if observe is not None:
             observe(t, cached)
         totals[ids] += counts
         # duplicate indices keep the last write: the latest request in the slot
-        stamps[slotted.events[t * b : (t + 1) * b]] = np.arange(t * b, (t + 1) * b) + 1
+        slot = events_block[t % span * b : (t % span + 1) * b]
+        stamps[slot] = np.arange(t * b, (t + 1) * b) + 1
     return costs
 
 

@@ -8,6 +8,7 @@ index space the rest of the package works in.
 """
 
 from codecs import BOM_UTF8
+import contextlib
 from dataclasses import dataclass, field
 import math
 import os
@@ -23,6 +24,15 @@ class TraceParseError(ValueError):
 
 
 _MAX_ID = int(np.iinfo(np.int64).max)
+# A slotted trace holds file indices and per-slot counts as int32, so a
+# catalog and a batch hold at most this many files and requests.
+_MAX_INT32 = int(np.iinfo(np.int32).max)
+
+
+def _check_int32(value: int, what: str) -> None:
+    if not 1 <= value <= _MAX_INT32:
+        bound = ">= 1" if value < 1 else f"<= {_MAX_INT32}"
+        raise InvalidInputError(f"{what} must be {bound}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -57,8 +67,7 @@ class ZipfConfig:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.n_files < 1:
-            raise InvalidInputError("n_files must be >= 1")
+        _check_int32(self.n_files, "n_files")
         if not math.isfinite(self.alpha) or self.alpha < 0:
             raise InvalidInputError(f"alpha must be finite and >= 0, got {self.alpha}")
         if self.total_requests < 1:
@@ -75,8 +84,7 @@ class RoundRobinConfig:
     total_requests: int
 
     def __post_init__(self):
-        if self.n_files < 1:
-            raise InvalidInputError("n_files must be >= 1")
+        _check_int32(self.n_files, "n_files")
         if self.total_requests < 1:
             raise InvalidInputError("total_requests must be >= 1")
 
@@ -92,6 +100,8 @@ class TraceFileConfig:
     def __post_init__(self):
         if self.remap == (self.n_files is not None):
             raise InvalidInputError("give n_files if and only if remap is false")
+        if self.n_files is not None:
+            _check_int32(self.n_files, "n_files")
 
 
 # Arrays built and filled one block of events at a time stay in cache.
@@ -171,14 +181,20 @@ def _dense_remap(events: np.ndarray) -> tuple[np.ndarray, int]:
     return np.take(first, events, out=events, mode="clip"), catalog
 
 
+def _read_line(line: str) -> bool:
+    # whether the line grammar reads the line: it skips blank, whitespace-only
+    # and '#' lines
+    text = line.strip()
+    return bool(text) and not text.startswith("#")
+
+
 def _header_lines(path: str) -> int:
-    # the count of blank and '#' lines that open the file, which the line
-    # loop skips and NumPy's C parser would refuse
+    # the count of lines the grammar skips that open the file, which
+    # NumPy's C parser would refuse
     count = 0
     with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
         for line in fh:
-            text = line.strip()
-            if text and not text.startswith("#"):
+            if _read_line(line):
                 break
             count += 1
     return count
@@ -196,28 +212,46 @@ def _comments_open_their_lines(path: str) -> bool:
     return at.size > 0 and bool(np.isin(raw[at[at > 0] - 1], list(b"\n\r#")).all())
 
 
+def _parser_inputs(path: str):
+    # (lines, rows to skip, comment mark) for each try of NumPy's parser:
+    # the file past its header; where every '#' opens its line, the file
+    # with '#' as its comment mark, so that "5 # c" stays an error; and
+    # the file's lines, less the blank and whitespace-only ones, through a
+    # Python filter, the slowest
+    yield path, _header_lines(path), None
+    comments = "#" if _comments_open_their_lines(path) else None
+    if comments:
+        yield path, 0, comments
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        yield filter(str.strip, fh), 0, comments
+
+
 def _parse_fast(path: str) -> np.ndarray | None:
     # NumPy's C parser accepts a subset of the line grammar with equal
-    # values: no whitespace-only lines after the header, no '1_000', no id
-    # beyond int64. '#' lines after the header pass on a second try with
-    # comments="#", made only where every '#' opens its line, so that
-    # "5 # c" stays an error. None means it refused.
+    # values: no '1_000', no id beyond int64, and no line the grammar skips
+    # unless it is told to. Each of _parser_inputs is tried only if the
+    # one before was refused. None means all were.
     try:
-        skip = _header_lines(path)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for comments in (None, "#"):
+            for lines, skip, comments in _parser_inputs(path):
                 try:
-                    return np.loadtxt(
-                        path, dtype=np.int64, delimiter=",", usecols=0,
-                        skiprows=skip, comments=comments, ndmin=1,
+                    events = np.loadtxt(
+                        lines, dtype=np.int64, delimiter=",", usecols=0,
+                        skiprows=skip, comments=comments, ndmin=2,
                         encoding="utf-8-sig",
                     )
+                    break
                 except (ValueError, Warning):
-                    if comments or not _comments_open_their_lines(path):
-                        return None
+                    pass
+            else:
+                return None
     except OSError:
         return None
+    # ndmin=2 gives an (n, 1) array that owns its buffer, where ndmin=1
+    # gives a view of one; made 1-d in place, _batch_in_place can shrink it
+    events.resize(events.size)
+    return events
 
 
 def _parse_lines(path: str, n_files: int | None) -> np.ndarray:
@@ -236,10 +270,9 @@ def _parse_lines(path: str, n_files: int | None) -> np.ndarray:
                     line.encode("utf-8")
                 except UnicodeEncodeError:
                     raise TraceParseError(f"{path}:{lineno}: not valid UTF-8") from None
-            text = line.strip()
-            if not text or text.startswith("#"):
+            if not _read_line(line):
                 continue
-            field = text.split(",", 1)[0].strip()
+            field = line.split(",", 1)[0].strip()
             try:
                 value = int(field)
             except ValueError:
@@ -356,9 +389,11 @@ class SlottedTrace:
 
     events holds the 0-based file index of every request. Slot t requests
     the strictly increasing files ids[offsets[t]:offsets[t + 1]], each as
-    often as counts at the same position says. The CSR arrays are built a
-    block of slots at a time, so no full-length temporary is made beside
-    events, ids and counts.
+    often as counts at the same position says. events, ids and counts are
+    int32, so n_files and batch_size are at most 2**31 - 1; offsets is
+    int64. Events of another dtype are range-checked, then narrowed. The
+    CSR arrays are built a block of slots at a time, so no full-length
+    temporary is made beside events, ids and counts.
     """
 
     events: np.ndarray
@@ -371,18 +406,21 @@ class SlottedTrace:
     _totals: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        events = np.asarray(self.events, dtype=np.int64)
+        _check_int32(self.n_files, "n_files")
+        _check_int32(self.batch_size, "batch_size")
+        events = np.asarray(self.events)
         b = self.batch_size
-        if b < 1 or events.ndim != 1 or events.size == 0 or events.size % b:
-            raise InvalidInputError("events must fill whole slots of batch_size >= 1")
+        if events.ndim != 1 or events.size == 0 or events.size % b:
+            raise InvalidInputError("events must fill whole slots of batch_size")
         if events.min() < 0 or events.max() >= self.n_files:
             raise InvalidInputError("event indices must lie in [0, n_files)")
+        events = events.astype(np.int32, copy=False)
         # sort each slot's requests, then run-length encode the rows: a run
         # starts at every row's first entry and wherever the index changes.
         # The runs fill buffers as long as the events, cut to size at the end.
         horizon, span = events.size // b, max(1, _BLOCK // b)
-        ids = np.empty(events.size, dtype=np.int64)
-        counts = np.empty(events.size, dtype=np.int64)
+        ids = np.empty(events.size, dtype=np.int32)
+        counts = np.empty(events.size, dtype=np.int32)
         offsets = np.zeros(horizon + 1, dtype=np.int64)
         runs = 0
         for t in range(0, horizon, span):
@@ -403,7 +441,12 @@ class SlottedTrace:
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "offsets", offsets)
-        totals = np.bincount(events, minlength=self.n_files)
+        # NumPy bincounts intp: a block at a time keeps its copy of the
+        # events short, and a block of at least n_files keeps the adds linear
+        totals = np.zeros(self.n_files, dtype=np.int64)
+        step = max(_BLOCK, self.n_files)
+        for start in range(0, events.size, step):
+            totals += np.bincount(events[start : start + step], minlength=self.n_files)
         totals.flags.writeable = False  # shared by every caller
         object.__setattr__(self, "_totals", totals)
 
@@ -422,24 +465,48 @@ def _slotted_length(trace: Trace, batch_size: int) -> int:
     return trace.events.size // batch_size * batch_size
 
 
+def _narrow(events: np.ndarray, n_files: int, out: np.ndarray) -> None:
+    """Write each id of events less one into int32 out, a block at a time.
+
+    Each block's ids are checked against n_files while still wide, then
+    shifted and narrowed. out may be the int32 view of the events' own
+    buffer: block [lo, hi) then lands on bytes that held ids below hi,
+    which are already read.
+    """
+    _check_int32(n_files, "n_files")
+    for start in range(0, out.size, _BLOCK):
+        block = events[start : start + _BLOCK]
+        if block.min() < 1 or block.max() > n_files:
+            raise InvalidInputError("event ids must lie in [1, n_files]")
+        out[start : start + _BLOCK] = block - 1
+
+
 def batch_trace(trace: Trace, batch_size: int) -> SlottedTrace:
     """Cut a trace into consecutive slots of exactly batch_size requests.
 
     A trailing partial batch is discarded, so the horizon is
     len(events) // batch_size. Raises if the trace is shorter than one
-    batch. The trace is left as it is: the slots hold a 0-based copy.
+    batch. The trace is left as it is: the slots hold a 0-based int32 copy.
     """
     used = _slotted_length(trace, batch_size)
-    return SlottedTrace(trace.events[:used] - 1, trace.n_files, batch_size)
+    events = np.empty(used, dtype=np.int32)
+    _narrow(trace.events[:used], trace.n_files, events)
+    return SlottedTrace(events, trace.n_files, batch_size)
 
 
 def _batch_in_place(trace: Trace, batch_size: int) -> SlottedTrace:
     """batch_trace without the copy, for a trace nothing else holds.
 
-    Consumes the trace: its events are shifted to 0-based in place and
-    become the slotted trace's, so the trace must not be read again.
+    Consumes the trace: its events are taken out of it and narrowed to
+    0-based int32 over the front of their own buffer, which the slotted
+    events view. The buffer is then cut to that front, which frees half
+    of it, unless NumPy refuses because the buffer is not the array's
+    own or something else holds it. Every trace the engine builds owns
+    its buffer (see _parse_fast).
     """
     used = _slotted_length(trace, batch_size)
-    events = trace.events[:used]
-    events -= 1
-    return SlottedTrace(events, trace.n_files, batch_size)
+    events = vars(trace).pop("events")  # frozen, but consumed: now its one holder
+    _narrow(events[:used], trace.n_files, events.view(np.int32)[:used])
+    with contextlib.suppress(ValueError):  # refused if held elsewhere, by a debugger say
+        events.resize(-(-used // 2))
+    return SlottedTrace(events.view(np.int32)[:used], trace.n_files, batch_size)

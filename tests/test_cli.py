@@ -470,6 +470,37 @@ class TestRun:
         assert "[trace]" in err and key in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("trace", [
+        "kind = zipf\nalpha = 1.0\nrequests = 10",
+        "kind = round-robin\nrequests = 10",
+        "kind = file\npath = t.txt\nremap = false",
+    ], ids=["zipf", "round-robin", "file"])
+    def test_a_catalog_beyond_int32_is_refused_before_a_trace_is_built(
+        self, tmp_path, capsys, monkeypatch, trace
+    ):
+        # a slotted trace holds file indices as int32; an N-length array
+        # at N = 2**31 would take 16 GB, so nothing may be built first
+        def build(*args):
+            raise AssertionError("a trace was built")
+
+        for name in ("generate_zipf", "generate_round_robin", "read_trace_file"):
+            monkeypatch.setattr(engine, name, build)
+        config = write_config(
+            tmp_path,
+            "[experiment]\ncache_size = 1\nbatch_size = 1\n"
+            f"[trace]\n{trace}\nfiles = 2147483648\n[policy:opt]\nkind = opt\n",
+        )
+        out = tmp_path / "o"
+        assert cli.main(["run", "-c", str(config), "-o", str(out)]) == 2
+        where = "[trace] files: n_files must be <= 2147483647, got 2147483648"
+        assert where in capsys.readouterr().err
+        assert not out.exists()
+        monkeypatch.setattr(cli, "generate_zipf", build)
+        code = invoke(["generate", "zipf", "--files", 2**31, "--requests", 10,
+                       "-o", tmp_path / "t.txt"])
+        assert code == 2
+        assert "--files: n_files must be <= 2147483647" in capsys.readouterr().err
+
     @pytest.mark.parametrize("content,where", [
         (b"1\n2\n\xff\n", "t.txt:3: not valid UTF-8"),
         (b"1\n99999999999999999999\n", "t.txt:2: file id 99999999999999999999"),
@@ -558,17 +589,20 @@ class TestRun:
         (["sweep"], "batch_size = 20", "batch_size = 5000",
          "[experiment] batch_size must be in [1, 2000], the trace's length, got 5000"),
         (["run"], "rate = 0.5", "rate = 1e-300",
-         "[experiment] policy 'var' (nfpl-var, rate 1e-300) has no finite "
+         "[policy:var] policy 'var' (nfpl-var, rate 1e-300) has no finite "
          "perturbation scale; raise its rate or set its eta"),
         (["run"], "rate = 0.5", "rate = 1e-300\n    eta = 5",
-         "[experiment] policy 'var' (nfpl-var, rate 1e-300) has no finite "
+         "[policy:var] policy 'var' (nfpl-var, rate 1e-300) has no finite "
          "regret bound; raise its rate"),
         (["sweep", "--rates", "1e-300"], "", "",
-         "[experiment] policy 'nfpl-var-1e-300' (nfpl-var, rate 1e-300) has no "
+         "--rates: policy 'nfpl-var-1e-300' (nfpl-var, rate 1e-300) has no "
+         "finite regret bound; raise its rate"),
+        (["sweep"], "[policy:opt]", "[sweep]\n    rates = 0.5, 1e-300\n    [policy:opt]",
+         "[sweep] rates: policy 'nfpl-var-1e-300' (nfpl-var, rate 1e-300) has no "
          "finite regret bound; raise its rate"),
         (["run"], "[policy:var]",
          "[policy:tiny]\nkind = fpl\neta = 1e-310\n[policy:var]",
-         "[experiment] policy 'tiny' (fpl, rate None) has no finite regret bound; "
+         "[policy:tiny] policy 'tiny' (fpl) has no finite regret bound; "
          "raise its eta"),
         (["run"], "cache_size = 8", "warp = 8",
          "[experiment] unsupported key(s): warp"),
@@ -593,7 +627,7 @@ class TestRun:
             "sweep-section-cache-holds-all-files", "batch-above-trace",
             "sweep-batch-above-trace", "var-rate-overflows-eta",
             "var-rate-overflows-bound", "sweep-var-rate-overflows-bound",
-            "tiny-eta-overflows-bound",
+            "sweep-section-rate-overflows-bound", "tiny-eta-overflows-bound",
             "unknown-before-missing", "experiment-before-trace",
             "trace-kind-before-unknown", "trace-unknown-before-missing",
             "trace-unparsable", "policy-unknown-before-missing",

@@ -11,8 +11,10 @@ from noisycache import (
     ExperimentConfig,
     InvalidInputError,
     PolicySpec,
+    RoundRobinConfig,
     SeedPlan,
     Trace,
+    TraceFileConfig,
     ZipfConfig,
     batch_trace,
     bound_params,
@@ -24,6 +26,7 @@ from noisycache import (
     step_perturbed_leaders,
 )
 
+from noisycache import engine
 from noisycache.core import CacheSizeError
 
 from helpers import reference_top_c, sweep_cells
@@ -275,6 +278,41 @@ class TestRunExperiment:
         run_experiment(small_config(policies, runs=1, trace=trace))
         run_sweep(small_config([], runs=1, trace=trace), [0.5])
         assert np.array_equal(trace.events, before)
+
+    @pytest.mark.parametrize("source", [
+        pytest.param(lambda path: ZipfConfig(40, 1.0, 2001, seed=3), id="zipf"),
+        pytest.param(lambda path: RoundRobinConfig(40, 2001), id="round-robin"),
+        pytest.param(lambda path: TraceFileConfig(str(path)), id="file"),
+        pytest.param(lambda path: TraceFileConfig(str(path), remap=False, n_files=40),
+                     id="file-kept-ids"),
+        pytest.param(lambda path: TraceFileConfig(str(path) + "-ws"), id="file-filtered"),
+        pytest.param(lambda path: TraceFileConfig(str(path) + "-x"), id="file-line-loop"),
+    ])
+    def test_its_own_traces_are_narrowed_in_half_their_buffer(
+        self, monkeypatch, tmp_path, source
+    ):
+        # every trace source hands the engine a buffer it owns alone, so
+        # slotting can cut it to its int32 front; the trailing partial batch
+        # is dropped with the rest
+        ids = "".join(f"{i % 40 + 1}\n" for i in range(2001))
+        (tmp_path / "t.txt").write_text(ids)
+        (tmp_path / "t.txt-ws").write_text(ids + " \n")
+        (tmp_path / "t.txt-x").write_text(ids + "1_0\n")  # only the line loop reads 10
+        slotted, batch_in_place = [], engine._batch_in_place
+
+        def spy(trace, batch_size):
+            slotted.append(batch_in_place(trace, batch_size))
+            return slotted[-1]
+
+        monkeypatch.setattr(engine, "_batch_in_place", spy)
+        config = ExperimentConfig(
+            trace=source(tmp_path / "t.txt"), cache_sizes=(4,), batch_size=20,
+            policies=(PolicySpec("opt", "opt"),),
+        )
+        run_experiment(config)
+        (events,) = (s.events for s in slotted)
+        assert events.dtype == np.int32 and events.size == 2000
+        assert events.base.dtype == np.int64 and events.base.nbytes == events.nbytes
 
     def test_rejects_bad_configs(self):
         with pytest.raises(InvalidInputError):

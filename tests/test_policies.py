@@ -142,6 +142,22 @@ class TestBaselinesAgainstReferences:
         assert decisions.tolist() == ref_decisions
         assert np.array_equal(follow_the_leader(slotted, c), costs)
 
+    @pytest.mark.parametrize("block_events,batch_size", [
+        (1, 2), (4, 2), (7, 2), (9, 3), (8, 1),
+    ])
+    def test_follow_the_leader_across_blocks_matches_reference(
+        self, monkeypatch, block_events, batch_size
+    ):
+        # ftl widens max(1, block_events // batch_size) slots at a time, and
+        # 23 events leave a last block shorter than the others
+        monkeypatch.setattr(policies, "_BLOCK", block_events)
+        events = np.random.default_rng(block_events).integers(1, 7, 23, endpoint=True)
+        slotted = batch_trace(Trace(events=events, n_files=7), batch_size)
+        costs, decisions = _recorded_ftl(slotted, 3)
+        ref_costs, ref_decisions = reference_ftl_costs(slotted.events, 7, batch_size, 3)
+        assert costs.tolist() == ref_costs
+        assert decisions.tolist() == ref_decisions
+
     @settings(max_examples=150, deadline=None)
     @given(baseline_problems())
     def test_least_recently_used_matches_reference(self, problem):

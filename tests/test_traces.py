@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from noisycache import (
     InvalidInputError,
     RoundRobinConfig,
+    SlottedTrace,
     Trace,
     TraceFileConfig,
     TraceParseError,
@@ -309,6 +310,25 @@ class TestTraceFiles:
         assert trace.events.tolist() == [1, 2, 3]
 
     @pytest.mark.parametrize("body", [
+        pytest.param("3\n1\n2\n \n", id="last"),
+        pytest.param("3\n \t\r\n1\n\xa0\n2", id="middle"),
+        pytest.param("# header\n3\n  \n# late\n1\n\n2\n", id="with-comments"),
+    ])
+    def test_whitespace_only_lines_stay_on_the_fast_path(
+        self, tmp_path, monkeypatch, body
+    ):
+        path = tmp_path / "t.txt"
+        path.write_bytes(body.encode("utf-8"))
+        expected = _outcome(reference_read_trace, str(path), True, None)
+
+        def refuse(*args):
+            raise AssertionError("read by the line loop")
+
+        monkeypatch.setattr(traces, "_parse_lines", refuse)
+        assert _outcome(_read_package, str(path), True, None) == expected
+        assert expected == ([1, 2, 3], 3)
+
+    @pytest.mark.parametrize("body", [
         pytest.param("3\n5,# c\n# late\n", id="second-field-comment"),
         pytest.param("3\n# late\n5 # c\n", id="comment-after-an-id"),
         pytest.param("3\n# late\n  # indented\n1\n", id="indented"),
@@ -563,6 +583,61 @@ class TestBatchTrace:
         assert np.array_equal(slotted.counts, counts)
         assert np.array_equal(slotted.offsets, offsets)
         assert np.array_equal(slotted.totals(), totals)
+        assert np.array_equal(slotted.events, events[: slotted.events.size] - 1)
+        dtypes = [a.dtype for a in (slotted.events, slotted.ids, slotted.counts)]
+        assert dtypes == [np.int32] * 3
+        assert slotted.offsets.dtype == slotted.totals().dtype == np.int64
+
+    def test_batch_trace_copies_at_half_width(self):
+        # a 0-based int32 copy of the events, and int32 CSR arrays at most
+        # as long: 1.5x the int64 events with the block temporaries, and no
+        # full-length int64 temporary
+        trace = Trace(events=np.random.default_rng(7).integers(1, 1001, 500_000),
+                      n_files=1000)
+        before = trace.events.copy()
+        slotted, peak = _traced_peak(batch_trace, trace, 200)
+        assert peak <= 1.75 * trace.events.nbytes
+        assert np.array_equal(trace.events, before)
+        assert np.array_equal(slotted.events, before - 1)
+
+    def test_batch_in_place_narrows_within_the_events_buffer(self):
+        # the int64 events, then their int32 front, which the slotted trace
+        # views once the buffer is cut to it, with the CSR arrays
+        events = np.random.default_rng(7).integers(1, 1001, 500_000)
+
+        def build_and_slot(events):
+            # the trace's buffer is allocated while traced, and the caller
+            # keeps no reference to it
+            return traces._batch_in_place(Trace(events.copy(), 1000), 200)
+
+        slotted, peak = _traced_peak(build_and_slot, events)
+        assert peak <= 1.75 * events.nbytes
+        assert slotted.events.dtype == np.int32
+        assert slotted.events.base.nbytes == events.nbytes // 2
+        copied = batch_trace(Trace(events, 1000), 200)
+        for name in ("events", "ids", "counts", "offsets"):
+            assert np.array_equal(getattr(slotted, name), getattr(copied, name))
+        assert np.array_equal(slotted.totals(), copied.totals())
+
+    @pytest.mark.parametrize("n_files,batch_size,message", [
+        (2**31, 1, "n_files must be <= 2147483647, got 2147483648"),
+        (2, 2**31, "batch_size must be <= 2147483647, got 2147483648"),
+        (2, 0, "batch_size must be >= 1, got 0"),
+    ], ids=["catalog", "batch", "empty-batch"])
+    def test_slotted_trace_refuses_sizes_beyond_int32(self, n_files, batch_size, message):
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            SlottedTrace(np.zeros(2, dtype=np.int32), n_files, batch_size)
+
+    def test_wide_values_are_checked_before_they_are_narrowed(self):
+        # 2**32 + 1 would wrap to 1, a valid int32 index
+        with pytest.raises(InvalidInputError, match=r"\[0, n_files\)"):
+            SlottedTrace(np.array([0, 2**32 + 1]), 3, 1)
+        trace = Trace(events=np.array([1, 2]), n_files=3)
+        trace.events[1] = 2**32 + 2  # a trace's array stays writable
+        with pytest.raises(InvalidInputError, match=r"\[1, n_files\]"):
+            batch_trace(trace, 1)
+        with pytest.raises(InvalidInputError, match=r"n_files must be <= 2147483647"):
+            batch_trace(Trace(events=np.array([1, 2]), n_files=2**31), 1)
 
     def test_too_short_trace(self):
         trace = Trace(events=np.array([1, 2]), n_files=2)
