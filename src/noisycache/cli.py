@@ -91,7 +91,6 @@ _TRACES = {  # [trace] kind: the config it builds and the rows of its other keys
 _POLICY = (
     _KIND,
     ("rate", "rate", float, _float, False),
-    ("subsample", "subsample", int, str, False),
     ("eta", "eta_override", float, _float, False),
 )
 _SWEEP = (
@@ -213,8 +212,6 @@ def load_config(path: str):
     if "sweep" in parser:
         sweep.update(_read(parser["sweep"], "sweep", _SWEEP))
     config = _named("[experiment] ", ExperimentConfig, trace=trace, **experiment)
-    for section, spec in zip(sections, policies):  # a policy's own keys are its to report
-        _named(f"[{section}] ", spec.estimator_spec, config.batch_size)
     # [policy:a] and [policy: a] name one policy: a repeat is theirs to report
     names = [spec.name for spec in policies]
     where = ", ".join(f"[{section}]" for section, name in zip(sections, names)

@@ -14,7 +14,9 @@ to policies.step_perturbed_leaders, every run at once. A leader's
 totals never depend on the cache size, so each slot's noise and
 estimates are drawn once for all sizes, and leaders with equal etas and
 equal estimates (full rate, or the same fixed subsample) step once and
-share one column of the stepper's result.
+share one column of the stepper's result. Every sampled leader at run r
+reads the same sampling keys, so nfpl-var and nfpl-fix at one run
+sample from one draw.
 
 Deterministic policies (lru, ftl, opt) run once per size, each by a
 direct call to its policy function; their single series stands in for
@@ -79,17 +81,17 @@ class PolicyError(InvalidInputError):
 class PolicySpec:
     """Declarative description of one policy row in an experiment.
 
-    kind is one of POLICY_KINDS. rate is the sampling rate for the
-    nfpl variants; nfpl-fix takes either rate, meaning subsample =
-    round(rate * batch_size), or an explicit subsample, never both.
-    eta_override replaces the computed perturbation scale for the
-    perturbed-leader kinds.
+    kind is one of POLICY_KINDS. rate, the sampling rate in (0, 1], is
+    required by the nfpl variants and taken by no other kind: nfpl-var
+    keeps each event with probability rate, and nfpl-fix keeps
+    b = max(1, min(B, round(rate * B))) of each batch's B events, so
+    rate b / B asks for any b in [1, B]. eta_override replaces the
+    computed perturbation scale for the perturbed-leader kinds.
     """
 
     name: str
     kind: str
     rate: float | None = None
-    subsample: int | None = None
     eta_override: float | None = None
 
     def __post_init__(self):
@@ -99,23 +101,12 @@ class PolicySpec:
             raise InvalidInputError(
                 f"unknown policy kind {self.kind!r}, expected one of {POLICY_KINDS}"
             )
-        if self.kind == "nfpl-var":
+        if self.kind in ("nfpl-fix", "nfpl-var"):
             if self.rate is None:
-                raise InvalidInputError("nfpl-var requires a sampling rate")
-            if self.subsample is not None:
-                raise InvalidInputError("subsample does not apply to nfpl-var")
-        elif self.kind == "nfpl-fix":
-            if (self.rate is None) == (self.subsample is None):
-                raise InvalidInputError(
-                    "nfpl-fix requires exactly one of rate and subsample"
-                )
-        else:
-            if self.rate is not None or self.subsample is not None:
-                raise InvalidInputError(f"{self.kind} takes no sampling parameters")
-        if self.rate is not None:
+                raise InvalidInputError(f"{self.kind} requires a sampling rate")
             check_rate(self.rate)
-        if self.subsample is not None and self.subsample < 1:
-            raise InvalidInputError("subsample must be >= 1")
+        elif self.rate is not None:
+            raise InvalidInputError(f"{self.kind} takes no sampling rate")
         if self.eta_override is not None:
             if self.kind not in _SAMPLED_KINDS:
                 raise InvalidInputError(f"eta does not apply to {self.kind}")
@@ -164,7 +155,7 @@ class PolicySpec:
         if self.kind == "fpl":
             return EstimatorSpec.exact(batch_size)
         if self.kind == "nfpl-fix":
-            b = self.subsample or max(1, min(batch_size, round(self.rate * batch_size)))
+            b = max(1, min(batch_size, round(self.rate * batch_size)))
             return EstimatorSpec.fixed_subsample(b, batch_size)
         if self.kind == "nfpl-var":
             return EstimatorSpec.bernoulli(self.rate, batch_size)
@@ -207,11 +198,6 @@ class ExperimentConfig:
             raise InvalidInputError(
                 f"duplicate policy names: {', '.join(map(repr, repeated))}"
             )
-        for p in self.policies:
-            try:
-                p.estimator_spec(self.batch_size)
-            except InvalidInputError as exc:
-                raise InvalidInputError(f"policy {p.name!r}: {exc}") from None
 
 
 @dataclass

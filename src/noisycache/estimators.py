@@ -11,13 +11,14 @@ r_hat produced by one of three estimators, each unbiased (E[r_hat] = r):
 - bernoulli: keep each event independently with probability `rate` and
   rescale by 1 / rate, i.e. a binomial thinning of each file's count.
 
-estimate_block draws the estimates of a block of consecutive slots of a
-slotted trace; policies.step_perturbed_leaders is its one caller. Both
-samplers give each event of a slot, in sorted order, one uniform key.
-Bernoulli keeps the keys below its rate; the fixed subsample keeps the
-`subsample` smallest (Efraimidis & Spirakis, IPL 2006), a uniform subset
-of the events, so the multivariate hypergeometric law. Keys are drawn
-element by element, so no stream depends on where blocks are cut.
+estimate_block turns a block of consecutive slots of a slotted trace,
+and one uniform key per event of the block, in sorted order, into the
+slots' estimates; policies.step_perturbed_leaders draws the keys and is
+its one caller. Bernoulli keeps the events whose keys are below its
+rate; the fixed subsample keeps the `subsample` smallest keys of each
+slot (Efraimidis & Spirakis, IPL 2006), a uniform subset of the events,
+so the multivariate hypergeometric law. Neither draws keys of its own,
+so one draw of keys can feed every estimator of a run.
 
 bound_params feeds the perturbation-scale and regret-bound formulas from
 the estimator, which carries B, and from N and C alone: the fixed
@@ -112,26 +113,26 @@ class BoundParams:
 
 def estimate_block(
     spec: EstimatorSpec, counts: np.ndarray, offsets: np.ndarray,
-    owner: np.ndarray, rng, out: np.ndarray,
+    owner: np.ndarray, keys: np.ndarray, out: np.ndarray,
 ) -> None:
     """Fill out[:counts.size] with one estimate of each slot of a block.
 
     Slot s owns counts[offsets[s]:offsets[s + 1]], with offsets[0] == 0,
-    and its float64 estimate lands at the same positions. owner, which
-    every row of the block can share, maps each sorted event to its entry:
-    np.repeat(np.arange(counts.size), counts). The fixed subsample keys
-    a slots x B matrix, row s keying slot s's events. Full-rate specs read
-    neither owner nor rng. The caller validates the spec and rng up front.
+    and its float64 estimate lands at the same positions. owner and keys,
+    which every row of the block can share, hold one entry per sorted
+    event: owner maps it to its entry, np.repeat(np.arange(counts.size),
+    counts), and keys is its uniform [0, 1) key. The fixed subsample reads
+    keys as a slots x B matrix, row s keying slot s's events. Full-rate
+    specs read neither owner nor keys. The caller validates the spec.
     """
     if spec.full_rate:
         out[: counts.size] = counts
     elif spec.kind is EstimatorKind.BERNOULLI:
-        keep = rng.random(owner.size) < spec.rate
-        kept = np.bincount(owner[keep], minlength=counts.size)
+        kept = np.bincount(owner[keys < spec.rate], minlength=counts.size)
         np.divide(kept, spec.rate, out=out[: counts.size])
     else:
         slots, batch, b = offsets.size - 1, spec.batch_size, spec.subsample
-        picked = np.argpartition(rng.random((slots, batch)), b - 1, axis=1)[:, :b]
+        picked = np.argpartition(keys.reshape(slots, batch), b - 1, axis=1)[:, :b]
         picked += np.arange(0, slots * batch, batch)[:, None]
         kept = np.bincount(owner[picked.ravel()], minlength=counts.size)
         np.multiply(kept, batch / b, out=out[: counts.size])

@@ -8,9 +8,10 @@ and learns them only afterwards; LRU instead updates per event. The
 static optimum and both leaders, ftl and fpl, pick their caches with
 core.top_c, and both leaders show each slot's bool cache mask to an
 optional observe. step_perturbed_leaders derives every run's random
-streams from a SeedPlan, the one owner of the seed rule, and splits its
-independent rows across forked processes, one per usable CPU, that fill
-one shared result.
+streams from a SeedPlan, the one owner of the seed rule: one noise
+stream and one stream of sampling keys per run, each read by every
+leader at that run. It splits its independent rows across forked
+processes, one per usable CPU, that fill one shared result.
 
 All policies work on 0-based file indices. They read the slotted
 trace's int32 events, ids and counts a slot or a block of slots at a
@@ -100,13 +101,15 @@ def step_perturbed_leaders(
     index, and pays the slot's misses; only then does it add
     estimators[g]'s estimate of the slot's counts to its totals. u is a
     fresh standard-uniform vector from plan.stream(r, NOISE), shared by
-    every leader and size at run r (common random numbers), and each
-    sampled leader draws its estimates from its own
-    plan.stream(r, SAMPLING). Since the totals never depend on the cache
-    size, each slot draws u and the estimates once, and every size
-    scores, ranks and charges all G * R rows from them in turn. Each row
-    draws its estimates a block of slots, at most max(N, BLOCK_EVENTS)
-    events, at a time (estimators.estimate_block); full-rate rows draw none.
+    every leader and size at run r (common random numbers). Likewise
+    every sampled leader at run r reads the same uniform key per event,
+    drawn once from plan.stream(r, SAMPLING), so at one run nfpl-var and
+    nfpl-fix sample from the same keys. Since the totals never depend on
+    the cache size, each slot draws u and the estimates once, and every
+    size scores, ranks and charges all G * R rows from them in turn. The
+    keys and estimates come a block of slots, at most max(N, BLOCK_EVENTS)
+    events, at a time (estimators.estimate_block); with no sampled leader
+    no key is drawn.
 
     The rows are independent, so they are split across the usable CPUs,
     one forked process each, by run when R >= 2 and by leader when R = 1.
@@ -160,18 +163,18 @@ def _step_rows(
     """Step the G x R rows whose results costs and totals hold, in place.
 
     run_ids is the range of these rows' runs: run r draws noise from
-    plan.stream(r, NOISE), and each sampled row at run r from its own
-    plan.stream(r, SAMPLING). costs (S x G x R x T) and totals (G x R x N,
-    all zero) may be strided views of a larger result. The other inputs
-    are step_perturbed_leaders', for these rows only and already checked.
+    plan.stream(r, NOISE) and, if any row is sampled, its keys from
+    plan.stream(r, SAMPLING), one per event, element by element, so no
+    key depends on where blocks are cut; every row at run r reads them.
+    costs (S x G x R x T) and totals (G x R x N, all zero) may be strided
+    views of a larger result. The other inputs are
+    step_perturbed_leaders', for these rows only and already checked.
     """
     groups, runs, n = totals.shape
     b, horizon = slotted.batch_size, slotted.horizon
     noise_rngs = [plan.stream(r, SeedPlan.NOISE) for r in run_ids]
-    samplers = [
-        (spec, None if spec.full_rate else plan.stream(r, SeedPlan.SAMPLING))
-        for spec in estimators for r in run_ids
-    ]
+    sampled = not all(spec.full_rate for spec in estimators)
+    key_rngs = [plan.stream(r, SeedPlan.SAMPLING) for r in run_ids] if sampled else []
     rows = groups * runs
     score = np.empty((groups, runs, n))
     noise = np.empty((runs, n))
@@ -179,11 +182,10 @@ def _step_rows(
     row_score = score.reshape(rows, n)
     cached = np.empty((rows, n), dtype=bool)
     # span slots hold at most max(n, BLOCK_EVENTS) events, which bounds each
-    # row's keys; the buffer holds the widest block's CSR entries
+    # run's keys; the buffer holds the widest block's CSR entries
     offsets, span = slotted.offsets, max(1, max(n, BLOCK_EVENTS) // b)
     cuts = offsets[np.append(np.arange(0, horizon, span), horizon)]
-    block = np.empty((rows, np.diff(cuts).max(initial=0)))
-    sampled = any(not spec.full_rate for spec, _ in samplers)
+    block = np.empty((groups, runs, np.diff(cuts).max(initial=0)))
 
     for t in range(horizon):
         if t % span == 0:
@@ -191,8 +193,11 @@ def _step_rows(
             part = slotted.counts[base : offsets[stop]]
             edges = offsets[t : stop + 1] - base
             owner = np.repeat(np.arange(part.size), part) if sampled else None
-            for k, (spec, rng) in enumerate(samplers):
-                estimate_block(spec, part, edges, owner, rng, block[k])
+            for r in range(runs):
+                keys = key_rngs[r].random(owner.size) if sampled else None
+                for g, spec in enumerate(estimators):
+                    estimate_block(spec, part, edges, owner, keys, block[g, r])
+            del keys  # 8 bytes an event: not held while the block's slots step
         ids = slotted.ids[offsets[t] : offsets[t + 1]]
         counts = slotted.counts[offsets[t] : offsets[t + 1]]
         for r, rng in enumerate(noise_rngs):
@@ -205,8 +210,7 @@ def _step_rows(
             costs[s, :, :, t] = (b - cached[:, ids] @ counts).reshape(groups, runs)
             if observe is not None:
                 observe(t, s, cached.reshape(groups, runs, n))
-        estimates = block[:, offsets[t] - base : offsets[t + 1] - base]
-        totals[:, :, ids] += estimates.reshape(groups, runs, -1)
+        totals[:, :, ids] += block[:, :, offsets[t] - base : offsets[t + 1] - base]
 
 
 def _usable_cpus() -> int:

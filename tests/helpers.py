@@ -240,7 +240,8 @@ def estimate_copies(spec, counts, copies, rng):
     """copies estimates of one slot's dense counts, by one estimate_block call.
 
     The block is the CSR form of a trace whose every slot requests
-    counts; returns a copies x N float64 array.
+    counts, and its keys are one rng.random call, none at full rate;
+    returns a copies x N float64 array.
     """
     from noisycache import SlottedTrace
     from noisycache.estimators import estimate_block
@@ -249,7 +250,8 @@ def estimate_copies(spec, counts, copies, rng):
     slotted = SlottedTrace(np.tile(slot, copies), len(counts), slot.size)
     out = np.empty(slotted.counts.size)
     owner = np.repeat(np.arange(slotted.counts.size), slotted.counts)
-    estimate_block(spec, slotted.counts, slotted.offsets, owner, rng, out)
+    keys = None if spec.full_rate else rng.random(owner.size)
+    estimate_block(spec, slotted.counts, slotted.offsets, owner, keys, out)
     dense = np.zeros((copies, len(counts)))
     dense[np.repeat(np.arange(copies), np.diff(slotted.offsets)), slotted.ids] = out
     return dense

@@ -148,7 +148,7 @@ def _degeneration_steps():
         slotted = batch_trace(generate_zipf(ZipfConfig(300, 1.0, 25_000, seed=3)), 50)
         policies = (
             PolicySpec("exact", "fpl"),
-            PolicySpec("fix-full", "nfpl-fix", subsample=50),
+            PolicySpec("fix-full", "nfpl-fix", rate=1.0),
             PolicySpec("var-full", "nfpl-var", rate=1.0),
         )
         recorder = Recorder()

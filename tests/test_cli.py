@@ -556,14 +556,11 @@ class TestRun:
          "[policy:ftl] unsupported key(s): tiebreak"),
         (["run"], "[policy:var]",
          "[policy:fix]\nkind = nfpl-fix\nrate = 0.5\nsubsample = 5\n[policy:var]",
-         "[policy:fix]"),
+         "[policy:fix] unsupported key(s): subsample"),
         (["run"], "seed = 21", "seed = 21\n    path = t.txt",
          "[trace] unsupported key(s): path"),
         (["run"], "seed = 21", "seed = 21\n    remap = false",
          "[trace] unsupported key(s): remap"),
-        (["run"], "[policy:var]",
-         "[policy:fix]\nkind = nfpl-fix\nsubsample = 50\n[policy:var]",
-         "[policy:fix] subsample must be in [1, 20], got 50"),
         (["run"], "cache_size = 8", "cache_size = 43",
          "[experiment] cache_size must be in [1, 40], got 43"),
         (["sweep"], "cache_size = 8", "cache_size = 43",
@@ -618,8 +615,8 @@ class TestRun:
         (["run"], "kind = nfpl-var\n    rate = 0.5", "rate = x",
          "[policy:var] missing required key 'kind'"),
     ], ids=["eta-nan", "eta-inf", "alpha-nan", "alpha-inf", "seed", "base-seed",
-            "tiebreak-opt", "tiebreak-var", "tiebreak-ftl", "fix-rate-and-subsample",
-            "zipf-path", "zipf-remap", "fix-subsample-above-batch",
+            "tiebreak-opt", "tiebreak-var", "tiebreak-ftl", "fix-subsample",
+            "zipf-path", "zipf-remap",
             "cache-above-files", "sweep-cache-above-files",
             "sweep-flag-cache-above-files", "sweep-flag-cache-below-one",
             "sweep-section-cache-above-files", "cache-holds-all-files",
@@ -895,13 +892,11 @@ ETAS = st.floats(0, 1e12, exclude_min=True)
 
 
 @st.composite
-def policy_specs(draw, batch_size):
+def policy_specs(draw):
     kind = draw(st.sampled_from(POLICY_KINDS))
     params = {}
-    if kind == "nfpl-var" or (kind == "nfpl-fix" and draw(st.booleans())):
+    if kind in ("nfpl-fix", "nfpl-var"):
         params["rate"] = draw(RATES)
-    elif kind == "nfpl-fix":
-        params["subsample"] = draw(st.integers(1, batch_size))
     if kind in ("fpl", "nfpl-fix", "nfpl-var"):
         params["eta_override"] = draw(st.none() | ETAS)
     return PolicySpec(name=draw(POLICY_NAMES), kind=kind, **params)
@@ -919,7 +914,7 @@ def experiments(draw):
         st.builds(TraceFileConfig, path, st.just(False), st.just(n)),
     ))
     batch_size = draw(st.integers(1, 10**4))
-    policies = draw(st.lists(policy_specs(batch_size), max_size=6,
+    policies = draw(st.lists(policy_specs(), max_size=6,
                              unique_by=lambda spec: spec.name))
     return ExperimentConfig(
         trace=trace, cache_sizes=(draw(st.integers(1, n)),), batch_size=batch_size,
@@ -1018,7 +1013,7 @@ GOLDEN_CONFIGS = {
         [policy:ftl]
         kind = ftl
         """),
-    # a round-robin trace, an explicit subsample and an eta override
+    # a round-robin trace, a fixed subsample of 5 of 25 and an eta override
     "run-round-robin-overrides": ("run", """\
         [experiment]
         cache_size = 10
@@ -1040,7 +1035,7 @@ GOLDEN_CONFIGS = {
 
         [policy:fix]
         kind = nfpl-fix
-        subsample = 5
+        rate = 0.2
         """),
     "sweep-two-sizes": ("sweep", """\
         [experiment]
@@ -1078,7 +1073,7 @@ GOLDEN_SHA256 = {
         "summary.csv": "eaf26427ebdb9736f73100336d40bb5e212ab9923f4cfd91cd56c0dd26331248",
     },
     "run-round-robin-overrides": {
-        "config_echo.ini": "cfbbb9a9ae730d5fd8eab29dbf2d01ec0fadc2b311ae001ab83946393efaadd3",
+        "config_echo.ini": "982e3ee319289338aedc078d1c86f055dce7333af6f204248ee5236eba83a175",
         "series.csv": "9439feb0f831b9f57d8c666a19df6539d8293fab516eedd011a4e6ee14b5e91f",
         "summary.csv": "f551f62ca82e19198707dcfb086faafcc531c4fb6777fb4a673f2eed721b9fb3",
     },

@@ -64,13 +64,16 @@ class TestPolicySpec:
         with pytest.raises(InvalidInputError):
             PolicySpec("x", "nfpl-var", rate=0.0)
         with pytest.raises(InvalidInputError):
-            PolicySpec("x", "nfpl-var", rate=0.5, subsample=10)
+            PolicySpec("x", "nfpl-fix", rate=1.5)
         with pytest.raises(InvalidInputError):
             PolicySpec("x", "fpl", rate=0.5)
-        with pytest.raises(InvalidInputError):
-            PolicySpec("x", "lru", subsample=3)
-        with pytest.raises(InvalidInputError, match="exactly one of rate"):
-            PolicySpec("x", "nfpl-fix", rate=0.01, subsample=5)
+        with pytest.raises(InvalidInputError, match="^lru takes no sampling rate$"):
+            PolicySpec("x", "lru", rate=0.5)
+        with pytest.raises(InvalidInputError, match="^nfpl-fix requires a sampling"):
+            PolicySpec("x", "nfpl-fix", eta_override=1.0)
+        # one parameter: the count spelling is gone
+        with pytest.raises(TypeError):
+            PolicySpec("x", "nfpl-fix", subsample=5)
 
     def test_eta_and_tiebreak_rules(self):
         with pytest.raises(InvalidInputError):
@@ -94,12 +97,20 @@ class TestPolicySpec:
         fix = PolicySpec("x", "nfpl-fix", rate=0.01).estimator_spec(200)
         assert fix.kind is EstimatorKind.FIXED_SUBSAMPLE
         assert fix.subsample == 2
-        explicit = PolicySpec("x", "nfpl-fix", subsample=7).estimator_spec(200)
-        assert explicit.subsample == 7
+        exact_count = PolicySpec("x", "nfpl-fix", rate=7 / 200).estimator_spec(200)
+        assert exact_count.subsample == 7
         var = PolicySpec("x", "nfpl-var", rate=0.25).estimator_spec(200)
         assert var.kind is EstimatorKind.BERNOULLI
         assert var.rate == 0.25
         assert PolicySpec("x", "lru").estimator_spec(200) is None
+
+    def test_every_count_has_a_rate(self):
+        # rate b / B asks for b events of B, so no fixed subsample needs a
+        # count of its own
+        for batch in range(1, 2001):
+            kept = [PolicySpec("f", "nfpl-fix", rate=b / batch).estimator_spec(batch)
+                    .subsample for b in range(1, batch + 1)]
+            assert kept == list(range(1, batch + 1)), batch
 
     def test_tiny_rates_keep_at_least_one_event(self):
         assert PolicySpec("x", "nfpl-fix", rate=0.001).estimator_spec(10).subsample == 1
@@ -205,7 +216,7 @@ class TestRunExperiment:
         cfg = small_config(
             [
                 PolicySpec("fpl", "fpl"),
-                PolicySpec("fix", "nfpl-fix", subsample=20),
+                PolicySpec("fix", "nfpl-fix", rate=1.0),
                 PolicySpec("var", "nfpl-var", rate=1.0),
             ],
             runs=2,

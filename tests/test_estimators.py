@@ -138,11 +138,10 @@ class TestEstimateBlock:
     # 17 slots of 12 requests over 9 files, in CSR form
     SLOTS = SlottedTrace(np.random.default_rng(8).integers(0, 9, 17 * 12), 9, 12)
 
-    def _block(self, spec, rng):
+    def _block(self, spec, owner, keys):
         counts = self.SLOTS.counts
         out = np.full(counts.size + 3, np.nan)
-        owner = np.repeat(np.arange(counts.size), counts)
-        estimate_block(spec, counts, self.SLOTS.offsets, owner, rng, out)
+        estimate_block(spec, counts, self.SLOTS.offsets, owner, keys, out)
         assert np.isnan(out[counts.size :]).all()
         return out[: counts.size]
 
@@ -153,7 +152,9 @@ class TestEstimateBlock:
     )
     def test_matches_one_draw_per_slot(self, spec):
         rng, twin = np.random.default_rng(21), np.random.default_rng(21)
-        out = self._block(spec, rng)
+        counts = self.SLOTS.counts
+        owner = np.repeat(np.arange(counts.size), counts)
+        out = self._block(spec, owner, rng.random(owner.size))
         offsets = self.SLOTS.offsets
         expected = np.concatenate([
             reference_estimate(spec, self.SLOTS.counts[lo:hi], twin)
@@ -168,10 +169,10 @@ class TestEstimateBlock:
          EstimatorSpec.fixed_subsample(12, 12)],
     )
     def test_full_rate_copies_the_counts_and_draws_nothing(self, spec):
+        # it reads neither owner nor keys, so a caller with only full-rate
+        # rows need draw no keys
         assert spec.full_rate
-        rng = np.random.default_rng(22)
-        assert np.array_equal(self._block(spec, rng), self.SLOTS.counts)
-        assert rng.random() == np.random.default_rng(22).random()
+        assert np.array_equal(self._block(spec, None, None), self.SLOTS.counts)
 
 
 @st.composite
@@ -205,7 +206,8 @@ def _matches_one_key_per_event(bit_generator, case):
     twin = np.random.Generator(bit_generator(seed))
     out = np.empty(slotted.counts.size)
     owner = np.repeat(np.arange(slotted.counts.size), slotted.counts)
-    estimate_block(spec, slotted.counts, slotted.offsets, owner, rng, out)
+    keys = rng.random(owner.size)
+    estimate_block(spec, slotted.counts, slotted.offsets, owner, keys, out)
     offsets = slotted.offsets
     expected = np.concatenate([
         reference_estimate(spec, slotted.counts[lo:hi], twin)

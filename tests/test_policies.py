@@ -327,6 +327,31 @@ class TestStepPerturbedLeaders:
                     assert np.array_equal(stepped.totals[g, r], totals)
                     assert np.array_equal(recorded[s, g, r], decisions)
 
+    def test_each_run_draws_its_sampling_keys_once(self, monkeypatch):
+        # every sampled leader at run r reads run r's one draw of keys, and
+        # each gets what it would get stepped alone under the same plan
+        slotted = batch_trace(generate_zipf(ZipfConfig(200, 1.0, 20_000, seed=5)), 50)
+        estimators = [EstimatorSpec.bernoulli(0.5, 50),
+                      EstimatorSpec.fixed_subsample(25, 50),
+                      EstimatorSpec.bernoulli(0.1, 50)]
+        etas = [20.0, 30.0, 40.0]
+        opened, stream = [], SeedPlan.stream
+
+        def recording_stream(plan, run, stream_id):
+            opened.append((run, stream_id))
+            return stream(plan, run, stream_id)
+
+        monkeypatch.setattr(SeedPlan, "stream", recording_stream)
+        together = _step_on(monkeypatch, 1, slotted, [20], [etas], estimators, 4,
+                            SeedPlan(3))
+        sampling = [run for run, kind in opened if kind == SeedPlan.SAMPLING]
+        assert sampling == [0, 1, 2, 3]
+        for g, (eta, spec) in enumerate(zip(etas, estimators)):
+            alone = step_perturbed_leaders(slotted, [20], [[eta]], [spec], 4,
+                                           SeedPlan(3))
+            assert np.array_equal(together.costs[:, g], alone.costs[:, 0])
+            assert np.array_equal(together.totals[g], alone.totals[0])
+
     def test_only_tied_rows_drop_their_highest_tied_indices(self):
         # after slot 0 the totals are [2, 1, 1, 0]: at eta 0 and C=2 files 1
         # and 2 tie at the boundary and file 2 must go; the noisy rows hold
