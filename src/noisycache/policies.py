@@ -10,8 +10,10 @@ core.top_c, and both leaders show each slot's bool cache mask to an
 optional observe. step_perturbed_leaders derives every run's random
 streams from a SeedPlan, the one owner of the seed rule: one noise
 stream and one stream of sampling keys per run, each read by every
-leader at that run. It splits its independent rows across forked
-processes, one per usable CPU, that fill one shared result.
+leader at that run. It splits its work across forked processes, one
+per usable CPU, that fill one shared result: by run, or at one run by
+slot range, where all rows read one noise vector and each cache size
+ranks only the files that can reach that noise's floor.
 
 All policies work on 0-based file indices. They read the slotted
 trace's int32 events, ids and counts a slot or a block of slots at a
@@ -111,11 +113,17 @@ def step_perturbed_leaders(
     events, at a time (estimators.estimate_block); with no sampled leader
     no key is drawn.
 
-    The rows are independent, so they are split across the usable CPUs,
-    one forked process each, by run when R >= 2 and by leader when R = 1.
-    Each process derives the streams of its own rows and writes them in
-    place into costs and totals, which live in one shared anonymous
-    mapping; the result does not depend on the split.
+    The work is split across the usable CPUs, one forked process each.
+    With R >= 2 the rows are split by run. With R = 1 and two or more
+    leaders every row reads one noise vector, so each size ranks only the
+    files that can reach that noise's floor (_step_rows), which makes the
+    per-slot work that every row shares the largest cost; the slots are
+    split by range instead. A later share replays the earlier slots'
+    estimates, totals adds and noise draws, writes costs only for its own
+    slots, and the share that ends at T owns the totals. One leader at one
+    run is stepped in this process. Each process derives its own streams
+    and writes in place into costs and totals, which live in one shared
+    anonymous mapping; the result does not depend on the split.
 
     observe, if given, is called as observe(t, s, cached) once per slot t
     and size index s: cached is the G x R x N bool mask of each row's
@@ -144,13 +152,19 @@ def step_perturbed_leaders(
             )
 
     costs, totals = _shared_result((len(sizes), groups, runs, horizon), (groups, runs, n))
-    units = runs if runs > 1 else groups  # what the processes split
+    # every row reads run 0's noise: rank only the candidates, split by slot
+    shared = runs == 1 and groups > 1
+    units = horizon if shared else runs  # what the processes split
     procs = 1 if observe is not None else min(units, _usable_cpus())
 
     def step(lo, hi):
-        g, r = (slice(None), slice(lo, hi)) if runs > 1 else (slice(lo, hi), slice(None))
-        _step_rows(slotted, sizes, etas[:, g], estimators[g], range(runs)[r], plan,
-                   costs[:, g, r], totals[g, r], observe)
+        rows, slots = slice(lo, hi), range(horizon)
+        if shared:
+            rows, slots = slice(None), range(lo, hi)
+        # the share that ends at T owns the totals; an earlier one keeps its own
+        own = totals[:, rows] if slots.stop == horizon else np.zeros_like(totals[:, rows])
+        _step_rows(slotted, slots, sizes, etas, estimators, range(runs)[rows], plan,
+                   costs[:, :, rows], own, observe, shared)
 
     cuts = [units * k // procs for k in range(procs + 1)]
     _in_processes(step, list(zip(cuts, cuts[1:])))
@@ -158,7 +172,7 @@ def step_perturbed_leaders(
 
 
 def _step_rows(
-    slotted, sizes, etas, estimators, run_ids, plan, costs, totals, observe
+    slotted, slots, sizes, etas, estimators, run_ids, plan, costs, totals, observe, prune
 ) -> None:
     """Step the G x R rows whose results costs and totals hold, in place.
 
@@ -166,13 +180,28 @@ def _step_rows(
     plan.stream(r, NOISE) and, if any row is sampled, its keys from
     plan.stream(r, SAMPLING), one per event, element by element, so no
     key depends on where blocks are cut; every row at run r reads them.
+    Only the slots in the range slots write their costs. The earlier
+    slots are replayed: their estimates are drawn and added to the totals
+    in the same order, and their noise is skipped as if drawn, so a share
+    that starts late steps its slots from the same totals and noise.
     costs (S x G x R x T) and totals (G x R x N, all zero) may be strided
     views of a larger result. The other inputs are
     step_perturbed_leaders', for these rows only and already checked.
+
+    prune, for one run's rows, ranks at each size only the files that can
+    reach the noise floor. Totals are >= 0 and rounding is monotone, so
+    the C files with the largest u score at least fl(eta_g * u_(C)) in
+    row g, u_(C) being u's C-th largest value, and a file whose
+    fl(fl(eta_max * u_i) + peak_i), peak_i its largest total over the
+    rows, falls below the least of those floors is neither cached nor
+    tied in any row. The candidates are ranked in ascending index order,
+    so ties still go to the lowest index. At eta 0 every file is one.
     """
     groups, runs, n = totals.shape
     b, horizon = slotted.batch_size, slotted.horizon
     noise_rngs = [plan.stream(r, SeedPlan.NOISE) for r in run_ids]
+    for rng in noise_rngs:  # each slot draws n doubles, one 64-bit step each
+        rng.bit_generator.advance(slots.start * n)
     sampled = not all(spec.full_rate for spec in estimators)
     key_rngs = [plan.stream(r, SeedPlan.SAMPLING) for r in run_ids] if sampled else []
     rows = groups * runs
@@ -181,36 +210,91 @@ def _step_rows(
     scales = etas[:, :, None, None]
     row_score = score.reshape(rows, n)
     cached = np.empty((rows, n), dtype=bool)
+    if prune:  # one run: each size's least and largest eta bound the rows
+        low, high = etas.min(axis=1), etas.max(axis=1)
+        reach, ranked = np.empty(n), np.empty(n)
+        demand = np.zeros(n, dtype=np.int64)
+        widest = sorted(set(sizes), reverse=True)
+        leading = totals[:, 0]  # G x N
     # span slots hold at most max(n, BLOCK_EVENTS) events, which bounds each
     # run's keys; the buffer holds the widest block's CSR entries
     offsets, span = slotted.offsets, max(1, max(n, BLOCK_EVENTS) // b)
     cuts = offsets[np.append(np.arange(0, horizon, span), horizon)]
     block = np.empty((groups, runs, np.diff(cuts).max(initial=0)))
 
-    for t in range(horizon):
-        if t % span == 0:
-            base, stop = offsets[t], min(t + span, horizon)
-            part = slotted.counts[base : offsets[stop]]
-            edges = offsets[t : stop + 1] - base
-            owner = np.repeat(np.arange(part.size), part) if sampled else None
-            for r in range(runs):
-                keys = key_rngs[r].random(owner.size) if sampled else None
-                for g, spec in enumerate(estimators):
-                    estimate_block(spec, part, edges, owner, keys, block[g, r])
-            del keys  # 8 bytes an event: not held while the block's slots step
-        ids = slotted.ids[offsets[t] : offsets[t + 1]]
-        counts = slotted.counts[offsets[t] : offsets[t + 1]]
-        for r, rng in enumerate(noise_rngs):
-            rng.random(out=noise[r])
-        for s, c in enumerate(sizes):
-            # eta * random() is bit for bit uniform(0, eta)
-            np.multiply(noise, scales[s], out=score)
-            score += totals
-            top_c(row_score, c, out=cached)
-            costs[s, :, :, t] = (b - cached[:, ids] @ counts).reshape(groups, runs)
-            if observe is not None:
-                observe(t, s, cached.reshape(groups, runs, n))
-        totals[:, :, ids] += block[:, :, offsets[t] - base : offsets[t + 1] - base]
+    for lo in range(0, slots.stop, span):
+        hi = min(lo + span, horizon)
+        base = offsets[lo]
+        part = slotted.counts[base : offsets[hi]]
+        edges = offsets[lo : hi + 1] - base
+        owner = np.repeat(np.arange(part.size), part) if sampled else None
+        for r in range(runs):
+            keys = key_rngs[r].random(owner.size) if sampled else None
+            for g, spec in enumerate(estimators):
+                estimate_block(spec, part, edges, owner, keys, block[g, r])
+        del keys  # 8 bytes an event: not held while the block's slots step
+        for t in range(lo, min(hi, slots.stop)):
+            ids = slotted.ids[offsets[t] : offsets[t + 1]]
+            estimates = block[:, :, offsets[t] - base : offsets[t + 1] - base]
+            if t < slots.start:  # a slot before the range only adds its estimates
+                totals[:, :, ids] += estimates
+                continue
+            counts = slotted.counts[offsets[t] : offsets[t + 1]]
+            for r, rng in enumerate(noise_rngs):
+                rng.random(out=noise[r])
+            if prune:
+                if t == slots.start:  # each file's largest total over the rows
+                    peak = leading.max(axis=0)
+                u = noise[0]
+                kth = _largest(u, widest, ranked)
+                demand[ids] = counts  # the slot's requests of every file
+            for s, c in enumerate(sizes):
+                if prune:  # fl(eta * u) grows with eta: the least eta sets the floor
+                    chosen = _within_reach(u, peak, high[s], low[s] * kth[c], reach)
+                    sub = np.multiply(u.take(chosen), scales[s, :, 0])
+                    sub += leading.take(chosen, axis=1)
+                    kept = top_c(sub, c)
+                    costs[s, :, 0, t] = b - kept @ demand.take(chosen)
+                    if observe is not None:
+                        cached.fill(False)
+                        cached[:, chosen] = kept
+                else:
+                    # eta * random() is bit for bit uniform(0, eta)
+                    np.multiply(noise, scales[s], out=score)
+                    score += totals
+                    top_c(row_score, c, out=cached)
+                    costs[s, :, :, t] = (b - cached[:, ids] @ counts).reshape(groups, runs)
+                if observe is not None:
+                    observe(t, s, cached.reshape(groups, runs, n))
+            totals[:, :, ids] += estimates
+            if prune:  # totals only grow, so only this slot's peaks can move
+                demand[ids] = 0
+                peak[ids] = leading[:, ids].max(axis=0)
+
+
+def _within_reach(u, peak, eta, floor, reach):
+    """The files with fl(fl(eta * u) + peak) >= floor, in ascending order.
+
+    reach is a length-N buffer the sum is written to.
+    """
+    np.multiply(u, eta, out=reach)
+    reach += peak
+    return np.flatnonzero(reach >= floor)
+
+
+def _largest(u, widest, ranked):
+    """u's C-th largest value for each C in widest (sorted descending), by C.
+
+    ranked receives a copy of u partitioned once per C, each time only
+    within the top of the last: one partition at several kth is slower.
+    """
+    ranked[:] = u
+    kth, lo = {}, 0
+    for c in widest:
+        ranked[lo:].partition(len(u) - c - lo)
+        lo = len(u) - c
+        kth[c] = ranked[lo]
+    return kth
 
 
 def _usable_cpus() -> int:

@@ -106,6 +106,8 @@ class TraceFileConfig:
 
 # Arrays built and filled one block of events at a time stay in cache.
 _BLOCK = 1 << 14
+# A trace file is scanned for '#' this many bytes at a time.
+_SCAN_BYTES = 1 << 16
 
 
 def _inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -203,13 +205,20 @@ def _header_lines(path: str) -> int:
 def _comments_open_their_lines(path: str) -> bool:
     # True if the file holds a '#' and every '#' opens its line or follows
     # another '#', past a leading byte-order mark: NumPy's comments="#"
-    # then drops just the lines the line loop skips
+    # then drops just the lines the line loop skips. The file is scanned
+    # _SCAN_BYTES at a time, each block behind the byte before it.
+    found, before = False, b"\n"  # the file's first byte opens a line
     with open(path, "rb") as fh:
-        data = fh.read()
-    skip = len(BOM_UTF8) if data.startswith(BOM_UTF8) else 0
-    raw = np.frombuffer(data, dtype=np.uint8, offset=skip)
-    at = np.flatnonzero(raw == ord("#"))
-    return at.size > 0 and bool(np.isin(raw[at[at > 0] - 1], list(b"\n\r#")).all())
+        data = fh.read(len(BOM_UTF8))
+        data = (b"" if data == BOM_UTF8 else data) + fh.read(_SCAN_BYTES)
+        while data:
+            raw = np.frombuffer(before + data, dtype=np.uint8)
+            at = np.flatnonzero(raw == ord("#"))
+            if not np.isin(raw[at[at > 0] - 1], list(b"\n\r#")).all():
+                return False
+            found |= at.size > 0
+            before, data = data[-1:], fh.read(_SCAN_BYTES)
+    return found
 
 
 def _parser_inputs(path: str):

@@ -269,6 +269,45 @@ def _leaders_at_sizes(draw, slotted):
     return slotted, sizes, etas, estimators, runs, SeedPlan(seed)
 
 
+@st.composite
+def one_run_problems(draw):
+    """2-4 leaders over one run at N = 20-200, at 1-2 sizes with C <= N / 10.
+
+    Each size's etas are shared by every leader or drawn one by one, and
+    include 0, at which every file reaches the noise floor, and 1e-300,
+    whose noise vanishes beside any total of 1 or more: files with equal
+    totals then tie at the floor.
+
+    With BLOCK_EVENTS at 1 a sampling block holds N // B slots, 2-11
+    here, and the horizon crosses at least two block boundaries, so a
+    share that starts at T / 2 or later starts after a whole block.
+    """
+    n = draw(st.integers(20, 200))
+    b = draw(st.integers(n // 8, n // 2))
+    span = n // b
+    horizon = draw(st.integers(2 * span + 1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = rng.dirichlet(np.ones(n) * draw(st.sampled_from([0.05, 0.5, 5.0])))
+    slotted = SlottedTrace(rng.choice(n, horizon * b, p=weights), n_files=n, batch_size=b)
+    sizes = draw(st.lists(st.integers(1, n // 10), min_size=1, max_size=2, unique=True))
+    kinds = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["fpl", "fix", "var"]),
+                st.one_of(st.just(1.0), st.floats(0.05, 1.0)),
+            ),
+            min_size=2,
+            max_size=4,
+        )
+    )
+    eta = st.one_of(st.sampled_from([0.0, 1e-300, 3.0]), st.floats(0.0, 40.0))
+    shared = eta.map(lambda value: [value] * len(kinds))
+    row = st.one_of(shared, st.lists(eta, min_size=len(kinds), max_size=len(kinds)))
+    etas = draw(st.lists(row, min_size=len(sizes), max_size=len(sizes)))
+    estimators = [_estimator(kind, rate, b) for kind, rate in kinds]
+    return slotted, sizes, etas, estimators, 1, SeedPlan(draw(st.integers(0, 2**32 - 1)))
+
+
 def _step_exact(slotted, cache_size, eta, runs, plan):
     """One exact leader at eta over runs, seeded by plan, recorded."""
     return _recorded_steps(
@@ -500,8 +539,10 @@ class TestProcessSplit:
         forked = record_forks(monkeypatch)
         serial = _step_on(monkeypatch, 1, *_large_sweep_shape(runs))
         assert forked == []  # one share is stepped here, through the same path
-        split = _step_on(monkeypatch, cpus, *_large_sweep_shape(runs))
-        assert len(forked) == min(cpus, runs if runs > 1 else 7) - 1
+        shape = _large_sweep_shape(runs)
+        split = _step_on(monkeypatch, cpus, *shape)
+        # one run splits its slots, more runs split by run
+        assert len(forked) == min(cpus, runs if runs > 1 else shape[0].horizon) - 1
         assert_reaped(forked)
         assert np.array_equal(split.costs, serial.costs)
         assert np.array_equal(split.totals, serial.totals)
@@ -522,6 +563,46 @@ class TestProcessSplit:
             policies._usable_cpus = usable
         assert np.array_equal(split.costs, serial.costs)
         assert np.array_equal(split.totals, serial.totals)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_pruned_ranking_matches_the_reference_run(self, monkeypatch, cpus):
+        # one run's leaders rank only the files that can reach the noise
+        # floor, and its slots are split across the processes; small
+        # sampling blocks make a later share replay whole blocks first
+        monkeypatch.setattr(policies, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(policies, "BLOCK_EVENTS", 1)
+        # whether each top_c call of this process ranked fewer than N columns
+        ranked, n_files, real_top_c = [], [0], policies.top_c
+
+        def top_c(score, cache_size, out=None):
+            ranked.append(score.shape[-1] < n_files[0])
+            return real_top_c(score, cache_size, out=out)
+
+        monkeypatch.setattr(policies, "top_c", top_c)
+
+        @settings(max_examples=40, deadline=None)
+        @given(one_run_problems())
+        def check(problem):
+            slotted, sizes, etas, estimators, runs, plan = problem
+            n_files[0] = slotted.n_files
+            # an observer keeps the stepper in one process: only at one CPU
+            recorder = Recorder() if cpus == 1 else None
+            stepped = step_perturbed_leaders(
+                slotted, sizes, etas, estimators, runs, plan, observe=recorder
+            )
+            for s, c in enumerate(sizes):
+                for g, est in enumerate(estimators):
+                    costs, totals, decisions = reference_leader_run(
+                        slotted, c, etas[s][g], est,
+                        plan.stream(0, SeedPlan.NOISE), plan.stream(0, SeedPlan.SAMPLING),
+                    )
+                    assert np.array_equal(stepped.costs[s, g, 0], costs)
+                    assert np.array_equal(stepped.totals[g, 0], totals)
+                    if recorder is not None:
+                        assert np.array_equal(recorder.decisions[s, g, 0], decisions)
+
+        check()
+        assert any(ranked) and not all(ranked)  # some slot pruned, some ranked all N
 
     def test_an_observer_keeps_the_rows_in_one_process(self, monkeypatch):
         forked = record_forks(monkeypatch)

@@ -343,6 +343,30 @@ class TestTraceFiles:
         expected = _outcome(reference_read_trace, path, True, None)
         assert _outcome(_read_package, path, True, None) == expected
 
+    @pytest.mark.parametrize("body, opens", [
+        pytest.param(b"3\n10\n20\n# c\n2\n", True, id="after-a-line-end"),
+        pytest.param(BOM + b"3\n10\n20\n# c\n2\n", True, id="after-a-byte-order-mark"),
+        pytest.param(b"3\n10\n202# c\n2\n", False, id="after-an-id"),
+    ])
+    def test_a_comment_opening_a_scan_block(self, tmp_path, monkeypatch, body, opens):
+        # the scan reads a byte-order mark's length, then blocks; here the
+        # '#' is the first byte of the second read, so the byte before it
+        # is the first read's last
+        path = tmp_path / "t.txt"
+        path.write_bytes(body)
+        monkeypatch.setattr(traces, "_SCAN_BYTES", body.index(b"#") - len(BOM))
+        assert traces._comments_open_their_lines(str(path)) is opens
+        expected = _outcome(reference_read_trace, str(path), True, None)
+        assert _outcome(_read_package, str(path), True, None) == expected
+
+    def test_the_comment_scan_holds_one_block(self, tmp_path):
+        # a late '#' makes the reader scan the whole file for comments
+        path = tmp_path / "t.txt"
+        path.write_bytes(b"7\n" * 500_000 + b"# end\n")
+        opens, peak = _traced_peak(traces._comments_open_their_lines, str(path))
+        assert opens
+        assert peak <= 4 * traces._SCAN_BYTES
+
     def test_write_read_roundtrip(self, tmp_path):
         path = tmp_path / "t.txt"
         trace = generate_zipf(ZipfConfig(9, 1.0, 200, seed=2))
