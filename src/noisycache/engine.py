@@ -138,8 +138,12 @@ class PolicySpec:
         bounds = bound_params(estimator, slotted.n_files, cache_size)
         bound = regret_bound(bounds, slotted.horizon, eta)
         mass = bounds.cost_bound * bounds.l1_bound * slotted.horizon
-        fix = "eta" if math.isfinite(mass) else "rate"  # what overflowed R * A * T / eta
-        return self._finite(bound, f"regret bound; raise its {fix}")
+        # what overflowed: eta * D, else R * A * T / eta, else R * A * T
+        if not math.isfinite(eta * bounds.diameter):
+            fix = "lower its eta"
+        else:
+            fix = "raise its eta" if math.isfinite(mass) else "raise its rate"
+        return self._finite(bound, f"regret bound; {fix}")
 
     def _finite(self, value: float, what: str) -> float:
         """value, or a PolicyError naming this policy if it overflowed a float."""

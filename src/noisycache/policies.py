@@ -121,7 +121,9 @@ def step_perturbed_leaders(
     split by range instead. A later share replays the earlier slots'
     estimates, totals adds and noise draws, writes costs only for its own
     slots, and the share that ends at T owns the totals. One leader at one
-    run is stepped in this process. Each process derives its own streams
+    run is ranked in full in this process: a single row's top-C over N costs
+    less than finding the floor and the candidates, and a split adds forks
+    and the later share's replay. Each process derives its own streams
     and writes in place into costs and totals, which live in one shared
     anonymous mapping; the result does not depend on the split.
 
@@ -152,7 +154,9 @@ def step_perturbed_leaders(
             )
 
     costs, totals = _shared_result((len(sizes), groups, runs, horizon), (groups, runs, n))
-    # every row reads run 0's noise: rank only the candidates, split by slot
+    # every row reads run 0's noise: rank only the candidates, split by slot.
+    # One row is ranked in full in one process: its one top-C over N costs
+    # less than the floor, the candidates and a later share's replay
     shared = runs == 1 and groups > 1
     units = horizon if shared else runs  # what the processes split
     procs = 1 if observe is not None else min(units, _usable_cpus())

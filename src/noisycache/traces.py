@@ -2,12 +2,13 @@
 
 A trace is an ordered sequence of 1-based file ids over a catalog of
 n_files. Traces come from three sources: a Zipf sampler, a round-robin
-generator, or a text file (one id per line). batch_trace cuts a trace
-into slots of fixed-size request batches, a SlottedTrace in the 0-based
-index space the rest of the package works in.
+generator, or a text file (one id per line). NumPy's C parser reads a
+file, first as it is and then as the lines the grammar keeps; a Python
+line loop reads what it refuses and names every bad line. batch_trace
+cuts a trace into slots of fixed-size request batches, a SlottedTrace in
+the 0-based index space the rest of the package works in.
 """
 
-from codecs import BOM_UTF8
 import contextlib
 from dataclasses import dataclass, field
 import math
@@ -106,8 +107,6 @@ class TraceFileConfig:
 
 # Arrays built and filled one block of events at a time stay in cache.
 _BLOCK = 1 << 14
-# A trace file is scanned for '#' this many bytes at a time.
-_SCAN_BYTES = 1 << 16
 
 
 def _inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -184,78 +183,33 @@ def _dense_remap(events: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def _read_line(line: str) -> bool:
-    # whether the line grammar reads the line: it skips blank, whitespace-only
-    # and '#' lines
+    # the grammar's one skip rule, shared by the line loop and NumPy's
+    # second input: blank, whitespace-only and '#' lines are skipped
     text = line.strip()
     return bool(text) and not text.startswith("#")
 
 
-def _header_lines(path: str) -> int:
-    # the count of lines the grammar skips that open the file, which
-    # NumPy's C parser would refuse
-    count = 0
-    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
-        for line in fh:
-            if _read_line(line):
-                break
-            count += 1
-    return count
-
-
-def _comments_open_their_lines(path: str) -> bool:
-    # True if the file holds a '#' and every '#' opens its line or follows
-    # another '#', past a leading byte-order mark: NumPy's comments="#"
-    # then drops just the lines the line loop skips. The file is scanned
-    # _SCAN_BYTES at a time, each block behind the byte before it.
-    found, before = False, b"\n"  # the file's first byte opens a line
-    with open(path, "rb") as fh:
-        data = fh.read(len(BOM_UTF8))
-        data = (b"" if data == BOM_UTF8 else data) + fh.read(_SCAN_BYTES)
-        while data:
-            raw = np.frombuffer(before + data, dtype=np.uint8)
-            at = np.flatnonzero(raw == ord("#"))
-            if not np.isin(raw[at[at > 0] - 1], list(b"\n\r#")).all():
-                return False
-            found |= at.size > 0
-            before, data = data[-1:], fh.read(_SCAN_BYTES)
-    return found
-
-
-def _parser_inputs(path: str):
-    # (lines, rows to skip, comment mark) for each try of NumPy's parser:
-    # the file past its header; where every '#' opens its line, the file
-    # with '#' as its comment mark, so that "5 # c" stays an error; and
-    # the file's lines, less the blank and whitespace-only ones, through a
-    # Python filter, the slowest
-    yield path, _header_lines(path), None
-    comments = "#" if _comments_open_their_lines(path) else None
-    if comments:
-        yield path, 0, comments
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        yield filter(str.strip, fh), 0, comments
-
-
 def _parse_fast(path: str) -> np.ndarray | None:
     # NumPy's C parser accepts a subset of the line grammar with equal
-    # values: no '1_000', no id beyond int64, and no line the grammar skips
-    # unless it is told to. Each of _parser_inputs is tried only if the
-    # one before was refused. None means all were.
+    # values: no '1_000', no id beyond int64, and no line the grammar
+    # skips. It reads the file itself first and, if it refuses that, the
+    # lines _read_line keeps, so "5 # c" is refused on both. None means
+    # both were refused.
+    def load(lines):
+        return np.loadtxt(
+            lines, dtype=np.int64, delimiter=",", usecols=0, comments=None,
+            ndmin=2, encoding="utf-8-sig",
+        )
+
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for lines, skip, comments in _parser_inputs(path):
-                try:
-                    events = np.loadtxt(
-                        lines, dtype=np.int64, delimiter=",", usecols=0,
-                        skiprows=skip, comments=comments, ndmin=2,
-                        encoding="utf-8-sig",
-                    )
-                    break
-                except (ValueError, Warning):
-                    pass
-            else:
-                return None
-    except OSError:
+            try:
+                events = load(path)
+            except (ValueError, Warning):
+                with open(path, "r", encoding="utf-8-sig") as fh:
+                    events = load(filter(_read_line, fh))
+    except (OSError, ValueError, Warning):
         return None
     # ndmin=2 gives an (n, 1) array that owns its buffer, where ndmin=1
     # gives a view of one; made 1-d in place, _batch_in_place can shrink it

@@ -601,6 +601,10 @@ class TestRun:
          "[policy:tiny]\nkind = fpl\neta = 1e-310\n[policy:var]",
          "[policy:tiny] policy 'tiny' (fpl) has no finite regret bound; "
          "raise its eta"),
+        (["run"], "[policy:var]",
+         "[policy:huge]\nkind = fpl\neta = 1e308\n[policy:var]",
+         "[policy:huge] policy 'huge' (fpl) has no finite regret bound; "
+         "lower its eta"),
         (["run"], "cache_size = 8", "warp = 8",
          "[experiment] unsupported key(s): warp"),
         (["run"], "base_seed = 99\n\n    [trace]\n    kind = zipf",
@@ -625,6 +629,7 @@ class TestRun:
             "sweep-batch-above-trace", "var-rate-overflows-eta",
             "var-rate-overflows-bound", "sweep-var-rate-overflows-bound",
             "sweep-section-rate-overflows-bound", "tiny-eta-overflows-bound",
+            "huge-eta-overflows-bound",
             "unknown-before-missing", "experiment-before-trace",
             "trace-kind-before-unknown", "trace-unknown-before-missing",
             "trace-unparsable", "policy-unknown-before-missing",

@@ -333,39 +333,29 @@ class TestTraceFiles:
         pytest.param("3\n# late\n5 # c\n", id="comment-after-an-id"),
         pytest.param("3\n# late\n  # indented\n1\n", id="indented"),
         pytest.param("3\r# late\r1 #\r", id="carriage-returns"),
+        pytest.param("3\n10\n20\n# c\n2\n", id="after-a-line-end"),
+        pytest.param("\ufeff3\n10\n20\n# c\n2\n", id="after-a-byte-order-mark"),
+        pytest.param("3\n10\n202# c\n2\n", id="after-an-id"),
     ])
     def test_late_comments_keep_the_line_grammar(self, tmp_path, body):
-        # a '#' that does not open its line keeps the file off the retry
-        # with NumPy's comments="#", which would read "5 # c" as 5
+        # NumPy reads the lines the grammar keeps with no comment mark, so
+        # a '#' that does not open its line stays an error: "5 # c" is not 5
         path = str(tmp_path / "t.txt")
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(body)
         expected = _outcome(reference_read_trace, path, True, None)
         assert _outcome(_read_package, path, True, None) == expected
 
-    @pytest.mark.parametrize("body, opens", [
-        pytest.param(b"3\n10\n20\n# c\n2\n", True, id="after-a-line-end"),
-        pytest.param(BOM + b"3\n10\n20\n# c\n2\n", True, id="after-a-byte-order-mark"),
-        pytest.param(b"3\n10\n202# c\n2\n", False, id="after-an-id"),
-    ])
-    def test_a_comment_opening_a_scan_block(self, tmp_path, monkeypatch, body, opens):
-        # the scan reads a byte-order mark's length, then blocks; here the
-        # '#' is the first byte of the second read, so the byte before it
-        # is the first read's last
-        path = tmp_path / "t.txt"
-        path.write_bytes(body)
-        monkeypatch.setattr(traces, "_SCAN_BYTES", body.index(b"#") - len(BOM))
-        assert traces._comments_open_their_lines(str(path)) is opens
-        expected = _outcome(reference_read_trace, str(path), True, None)
-        assert _outcome(_read_package, str(path), True, None) == expected
-
-    def test_the_comment_scan_holds_one_block(self, tmp_path):
-        # a late '#' makes the reader scan the whole file for comments
-        path = tmp_path / "t.txt"
-        path.write_bytes(b"7\n" * 500_000 + b"# end\n")
-        opens, peak = _traced_peak(traces._comments_open_their_lines, str(path))
-        assert opens
-        assert peak <= 4 * traces._SCAN_BYTES
+    def test_a_late_comment_costs_little_memory(self, tmp_path):
+        # a late '#' sends the file to NumPy's second input, the lines
+        # _read_line keeps, which peaks near the plain file's first input
+        plain, late = tmp_path / "plain.txt", tmp_path / "late.txt"
+        plain.write_bytes(b"7\n" * 500_000)
+        late.write_bytes(b"7\n" * 500_000 + b"# end\n")
+        events, plain_peak = _traced_peak(traces._parse_fast, str(plain))
+        again, late_peak = _traced_peak(traces._parse_fast, str(late))
+        assert np.array_equal(again, events)
+        assert late_peak <= plain_peak + 0.1 * events.nbytes
 
     def test_write_read_roundtrip(self, tmp_path):
         path = tmp_path / "t.txt"
