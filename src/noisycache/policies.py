@@ -8,12 +8,9 @@ and learns them only afterwards; LRU instead updates per event. The
 static optimum and both leaders, ftl and fpl, pick their caches with
 core.top_c, and both leaders show each slot's bool cache mask to an
 optional observe. step_perturbed_leaders derives every run's random
-streams from a SeedPlan, the one owner of the seed rule: one noise
-stream and one stream of sampling keys per run, each read by every
-leader at that run. It splits its work across forked processes, one
-per usable CPU, that fill one shared result: by run, or at one run by
-slot range, where all rows read one noise vector and each cache size
-ranks only the files that can reach that noise's floor.
+streams from a SeedPlan, the one owner of the seed rule, and steps its
+rows in groups of one ranking kind across forked processes, one per
+usable CPU, that fill one shared result.
 
 All policies work on 0-based file indices. They read the slotted
 trace's int32 events, ids and counts a slot or a block of slots at a
@@ -22,10 +19,11 @@ time, and each slot's misses, at most B, land in int64 costs.
 
 from collections import OrderedDict
 from dataclasses import dataclass
-import math
+from itertools import islice
 import mmap
 import os
 import signal
+import sys
 import threading
 import warnings
 
@@ -99,33 +97,23 @@ def step_perturbed_leaders(
 
     Leader g at run r and size s is follow-the-perturbed-leader: each slot
     it caches the cache_sizes[s] files with the largest
-    totals + etas[s][g] * u, ties at the boundary going to the lowest
-    index, and pays the slot's misses; only then does it add
-    estimators[g]'s estimate of the slot's counts to its totals. u is a
-    fresh standard-uniform vector from plan.stream(r, NOISE), shared by
-    every leader and size at run r (common random numbers). Likewise
-    every sampled leader at run r reads the same uniform key per event,
-    drawn once from plan.stream(r, SAMPLING), so at one run nfpl-var and
-    nfpl-fix sample from the same keys. Since the totals never depend on
-    the cache size, each slot draws u and the estimates once, and every
-    size scores, ranks and charges all G * R rows from them in turn. The
-    keys and estimates come a block of slots, at most max(N, BLOCK_EVENTS)
-    events, at a time (estimators.estimate_block); with no sampled leader
-    no key is drawn.
+    totals + etas[s][g] * u, ties going to the lowest index, and pays the
+    slot's misses; only then does it add estimators[g]'s estimate of the
+    slot's counts to its totals. u is a fresh standard-uniform vector
+    from plan.stream(r, NOISE), and every sampled leader reads one
+    uniform key per event drawn once from plan.stream(r, SAMPLING): both
+    are shared by every leader and size at run r (common random numbers).
+    So each slot draws u and the estimates once, and every size ranks and
+    charges all G * R rows from them in turn.
 
-    The work is split across the usable CPUs, one forked process each.
-    With R >= 2 the rows are split by run. With R = 1 and two or more
-    leaders every row reads one noise vector, so each size ranks only the
-    files that can reach that noise's floor (_step_rows), which makes the
-    per-slot work that every row shares the largest cost; the slots are
-    split by range instead. A later share replays the earlier slots'
-    estimates, totals adds and noise draws, writes costs only for its own
-    slots, and the share that ends at T owns the totals. One leader at one
-    run is ranked in full in this process: a single row's top-C over N costs
-    less than finding the floor and the candidates, and a split adds forks
-    and the later share's replay. Each process derives its own streams
-    and writes in place into costs and totals, which live in one shared
-    anonymous mapping; the result does not depend on the split.
+    The rows are stepped in groups of one ranking kind (_step_rows), in
+    forked processes, one per usable CPU; the result does not depend on
+    the split. With R >= 2 they are one full group (_ranked_in_full),
+    split by run. With R = 1 and two or more leaders every row reads one
+    noise vector: they are one floor group (_ranked_by_floor), whose
+    per-slot work every row shares, split by slot range. One leader at
+    one run is one full group in this process: its top-C over N costs
+    less than the floor, and a split adds forks and a replay.
 
     observe, if given, is called as observe(t, s, cached) once per slot t
     and size index s: cached is the G x R x N bool mask of each row's
@@ -152,12 +140,18 @@ def step_perturbed_leaders(
                 f"estimator batch size {spec.batch_size} does not match "
                 f"the trace's batch size {b}"
             )
-
-    costs, totals = _shared_result((len(sizes), groups, runs, horizon), (groups, runs, n))
-    # every row reads run 0's noise: rank only the candidates, split by slot.
-    # One row is ranked in full in one process: its one top-C over N costs
-    # less than the floor, the candidates and a later share's replay
-    shared = runs == 1 and groups > 1
+    # costs and zeroed totals in one mapping that forks share: at most sys.maxsize bytes
+    most = sys.maxsize // (8 * groups * (len(sizes) * horizon + n))
+    if runs > most:
+        raise InvalidInputError(f"runs must be <= {most} at this trace, cache sizes "
+                                f"and policies, got {runs}")
+    cells = len(sizes) * groups * runs * horizon
+    result = mmap.mmap(-1, 8 * (cells + groups * runs * n))
+    costs = np.frombuffer(result, np.int64, cells).reshape(-1, groups, runs, horizon)
+    totals = np.frombuffer(result, np.float64, offset=8 * cells).reshape(groups, runs, n)
+    shared = runs == 1 and groups > 1  # every row reads run 0's noise
+    partition = [(np.s_[:, 0], _ranked_by_floor) if shared
+                 else (np.s_[:, :], _ranked_in_full)]
     units = horizon if shared else runs  # what the processes split
     procs = 1 if observe is not None else min(units, _usable_cpus())
 
@@ -168,155 +162,160 @@ def step_perturbed_leaders(
         # the share that ends at T owns the totals; an earlier one keeps its own
         own = totals[:, rows] if slots.stop == horizon else np.zeros_like(totals[:, rows])
         _step_rows(slotted, slots, sizes, etas, estimators, range(runs)[rows], plan,
-                   costs[:, :, rows], own, observe, shared)
+                   costs[:, :, rows], own, observe, partition)
 
     cuts = [units * k // procs for k in range(procs + 1)]
     _in_processes(step, list(zip(cuts, cuts[1:])))
     return LeaderRuns(costs=costs, totals=totals)
 
 
-def _step_rows(
-    slotted, slots, sizes, etas, estimators, run_ids, plan, costs, totals, observe, prune
-) -> None:
+def _step_rows(slotted, slots, sizes, etas, estimators, run_ids, plan, costs, totals,
+               observe, partition) -> None:
     """Step the G x R rows whose results costs and totals hold, in place.
 
     run_ids is the range of these rows' runs: run r draws noise from
-    plan.stream(r, NOISE) and, if any row is sampled, its keys from
-    plan.stream(r, SAMPLING), one per event, element by element, so no
-    key depends on where blocks are cut; every row at run r reads them.
-    Only the slots in the range slots write their costs. The earlier
-    slots are replayed: their estimates are drawn and added to the totals
-    in the same order, and their noise is skipped as if drawn, so a share
-    that starts late steps its slots from the same totals and noise.
-    costs (S x G x R x T) and totals (G x R x N, all zero) may be strided
-    views of a larger result. The other inputs are
-    step_perturbed_leaders', for these rows only and already checked.
-
-    prune, for one run's rows, ranks at each size only the files that can
-    reach the noise floor. Totals are >= 0 and rounding is monotone, so
-    the C files with the largest u score at least fl(eta_g * u_(C)) in
-    row g, u_(C) being u's C-th largest value, and a file whose
-    fl(fl(eta_max * u_i) + peak_i), peak_i its largest total over the
-    rows, falls below the least of those floors is neither cached nor
-    tied in any row. The candidates are ranked in ascending index order,
-    so ties still go to the lowest index. At eta 0 every file is one.
+    plan.stream(r, NOISE) and, if any row is sampled, keys from
+    plan.stream(r, SAMPLING). Only the slots in the range slots write
+    costs; the earlier ones are replayed: their estimates are added to
+    the totals in order and their noise is skipped. costs (S x G x R x T)
+    and totals (G x R x N, all zero) may be strided views of a larger
+    result. partition holds one (index, kind) pair per group: index picks
+    its rows of G x R, and kind(sizes, etas, noise, totals, mask, b),
+    given those rows' views, returns their steps rank(s, c, ids, counts),
+    the misses at size c (filling mask unless it is None), and
+    settle(ids), run once the slot's estimates are added.
     """
     groups, runs, n = totals.shape
-    b, horizon = slotted.batch_size, slotted.horizon
     noise_rngs = [plan.stream(r, SeedPlan.NOISE) for r in run_ids]
     for rng in noise_rngs:  # each slot draws n doubles, one 64-bit step each
         rng.bit_generator.advance(slots.start * n)
     sampled = not all(spec.full_rate for spec in estimators)
     key_rngs = [plan.stream(r, SeedPlan.SAMPLING) for r in run_ids] if sampled else []
-    rows = groups * runs
-    score = np.empty((groups, runs, n))
+    estimated = _estimated_slots(slotted, estimators, key_rngs, runs, slots.stop)
+    for _, ids, _, estimates in islice(estimated, slots.start):  # the replay
+        totals[:, :, ids] += estimates
     noise = np.empty((runs, n))
-    scales = etas[:, :, None, None]
-    row_score = score.reshape(rows, n)
-    cached = np.empty((rows, n), dtype=bool)
-    if prune:  # one run: each size's least and largest eta bound the rows
-        low, high = etas.min(axis=1), etas.max(axis=1)
-        reach, ranked = np.empty(n), np.empty(n)
-        demand = np.zeros(n, dtype=np.int64)
-        widest = sorted(set(sizes), reverse=True)
-        leading = totals[:, 0]  # G x N
+    cached = None if observe is None else np.empty((groups, runs, n), dtype=bool)
+    steps = [(costs[(slice(None), *index)], *kind(
+        sizes, etas[:, index[0]], noise[index[1]], totals[index],
+        None if cached is None else cached[index], slotted.batch_size,
+    )) for index, kind in partition]
+    for t, ids, counts, estimates in estimated:
+        for r, rng in enumerate(noise_rngs):
+            rng.random(out=noise[r])
+        for s, c in enumerate(sizes):
+            for group_costs, rank, _ in steps:
+                group_costs[s, ..., t] = rank(s, c, ids, counts)
+            if observe is not None:
+                observe(t, s, cached)
+        totals[:, :, ids] += estimates
+        for _, _, settle in steps:
+            settle(ids)
+
+
+def _estimated_slots(slotted, estimators, key_rngs, runs, stop):
+    """Yield (t, ids, counts, estimates) for each slot t < stop, in order.
+
+    estimates, G x R x len(ids), is a view valid until the next yield:
+    they come a block of slots, at most max(N, BLOCK_EVENTS) events, at a
+    time. Run r's keys, if key_rngs is not empty, come from key_rngs[r]
+    one per event, element by element, so no key depends on the cuts.
+    """
+    b, horizon = slotted.batch_size, slotted.horizon
     # span slots hold at most max(n, BLOCK_EVENTS) events, which bounds each
     # run's keys; the buffer holds the widest block's CSR entries
-    offsets, span = slotted.offsets, max(1, max(n, BLOCK_EVENTS) // b)
+    offsets, span = slotted.offsets, max(1, max(slotted.n_files, BLOCK_EVENTS) // b)
     cuts = offsets[np.append(np.arange(0, horizon, span), horizon)]
-    block = np.empty((groups, runs, np.diff(cuts).max(initial=0)))
-
-    for lo in range(0, slots.stop, span):
+    block = np.empty((len(estimators), runs, np.diff(cuts).max(initial=0)))
+    for lo in range(0, stop, span):
         hi = min(lo + span, horizon)
         base = offsets[lo]
         part = slotted.counts[base : offsets[hi]]
         edges = offsets[lo : hi + 1] - base
-        owner = np.repeat(np.arange(part.size), part) if sampled else None
+        owner = np.repeat(np.arange(part.size), part) if key_rngs else None
         for r in range(runs):
-            keys = key_rngs[r].random(owner.size) if sampled else None
+            keys = key_rngs[r].random(owner.size) if key_rngs else None
             for g, spec in enumerate(estimators):
                 estimate_block(spec, part, edges, owner, keys, block[g, r])
         del keys  # 8 bytes an event: not held while the block's slots step
-        for t in range(lo, min(hi, slots.stop)):
-            ids = slotted.ids[offsets[t] : offsets[t + 1]]
-            estimates = block[:, :, offsets[t] - base : offsets[t + 1] - base]
-            if t < slots.start:  # a slot before the range only adds its estimates
-                totals[:, :, ids] += estimates
-                continue
-            counts = slotted.counts[offsets[t] : offsets[t + 1]]
-            for r, rng in enumerate(noise_rngs):
-                rng.random(out=noise[r])
-            if prune:
-                if t == slots.start:  # each file's largest total over the rows
-                    peak = leading.max(axis=0)
-                u = noise[0]
-                kth = _largest(u, widest, ranked)
-                demand[ids] = counts  # the slot's requests of every file
-            for s, c in enumerate(sizes):
-                if prune:  # fl(eta * u) grows with eta: the least eta sets the floor
-                    chosen = _within_reach(u, peak, high[s], low[s] * kth[c], reach)
-                    sub = np.multiply(u.take(chosen), scales[s, :, 0])
-                    sub += leading.take(chosen, axis=1)
-                    kept = top_c(sub, c)
-                    costs[s, :, 0, t] = b - kept @ demand.take(chosen)
-                    if observe is not None:
-                        cached.fill(False)
-                        cached[:, chosen] = kept
-                else:
-                    # eta * random() is bit for bit uniform(0, eta)
-                    np.multiply(noise, scales[s], out=score)
-                    score += totals
-                    top_c(row_score, c, out=cached)
-                    costs[s, :, :, t] = (b - cached[:, ids] @ counts).reshape(groups, runs)
-                if observe is not None:
-                    observe(t, s, cached.reshape(groups, runs, n))
-            totals[:, :, ids] += estimates
-            if prune:  # totals only grow, so only this slot's peaks can move
-                demand[ids] = 0
-                peak[ids] = leading[:, ids].max(axis=0)
+        for t in range(lo, min(hi, stop)):
+            first, last = offsets[t], offsets[t + 1]
+            yield (t, slotted.ids[first:last], slotted.counts[first:last],
+                   block[:, :, first - base : last - base])
 
 
-def _within_reach(u, peak, eta, floor, reach):
-    """The files with fl(fl(eta * u) + peak) >= floor, in ascending order.
+def _ranked_in_full(sizes, etas, noise, totals, mask, b):
+    """The full kind: every row's top C over all N files, batched across runs.
 
-    reach is a length-N buffer the sum is written to.
+    noise is R x N, and totals and mask (its own buffer if None) G x R x N.
     """
-    np.multiply(u, eta, out=reach)
-    reach += peak
-    return np.flatnonzero(reach >= floor)
+    score, rows = np.empty(totals.shape), (-1, totals.shape[-1])
+    cached = np.empty(totals.shape, dtype=bool) if mask is None else mask
+    row_score, row_cached = score.reshape(rows), cached.reshape(rows)
+    scales = etas[:, :, None, None]
+
+    def rank(s, c, ids, counts):
+        # eta * random() is bit for bit uniform(0, eta)
+        np.multiply(noise, scales[s], out=score)
+        np.add(score, totals, out=score)
+        top_c(row_score, c, out=row_cached)
+        return (b - row_cached[:, ids] @ counts).reshape(totals.shape[:-1])
+
+    return rank, lambda ids: None
 
 
-def _largest(u, widest, ranked):
-    """u's C-th largest value for each C in widest (sorted descending), by C.
+def _ranked_by_floor(sizes, etas, u, leading, mask, b):
+    """The floor kind: one run's G rows, ranking only what can reach u's floor.
 
-    ranked receives a copy of u partitioned once per C, each time only
-    within the top of the last: one partition at several kth is slower.
+    u is the run's noise, leading and mask its G x N totals and cache. As
+    totals are >= 0 and rounding is monotone, the C files with the largest
+    u score at least fl(eta_g * u_(C)) in row g, u_(C) being u's C-th
+    largest value, so a file whose fl(fl(eta_max * u_i) + peak_i), peak_i
+    its largest total over the rows, is below the least of those floors
+    is neither cached nor tied in any row; at eta 0 every file is a
+    candidate. The candidates are ranked in ascending index order, so ties
+    still go to the lowest index.
     """
-    ranked[:] = u
-    kth, lo = {}, 0
-    for c in widest:
-        ranked[lo:].partition(len(u) - c - lo)
-        lo = len(u) - c
-        kth[c] = ranked[lo]
-    return kth
+    n = u.size
+    low, high = etas.min(axis=1), etas.max(axis=1)
+    reach, ranked = np.empty(n), np.empty(n)
+    demand = np.zeros(n, dtype=np.int64)  # the slot's requests of every file
+    widest = sorted(set(sizes), reverse=True)
+    peak = leading.max(axis=0)
+    kth = {}  # u's C-th largest value at each C, found once a slot
+
+    def rank(s, c, ids, counts):
+        if not kth:  # a slot's first size: its demand and u's C-th largest values
+            demand[ids] = counts
+            ranked[:], lo = u, 0
+            for size in widest:  # each within the last's top: one partition
+                ranked[lo:].partition(n - size - lo)  # at several kth is slower
+                lo = n - size
+                kth[size] = ranked[lo]
+        # fl(eta * u) grows with eta: the least eta sets the floor
+        np.multiply(u, high[s], out=reach)
+        np.add(reach, peak, out=reach)
+        chosen = np.flatnonzero(reach >= low[s] * kth[c])
+        sub = np.multiply(u.take(chosen), etas[s, :, None])
+        sub += leading.take(chosen, axis=1)
+        kept = top_c(sub, c)
+        if mask is not None:
+            mask.fill(False)
+            mask[:, chosen] = kept
+        return b - kept @ demand.take(chosen)
+
+    def settle(ids):  # totals only grow, so only this slot's peaks can move
+        kth.clear()
+        demand[ids] = 0
+        peak[ids] = leading[:, ids].max(axis=0)
+
+    return rank, settle
 
 
 def _usable_cpus() -> int:
     """The CPUs this process may run on: 1 where it cannot tell or cannot fork."""
     affinity = getattr(os, "sched_getaffinity", None)
     return len(affinity(0)) if affinity and hasattr(os, "fork") else 1
-
-
-def _shared_result(costs_shape, totals_shape):
-    """int64 costs and zeroed float64 totals in one anonymous shared mapping.
-
-    A forked child writes into them and the parent sees the writes.
-    """
-    size = math.prod(costs_shape)
-    shared = mmap.mmap(-1, 8 * (size + math.prod(totals_shape)))
-    costs = np.frombuffer(shared, np.int64, size).reshape(costs_shape)
-    totals = np.frombuffer(shared, np.float64, offset=8 * size).reshape(totals_shape)
-    return costs, totals
 
 
 def _in_processes(step, shares) -> None:

@@ -28,11 +28,12 @@ _MAX_ID = int(np.iinfo(np.int64).max)
 # A slotted trace holds file indices and per-slot counts as int32, so a
 # catalog and a batch hold at most this many files and requests.
 _MAX_INT32 = int(np.iinfo(np.int32).max)
+_MAX_SIZE = int(np.iinfo(np.intp).max) // 8  # the most int64 elements an array holds
 
 
-def _check_int32(value: int, what: str) -> None:
-    if not 1 <= value <= _MAX_INT32:
-        bound = ">= 1" if value < 1 else f"<= {_MAX_INT32}"
+def _check_count(value: int, what: str, most: int = _MAX_INT32) -> None:
+    if not 1 <= value <= most:
+        bound = ">= 1" if value < 1 else f"<= {most}"
         raise InvalidInputError(f"{what} must be {bound}, got {value}")
 
 
@@ -68,11 +69,10 @@ class ZipfConfig:
     seed: int | None = None
 
     def __post_init__(self):
-        _check_int32(self.n_files, "n_files")
+        _check_count(self.n_files, "n_files")
         if not math.isfinite(self.alpha) or self.alpha < 0:
             raise InvalidInputError(f"alpha must be finite and >= 0, got {self.alpha}")
-        if self.total_requests < 1:
-            raise InvalidInputError("total_requests must be >= 1")
+        _check_count(self.total_requests, "total_requests", _MAX_SIZE)
         if self.seed is not None and self.seed < 0:
             raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
 
@@ -85,9 +85,8 @@ class RoundRobinConfig:
     total_requests: int
 
     def __post_init__(self):
-        _check_int32(self.n_files, "n_files")
-        if self.total_requests < 1:
-            raise InvalidInputError("total_requests must be >= 1")
+        _check_count(self.n_files, "n_files")
+        _check_count(self.total_requests, "total_requests", _MAX_SIZE)
 
 
 @dataclass(frozen=True)
@@ -102,7 +101,7 @@ class TraceFileConfig:
         if self.remap == (self.n_files is not None):
             raise InvalidInputError("give n_files if and only if remap is false")
         if self.n_files is not None:
-            _check_int32(self.n_files, "n_files")
+            _check_count(self.n_files, "n_files")
 
 
 # Arrays built and filled one block of events at a time stay in cache.
@@ -369,8 +368,8 @@ class SlottedTrace:
     _totals: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        _check_int32(self.n_files, "n_files")
-        _check_int32(self.batch_size, "batch_size")
+        _check_count(self.n_files, "n_files")
+        _check_count(self.batch_size, "batch_size")
         events = np.asarray(self.events)
         b = self.batch_size
         if events.ndim != 1 or events.size == 0 or events.size % b:
@@ -436,7 +435,7 @@ def _narrow(events: np.ndarray, n_files: int, out: np.ndarray) -> None:
     buffer: block [lo, hi) then lands on bytes that held ids below hi,
     which are already read.
     """
-    _check_int32(n_files, "n_files")
+    _check_count(n_files, "n_files")
     for start in range(0, out.size, _BLOCK):
         block = events[start : start + _BLOCK]
         if block.min() < 1 or block.max() > n_files:

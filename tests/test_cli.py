@@ -130,8 +130,14 @@ class TestGenerate:
         ("zipf", "--alpha", "nan", "--alpha: alpha must be finite and >= 0, got nan"),
         ("round-robin", "--files", 0, "--files: n_files must be >= 1"),
         ("round-robin", "--requests", 0, "--requests: total_requests must be >= 1"),
+        # an int64 array holds at most sys.maxsize // 8 events
+        ("zipf", "--requests", 10**20, "--requests: total_requests must be <= "
+         f"{sys.maxsize // 8}, got {10**20}"),
+        ("round-robin", "--requests", sys.maxsize, "--requests: total_requests must be "
+         f"<= {sys.maxsize // 8}, got {sys.maxsize}"),
     ], ids=["zipf-files", "zipf-requests", "zipf-seed", "zipf-alpha",
-            "round-robin-files", "round-robin-requests"])
+            "round-robin-files", "round-robin-requests", "zipf-requests-beyond-numpy",
+            "round-robin-requests-beyond-numpy"])
     def test_bad_values_name_their_flag(self, tmp_path, capsys, kind, flag, value,
                                         where):
         argv = {"--files": 5, "--requests": 10, flag: value}
@@ -547,7 +553,24 @@ class TestRun:
         (["run"], "alpha = 1.0", "alpha = nan", "[trace]"),
         (["run"], "alpha = 1.0", "alpha = inf", "[trace]"),
         (["run"], "seed = 21", "seed = -1", "[trace]"),
+        (["run"], "requests = 2000", f"requests = {10**20}",
+         f"[trace] requests: total_requests must be <= {sys.maxsize // 8}, "
+         f"got {10**20}"),
         (["run"], "base_seed = 99", "base_seed = -1", "[experiment]"),
+        # R x (T = 100 costs + N = 40 totals) 8-byte cells per leader, of which
+        # run has one and sweep 7 distinct cells, would pass the largest mapping
+        (["run"], "runs = 3", f"runs = {2**63}", "[experiment] runs must be <= "
+         f"{sys.maxsize // (8 * 140)} at this trace, cache sizes and policies, "
+         f"got {2**63}"),
+        (["run"], "runs = 3", f"runs = {2**60}", "[experiment] runs must be <= "
+         f"{sys.maxsize // (8 * 140)} at this trace, cache sizes and policies, "
+         f"got {2**60}"),
+        (["sweep"], "runs = 3", f"runs = {2**63}", "[experiment] runs must be <= "
+         f"{sys.maxsize // (8 * 7 * 140)} at this trace, cache sizes and policies, "
+         f"got {2**63}"),
+        (["sweep"], "runs = 3", f"runs = {2**60}", "[experiment] runs must be <= "
+         f"{sys.maxsize // (8 * 7 * 140)} at this trace, cache sizes and policies, "
+         f"got {2**60}"),
         (["run"], "kind = opt", "kind = opt\n    tiebreak = most-recent",
          "[policy:opt]"),
         (["run"], "rate = 0.5", "rate = 0.5\n    tiebreak = lowest-index",
@@ -618,7 +641,10 @@ class TestRun:
          "[policy:var] unsupported key(s): warp"),
         (["run"], "kind = nfpl-var\n    rate = 0.5", "rate = x",
          "[policy:var] missing required key 'kind'"),
-    ], ids=["eta-nan", "eta-inf", "alpha-nan", "alpha-inf", "seed", "base-seed",
+    ], ids=["eta-nan", "eta-inf", "alpha-nan", "alpha-inf", "seed",
+            "requests-beyond-numpy", "base-seed", "runs-beyond-int64",
+            "runs-result-beyond-mapping", "sweep-runs-beyond-int64",
+            "sweep-runs-result-beyond-mapping",
             "tiebreak-opt", "tiebreak-var", "tiebreak-ftl", "fix-subsample",
             "zipf-path", "zipf-remap",
             "cache-above-files", "sweep-cache-above-files",

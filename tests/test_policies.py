@@ -604,6 +604,32 @@ class TestProcessSplit:
         check()
         assert any(ranked) and not all(ranked)  # some slot pruned, some ranked all N
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("runs,leaders,pruned", [
+        (2, 7, False), (5, 7, False), (2, 1, False), (1, 1, False), (1, 7, True),
+    ], ids=["two-runs", "five-runs", "two-runs-one-leader", "one-run-one-leader",
+            "one-run"])
+    def test_each_shape_takes_its_ranking_kind(self, monkeypatch, cpus, runs, leaders,
+                                               pruned):
+        # both kinds write the same bytes, so only the columns top_c ranks
+        # show a shape moved to the other one. Every eta is > 0, so the
+        # floor prunes; a forked share's calls are not seen here
+        widths, real_top_c = [], policies.top_c
+
+        def top_c(score, cache_size, out=None):
+            widths.append(score.shape[-1])
+            return real_top_c(score, cache_size, out=out)
+
+        monkeypatch.setattr(policies, "top_c", top_c)
+        slotted, sizes, etas, specs, _, plan = _large_sweep_shape(runs)
+        _step_on(monkeypatch, cpus, slotted, sizes, [row[:leaders] for row in etas],
+                 specs[:leaders], runs, plan)
+        assert widths
+        if pruned:
+            assert min(widths) < slotted.n_files
+        else:
+            assert set(widths) == {slotted.n_files}
+
     def test_an_observer_keeps_the_rows_in_one_process(self, monkeypatch):
         forked = record_forks(monkeypatch)
         recorder = Recorder()
