@@ -3,8 +3,8 @@
 The library simulates batch-by-batch cache management where the policy
 must commit a decision before seeing the batch and may only observe a
 sampled, rescaled estimate of the request counts afterwards. It ships
-the perturbed-leader family (exact, fixed-subsample, and bernoulli
-observation), classical baselines (LRU, follow-the-leader, the static
+the perturbed-leader family (fixed-subsample or bernoulli sampling,
+exact at rate 1), classical baselines (LRU, follow-the-leader, the static
 hindsight optimum), the metrics to compare them, and an experiment
 engine plus CLI wrapping the whole protocol.
 
@@ -28,7 +28,7 @@ _LAZY = {
         "generate_round_robin", "read_trace_file", "write_trace_file",
         "batch_trace",
     ),
-    "estimators": ("EstimatorKind", "EstimatorSpec", "BoundParams", "bound_params"),
+    "estimators": ("EstimatorKind", "EstimatorSpec"),
     "policies": (
         "follow_the_leader", "least_recently_used",
         "static_optimum", "step_perturbed_leaders", "LeaderRuns", "SeedPlan",

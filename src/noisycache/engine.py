@@ -38,7 +38,7 @@ import math
 import numpy as np
 
 from .core import CacheSizeError, InvalidInputError, check_cache_size
-from .estimators import EstimatorSpec, bound_params, check_rate
+from .estimators import EstimatorKind, EstimatorSpec, check_rate
 from .metrics import average_miss_ratio, compute_eta, decile_band, regret_bound
 from .policies import (
     SeedPlan,
@@ -63,7 +63,12 @@ from .traces import (
 
 POLICY_KINDS = ("lru", "ftl", "fpl", "nfpl-fix", "nfpl-var", "opt")
 SWEEP_VARIANTS = ("fix", "var")  # a sweep cell's kind is nfpl-{variant}
-_SAMPLED_KINDS = ("fpl", "nfpl-fix", "nfpl-var")
+# each perturbed-leader kind's estimator; fpl's observes at rate 1
+_ESTIMATORS = {
+    "fpl": EstimatorKind.BERNOULLI,
+    "nfpl-fix": EstimatorKind.FIXED_SUBSAMPLE,
+    "nfpl-var": EstimatorKind.BERNOULLI,
+}
 
 
 class PolicyError(InvalidInputError):
@@ -84,9 +89,9 @@ class PolicySpec:
     kind is one of POLICY_KINDS. rate, the sampling rate in (0, 1], is
     required by the nfpl variants and taken by no other kind: nfpl-var
     keeps each event with probability rate, and nfpl-fix keeps
-    b = max(1, min(B, round(rate * B))) of each batch's B events, so
-    rate b / B asks for any b in [1, B]. eta_override replaces the
-    computed perturbation scale for the perturbed-leader kinds.
+    EstimatorSpec.subsample of each batch's B events, so rate b / B asks
+    for any b in [1, B]; fpl observes at rate 1. eta_override replaces
+    the computed perturbation scale for the perturbed-leader kinds.
     """
 
     name: str
@@ -108,13 +113,13 @@ class PolicySpec:
         elif self.rate is not None:
             raise InvalidInputError(f"{self.kind} takes no sampling rate")
         if self.eta_override is not None:
-            if self.kind not in _SAMPLED_KINDS:
+            if self.kind not in _ESTIMATORS:
                 raise InvalidInputError(f"eta does not apply to {self.kind}")
             check_eta(self.eta_override)
 
     @property
     def stochastic(self) -> bool:
-        return self.kind in _SAMPLED_KINDS
+        return self.kind in _ESTIMATORS
 
     def resolved_eta(self, slotted: SlottedTrace, cache_size: int) -> float:
         """Perturbation scale: the override, else compute_eta's value."""
@@ -126,24 +131,28 @@ class PolicySpec:
                 f"cache_size {cache_size} holds all {n} files, "
                 f"so policy {self.name!r} has no perturbation scale; set its eta"
             )
-        estimator = self.estimator_spec(slotted.batch_size)
-        eta = compute_eta(bound_params(estimator, n, cache_size), slotted.horizon)
+        eta = compute_eta(*self._mass_and_diameter(slotted, cache_size), slotted.horizon)
         return self._finite(eta, "perturbation scale; raise its rate or set its eta")
 
     def resolved_bound(self, slotted: SlottedTrace, cache_size: int, eta: float):
         """metrics.regret_bound for this policy's estimator at eta; None at eta 0."""
         if eta == 0:
             return None
-        estimator = self.estimator_spec(slotted.batch_size)
-        bounds = bound_params(estimator, slotted.n_files, cache_size)
-        bound = regret_bound(bounds, slotted.horizon, eta)
-        mass = bounds.cost_bound * bounds.l1_bound * slotted.horizon
-        # what overflowed: eta * D, else R * A * T / eta, else R * A * T
-        if not math.isfinite(eta * bounds.diameter):
+        mass, diameter = self._mass_and_diameter(slotted, cache_size)
+        bound = regret_bound(mass, diameter, slotted.horizon, eta)
+        # what overflowed: eta * D, else M * M * T / eta, else M * M * T
+        if not math.isfinite(eta * diameter):
             fix = "lower its eta"
+        elif math.isfinite(mass * mass * slotted.horizon):
+            fix = "raise its eta"
         else:
-            fix = "raise its eta" if math.isfinite(mass) else "raise its rate"
+            fix = "raise its rate"
         return self._finite(bound, f"regret bound; {fix}")
+
+    def _mass_and_diameter(self, slotted: SlottedTrace, cache_size: int):
+        """The bound formulas' estimator mass and diameter, 2 * min(C, N - C)."""
+        mass = self.estimator_spec(slotted.batch_size).mass
+        return mass, 2 * min(cache_size, slotted.n_files - cache_size)
 
     def _finite(self, value: float, what: str) -> float:
         """value, or a PolicyError naming this policy if it overflowed a float."""
@@ -156,14 +165,11 @@ class PolicySpec:
         return value
 
     def estimator_spec(self, batch_size: int) -> EstimatorSpec | None:
-        if self.kind == "fpl":
-            return EstimatorSpec.exact(batch_size)
-        if self.kind == "nfpl-fix":
-            b = max(1, min(batch_size, round(self.rate * batch_size)))
-            return EstimatorSpec.fixed_subsample(b, batch_size)
-        if self.kind == "nfpl-var":
-            return EstimatorSpec.bernoulli(self.rate, batch_size)
-        return None
+        """This leader's estimator at batch_size; None for lru, ftl and opt."""
+        if not self.stochastic:
+            return None
+        rate = 1.0 if self.rate is None else self.rate
+        return EstimatorSpec(_ESTIMATORS[self.kind], batch_size, rate)
 
 
 @dataclass(frozen=True)
@@ -279,17 +285,23 @@ def _run_leaders(leaders, slotted, sizes, plan, runs):
     stepper derives every run's noise and sampling streams from plan.
     Leaders with equal etas whose estimates are equal, because both are
     full rate or both keep the same fixed subsample, are the same leader
-    and step once. Returns the stepper's LeaderRuns and each leader's
-    column in it.
+    and step once, with the first one's estimator. Returns the stepper's
+    LeaderRuns and each leader's column in it.
     """
-    keys = [
-        (EstimatorSpec.exact(est.batch_size) if est.full_rate else est, tuple(etas))
-        for est, etas in leaders
-    ]
-    distinct = list(dict.fromkeys(keys))
+    first, keys = {}, []
+    for est, etas in leaders:
+        if est.full_rate:
+            same = None  # every full-rate estimate is the counts
+        elif est.kind is EstimatorKind.FIXED_SUBSAMPLE:
+            same = est.subsample  # fixed rates that round to one b
+        else:
+            same = est
+        keys.append((same, tuple(etas)))
+        first.setdefault(keys[-1], (est, etas))
+    distinct = list(first)
     stepped = step_perturbed_leaders(
-        slotted, sizes, np.array([etas for _, etas in distinct]).T,
-        [est for est, _ in distinct], runs, plan,
+        slotted, sizes, np.array([etas for _, etas in first.values()]).T,
+        [est for est, _ in first.values()], runs, plan,
     )
     return stepped, [distinct.index(key) for key in keys]
 

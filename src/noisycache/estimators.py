@@ -1,15 +1,18 @@
 """Request-count estimators.
 
 A policy never has to see the true batch counts r. It sees an estimate
-r_hat produced by one of three estimators, each unbiased (E[r_hat] = r):
+r_hat made from a sample of each batch's events at a sampling rate in
+(0, 1], by one of two estimators, each unbiased (E[r_hat] = r):
 
-- exact: r_hat = r (the degenerate, fully observed case);
-- fixed subsample: keep exactly `subsample` of the batch's events,
-  chosen uniformly without replacement, count per file, and rescale by
-  batch_size / subsample. The per-file kept counts follow a multivariate
-  hypergeometric law over the batch's count vector;
+- fixed subsample: keep exactly `subsample` of the batch's B events,
+  the count the rate rounds to, chosen uniformly without replacement,
+  count per file, and rescale by B / subsample. The per-file kept counts
+  follow a multivariate hypergeometric law over the batch's count vector;
 - bernoulli: keep each event independently with probability `rate` and
   rescale by 1 / rate, i.e. a binomial thinning of each file's count.
+
+Rate 1 is exact observation, r_hat = r, for both; so is a fixed rate
+whose subsample rounds to B.
 
 estimate_block turns a block of consecutive slots of a slotted trace,
 and one uniform key per event of the block, in sorted order, into the
@@ -20,10 +23,10 @@ slot (Efraimidis & Spirakis, IPL 2006), a uniform subset of the events,
 so the multivariate hypergeometric law. Neither draws keys of its own,
 so one draw of keys can feed every estimator of a run.
 
-bound_params feeds the perturbation-scale and regret-bound formulas from
-the estimator, which carries B, and from N and C alone: the fixed
-subsample keeps estimate l1 mass at exactly batch_size, while bernoulli
-thinning can concentrate up to batch_size / rate on a single file.
+An estimator's `mass` bounds both the l1 norm of one estimate and one
+slot's estimated cost, the two factors of the perturbation-scale and
+regret-bound formulas: the fixed subsample keeps the l1 mass at exactly
+B, while bernoulli thinning can put up to B / rate on a single file.
 """
 
 from dataclasses import dataclass
@@ -35,7 +38,6 @@ from .core import InvalidInputError
 
 
 class EstimatorKind(Enum):
-    EXACT = "exact"
     FIXED_SUBSAMPLE = "fixed"
     BERNOULLI = "bernoulli"
 
@@ -48,67 +50,48 @@ def check_rate(rate, what: str = "rate") -> None:
 
 @dataclass(frozen=True)
 class EstimatorSpec:
-    """Which estimator to run and its parameters.
+    """Which estimator to run, on batches of batch_size events, at which rate.
 
-    batch_size is the number of events per batch the estimator expects;
-    subsample applies to FIXED_SUBSAMPLE (events kept per batch) and
-    rate to BERNOULLI (per-event keep probability).
+    rate, in (0, 1], is the one sampling parameter; at 1, the default,
+    either kind observes every event. The fixed subsample keeps
+    `subsample` events of each batch, so rate b / B keeps b.
     """
 
     kind: EstimatorKind
     batch_size: int
-    subsample: int | None = None
-    rate: float | None = None
+    rate: float = 1.0
 
     def __post_init__(self):
         if self.batch_size < 1:
             raise InvalidInputError("batch_size must be >= 1")
-        if self.kind is EstimatorKind.FIXED_SUBSAMPLE:
-            if self.subsample is None or not 1 <= self.subsample <= self.batch_size:
-                raise InvalidInputError(
-                    f"subsample must be in [1, {self.batch_size}], got {self.subsample}"
-                )
-            if self.rate is not None:
-                raise InvalidInputError("rate does not apply to the fixed subsampler")
-        elif self.kind is EstimatorKind.BERNOULLI:
-            check_rate(self.rate)
-            if self.subsample is not None:
-                raise InvalidInputError("subsample does not apply to bernoulli")
-        else:
-            if self.subsample is not None or self.rate is not None:
-                raise InvalidInputError("exact estimation takes no parameters")
+        check_rate(self.rate)
+
+    @property
+    def subsample(self) -> int:
+        """The fixed subsample's events kept per batch: max(1, round(rate * B))."""
+        return max(1, round(self.rate * self.batch_size))
 
     @property
     def full_rate(self) -> bool:
         """Whether every event is observed, so the estimate is the counts."""
-        exact = self.kind is EstimatorKind.EXACT
-        return exact or self.rate == 1.0 or self.subsample == self.batch_size
+        if self.kind is EstimatorKind.BERNOULLI:
+            return self.rate == 1.0
+        return self.subsample == self.batch_size
+
+    @property
+    def mass(self) -> float:
+        """Bound on an estimate's l1 norm and on one slot's estimated cost."""
+        if self.kind is EstimatorKind.BERNOULLI:
+            return self.batch_size / self.rate
+        return float(self.batch_size)
 
     @classmethod
-    def exact(cls, batch_size: int) -> "EstimatorSpec":
-        return cls(EstimatorKind.EXACT, batch_size)
-
-    @classmethod
-    def fixed_subsample(cls, subsample: int, batch_size: int) -> "EstimatorSpec":
-        return cls(EstimatorKind.FIXED_SUBSAMPLE, batch_size, subsample=subsample)
+    def fixed(cls, rate: float, batch_size: int) -> "EstimatorSpec":
+        return cls(EstimatorKind.FIXED_SUBSAMPLE, batch_size, rate)
 
     @classmethod
     def bernoulli(cls, rate: float, batch_size: int) -> "EstimatorSpec":
-        return cls(EstimatorKind.BERNOULLI, batch_size, rate=rate)
-
-
-@dataclass(frozen=True)
-class BoundParams:
-    """Inputs to the perturbation-scale and regret-bound formulas.
-
-    cost_bound: upper bound on a single slot's estimated cost;
-    l1_bound: upper bound on the l1 norm of a single estimate;
-    diameter: l1 diameter of the decision set, 2 * min(C, N - C).
-    """
-
-    cost_bound: float
-    l1_bound: float
-    diameter: int
+        return cls(EstimatorKind.BERNOULLI, batch_size, rate)
 
 
 def estimate_block(
@@ -137,12 +120,3 @@ def estimate_block(
         kept = np.bincount(owner[picked.ravel()], minlength=counts.size)
         np.multiply(kept, batch / b, out=out[: counts.size])
 
-
-def bound_params(spec: EstimatorSpec, n_files: int, cache_size: int) -> BoundParams:
-    """Bound parameters for this estimator, whose batch_size is B, at N and C."""
-    diameter = 2 * min(cache_size, n_files - cache_size)
-    if spec.kind is EstimatorKind.BERNOULLI:
-        mass = spec.batch_size / spec.rate
-    else:
-        mass = float(spec.batch_size)
-    return BoundParams(cost_bound=mass, l1_bound=mass, diameter=diameter)

@@ -13,7 +13,6 @@ import math
 import numpy as np
 
 from .core import InvalidInputError
-from .estimators import BoundParams
 
 
 def average_miss_ratio(costs, batch_size: int) -> np.ndarray:
@@ -33,21 +32,23 @@ def average_miss_ratio(costs, batch_size: int) -> np.ndarray:
     return np.cumsum(arr, axis=-1) / (batch_size * slots)
 
 
-def compute_eta(bounds: BoundParams, horizon: int) -> float:
-    """sqrt(cost_bound * l1_bound * horizon / diameter), the eta minimising regret_bound.
+def compute_eta(mass: float, diameter: int, horizon: int) -> float:
+    """sqrt(mass * mass * horizon / diameter), the eta minimising regret_bound.
 
-    Requires a positive diameter (a cache that holds everything, or
-    nothing, has no decision to make).
+    mass bounds both an estimate's l1 norm and one slot's estimated cost
+    (EstimatorSpec.mass), and diameter is the decision set's l1 diameter,
+    2 * min(C, N - C), which must be positive (a cache that holds
+    everything, or nothing, has no decision to make).
     """
     if horizon < 1:
         raise InvalidInputError(f"horizon must be >= 1, got {horizon}")
-    if bounds.diameter <= 0:
+    if diameter <= 0:
         raise InvalidInputError("diameter must be positive to set a perturbation scale")
-    return math.sqrt(bounds.cost_bound * bounds.l1_bound * horizon / bounds.diameter)
+    return math.sqrt(mass * mass * horizon / diameter)
 
 
-def regret_bound(bounds: BoundParams, horizon: int, eta: float) -> float:
-    """Expected regret bound eta * diameter + cost_bound * l1_bound * horizon / eta.
+def regret_bound(mass: float, diameter: int, horizon: int, eta: float) -> float:
+    """Expected regret bound eta * diameter + mass * mass * horizon / eta.
 
     Kalai & Vempala's additive bound for perturbations uniform on [0, eta]^N.
     """
@@ -55,7 +56,7 @@ def regret_bound(bounds: BoundParams, horizon: int, eta: float) -> float:
         raise InvalidInputError(f"horizon must be >= 1, got {horizon}")
     if not eta > 0:
         raise InvalidInputError(f"eta must be > 0 for a regret bound, got {eta}")
-    return eta * bounds.diameter + bounds.cost_bound * bounds.l1_bound * horizon / eta
+    return eta * diameter + mass * mass * horizon / eta
 
 
 def decile_band(ratios) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

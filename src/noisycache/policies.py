@@ -19,6 +19,7 @@ time, and each slot's misses, at most B, land in int64 costs.
 
 from collections import OrderedDict
 from dataclasses import dataclass
+import errno
 from itertools import islice
 import mmap
 import os
@@ -146,7 +147,14 @@ def step_perturbed_leaders(
         raise InvalidInputError(f"runs must be <= {most} at this trace, cache sizes "
                                 f"and policies, got {runs}")
     cells = len(sizes) * groups * runs * horizon
-    result = mmap.mmap(-1, 8 * (cells + groups * runs * n))
+    size = 8 * (cells + groups * runs * n)
+    try:
+        result = mmap.mmap(-1, size)
+    except OSError as exc:
+        if exc.errno != errno.ENOMEM:
+            raise
+        raise MemoryError(f"runs = {runs} needs a result of {size} bytes, "
+                          "more than this host can map") from None
     costs = np.frombuffer(result, np.int64, cells).reshape(-1, groups, runs, horizon)
     totals = np.frombuffer(result, np.float64, offset=8 * cells).reshape(groups, runs, n)
     shared = runs == 1 and groups > 1  # every row reads run 0's noise

@@ -108,20 +108,23 @@ class TraceFileConfig:
 _BLOCK = 1 << 14
 
 
-def _inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """np.searchsorted(cdf, u) for a nondecreasing cdf and u in [0, 1).
+def _inverse_cdf(cdf: np.ndarray, draw, size: int) -> np.ndarray:
+    """np.searchsorted(cdf, u) for a nondecreasing cdf and size draws u.
 
-    A guide table over M = 2**k >= 4 * len(cdf) equal buckets holds each
-    bucket's answer, or -1 where a cdf entry falls inside the bucket and
-    only a search can tell. M is a power of two, so u * M is exact.
+    draw(k) returns the next k draws, each in [0, 1); they are drawn a
+    block at a time, so only one block of them is held at once. A guide
+    table over M = 2**k >= 4 * len(cdf) equal buckets holds each bucket's
+    answer, or -1 where a cdf entry falls inside the bucket and only a
+    search can tell. M is a power of two, so u * M is exact.
     """
     m = 1 << (4 * cdf.size - 1).bit_length()
     edges = np.searchsorted(cdf, np.arange(m + 1) / m)
     guide = edges[:-1]
     guide[edges[1:] != guide] = -1
-    out = np.empty(u.size, dtype=np.int64)
-    for start in range(0, u.size, _BLOCK):
-        block, found = u[start : start + _BLOCK], out[start : start + _BLOCK]
+    out = np.empty(size, dtype=np.int64)
+    for start in range(0, size, _BLOCK):
+        found = out[start : start + _BLOCK]
+        block = draw(found.size)
         found[...] = guide[(block * m).astype(np.intp)]
         straddle = np.flatnonzero(found < 0)
         found[straddle] = np.searchsorted(cdf, block[straddle])
@@ -136,7 +139,8 @@ def generate_zipf(config: ZipfConfig) -> Trace:
     weights = ranks ** -config.alpha
     cdf = np.cumsum(weights / weights.sum())
     rng = np.random.default_rng(config.seed)
-    events = _inverse_cdf(cdf, rng.random(config.total_requests))
+    # Generator.random fills in stream order: the blocks draw what one call would
+    events = _inverse_cdf(cdf, rng.random, config.total_requests)
     # guard the cdf[-1] < 1.0 rounding corner
     np.minimum(events, config.n_files - 1, out=events)
     events += 1

@@ -154,8 +154,6 @@ def reference_estimate(spec, counts, rng):
     """
     from noisycache import EstimatorKind
 
-    if spec.kind is EstimatorKind.EXACT:
-        return counts.astype(np.float64)
     events = np.repeat(np.arange(counts.size), counts)
     keys = rng.random(events.size)
     if spec.kind is EstimatorKind.BERNOULLI:

@@ -352,7 +352,7 @@ def test_criterion_3_estimators_are_unbiased():
     counts = np.array([3.0, 2.0, 1.0, 0.0])
     total = 6
     subsample, rate = 2, 0.5
-    fix = EstimatorSpec.fixed_subsample(subsample, total)
+    fix = EstimatorSpec.fixed(subsample / total, total)
     var = EstimatorSpec.bernoulli(rate, total)
     rng = np.random.default_rng(2024)
     draws = 100_000

@@ -252,6 +252,28 @@ def test_a_full_disk_stays_a_runtime_failure(tmp_path, capsys, monkeypatch):
     assert "runtime failure: OSError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("code, kind", [(errno.ENOMEM, "MemoryError"),
+                                         (errno.EINVAL, "OSError")],
+                         ids=["no-memory", "other-error"])
+def test_an_unmappable_result_names_runs_and_its_size(tmp_path, capsys, monkeypatch,
+                                                      code, kind):
+    # the cap lets runs up to R x (T = 100 costs + N = 40 totals) 8-byte cells
+    # through; past it, only the host's memory can refuse the mapping
+    runs = sys.maxsize // (8 * 140)
+
+    def refuse(*args):
+        raise OSError(code, os.strerror(code))
+
+    monkeypatch.setattr(policies.mmap, "mmap", refuse)
+    config = write_config(tmp_path, RUN_CONFIG.replace("runs = 3", f"runs = {runs}"))
+    assert cli.main(["run", "-c", str(config), "-o", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"runtime failure: {kind}: ")
+    if kind == "MemoryError":
+        assert err[0].endswith(f": runs = {runs} needs a result of {8 * 140 * runs} "
+                               "bytes, more than this host can map")
+
+
 @pytest.fixture(scope="module")
 def run_dir(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("run")

@@ -17,7 +17,7 @@ from noisycache import (
     TraceFileConfig,
     ZipfConfig,
     batch_trace,
-    bound_params,
+    compute_eta,
     generate_zipf,
     regret_bound,
     run_experiment,
@@ -93,7 +93,8 @@ class TestPolicySpec:
         assert PolicySpec("x", "fpl", eta_override=0.0).eta_override == 0.0
 
     def test_estimator_mapping(self):
-        assert PolicySpec("x", "fpl").estimator_spec(50).kind is EstimatorKind.EXACT
+        fpl = PolicySpec("x", "fpl").estimator_spec(50)
+        assert fpl.rate == 1.0 and fpl.full_rate
         fix = PolicySpec("x", "nfpl-fix", rate=0.01).estimator_spec(200)
         assert fix.kind is EstimatorKind.FIXED_SUBSAMPLE
         assert fix.subsample == 2
@@ -104,16 +105,14 @@ class TestPolicySpec:
         assert var.rate == 0.25
         assert PolicySpec("x", "lru").estimator_spec(200) is None
 
-    def test_every_count_has_a_rate(self):
-        # rate b / B asks for b events of B, so no fixed subsample needs a
-        # count of its own
-        for batch in range(1, 2001):
-            kept = [PolicySpec("f", "nfpl-fix", rate=b / batch).estimator_spec(batch)
-                    .subsample for b in range(1, batch + 1)]
-            assert kept == list(range(1, batch + 1)), batch
-
     def test_tiny_rates_keep_at_least_one_event(self):
         assert PolicySpec("x", "nfpl-fix", rate=0.001).estimator_spec(10).subsample == 1
+
+    def test_diameter_uses_smaller_side(self):
+        # N = 10 and C = 8: the decision set's diameter is 2 * min(8, 2)
+        slotted = batch_trace(Trace(np.arange(1, 11), 10), 5)
+        eta = PolicySpec("x", "fpl").resolved_eta(slotted, 8)
+        assert eta == compute_eta(5.0, 4, 2)
 
     def test_defaults(self):
         assert PolicySpec("x", "fpl").stochastic
@@ -172,8 +171,9 @@ class TestRunExperiment:
         config = ExperimentConfig(trace, (cache,), b, leaders, runs=20, base_seed=seed)
         report = run_experiment(config)[0]
         for pol in report.policies:
-            bounds = bound_params(pol.spec.estimator_spec(b), trace.n_files, cache)
-            assert pol.bound == regret_bound(bounds, report.horizon, eta)
+            mass = pol.spec.estimator_spec(b).mass
+            diameter = 2 * min(cache, trace.n_files - cache)
+            assert pol.bound == regret_bound(mass, diameter, report.horizon, eta)
             assert pol.regret <= pol.bound
 
     def test_is_deterministic(self):
@@ -459,12 +459,20 @@ class TestRunSweep:
         with pytest.raises(InvalidInputError, match="duplicate rates"):
             run_sweep(self.base_config(), rates=(0.5, 0.5))
 
-    def test_twin_cells_agree_and_each_cell_equals_its_own_experiment(self):
+    def test_twin_cells_agree_and_each_cell_equals_its_own_experiment(self, monkeypatch):
         # at rate 1.0 fix and var are one full-rate leader, and fix rates
         # 0.01 and 0.02 both keep one event of 20; stepped once, each cell
         # must still be what an experiment of that one policy gives
+        stepped, real_step = [], engine.step_perturbed_leaders
+
+        def step(slotted, sizes, etas, estimators, *args):
+            stepped.append(len(estimators))
+            return real_step(slotted, sizes, etas, estimators, *args)
+
+        monkeypatch.setattr(engine, "step_perturbed_leaders", step)
         cfg = self.base_config()
         reports = run_sweep(replace(cfg, cache_sizes=(4, 8)), rates=(0.01, 0.02, 1.0))
+        assert stepped == [4]  # fix at b = 1, var 0.01, var 0.02 and full rate
         cells = {
             (size, variant(pol), pol.spec.rate): pol for size, pol in sweep_cells(reports)
         }

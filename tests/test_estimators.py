@@ -12,13 +12,11 @@ from helpers import (
     reference_estimate,
 )
 from noisycache import (
-    BoundParams,
     EstimatorKind,
     EstimatorSpec,
     InvalidInputError,
     SeedPlan,
     SlottedTrace,
-    bound_params,
     step_perturbed_leaders,
 )
 from noisycache.estimators import estimate_block
@@ -35,20 +33,20 @@ def _step_one_slot(spec):
 
 class TestSpecValidation:
     def test_factories(self):
-        assert EstimatorSpec.exact(6).kind is EstimatorKind.EXACT
-        assert EstimatorSpec.fixed_subsample(2, 6).subsample == 2
+        assert EstimatorSpec.fixed(1 / 3, 6).kind is EstimatorKind.FIXED_SUBSAMPLE
+        assert EstimatorSpec.fixed(1 / 3, 6).subsample == 2
         assert EstimatorSpec.bernoulli(0.5, 6).rate == 0.5
+        assert EstimatorSpec(EstimatorKind.BERNOULLI, 6).rate == 1.0
 
     @pytest.mark.parametrize(
         "build",
         [
-            lambda: EstimatorSpec.fixed_subsample(0, 6),
-            lambda: EstimatorSpec.fixed_subsample(7, 6),
+            lambda: EstimatorSpec.fixed(0.0, 6),
+            lambda: EstimatorSpec.fixed(1.5, 6),
             lambda: EstimatorSpec.bernoulli(0.0, 6),
             lambda: EstimatorSpec.bernoulli(1.5, 6),
-            lambda: EstimatorSpec(EstimatorKind.EXACT, 6, subsample=2),
-            lambda: EstimatorSpec(EstimatorKind.EXACT, 6, rate=0.5),
-            lambda: EstimatorSpec(EstimatorKind.FIXED_SUBSAMPLE, 6, subsample=2, rate=0.5),
+            lambda: EstimatorSpec(EstimatorKind.FIXED_SUBSAMPLE, 6, float("nan")),
+            lambda: EstimatorSpec(EstimatorKind.BERNOULLI, 6, None),
             lambda: EstimatorSpec(EstimatorKind.BERNOULLI, 0, rate=0.5),
         ],
     )
@@ -56,15 +54,58 @@ class TestSpecValidation:
         with pytest.raises(InvalidInputError):
             build()
 
+    def test_rate_is_the_one_parameter(self):
+        # exact observation is rate 1, and a count is a rate: the old
+        # spellings fail instead of meaning something else
+        assert [kind.value for kind in EstimatorKind] == ["fixed", "bernoulli"]
+        assert not hasattr(EstimatorSpec, "exact")
+        assert not hasattr(EstimatorSpec, "fixed_subsample")
+        with pytest.raises(TypeError):
+            EstimatorSpec(EstimatorKind.FIXED_SUBSAMPLE, 6, subsample=2)
+
+
+class TestSubsample:
+    """The fixed subsample's b = max(1, round(rate * B)), its one rule."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 2**31 - 1).flatmap(
+        lambda batch: st.tuples(st.just(batch), st.integers(1, batch))))
+    def test_every_count_has_a_rate(self, case):
+        # rate b / B asks for b events of B, so no fixed subsample needs a
+        # count of its own
+        batch, b = case
+        assert EstimatorSpec.fixed(b / batch, batch).subsample == b
+
+    @pytest.mark.parametrize("rate, batch, b", [
+        (0.29, 100, 29),   # 0.29 * 100 is 28.999999999999996
+        (7 / 200, 200, 7),  # 7 / 200 * 200 is 7.000000000000001
+        (0.25, 10, 2),     # 2.5: ties go to the even count
+        (0.35, 10, 4),     # 0.35 * 10 is 3.5
+        (0.05, 10, 1),     # 0.5 rounds to 0, and one event is kept
+        (0.001, 10, 1),
+        (0.96, 12, 12),    # a rate below 1 may keep the whole batch
+        (1.0, 1, 1),
+        (1.0, 2**31 - 1, 2**31 - 1),
+    ])
+    def test_rounding_edges(self, rate, batch, b):
+        assert EstimatorSpec.fixed(rate, batch).subsample == b
+
+    def test_full_rate_is_every_event_kept(self):
+        assert EstimatorSpec.fixed(0.96, 12).full_rate
+        assert not EstimatorSpec.fixed(0.95, 12).full_rate
+        assert EstimatorSpec.bernoulli(1.0, 12).full_rate
+        assert not EstimatorSpec.bernoulli(0.96, 12).full_rate
+
 
 class TestExact:
     def test_passthrough(self):
-        out = estimate_copies(EstimatorSpec.exact(6), COUNTS, 1, None)
-        assert out.tolist() == [[3.0, 2.0, 1.0, 0.0]]
+        for kind in EstimatorKind:
+            out = estimate_copies(EstimatorSpec(kind, 6), COUNTS, 1, None)
+            assert out.tolist() == [[3.0, 2.0, 1.0, 0.0]]
 
     def test_batch_size_mismatch(self):
         with pytest.raises(InvalidInputError, match="batch size"):
-            _step_one_slot(EstimatorSpec.exact(5))
+            _step_one_slot(EstimatorSpec.bernoulli(1.0, 5))
 
 
 class TestFixedSubsample:
@@ -72,32 +113,32 @@ class TestFixedSubsample:
         # (B/b) * b kept events = B exactly, every single draw
         rng = np.random.default_rng(0)
         for b in (1, 2, 3, 5, 6):
-            spec = EstimatorSpec.fixed_subsample(b, 6)
+            spec = EstimatorSpec.fixed(b / 6, 6)
             out = estimate_copies(spec, COUNTS, 200, rng)
             assert out.sum(axis=1) == pytest.approx(np.full(200, 6.0), abs=1e-12)
 
     def test_values_are_multiples_of_the_scale(self):
         rng = np.random.default_rng(1)
-        spec = EstimatorSpec.fixed_subsample(2, 6)
+        spec = EstimatorSpec.fixed(1 / 3, 6)
         kept = estimate_copies(spec, COUNTS, 100, rng) / 3.0  # scale B/b = 3
         assert np.allclose(kept, np.round(kept))
 
     def test_support_subset_of_batch(self):
         rng = np.random.default_rng(2)
-        spec = EstimatorSpec.fixed_subsample(2, 6)
+        spec = EstimatorSpec.fixed(1 / 3, 6)
         out = estimate_copies(spec, COUNTS, 100, rng)
         assert np.all(out[:, 3] == 0.0)
         assert np.all(out >= 0.0)
 
     def test_full_subsample_degenerates_to_exact(self):
         rng = np.random.default_rng(3)
-        spec = EstimatorSpec.fixed_subsample(6, 6)
+        spec = EstimatorSpec.fixed(1.0, 6)
         out = estimate_copies(spec, COUNTS, 50, rng)
         assert out.tolist() == [[3.0, 2.0, 1.0, 0.0]] * 50
 
     def test_unbiased(self):
         rng = np.random.default_rng(4)
-        spec = EstimatorSpec.fixed_subsample(2, 6)
+        spec = EstimatorSpec.fixed(1 / 3, 6)
         draws = 20_000
         mean = estimate_copies(spec, COUNTS, draws, rng).mean(axis=0)
         r = np.array([3.0, 2.0, 1.0, 0.0])
@@ -148,7 +189,7 @@ class TestEstimateBlock:
     @pytest.mark.parametrize(
         "spec",
         [EstimatorSpec.bernoulli(rate, 12) for rate in (0.01, 0.37, 0.5, 0.93)]
-        + [EstimatorSpec.fixed_subsample(b, 12) for b in (1, 5, 11)],
+        + [EstimatorSpec.fixed(b / 12, 12) for b in (1, 5, 11)],
     )
     def test_matches_one_draw_per_slot(self, spec):
         rng, twin = np.random.default_rng(21), np.random.default_rng(21)
@@ -165,8 +206,8 @@ class TestEstimateBlock:
 
     @pytest.mark.parametrize(
         "spec",
-        [EstimatorSpec.exact(12), EstimatorSpec.bernoulli(1.0, 12),
-         EstimatorSpec.fixed_subsample(12, 12)],
+        [EstimatorSpec.bernoulli(1.0, 12), EstimatorSpec.fixed(1.0, 12),
+         EstimatorSpec.fixed(0.96, 12)],
     )
     def test_full_rate_copies_the_counts_and_draws_nothing(self, spec):
         # it reads neither owner nor keys, so a caller with only full-rate
@@ -195,7 +236,7 @@ def sampled_blocks(draw, kind):
         rate = draw(st.floats(1e-3, 1.0, exclude_max=True))
         spec = EstimatorSpec.bernoulli(rate, batch)
     else:
-        spec = EstimatorSpec.fixed_subsample(draw(st.integers(1, batch - 1)), batch)
+        spec = EstimatorSpec.fixed(draw(st.integers(1, batch - 1)) / batch, batch)
     return spec, slotted, draw(st.integers(0, 2**32 - 1))
 
 
@@ -247,7 +288,7 @@ class TestFixedSubsampleLaw:
         self, counts, sample
     ):
         pmf = multivariate_hypergeometric_pmf(counts, sample)
-        spec, draws = EstimatorSpec.fixed_subsample(sample, sum(counts)), 20_000
+        spec, draws = EstimatorSpec.fixed(sample / sum(counts), sum(counts)), 20_000
         rng = np.random.default_rng(2309)
         kept = np.rint(estimate_copies(spec, counts, draws, rng) * sample / sum(counts))
         # Pearson's chi-squared at level 1e-3: the true law fails a case at
@@ -281,20 +322,13 @@ class TestBernoulliLaw:
         assert _fit(pmf, kept) > 1e-3
 
 
-class TestBoundParams:
+class TestMass:
+    """The one bound on an estimate's l1 norm and on a slot's estimated cost."""
+
     def test_exact_and_fixed_share_bounds(self):
-        for spec in (EstimatorSpec.exact(200), EstimatorSpec.fixed_subsample(20, 200)):
-            bounds = bound_params(spec, 10_000, 100)
-            assert bounds.cost_bound == 200.0
-            assert bounds.l1_bound == 200.0
-            assert bounds.diameter == 200
+        for spec in (EstimatorSpec.bernoulli(1.0, 200), EstimatorSpec.fixed(1.0, 200),
+                     EstimatorSpec.fixed(0.1, 200)):
+            assert spec.mass == 200.0
 
     def test_bernoulli_scales_by_rate(self):
-        bounds = bound_params(EstimatorSpec.bernoulli(0.5, 200), 10_000, 100)
-        assert bounds.cost_bound == 400.0
-        assert bounds.l1_bound == 400.0
-        assert bounds.diameter == 200
-
-    def test_diameter_uses_smaller_side(self):
-        bounds = bound_params(EstimatorSpec.exact(5), 10, 8)
-        assert bounds.diameter == 2 * min(8, 2)
+        assert EstimatorSpec.bernoulli(0.5, 200).mass == 400.0

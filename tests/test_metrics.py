@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from noisycache import (
-    BoundParams,
     InvalidInputError,
     RoundRobinConfig,
     SlottedTrace,
@@ -100,33 +99,31 @@ class TestOptCost:
 
 
 class TestRegretBound:
-    # at compute_eta's eta, eta * D + R * A * T / eta is 2 * sqrt(R * A * D * T)
+    # at compute_eta's eta, eta * D + M * M * T / eta is 2 * sqrt(M * M * D * T)
     def test_desk_scale_values(self):
-        exact = BoundParams(cost_bound=200.0, l1_bound=200.0, diameter=200)
-        eta = compute_eta(exact, 500)
-        assert regret_bound(exact, 500, eta) == pytest.approx(126491.10640673517, rel=1e-12)
-        half = BoundParams(cost_bound=400.0, l1_bound=400.0, diameter=200)
-        eta = compute_eta(half, 500)
-        assert regret_bound(half, 500, eta) == pytest.approx(252982.21281347034, rel=1e-12)
+        eta = compute_eta(200.0, 200, 500)
+        assert regret_bound(200.0, 200, 500, eta) == pytest.approx(
+            126491.10640673517, rel=1e-12)
+        eta = compute_eta(400.0, 200, 500)
+        assert regret_bound(400.0, 200, 500, eta) == pytest.approx(
+            252982.21281347034, rel=1e-12)
 
     def test_formula(self):
-        bounds = BoundParams(cost_bound=3.0, l1_bound=5.0, diameter=4)
-        assert regret_bound(bounds, 7, compute_eta(bounds, 7)) == pytest.approx(
-            2 * math.sqrt(3 * 5 * 4 * 7), rel=1e-12
+        assert regret_bound(3.0, 4, 7, compute_eta(3.0, 4, 7)) == pytest.approx(
+            2 * math.sqrt(3 * 3 * 4 * 7), rel=1e-12
         )
 
     def test_formula_at_an_untuned_eta(self):
-        bounds = BoundParams(cost_bound=3.0, l1_bound=5.0, diameter=4)
-        assert regret_bound(bounds, 7, 2.0) == 2.0 * 4 + 3 * 5 * 7 / 2.0
+        assert regret_bound(3.0, 4, 7, 2.0) == 2.0 * 4 + 3.0 * 3.0 * 7 / 2.0
 
     def test_rejects_bad_horizon(self):
         with pytest.raises(InvalidInputError):
-            regret_bound(BoundParams(1.0, 1.0, 2), 0, 1.0)
+            regret_bound(1.0, 2, 0, 1.0)
 
     @pytest.mark.parametrize("eta", [0.0, -1.0, math.nan])
     def test_rejects_an_eta_not_above_zero(self, eta):
         with pytest.raises(InvalidInputError, match="eta must be > 0"):
-            regret_bound(BoundParams(1.0, 1.0, 2), 10, eta)
+            regret_bound(1.0, 2, 10, eta)
 
 
 class TestDecileBand:

@@ -24,7 +24,6 @@ from helpers import (
     record_forks,
 )
 from noisycache import (
-    BoundParams,
     EstimatorSpec,
     InvalidInputError,
     RoundRobinConfig,
@@ -47,24 +46,21 @@ from noisycache.policies import BLOCK_EVENTS
 
 class TestComputeEta:
     def test_desk_scale_values(self):
-        exact = BoundParams(cost_bound=200.0, l1_bound=200.0, diameter=200)
-        assert compute_eta(exact, 500) == pytest.approx(316.22776601683796, rel=1e-12)
-        half = BoundParams(cost_bound=400.0, l1_bound=400.0, diameter=200)
-        assert compute_eta(half, 500) == pytest.approx(632.4555320336759, rel=1e-12)
+        # mass B = 200 at full rate, 400 at bernoulli rate 0.5; diameter 200
+        assert compute_eta(200.0, 200, 500) == pytest.approx(316.22776601683796, rel=1e-12)
+        assert compute_eta(400.0, 200, 500) == pytest.approx(632.4555320336759, rel=1e-12)
 
     def test_formula(self):
-        bounds = BoundParams(cost_bound=3.0, l1_bound=5.0, diameter=4)
-        assert compute_eta(bounds, 7) == pytest.approx(math.sqrt(3 * 5 * 7 / 4))
+        assert compute_eta(3.0, 4, 7) == pytest.approx(math.sqrt(3 * 3 * 7 / 4))
 
     def test_unit_case(self):
-        bounds = BoundParams(cost_bound=1.0, l1_bound=1.0, diameter=6)
-        assert compute_eta(bounds, 6) == 1.0
+        assert compute_eta(1.0, 6, 6) == 1.0
 
     def test_rejects_degenerate_inputs(self):
         with pytest.raises(InvalidInputError):
-            compute_eta(BoundParams(1.0, 1.0, 0), 10)
+            compute_eta(1.0, 0, 10)
         with pytest.raises(InvalidInputError):
-            compute_eta(BoundParams(1.0, 1.0, 2), 0)
+            compute_eta(1.0, 2, 0)
 
 
 def _recorded_ftl(slotted, cache_size):
@@ -203,11 +199,9 @@ def leader_problems(draw):
 
 
 def _estimator(kind, rate, b):
-    if kind == "fpl":
-        return EstimatorSpec.exact(b)
     if kind == "fix":
-        return EstimatorSpec.fixed_subsample(max(1, round(rate * b)), b)
-    return EstimatorSpec.bernoulli(rate, b)
+        return EstimatorSpec.fixed(rate, b)
+    return EstimatorSpec.bernoulli(1.0 if kind == "fpl" else rate, b)
 
 
 @st.composite
@@ -311,8 +305,8 @@ def one_run_problems(draw):
 def _step_exact(slotted, cache_size, eta, runs, plan):
     """One exact leader at eta over runs, seeded by plan, recorded."""
     return _recorded_steps(
-        slotted, [cache_size], [[eta]], [EstimatorSpec.exact(slotted.batch_size)],
-        runs, plan,
+        slotted, [cache_size], [[eta]],
+        [EstimatorSpec.bernoulli(1.0, slotted.batch_size)], runs, plan,
     )
 
 
@@ -371,7 +365,7 @@ class TestStepPerturbedLeaders:
         # each gets what it would get stepped alone under the same plan
         slotted = batch_trace(generate_zipf(ZipfConfig(200, 1.0, 20_000, seed=5)), 50)
         estimators = [EstimatorSpec.bernoulli(0.5, 50),
-                      EstimatorSpec.fixed_subsample(25, 50),
+                      EstimatorSpec.fixed(0.5, 50),
                       EstimatorSpec.bernoulli(0.1, 50)]
         etas = [20.0, 30.0, 40.0]
         opened, stream = [], SeedPlan.stream
@@ -397,7 +391,7 @@ class TestStepPerturbedLeaders:
         # exactly their top two, and at C=1 slot 1 has no tie
         events = np.array([0, 1, 2, 0, 3, 3, 3, 3])
         slotted = SlottedTrace(events, n_files=4, batch_size=4)
-        exact = EstimatorSpec.exact(4)
+        exact = EstimatorSpec.bernoulli(1.0, 4)
         etas = [[0.0, 0.5, 5.0], [0.0, 0.5, 5.0]]
         plan = SeedPlan(21)
         stepped, recorded = _recorded_steps(slotted, [2, 1], etas, [exact] * 3, 2, plan)
@@ -407,9 +401,9 @@ class TestStepPerturbedLeaders:
         for s, c in enumerate([2, 1]):
             for g in (1, 2):
                 for r in range(2):
-                    noise = plan.stream(r, SeedPlan.NOISE)
                     costs, _, decisions = reference_leader_run(
-                        slotted, c, etas[s][g], exact, noise, None
+                        slotted, c, etas[s][g], exact, plan.stream(r, SeedPlan.NOISE),
+                        plan.stream(r, SeedPlan.SAMPLING),
                     )
                     assert np.array_equal(recorded[s, g, r], decisions)
                     assert np.array_equal(stepped.costs[s, g, r], costs)
@@ -442,8 +436,8 @@ class TestStepPerturbedLeaders:
 
     def test_degenerate_samplers_match_exact_decisions(self):
         slotted = batch_trace(generate_zipf(ZipfConfig(30, 1.0, 500, seed=12)), 10)
-        specs = [EstimatorSpec.exact(10), EstimatorSpec.fixed_subsample(10, 10),
-                 EstimatorSpec.bernoulli(1.0, 10)]
+        specs = [EstimatorSpec.bernoulli(1.0, 10), EstimatorSpec.fixed(1.0, 10),
+                 EstimatorSpec.fixed(0.96, 10)]
         stepped, recorded = _recorded_steps(
             slotted, [5], [[25.0] * 3], specs, 1, SeedPlan(77)
         )
@@ -455,14 +449,14 @@ class TestStepPerturbedLeaders:
     def test_rejects_bad_inputs(self):
         slotted = SlottedTrace(np.array([0, 1]), n_files=4, batch_size=2)
         plan = SeedPlan(0)
-        exact = EstimatorSpec.exact(2)
+        exact = EstimatorSpec.bernoulli(1.0, 2)
         for eta, got in ((float("nan"), "[[nan]]"), (-1.0, "[[-1.0]]")):
             message = f"^etas must be finite and >= 0, got {re.escape(got)}$"
             with pytest.raises(InvalidInputError, match=message):
                 step_perturbed_leaders(slotted, [2], [[eta]], [exact], 1, plan)
         with pytest.raises(InvalidInputError, match="batch size"):
             step_perturbed_leaders(
-                slotted, [2], [[1.0]], [EstimatorSpec.exact(3)], 1, plan
+                slotted, [2], [[1.0]], [EstimatorSpec.bernoulli(1.0, 3)], 1, plan
             )
         with pytest.raises(InvalidInputError, match="leader and run"):
             step_perturbed_leaders(slotted, [2], [[1.0]], [exact], 0, plan)
@@ -477,7 +471,7 @@ class TestObserver:
         slotted = batch_trace(generate_zipf(ZipfConfig(40, 1.0, 2000, seed=21)), 20)
         stepped, recorded = _recorded_steps(
             slotted, [8, 3], [[50.0, 100.0], [35.0, 70.0]],
-            [EstimatorSpec.exact(20), EstimatorSpec.bernoulli(0.5, 20)],
+            [EstimatorSpec.bernoulli(1.0, 20), EstimatorSpec.bernoulli(0.5, 20)],
             2, SeedPlan(99),
         )
         runs = [(8, *_recorded_ftl(slotted, 8))] + [
@@ -497,7 +491,7 @@ class TestObserver:
 
     def test_observing_changes_no_cost_or_total(self):
         slotted = batch_trace(generate_zipf(ZipfConfig(40, 1.0, 2000, seed=21)), 20)
-        specs = [EstimatorSpec.exact(20), EstimatorSpec.fixed_subsample(5, 20),
+        specs = [EstimatorSpec.bernoulli(1.0, 20), EstimatorSpec.fixed(0.25, 20),
                  EstimatorSpec.bernoulli(0.3, 20)]
 
         def step(observe):
@@ -519,8 +513,8 @@ def _large_sweep_shape(runs):
     Returns the arguments of step_perturbed_leaders.
     """
     slotted = batch_trace(generate_zipf(ZipfConfig(300, 1.0, 6000, seed=3)), 20)
-    specs = [EstimatorSpec.fixed_subsample(k, 20) for k in (1, 2, 10)]
-    specs += [EstimatorSpec.exact(20)]
+    specs = [EstimatorSpec.fixed(k / 20, 20) for k in (1, 2, 10)]
+    specs += [EstimatorSpec.bernoulli(1.0, 20)]
     specs += [EstimatorSpec.bernoulli(rate, 20) for rate in (0.05, 0.1, 0.5)]
     return slotted, [10, 120], [[40.0] * 7, [90.0] * 7], specs, runs, SeedPlan(11)
 
@@ -822,7 +816,7 @@ class TestStaticOpt:
     follow_the_leader,
     least_recently_used,
     lambda slotted, c: step_perturbed_leaders(
-        slotted, [c], [[1.0]], [EstimatorSpec.exact(2)], 1, SeedPlan(0)
+        slotted, [c], [[1.0]], [EstimatorSpec.bernoulli(1.0, 2)], 1, SeedPlan(0)
     ),
 ], ids=["opt", "ftl", "lru", "stepper"])
 def test_every_policy_checks_the_cache_size(policy, cache_size):

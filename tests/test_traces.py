@@ -92,6 +92,20 @@ class TestZipf:
         expected = reference_zipf_events(n, alpha, requests, seed)
         assert trace.events.tolist() == expected.tolist()
 
+    @pytest.mark.parametrize("block", [1, 7, traces._BLOCK])
+    def test_blocks_of_draws_are_one_draw(self, monkeypatch, block):
+        # each block draws the next uniforms of the seed's one stream
+        monkeypatch.setattr(traces, "_BLOCK", block)
+        trace = generate_zipf(ZipfConfig(50, 1.0, 2 * block + 5, seed=3))
+        expected = reference_zipf_events(50, 1.0, 2 * block + 5, 3)
+        assert trace.events.tolist() == expected.tolist()
+
+
+def _inverse_cdf_of(cdf, u):
+    """_inverse_cdf over the draws u, handed out in order."""
+    draws = iter(u)
+    return _inverse_cdf(cdf, lambda k: np.fromiter(draws, np.float64, k), u.size)
+
 
 def _edges_and_values(cdf):
     # every bucket edge j / 2**k of any guide table up to 8 * len(cdf)
@@ -122,7 +136,7 @@ class TestInverseCdf:
     def test_matches_searchsorted(self, values, scale, draws):
         cdf = np.sort(values) * scale
         u = np.concatenate([np.asarray(draws, dtype=float), _edges_and_values(cdf)])
-        assert _inverse_cdf(cdf, u).tolist() == np.searchsorted(cdf, u).tolist()
+        assert _inverse_cdf_of(cdf, u).tolist() == np.searchsorted(cdf, u).tolist()
 
     # N = 1, 2**k and 2**k + 1 over Zipf cdfs; alpha = 60 and 400 underflow
     # to flat steps, and more draws than one block cross block edges
@@ -135,7 +149,7 @@ class TestInverseCdf:
             _edges_and_values(cdf),
             np.random.default_rng(n).random(2 * traces._BLOCK + 7),
         ])
-        assert np.array_equal(_inverse_cdf(cdf, u), np.searchsorted(cdf, u))
+        assert np.array_equal(_inverse_cdf_of(cdf, u), np.searchsorted(cdf, u))
 
 
 class TestRoundRobin:
