@@ -110,11 +110,11 @@ def step_perturbed_leaders(
     The rows are stepped in groups of one ranking kind (_step_rows), in
     forked processes, one per usable CPU; the result does not depend on
     the split. With R >= 2 they are one full group (_ranked_in_full),
-    split by run. With R = 1 and two or more leaders every row reads one
-    noise vector: they are one floor group (_ranked_by_floor), whose
-    per-slot work every row shares, split by slot range. One leader at
-    one run is one full group in this process: its top-C over N costs
-    less than the floor, and a split adds forks and a replay.
+    split by run. With R = 1, two or more leaders and one eta per size,
+    every row reads one noise vector at one scale: they are one floor
+    group (_ranked_by_floor), split by slot range. Any other single run
+    is one full group in this process: a lone leader's top-C over N costs
+    less than the floor, and mixed etas leave too many files to prune.
 
     observe, if given, is called as observe(t, s, cached) once per slot t
     and size index s: cached is the G x R x N bool mask of each row's
@@ -157,7 +157,7 @@ def step_perturbed_leaders(
                           "more than this host can map") from None
     costs = np.frombuffer(result, np.int64, cells).reshape(-1, groups, runs, horizon)
     totals = np.frombuffer(result, np.float64, offset=8 * cells).reshape(groups, runs, n)
-    shared = runs == 1 and groups > 1  # every row reads run 0's noise
+    shared = runs == 1 and groups > 1 and (etas == etas[:, :1]).all()  # one u, one eta
     partition = [(np.s_[:, 0], _ranked_by_floor) if shared
                  else (np.s_[:, :], _ranked_in_full)]
     units = horizon if shared else runs  # what the processes split
@@ -273,19 +273,17 @@ def _ranked_in_full(sizes, etas, noise, totals, mask, b):
 
 
 def _ranked_by_floor(sizes, etas, u, leading, mask, b):
-    """The floor kind: one run's G rows, ranking only what can reach u's floor.
+    """The floor kind: one run's G rows at one eta, ranking only what reaches u's floor.
 
     u is the run's noise, leading and mask its G x N totals and cache. As
     totals are >= 0 and rounding is monotone, the C files with the largest
-    u score at least fl(eta_g * u_(C)) in row g, u_(C) being u's C-th
-    largest value, so a file whose fl(fl(eta_max * u_i) + peak_i), peak_i
-    its largest total over the rows, is below the least of those floors
-    is neither cached nor tied in any row; at eta 0 every file is a
-    candidate. The candidates are ranked in ascending index order, so ties
-    still go to the lowest index.
+    u score at least fl(eta * u_(C)), u_(C) being u's C-th largest value,
+    so a file whose fl(fl(eta * u_i) + peak_i), peak_i its largest total
+    over the rows, is below that floor is neither cached nor tied in any
+    row; at eta 0 every file is a candidate. The candidates are ranked in
+    ascending index order, so ties still go to the lowest index.
     """
-    n = u.size
-    low, high = etas.min(axis=1), etas.max(axis=1)
+    n, eta = u.size, etas[:, 0]  # the one eta of every row at each size
     reach, ranked = np.empty(n), np.empty(n)
     demand = np.zeros(n, dtype=np.int64)  # the slot's requests of every file
     widest = sorted(set(sizes), reverse=True)
@@ -300,12 +298,10 @@ def _ranked_by_floor(sizes, etas, u, leading, mask, b):
                 ranked[lo:].partition(n - size - lo)  # at several kth is slower
                 lo = n - size
                 kth[size] = ranked[lo]
-        # fl(eta * u) grows with eta: the least eta sets the floor
-        np.multiply(u, high[s], out=reach)
+        np.multiply(u, eta[s], out=reach)  # fl(eta * u): every row's noise
         np.add(reach, peak, out=reach)
-        chosen = np.flatnonzero(reach >= low[s] * kth[c])
-        sub = np.multiply(u.take(chosen), etas[s, :, None])
-        sub += leading.take(chosen, axis=1)
+        chosen = np.flatnonzero(reach >= eta[s] * kth[c])
+        sub = leading.take(chosen, axis=1) + eta[s] * u.take(chosen)
         kept = top_c(sub, c)
         if mask is not None:
             mask.fill(False)

@@ -148,7 +148,10 @@ def generate_zipf(config: ZipfConfig) -> Trace:
 
 
 def generate_round_robin(config: RoundRobinConfig) -> Trace:
-    events = np.arange(config.total_requests, dtype=np.int64) % config.n_files + 1
+    events = np.empty(config.total_requests, dtype=np.int64)
+    for start in range(0, events.size, _BLOCK):  # no full-length temporary
+        stop = min(start + _BLOCK, events.size)
+        events[start:stop] = np.arange(start, stop) % config.n_files + 1
     return Trace(events=events, n_files=config.n_files)
 
 

@@ -148,6 +148,16 @@ class TestGenerate:
         assert where in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", ["zipf", "round-robin"])
+    def test_the_most_requests_fail_for_want_of_memory(self, tmp_path, capsys, kind):
+        # sys.maxsize // 8 events pass the check, but 8 EiB cannot be allocated
+        out = tmp_path / "t.txt"
+        code = invoke(["generate", kind, "--files", 5, "--requests", sys.maxsize // 8,
+                       "-o", out])
+        assert code == 1
+        assert "runtime failure: MemoryError" in capsys.readouterr().err
+        assert not out.exists()
+
 
 GENERATE = ["generate", "round-robin", "--files", "3", "--requests", "6"]
 

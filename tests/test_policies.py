@@ -599,12 +599,13 @@ class TestProcessSplit:
         assert any(ranked) and not all(ranked)  # some slot pruned, some ranked all N
 
     @pytest.mark.parametrize("cpus", [1, 2])
-    @pytest.mark.parametrize("runs,leaders,pruned", [
-        (2, 7, False), (5, 7, False), (2, 1, False), (1, 1, False), (1, 7, True),
+    @pytest.mark.parametrize("runs,leaders,mixed,pruned", [
+        (2, 7, False, False), (5, 7, False, False), (2, 1, False, False),
+        (1, 1, False, False), (1, 7, False, True), (1, 7, True, False),
     ], ids=["two-runs", "five-runs", "two-runs-one-leader", "one-run-one-leader",
-            "one-run"])
+            "one-run", "one-run-mixed-eta"])
     def test_each_shape_takes_its_ranking_kind(self, monkeypatch, cpus, runs, leaders,
-                                               pruned):
+                                               mixed, pruned):
         # both kinds write the same bytes, so only the columns top_c ranks
         # show a shape moved to the other one. Every eta is > 0, so the
         # floor prunes; a forked share's calls are not seen here
@@ -615,14 +616,19 @@ class TestProcessSplit:
             return real_top_c(score, cache_size, out=out)
 
         monkeypatch.setattr(policies, "top_c", top_c)
+        forked = record_forks(monkeypatch)
         slotted, sizes, etas, specs, _, plan = _large_sweep_shape(runs)
-        _step_on(monkeypatch, cpus, slotted, sizes, [row[:leaders] for row in etas],
-                 specs[:leaders], runs, plan)
+        etas = [row[:leaders] for row in etas]
+        if mixed:  # one leader at twice the others' eta at the second size
+            etas[1][-1] *= 2
+        _step_on(monkeypatch, cpus, slotted, sizes, etas, specs[:leaders], runs, plan)
         assert widths
         if pruned:
             assert min(widths) < slotted.n_files
         else:
             assert set(widths) == {slotted.n_files}
+        if runs == 1 and not pruned:  # one full group at one run: no split
+            assert forked == []
 
     def test_an_observer_keeps_the_rows_in_one_process(self, monkeypatch):
         forked = record_forks(monkeypatch)

@@ -157,6 +157,11 @@ class TestRoundRobin:
         trace = generate_round_robin(RoundRobinConfig(3, 5))
         assert trace.events.tolist() == [1, 2, 3, 1, 2]
 
+    def test_blocks_fill_the_cycle_across_their_edges(self):
+        total = 2 * traces._BLOCK + 5
+        trace = generate_round_robin(RoundRobinConfig(7, total))
+        assert np.array_equal(trace.events, np.arange(total) % 7 + 1)
+
     def test_whole_cycles_are_balanced(self):
         trace = generate_round_robin(RoundRobinConfig(100, 100 * 7))
         counts = np.bincount(trace.events, minlength=101)[1:]
