@@ -4,7 +4,11 @@ Exit codes: 0 on success, 2 for usage/config/input errors, 1 for
 unexpected runtime failures. Every usage error names its source: a flag,
 or a config section and key. Output files are rendered fully in memory
 and committed atomically (temp file + rename), so a failed invocation
-never leaves partial CSVs behind.
+never leaves partial CSVs behind. Run as a program, the process ends with
+os._exit once main() has returned and stdout and stderr are flushed,
+without the interpreter's teardown; a stdout that cannot take the last
+flush exits 1. main(argv) itself returns the exit code, for library and
+test use.
 
 The engine, and through it the policies, estimators and metrics, is
 imported inside the functions that use it, so `generate` loads only
@@ -495,9 +499,32 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:
-        print(f"runtime failure: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+        return _runtime_failure(exc)
+
+
+def _runtime_failure(exc) -> int:
+    print(f"runtime failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+    return EXIT_RUNTIME
+
+
+def _main_and_exit():
+    """main() on sys.argv, then os._exit once stdout and stderr are flushed.
+
+    main() returns only after every output is committed, so the teardown
+    this skips (about 30 ms) would only free what the OS reclaims anyway.
+    An exception escaping main() ends the process the normal way.
+    """
+    code = main()
+    try:
+        if sys.stdout is not None:  # None when the process started with fd 1 closed
+            sys.stdout.flush()
+    except OSError as exc:
+        code = _runtime_failure(exc)
+    with contextlib.suppress(OSError):
+        if sys.stderr is not None:
+            sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    _main_and_exit()

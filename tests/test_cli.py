@@ -251,6 +251,79 @@ def test_generate_and_a_bare_import_load_no_simulator_code(tmp_path):
     assert not set(bare.stdout.split()) & SIMULATOR
 
 
+def launch(argv, script=False, unbuffered=False, **kwargs):
+    """Run the CLI in a fresh process: `python -m noisycache.cli ARGV`, or,
+    with script, the call the installed `noisycache` script makes.
+
+    stdout is block-buffered on a pipe unless unbuffered is set, which is
+    where a missing final flush shows.
+    """
+    env = package_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    head = ["-m", "noisycache.cli"]
+    if script:
+        pyproject = pathlib.Path(__file__).parents[1] / "pyproject.toml"
+        entry = re.search(r'^noisycache = "(.+):(.+)"$', pyproject.read_text(), re.M)
+        module, function = entry.groups()
+        head = ["-c", f"import sys; from {module} import {function}; sys.exit({function}())"]
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    return subprocess.run([sys.executable, *head, *map(str, argv)], env=env,
+                          stderr=subprocess.PIPE, text=True, timeout=60, **kwargs)
+
+
+@pytest.mark.parametrize("script", [False, True], ids=["module", "script"])
+def test_a_process_prints_its_last_line_before_it_ends(tmp_path, script):
+    out = tmp_path / "t.txt"
+    done = launch([*GENERATE, "-o", out], script=script)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == f"wrote {out}: 6 events over 3 files\n"
+    assert out.read_text() == "1\n2\n3\n1\n2\n3\n"
+
+
+def test_a_process_usage_error_exits_2(tmp_path):
+    out = tmp_path / "t.txt"
+    done = launch([*GENERATE, "-o", out, "--seed", 1])
+    assert done.returncode == 2
+    assert done.stderr == "error: --alpha and --seed do not apply to round-robin\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_closed_stdout_is_one_runtime_failure(tmp_path, unbuffered):
+    out = tmp_path / "t.txt"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = launch([*GENERATE, "-o", out], unbuffered=unbuffered, stdout=write)
+    finally:
+        os.close(write)
+    assert done.returncode == 1
+    assert re.fullmatch(r"runtime failure: BrokenPipeError: [^\n]*\n", done.stderr)
+    assert out.read_text() == "1\n2\n3\n1\n2\n3\n"  # committed before the print
+
+
+def test_a_process_run_writes_the_bytes_of_an_in_process_run(tmp_path, run_dir):
+    config = write_config(tmp_path, RUN_CONFIG)
+    out = tmp_path / "out"
+    done = launch(["run", "-c", config, "-o", out])
+    assert done.returncode == 0, done.stderr
+    for name in ("series.csv", "summary.csv", "config_echo.ini"):
+        assert (out / name).read_bytes() == (run_dir / name).read_bytes()
+
+
+def test_main_returns_its_code_and_leaves_the_process_running(tmp_path, monkeypatch,
+                                                             capsys):
+    def hard_exit(code):
+        raise AssertionError(f"os._exit({code}) called")
+
+    monkeypatch.setattr(os, "_exit", hard_exit)
+    code = invoke([*GENERATE, "-o", tmp_path / "t.txt"])
+    assert type(code) is int and code == 0
+    assert capsys.readouterr().out.startswith("wrote ")
+
+
 def test_a_full_disk_stays_a_runtime_failure(tmp_path, capsys, monkeypatch):
     def full(*args):
         raise OSError(errno.ENOSPC, "No space left on device")
