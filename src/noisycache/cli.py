@@ -2,13 +2,13 @@
 
 Exit codes: 0 on success, 2 for usage/config/input errors, 1 for
 unexpected runtime failures. Every usage error names its source: a flag,
-or a config section and key. Output files are rendered fully in memory
-and committed atomically (temp file + rename), so a failed invocation
-never leaves partial CSVs behind. Run as a program, the process ends with
-os._exit once main() has returned and stdout and stderr are flushed,
-without the interpreter's teardown; a stdout that cannot take the last
-flush exits 1. main(argv) itself returns the exit code, for library and
-test use.
+or a config section and key. Output files are rendered fully in memory;
+they and generate's trace are committed by traces._commit_files, which
+replaces no file but the targets and removes its temps on any failure.
+Run as a program, the process ends with os._exit once main() has
+returned and stdout and stderr are flushed, without the interpreter's
+teardown; a stdout that cannot take the last flush exits 1. main(argv)
+itself returns the exit code, for library and test use.
 
 The engine, and through it the policies, estimators and metrics, is
 imported inside the functions that use it, so `generate` loads only
@@ -30,6 +30,7 @@ from .traces import (
     TraceFileConfig,
     TraceParseError,
     ZipfConfig,
+    _commit_files,
     generate_round_robin,
     generate_zipf,
     write_trace_file,
@@ -337,24 +338,11 @@ def _output_to(path: str):
         ) from None
 
 
-def _commit_files(out_dir: str, files: dict) -> None:
-    """Write every file atomically; leave nothing behind on failure."""
-    temps = []
-    with _output_to(out_dir):
-        os.makedirs(out_dir, exist_ok=True)
-        try:
-            for name, text in files.items():
-                tmp = os.path.join(out_dir, f".{name}.tmp")
-                with open(tmp, "w", encoding="utf-8", newline="") as fh:
-                    fh.write(text)
-                temps.append((tmp, os.path.join(out_dir, name)))
-            for tmp, final in temps:
-                os.replace(tmp, final)
-        except BaseException:
-            for tmp, _ in temps:
-                if os.path.exists(tmp):
-                    os.remove(tmp)
-            raise
+def _write_outputs(path: str, texts: dict) -> None:
+    """Commit each {name: text} to directory path as UTF-8, then say so."""
+    with _output_to(path):  # each text is encoded only as its file is written
+        _commit_files(path, {name: map(str.encode, [text]) for name, text in texts.items()})
+    print(f"wrote {', '.join(texts)} to {path}")
 
 
 # --------------------------------------------------------------- commands
@@ -378,7 +366,6 @@ def cmd_generate(args) -> int:
     except InvalidInputError as exc:  # the configs' messages start with the field
         raise ConfigError(f"--{_keyed(exc, _ZIPF)}") from None
     with _output_to(args.output):
-        os.makedirs(os.path.dirname(os.path.abspath(args.output)), exist_ok=True)
         write_trace_file(args.output, trace)
     print(f"wrote {args.output}: {trace.events.size} events over {trace.n_files} files")
     return EXIT_OK
@@ -398,13 +385,11 @@ def cmd_run(args) -> int:
     except InvalidInputError as exc:  # cache_size and batch_size: the trace checks them
         raise ConfigError(f"[experiment] {exc}") from None
     etas = {pol.spec.name: pol.eta for pol in report.policies if pol.eta is not None}
-    files = {
+    _write_outputs(args.output, {
         "series.csv": _render_series(report),
         "summary.csv": _render_summary(report),
         "config_echo.ini": _render_echo(config, report.trace_source, etas),
-    }
-    _commit_files(args.output, files)
-    print(f"wrote {', '.join(files)} to {args.output}")
+    })
     return EXIT_OK
 
 
@@ -442,17 +427,24 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"{source['rates']}{exc}") from None
     except InvalidInputError as exc:  # batch_size, which only the built trace checks
         raise ConfigError(f"[experiment] {exc}") from None
-    files = {
+    _write_outputs(args.output, {
         "sweep.csv": _render_sweep(reports),
         "config_echo.ini": _render_echo(config, reports[0].trace_source, sweep=sweep),
-    }
-    _commit_files(args.output, files)
-    print(f"wrote {', '.join(files)} to {args.output}")
+    })
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose failed write raises, as argparse's own would not."""
+
+    def _print_message(self, message, file=None):
+        file = file or sys.stderr
+        if message and file is not None:  # None when its fd was closed at start
+            file.write(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="noisycache",
         description="Trace-driven cache simulation with sampled request estimates.",
     )
@@ -493,6 +485,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
+    except OSError as exc:  # --help into a closed stdout, say
+        return _runtime_failure(exc)
     try:
         return args.func(args)
     except (ConfigError, InvalidInputError, TraceParseError, FileNotFoundError) as exc:

@@ -78,7 +78,7 @@ class LeaderRuns:
 
     costs is S x G x R x T (misses per slot at each cache size) and
     totals G x R x N (the final accumulated estimates, which no cache
-    size changes).
+    size changes). Both are read-only: twin leaders share their views.
     """
 
     costs: np.ndarray
@@ -174,6 +174,7 @@ def step_perturbed_leaders(
 
     cuts = [units * k // procs for k in range(procs + 1)]
     _in_processes(step, list(zip(cuts, cuts[1:])))
+    costs.flags.writeable = totals.flags.writeable = False  # twin leaders share views
     return LeaderRuns(costs=costs, totals=totals)
 
 

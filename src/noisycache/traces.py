@@ -335,21 +335,38 @@ def _decimal_lines(events: np.ndarray):
         yield raw[np.take(keep, more, axis=0)]
 
 
+def _commit_files(directory: str, files: dict) -> None:
+    """Write each {name: iterable of bytes chunks} file into directory, all or none.
+
+    Each goes to its own hidden temp, .{name}.{pid}.tmp, created exclusively
+    so that no file but a target is replaced, and the temps are renamed only
+    once every write has succeeded. Any failure removes every temp made; a
+    process killed outright (SIGKILL) may leave its own temp behind.
+    """
+    os.makedirs(directory, exist_ok=True)
+    temps = []
+    try:
+        for name, chunks in files.items():
+            tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+            with open(tmp, "xb") as fh:  # mode 0666 & ~umask, as open(path, "w")
+                temps.append(tmp)
+                fh.writelines(chunks)  # holds no chunk once written
+        for tmp, name in zip(temps, files):
+            os.replace(tmp, os.path.join(directory, name))
+    except BaseException:
+        for tmp in temps:
+            with contextlib.suppress(FileNotFoundError):  # renamed already
+                os.remove(tmp)
+        raise
+
+
 def write_trace_file(path: str, trace: Trace) -> None:
-    """Write a trace in the format read_trace_file accepts, via temp file + rename.
+    """Write a trace in the format read_trace_file accepts, through _commit_files.
 
     Each event is written as "%d\\n" % id would write it.
     """
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            for lines in _decimal_lines(trace.events):
-                fh.write(lines)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    directory, name = os.path.split(os.fspath(path))
+    _commit_files(directory or os.curdir, {name: _decimal_lines(trace.events)})
 
 
 @dataclass(frozen=True)
@@ -360,9 +377,10 @@ class SlottedTrace:
     the strictly increasing files ids[offsets[t]:offsets[t + 1]], each as
     often as counts at the same position says. events, ids and counts are
     int32, so n_files and batch_size are at most 2**31 - 1; offsets is
-    int64. Events of another dtype are range-checked, then narrowed. The
-    CSR arrays are built a block of slots at a time, so no full-length
-    temporary is made beside events, ids and counts.
+    int64; all four are read-only. Events of another dtype are
+    range-checked, then narrowed. The CSR arrays are built a block of
+    slots at a time, so no full-length temporary is made beside events,
+    ids and counts.
     """
 
     events: np.ndarray
@@ -405,6 +423,9 @@ class SlottedTrace:
         np.cumsum(offsets, out=offsets)
         ids.resize(runs, refcheck=False)  # in place: the unused tail was never written
         counts.resize(runs, refcheck=False)
+        events = events.view()  # read-only, leaving an array the caller passed as it is
+        for array in (events, ids, counts, offsets):
+            array.flags.writeable = False
         object.__setattr__(self, "events", events)
         object.__setattr__(self, "horizon", horizon)
         object.__setattr__(self, "ids", ids)

@@ -8,6 +8,8 @@ import math
 import os
 import pathlib
 import re
+import resource
+import signal
 import subprocess
 import sys
 import textwrap
@@ -290,18 +292,66 @@ def test_a_process_usage_error_exits_2(tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-def test_a_closed_stdout_is_one_runtime_failure(tmp_path, unbuffered):
+@pytest.mark.parametrize("command, unbuffered", [
+    ("generate", False), ("generate", True), ("help", False), ("help", True),
+], ids=["buffered", "unbuffered", "help-buffered", "help-unbuffered"])
+def test_a_closed_stdout_is_one_runtime_failure(tmp_path, command, unbuffered):
+    # argparse's own print swallows the error of its write: unbuffered,
+    # --help would exit 0 and say nothing
     out = tmp_path / "t.txt"
     read, write = os.pipe()
     os.close(read)
+    argv = ["--help"] if command == "help" else [*GENERATE, "-o", out]
     try:
-        done = launch([*GENERATE, "-o", out], unbuffered=unbuffered, stdout=write)
+        done = launch(argv, unbuffered=unbuffered, stdout=write)
     finally:
         os.close(write)
     assert done.returncode == 1
     assert re.fullmatch(r"runtime failure: BrokenPipeError: [^\n]*\n", done.stderr)
-    assert out.read_text() == "1\n2\n3\n1\n2\n3\n"  # committed before the print
+    if command == "generate":
+        assert out.read_text() == "1\n2\n3\n1\n2\n3\n"  # committed before the print
+
+
+def test_a_write_that_fails_partway_leaves_no_temp(tmp_path):
+    # a file may grow to 4 kB only: series.csv, the first file written,
+    # fails partway, and SIGXFSZ is ignored, so its write reports EFBIG
+    def small_files():
+        resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096))
+        signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+
+    config, out = write_config(tmp_path, RUN_CONFIG), tmp_path / "out"
+    done = launch(["run", "-c", config, "-o", out], preexec_fn=small_files)
+    assert done.returncode == 1
+    assert re.fullmatch(r"runtime failure: OSError: \[Errno 27\] [^\n]*\n", done.stderr)
+    assert os.listdir(out) == []
+
+
+def test_a_commit_replaces_no_file_but_its_targets(tmp_path):
+    # each temp is this process's own, created exclusively
+    config, out = write_config(tmp_path, RUN_CONFIG), tmp_path / "out"
+    out.mkdir()
+    others = [tmp_path / "t.txt.tmp", out / ".summary.csv.tmp"]
+    for other in others:
+        other.write_bytes(b"keep\n")
+    assert invoke([*GENERATE, "-o", tmp_path / "t.txt"]) == 0
+    assert invoke(["run", "-c", config, "-o", out]) == 0
+    for other in others:
+        assert other.read_bytes() == b"keep\n"
+    assert sorted(os.listdir(tmp_path)) == ["exp.ini", "out", "t.txt", "t.txt.tmp"]
+    assert sorted(os.listdir(out)) == [
+        ".summary.csv.tmp", "config_echo.ini", "series.csv", "summary.csv"]
+
+
+def test_a_temp_of_this_process_already_there_is_usage_error(tmp_path, capsys):
+    config, out = write_config(tmp_path, RUN_CONFIG), tmp_path / "out"
+    out.mkdir()
+    taken = out / f".summary.csv.{os.getpid()}.tmp"
+    taken.write_bytes(b"keep\n")
+    assert invoke(["run", "-c", config, "-o", out]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --output {out} cannot be used: File exists: {taken}\n"
+    assert taken.read_bytes() == b"keep\n"
+    assert os.listdir(out) == [taken.name]
 
 
 def test_a_process_run_writes_the_bytes_of_an_in_process_run(tmp_path, run_dir):

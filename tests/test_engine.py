@@ -227,6 +227,16 @@ class TestRunExperiment:
             assert np.array_equal(rep.policy("fix").costs[run], base)
             assert np.array_equal(rep.policy("var").costs[run], base)
 
+    def test_a_leaders_shared_results_are_read_only(self):
+        # fpl and a full-rate nfpl-var are twins: they share one view
+        cfg = small_config([PolicySpec("fpl", "fpl"),
+                            PolicySpec("var", "nfpl-var", rate=1.0)], runs=2)
+        fpl, var = run_experiment(cfg)[0].policies
+        assert np.shares_memory(fpl.costs, var.costs)
+        for array in (fpl.costs, fpl.totals, var.costs, var.totals):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 0
+
     def test_leaders_are_one_stepper_call_under_the_config_seed(self):
         # the stepper owns the seed rule: a direct call at the config's run
         # count and SeedPlan(base_seed) gives every leader's costs and totals

@@ -312,6 +312,25 @@ class TestTraceFiles:
         assert path.read_text() == "1\n2\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["t.txt"]
 
+    def test_write_replaces_no_file_but_its_target(self, tmp_path):
+        # the temp is hidden, this process's own and created exclusively
+        (tmp_path / "t.txt.tmp").write_bytes(b"keep\n")
+        write_trace_file(str(tmp_path / "t.txt"), Trace(np.array([1, 2]), n_files=2))
+        assert (tmp_path / "t.txt.tmp").read_bytes() == b"keep\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.txt", "t.txt.tmp"]
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+    def test_written_file_has_the_mode_of_a_plain_open(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            with open(tmp_path / "plain.txt", "w"):
+                pass
+            write_trace_file(str(tmp_path / "t.txt"), Trace(np.array([1]), n_files=1))
+        finally:
+            os.umask(old)
+        modes = {os.stat(tmp_path / name).st_mode for name in ("plain.txt", "t.txt")}
+        assert modes == {0o100666 & ~umask}
+
     @pytest.mark.parametrize("body", [
         pytest.param("# header\n\n  # note\r\n \t\n3\n1\n2\n", id="header"),
         pytest.param("\ufeff# header\r3\n1\n2", id="byte-order-mark"),
@@ -651,6 +670,16 @@ class TestBatchTrace:
         for name in ("events", "ids", "counts", "offsets"):
             assert np.array_equal(getattr(slotted, name), getattr(copied, name))
         assert np.array_equal(slotted.totals(), copied.totals())
+
+    def test_slotted_arrays_are_read_only_and_the_callers_stay_writable(self):
+        events = np.array([0, 1, 0, 2], dtype=np.int32)
+        slotted = SlottedTrace(events, n_files=3, batch_size=2)
+        for name in ("events", "ids", "counts", "offsets"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(slotted, name)[0] = 0
+        assert np.shares_memory(slotted.events, events)  # int32 is not copied
+        events[0] = 1
+        assert events.flags.writeable
 
     @pytest.mark.parametrize("n_files,batch_size,message", [
         (2**31, 1, "n_files must be <= 2147483647, got 2147483648"),
