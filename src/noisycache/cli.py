@@ -16,6 +16,7 @@ the trace code.
 """
 
 import argparse
+import codecs
 import configparser
 import contextlib
 import csv
@@ -49,10 +50,6 @@ class ConfigError(Exception):
 
 # ---------------------------------------------------------------- config
 
-def _float(value) -> str:
-    return repr(float(value))
-
-
 def _bool(raw: str) -> bool:
     return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
 
@@ -67,14 +64,14 @@ def _list(conv):
     return parse
 
 
-def _joined(render):
-    return lambda values: ", ".join(map(render, values))
+def _joined(values) -> str:
+    return ", ".join(map(str, values))
 
 
 # One row per config key: (key, field it fills, parse, render, required).
 # A section's rows are parsed and echoed in their order here.
 _EXPERIMENT = (
-    ("cache_size", "cache_sizes", lambda raw: (int(raw),), _joined(str), True),
+    ("cache_size", "cache_sizes", lambda raw: (int(raw),), _joined, True),
     ("batch_size", "batch_size", int, str, True),
     ("runs", "runs", int, str, False),
     ("base_seed", "base_seed", int, str, False),
@@ -82,7 +79,7 @@ _EXPERIMENT = (
 _KIND = ("kind", "kind", str.lower, str, True)
 _FILES = ("files", "n_files", int, str, True)
 _REQUESTS = ("requests", "total_requests", int, str, True)
-_ZIPF = (_FILES, ("alpha", "alpha", float, _float, True), _REQUESTS,
+_ZIPF = (_FILES, ("alpha", "alpha", float, str, True), _REQUESTS,
          ("seed", "seed", int, str, False))
 _TRACES = {  # [trace] kind: the config it builds and the rows of its other keys
     "zipf": (ZipfConfig, _ZIPF),
@@ -95,13 +92,13 @@ _TRACES = {  # [trace] kind: the config it builds and the rows of its other keys
 }
 _POLICY = (
     _KIND,
-    ("rate", "rate", float, _float, False),
-    ("eta", "eta_override", float, _float, False),
+    ("rate", "rate", float, str, False),
+    ("eta", "eta_override", float, str, False),
 )
 _SWEEP = (
-    ("rates", "rates", _list(float), _joined(_float), False),
-    ("variants", "variants", _list(str), _joined(str), False),
-    ("cache_sizes", "cache_sizes", _list(int), _joined(str), False),
+    ("rates", "rates", _list(float), _joined, False),
+    ("variants", "variants", _list(str), _joined, False),
+    ("cache_sizes", "cache_sizes", _list(int), _joined, False),
 )
 
 
@@ -169,15 +166,15 @@ def load_config(path: str):
 
     The sweep dict carries the optional [sweep] section's rates,
     variants, and cache_sizes (None when the section omits them).
-    The file is read as UTF-8, and values are literal: there is no
-    %-interpolation.
+    The file is read as UTF-8 after a leading byte-order mark, if any;
+    values are literal: there is no %-interpolation.
     """
     from .engine import ExperimentConfig, PolicySpec
 
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     try:
         with open(path, "rb") as fh:
-            data = fh.read()
+            data = fh.read().removeprefix(codecs.BOM_UTF8)
     except OSError:
         raise ConfigError(f"cannot read config file {path!r}") from None
     try:
@@ -227,14 +224,6 @@ def load_config(path: str):
 
 # ----------------------------------------------------------------- output
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _render_csv(header, rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -247,7 +236,7 @@ def _render_series(report) -> str:
     # a generator: the csv writer takes one row at a time, so the T x P
     # rows are never all held at once
     rows = (
-        (t, pol.spec.name, *map(repr, band))
+        (t, pol.spec.name, *band)
         for pol in report.policies
         for t, band in enumerate(
             zip(pol.mean.tolist(), pol.d1.tolist(), pol.d9.tolist()), 1
@@ -258,9 +247,8 @@ def _render_series(report) -> str:
 
 def _render_summary(report) -> str:
     rows = [
-        (pol.spec.name, _fmt(pol.final_mean), _fmt(pol.final_d1), _fmt(pol.final_d9),
-         _fmt(pol.cum_cost), _fmt(report.opt_cost), _fmt(pol.regret),
-         _fmt(pol.bound))
+        (pol.spec.name, pol.final_mean, pol.final_d1, pol.final_d9,
+         pol.cum_cost, report.opt_cost, pol.regret, pol.bound)
         for pol in report.policies
     ]
     header = (
@@ -272,8 +260,8 @@ def _render_summary(report) -> str:
 
 def _render_sweep(reports) -> str:
     rows = [
-        (pol.spec.kind.removeprefix("nfpl-"), _fmt(pol.spec.rate), report.cache_size,
-         _fmt(pol.final_mean), _fmt(pol.final_d1), _fmt(pol.final_d9))
+        (pol.spec.kind.removeprefix("nfpl-"), pol.spec.rate, report.cache_size,
+         pol.final_mean, pol.final_d1, pol.final_d9)
         for report in reports
         for pol in report.policies
     ]

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import codecs
 import configparser
 import csv
 import errno
@@ -14,6 +15,7 @@ import subprocess
 import sys
 import textwrap
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -796,6 +798,11 @@ class TestRun:
          "[policy:var] unsupported key(s): warp"),
         (["run"], "kind = nfpl-var\n    rate = 0.5", "rate = x",
          "[policy:var] missing required key 'kind'"),
+        (["run"], "kind = zipf", "kind = bogus",
+         "[trace] unknown kind 'bogus', expected zipf, round-robin, or file"),
+        (["run"], "batch_size = 20", "batch_size = 0",
+         "[experiment] batch_size must be >= 1"),
+        (["sweep"], "runs = 3", "runs = 0", "[experiment] runs must be >= 1"),
     ], ids=["eta-nan", "eta-inf", "alpha-nan", "alpha-inf", "seed",
             "requests-beyond-numpy", "base-seed", "runs-beyond-int64",
             "runs-result-beyond-mapping", "sweep-runs-beyond-int64",
@@ -814,7 +821,8 @@ class TestRun:
             "unknown-before-missing", "experiment-before-trace",
             "trace-kind-before-unknown", "trace-unknown-before-missing",
             "trace-unparsable", "policy-unknown-before-missing",
-            "policy-kind-before-unparsable"])
+            "policy-kind-before-unparsable", "trace-unknown-kind", "batch-below-one",
+            "sweep-runs-below-one"])
     def test_rejects_bad_values(self, tmp_path, capsys, argv, old, new, where):
         config = write_config(tmp_path, RUN_CONFIG.replace(old, new))
         out = tmp_path / "o"
@@ -1048,6 +1056,27 @@ def test_a_config_is_read_as_utf8(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_leading_byte_order_mark_is_skipped(tmp_path, run_dir):
+    config = tmp_path / "bom.ini"
+    config.write_bytes(codecs.BOM_UTF8 + textwrap.dedent(RUN_CONFIG).encode())
+    out = tmp_path / "o"
+    assert cli.main(["run", "-c", str(config), "-o", str(out)]) == 0
+    for name in ("series.csv", "summary.csv", "config_echo.ini"):
+        assert (out / name).read_bytes() == (run_dir / name).read_bytes()
+
+
+@pytest.mark.parametrize("body,line", [
+    (b"\xff[experiment]\n", 1),
+    (b"[experiment]\n\xffruns = 3\n", 2),
+], ids=["after-the-mark", "after-a-newline"])
+def test_a_bad_byte_after_a_byte_order_mark_names_its_line(tmp_path, capsys, body, line):
+    config = tmp_path / "bom.ini"
+    config.write_bytes(codecs.BOM_UTF8 + body)
+    assert cli.main(["run", "-c", str(config), "-o", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"config file {str(config)!r}, line {line}: byte 0xff is not valid UTF-8" in err
+
+
 @pytest.mark.parametrize("old,new,where", [
     ("runs = 3\n", "runs = 3\nruns = 4\n",
      r"exp\.ini.*\[line +5\]: option 'runs' in section 'experiment' already exists"),
@@ -1060,8 +1089,12 @@ def test_a_config_is_read_as_utf8(tmp_path, capsys):
     ("rate = 0.5", "rate = %(x)s", re.escape("[policy:var] cannot parse rate = '%(x)s'")),
     ("[experiment]\n", "[DEFAULT]\nruns = 2\n[experiment]\n",
      re.escape("unsupported section [DEFAULT] with key(s): runs")),
+    ("[policy:opt]\n", "[opt]\n", re.escape("unknown section [opt]")),
+    ("[experiment]\n", "[policy:experiment]\n", re.escape("missing [experiment] section")),
+    ("[trace]\n", "[policy:trace]\n", re.escape("missing [trace] section")),
 ], ids=["duplicate-key", "duplicate-section", "no-equals", "no-section-header",
-        "interpolation", "default-section"])
+        "interpolation", "default-section", "unknown-section", "no-experiment",
+        "no-trace"])
 def test_a_malformed_config_is_usage_error(tmp_path, capsys, old, new, where):
     body = textwrap.dedent(RUN_CONFIG)
     config = write_config(tmp_path, body.replace(old, new, 1))
@@ -1141,6 +1174,43 @@ CONFIGS_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 def test_echo_of_a_shipped_config_reads_back_equal(tmp_path, preset):
     config, sweep = cli.load_config(str(CONFIGS_DIR / preset))
     assert_echo_reloads(tmp_path / "echo.ini", config, sweep)
+
+
+def rendered(real, whole):
+    """Every renderer's text for one report whose floats are real(x) and ints whole(x)."""
+    band = np.array([real(0.1), real(1 / 3)], dtype=object)  # .tolist() keeps them
+    var = PolicySpec("var", "nfpl-var", rate=real(0.5), eta_override=real(2.5))
+    opt = PolicySpec("opt", "opt")
+    pols = [
+        engine.PolicyReport(var, real(2.5), band, band, band, real(12.0), real(9.0),
+                            real(40.5), None, None),
+        engine.PolicyReport(opt, None, band, band, band, real(3.0), real(0.0),
+                            None, None, None),
+    ]
+    trace = ZipfConfig(whole(40), real(1.0), whole(2000), whole(21))
+    report = engine.ExperimentReport(whole(8), whole(2), trace, None, whole(3), pols)
+    config = ExperimentConfig(trace=trace, cache_sizes=(whole(8),), batch_size=whole(20),
+                              policies=(var, opt), runs=whole(3), base_seed=whole(99))
+    sweep = {"rates": (real(0.01), real(0.5)), "variants": ("var",),
+             "cache_sizes": (whole(8), whole(10))}
+    return (cli._render_series(report), cli._render_summary(report),
+            cli._render_sweep([report]),
+            cli._render_echo(config, trace, {"var": real(2.5)}, sweep))
+
+
+def test_numpy_scalars_render_as_their_python_values():
+    series, summary, sweep, echo = rendered(float, int)
+    assert series.splitlines()[1:3] == ["1,var,0.1,0.1,0.1",
+                                        "2,var,0.3333333333333333,0.3333333333333333,"
+                                        "0.3333333333333333"]
+    assert summary.splitlines()[1:] == [
+        "var,0.3333333333333333,0.3333333333333333,0.3333333333333333,12.0,3,9.0,40.5",
+        "opt,0.3333333333333333,0.3333333333333333,0.3333333333333333,3.0,3,0.0,",
+    ]
+    assert sweep.splitlines()[1] == ("var,0.5,8,0.3333333333333333,0.3333333333333333,"
+                                     "0.3333333333333333")
+    assert "alpha = 1.0\n" in echo and "rates = 0.01, 0.5\n" in echo
+    assert rendered(np.float64, np.int64) == (series, summary, sweep, echo)
 
 
 GOLDEN_CONFIGS = {

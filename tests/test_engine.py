@@ -347,6 +347,15 @@ class TestRunExperiment:
             ExperimentConfig(
                 trace=small_trace(), cache_sizes=(2,), batch_size=5, base_seed=-1
             )
+        with pytest.raises(InvalidInputError, match="^batch_size must be >= 1$"):
+            ExperimentConfig(trace=small_trace(), cache_sizes=(2,), batch_size=0)
+        with pytest.raises(InvalidInputError, match="^runs must be >= 1$"):
+            ExperimentConfig(trace=small_trace(), cache_sizes=(2,), batch_size=5, runs=0)
+        with pytest.raises(InvalidInputError, match="^unknown trace source type object$"):
+            run_experiment(small_config([PolicySpec("opt", "opt")], trace=object()))
+        (report,) = run_experiment(small_config([PolicySpec("opt", "opt")]))
+        with pytest.raises(KeyError, match="'lru'"):
+            report.policy("lru")
 
     @pytest.mark.parametrize("sizes,message", [
         ((), "at least one cache size is required"),
@@ -466,6 +475,8 @@ class TestRunSweep:
             run_sweep(self.base_config(), rates=(0.5,), variants=("fix", "fix"))
         with pytest.raises(InvalidInputError):
             run_sweep(self.base_config(), rates=(0.5,), variants=("nope",))
+        with pytest.raises(InvalidInputError, match="^at least one variant is required$"):
+            run_sweep(self.base_config(), rates=(0.5,), variants=())
         with pytest.raises(InvalidInputError, match="duplicate rates"):
             run_sweep(self.base_config(), rates=(0.5, 0.5))
 

@@ -39,6 +39,8 @@ class TestAverageMissRatio:
             average_miss_ratio([6], 5)
         with pytest.raises(InvalidInputError):
             average_miss_ratio([], 5)
+        with pytest.raises(InvalidInputError, match="^batch_size must be >= 1$"):
+            average_miss_ratio([0], 0)
 
     @given(st.integers(1, 20), st.integers(1, 6), st.integers(1, 30),
            st.integers(0, 2**32 - 1))

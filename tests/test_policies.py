@@ -460,6 +460,11 @@ class TestStepPerturbedLeaders:
             )
         with pytest.raises(InvalidInputError, match="leader and run"):
             step_perturbed_leaders(slotted, [2], [[1.0]], [exact], 0, plan)
+        for etas in ([1.0], [[1.0], [1.0]]):  # one row per cache size, and 2-d
+            with pytest.raises(InvalidInputError, match="^etas must hold one row"):
+                step_perturbed_leaders(slotted, [2], etas, [exact], 1, plan)
+        with pytest.raises(InvalidInputError, match="^estimators need one entry per leader$"):
+            step_perturbed_leaders(slotted, [2], [[1.0, 1.0]], [exact], 1, plan)
         for size in (0, 5):
             with pytest.raises(InvalidInputError, match="cache_size"):
                 step_perturbed_leaders(slotted, [size], [[1.0]], [exact], 1, plan)

@@ -176,6 +176,8 @@ class TestTraceValidation:
             Trace(events=np.array([0, 1]), n_files=3)
         with pytest.raises(InvalidInputError):
             Trace(events=np.array([], dtype=np.int64), n_files=3)
+        with pytest.raises(InvalidInputError, match="^n_files must be >= 1, got 0$"):
+            Trace(events=np.array([1]), n_files=0)
 
 
 class TestTraceFiles:
